@@ -6,7 +6,8 @@ concurrent mixed workload at it through the typed
 :class:`~repro.serve.client.ServeClient` — negotiation requests from
 several client threads (exercising the coalescing window), the other
 workflow routes, async job submissions polled to completion, and the
-introspection routes — then SIGKILLs one worker mid-run and verifies
+introspection routes, a bare unversioned path (404) and a mistyped
+request (400) — then SIGKILLs one worker mid-run and verifies
 the survivors keep answering (byte-identically, off the shared disk
 cache) while the supervisor forks a replacement.  Every response
 envelope is written to ``--out`` as a ``.json`` file, the server is
@@ -142,10 +143,15 @@ def main(argv: list[str] | None = None) -> int:
                     "/v1/simulate", {"scenario": "failure-churn", "duration": 6}
                 ),
             )
-            # The deprecated bare path still answers, flagged as such.
-            legacy = client.raw_get("/health")
-            if legacy.headers.get("deprecation") != "true":
-                failures.append("legacy /health lacked the Deprecation header")
+            # Only /v1 paths route: a bare path is a 404 error_result.
+            bare = client.raw_get("/health")
+            if bare.status != 404 or bare.json().get("kind") != "error_result":
+                failures.append(f"bare /health answered {bare.status}, not 404")
+            # A mistyped field is a clean 400 (exit code 2), never a 500.
+            mistyped = client.raw_post("/v1/negotiate", {"num_choices": "abc"})
+            error = mistyped.json()
+            if mistyped.status != 400 or error.get("exit_code") != 2:
+                failures.append(f"mistyped negotiate answered {mistyped.status}: {error}")
 
     def job_client() -> None:
         with ServeClient("127.0.0.1", port) as client:

@@ -36,7 +36,7 @@ A typical lifecycle::
 
 from repro.api.adapter import main
 from repro.api.requests import (
-    JOB_WORKFLOWS,
+    WORKFLOWS,
     DiversityRequest,
     ExperimentsRequest,
     GrcAllRequest,
@@ -94,7 +94,7 @@ __all__ = [
     "NegotiateRequest",
     "SweepRequest",
     "JobRequest",
-    "JOB_WORKFLOWS",
+    "WORKFLOWS",
     "build_workflow_request",
     # results
     "TopologyResult",

@@ -16,15 +16,25 @@ near-duplicates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclasses_field, fields
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.api.results import (
+    DiversityResult,
+    ExperimentsResult,
+    GrcAllResult,
+    NegotiateResult,
+    SimulateResult,
+    SweepResult,
+    TopologyResult,
+)
 from repro.bargaining.distributions import (
     JointUtilityDistribution,
     paper_distribution_u1,
     paper_distribution_u2,
 )
-from repro.envelope import envelope, expect_envelope
+from repro.envelope import JsonCodec, envelope
 from repro.errors import ValidationError
 from repro.simulation.scenarios import SCENARIOS, scenario_field_names
 
@@ -37,8 +47,10 @@ __all__ = [
     "NegotiateRequest",
     "SweepRequest",
     "JobRequest",
-    "JOB_WORKFLOWS",
+    "Workflow",
+    "WORKFLOWS",
     "build_workflow_request",
+    "decode_request",
     "NEGOTIATE_DISTRIBUTIONS",
     "TOPOLOGY_FILE_FORMATS",
 ]
@@ -69,28 +81,10 @@ def _check_non_negative(name: str, value: int) -> None:
         raise ValidationError(f"--{name} must be non-negative, got {value}")
 
 
-class _JsonRequest:
-    """Envelope mixin shared by the flat (scalar-field) request types."""
+class _JsonRequest(JsonCodec):
+    """Request codec base: ill-typed input is a plain ValidationError."""
 
-    #: Overridden per request class.
-    kind: str = ""
-
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope of the request."""
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        return envelope(self.kind, payload)
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "_JsonRequest":
-        """Inverse of :meth:`to_json_dict` (re-validating on the way in)."""
-        payload = expect_envelope(data, cls.kind)
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValidationError(
-                f"unknown {cls.kind} field(s): {', '.join(sorted(unknown))}"
-            )
-        return cls(**payload)
+    decode_error = ValidationError
 
 
 @dataclass(frozen=True)
@@ -311,60 +305,22 @@ class NegotiateRequest(_JsonRequest):
         return (self.distribution, self.num_choices)
 
 
-#: Workflow name → typed request class, the single registry both the
-#: async job API (``POST /v1/jobs``) and :func:`build_workflow_request`
-#: dispatch on.  Names match the CLI subcommands.
-JOB_WORKFLOWS: dict[str, type[_JsonRequest]] = {}
-
-
-def build_workflow_request(workflow: str, document: Mapping[str, Any]) -> Any:
-    """Build (and validate) the typed request of a named workflow.
-
-    ``document`` is either the request's full JSON envelope or a bare
-    payload mapping (field name → value); both forms reject unknown
-    fields and run the constructor's parameter checks, so a caller of
-    the job API gets exactly the same :class:`ValidationError` messages
-    as a direct caller of the workflow.
-    """
-    try:
-        request_type = JOB_WORKFLOWS[workflow]
-    except KeyError:
-        raise ValidationError(
-            f"unknown workflow {workflow!r}; "
-            f"available: {', '.join(sorted(JOB_WORKFLOWS))}"
-        ) from None
-    if not isinstance(document, Mapping):
-        raise ValidationError(
-            f"workflow request must be a JSON object, "
-            f"got {type(document).__name__}"
-        )
-    if "kind" in document or "schema_version" in document:
-        return request_type.from_json_dict(document)
-    known = {f.name for f in fields(request_type)}
-    unknown = set(document) - known
-    if unknown:
-        raise ValidationError(
-            f"unknown {request_type.kind} field(s): {', '.join(sorted(unknown))}"
-        )
-    return request_type(**document)
-
-
 @dataclass(frozen=True)
 class JobRequest(_JsonRequest):
     """Submit a workflow for asynchronous execution (``POST /v1/jobs``).
 
-    ``workflow`` names the workflow to run (a :data:`JOB_WORKFLOWS`
-    key); ``request`` carries that workflow's request as a JSON object
-    — either its full envelope or a bare payload.  Construction
-    validates the inner request eagerly, so a malformed submission is
-    rejected at ``POST`` time with a ``400`` instead of surfacing later
-    as a failed job.
+    ``workflow`` names the workflow to run (a :data:`WORKFLOWS` key);
+    ``request`` carries that workflow's request as a JSON object —
+    either its full envelope or a bare payload.  Construction validates
+    the inner request eagerly, so a malformed submission is rejected at
+    ``POST`` time with a ``400`` instead of surfacing later as a failed
+    job.
     """
 
     kind = "job_request"
 
-    workflow: str = ""
-    request: Mapping[str, Any] = dataclasses_field(default_factory=dict)
+    workflow: str
+    request: Mapping[str, Any]
 
     def __post_init__(self) -> None:
         self.typed_request()
@@ -372,12 +328,6 @@ class JobRequest(_JsonRequest):
     def typed_request(self) -> Any:
         """The validated typed request the job will execute."""
         return build_workflow_request(self.workflow, self.request)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope of the submission."""
-        return envelope(
-            self.kind, {"workflow": self.workflow, "request": dict(self.request)}
-        )
 
 
 @dataclass(frozen=True)
@@ -406,17 +356,67 @@ class SweepRequest(_JsonRequest):
             )
 
 
-# Populated here, after every request class exists; the names match the
-# CLI subcommands so `{"workflow": "grc-all", ...}` reads like the
-# command line it replaces.
-JOB_WORKFLOWS.update(
-    {
-        "topology": TopologyRequest,
-        "diversity": DiversityRequest,
-        "experiments": ExperimentsRequest,
-        "grc-all": GrcAllRequest,
-        "simulate": SimulateRequest,
-        "negotiate": NegotiateRequest,
-        "sweep": SweepRequest,
-    }
-)
+def decode_request(request_type: type[_JsonRequest], document: Any) -> Any:
+    """Decode (and validate) a request from its envelope or bare payload.
+
+    A bare payload is the envelope without its header; both forms reject
+    unknown and ill-typed fields (and non-objects) and run the
+    constructor's checks.
+    """
+    if isinstance(document, Mapping) and {"kind", "schema_version"}.isdisjoint(document):
+        document = envelope(request_type.kind, document)
+    return request_type.from_json_dict(document)
+
+
+@dataclass(frozen=True)
+class Workflow:
+    """One workflow, wired once for the job API, the server and the client.
+
+    ``name`` is the CLI subcommand; :attr:`method` the
+    :class:`~repro.api.session.Session` method that runs it.
+    ``routable`` workflows answer ``POST /v1/<name>``; ``cacheable``
+    says whether ``repro serve`` may replay a request's response bytes
+    (never for file writes, which a replayed body would silently skip).
+    """
+
+    name: str
+    request_type: type[_JsonRequest]
+    result_type: type[JsonCodec]
+    routable: bool
+    cacheable: Callable[[Any], bool]
+
+    @property
+    def method(self) -> str:
+        return self.name.replace("-", "_")
+
+
+#: The one workflow table.  A sweep with ``list_shards`` returns a
+#: SweepListResult; population specs are paths whose content the cache
+#: key cannot see, so population runs never cache.
+WORKFLOWS: dict[str, Workflow] = {
+    w.name: w
+    for w in (
+        Workflow("topology", TopologyRequest, TopologyResult, True, lambda r: r.output is None),
+        Workflow("diversity", DiversityRequest, DiversityResult, True, lambda r: True),
+        Workflow("experiments", ExperimentsRequest, ExperimentsResult, True, lambda r: True),
+        Workflow("grc-all", GrcAllRequest, GrcAllResult, False, lambda r: r.output is None),
+        Workflow(
+            "simulate",
+            SimulateRequest,
+            SimulateResult,
+            True,
+            lambda r: r.trace_out is None and r.population is None,
+        ),
+        Workflow("negotiate", NegotiateRequest, NegotiateResult, True, lambda r: True),
+        Workflow("sweep", SweepRequest, SweepResult, False, lambda r: False),
+    )
+}
+
+
+def build_workflow_request(workflow: str, document: Mapping[str, Any]) -> Any:
+    """Build (and validate) the typed request of a named workflow."""
+    if not isinstance(workflow, str) or workflow not in WORKFLOWS:
+        raise ValidationError(
+            f"unknown workflow {workflow!r}; available: {', '.join(sorted(WORKFLOWS))}"
+        )
+    return decode_request(WORKFLOWS[workflow].request_type, document)

@@ -3,8 +3,8 @@
 Every :class:`~repro.api.session.Session` workflow returns one of these
 dataclasses.  They carry *structured* data — numbers as numbers, tables
 as headers+rows, CDF series as raw floats — and serialize to the
-schema-versioned envelopes of :mod:`repro.envelope` via
-``to_json_dict()``/``from_json_dict()``.
+schema-versioned envelopes of :mod:`repro.envelope` via the shared
+:class:`~repro.envelope.JsonCodec` ``to_json_dict()``/``from_json_dict()``.
 
 The CLI's historical text output is a *pure rendering* of the same
 values: the ``render_*_text`` functions below reproduce it byte-for-byte
@@ -15,9 +15,9 @@ two views of one result object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
-from repro.envelope import envelope, expect_envelope, require_keys
+from repro.envelope import IN_PROCESS, OMIT_IF_NONE, Envelope, JsonCodec
 from repro.errors import EnvelopeError, OutputError
 from repro.experiments.reporting import SectionResult, render_report
 from repro.simulation.scenarios import ScenarioResult
@@ -52,8 +52,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TopologyResult:
+class TopologyResult(JsonCodec):
     """Outcome of a topology generation (``Session.topology``)."""
+
+    kind = "topology_result"
 
     tier1: int
     tier2: int
@@ -67,88 +69,21 @@ class TopologyResult:
     output: str | None = None
     file_format: str = "as-rel"
 
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope."""
-        return envelope(
-            "topology_result",
-            {
-                "tier1": self.tier1,
-                "tier2": self.tier2,
-                "tier3": self.tier3,
-                "stubs": self.stubs,
-                "seed": self.seed,
-                "num_ases": self.num_ases,
-                "num_transit_links": self.num_transit_links,
-                "num_peering_links": self.num_peering_links,
-                "graph_description": self.graph_description,
-                "output": self.output,
-                "file_format": self.file_format,
-            },
-        )
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "TopologyResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "topology_result")
-        require_keys(
-            payload,
-            "topology_result",
-            (
-                "tier1",
-                "tier2",
-                "tier3",
-                "stubs",
-                "seed",
-                "num_ases",
-                "num_transit_links",
-                "num_peering_links",
-                "graph_description",
-            ),
-        )
-        return cls(
-            tier1=int(payload["tier1"]),
-            tier2=int(payload["tier2"]),
-            tier3=int(payload["tier3"]),
-            stubs=int(payload["stubs"]),
-            seed=int(payload["seed"]),
-            num_ases=int(payload["num_ases"]),
-            num_transit_links=int(payload["num_transit_links"]),
-            num_peering_links=int(payload["num_peering_links"]),
-            graph_description=payload["graph_description"],
-            output=payload.get("output"),
-            file_format=payload.get("file_format", "as-rel"),
-        )
-
 
 @dataclass(frozen=True)
-class DiversityScenarioRow:
+class DiversityScenarioRow(JsonCodec):
     """Per-conclusion-degree headline numbers of the diversity analysis."""
 
     scenario: str
     mean_paths: float
     mean_destinations: float
 
-    def to_json_dict(self) -> dict[str, Any]:
-        """Flat JSON form (always nested inside a diversity result)."""
-        return {
-            "scenario": self.scenario,
-            "mean_paths": self.mean_paths,
-            "mean_destinations": self.mean_destinations,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "DiversityScenarioRow":
-        """Inverse of :meth:`to_json_dict`."""
-        return cls(
-            scenario=data["scenario"],
-            mean_paths=float(data["mean_paths"]),
-            mean_destinations=float(data["mean_destinations"]),
-        )
-
 
 @dataclass(frozen=True)
-class DiversityResult:
+class DiversityResult(JsonCodec):
     """Outcome of the §VI diversity analysis (``Session.diversity``)."""
+
+    kind = "diversity_result"
 
     source: str  # "loaded" | "generated"
     topology_path: str | None
@@ -160,59 +95,12 @@ class DiversityResult:
     additional_paths_mean: float
     additional_paths_max: float
 
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope."""
-        return envelope(
-            "diversity_result",
-            {
-                "source": self.source,
-                "topology_path": self.topology_path,
-                "graph_description": self.graph_description,
-                "num_agreements": self.num_agreements,
-                "sample_size": self.sample_size,
-                "seed": self.seed,
-                "rows": [row.to_json_dict() for row in self.rows],
-                "additional_paths_mean": self.additional_paths_mean,
-                "additional_paths_max": self.additional_paths_max,
-            },
-        )
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "DiversityResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "diversity_result")
-        require_keys(
-            payload,
-            "diversity_result",
-            (
-                "source",
-                "graph_description",
-                "num_agreements",
-                "sample_size",
-                "seed",
-                "rows",
-                "additional_paths_mean",
-                "additional_paths_max",
-            ),
-        )
-        return cls(
-            source=payload["source"],
-            topology_path=payload.get("topology_path"),
-            graph_description=payload["graph_description"],
-            num_agreements=int(payload["num_agreements"]),
-            sample_size=int(payload["sample_size"]),
-            seed=int(payload["seed"]),
-            rows=tuple(
-                DiversityScenarioRow.from_json_dict(row) for row in payload["rows"]
-            ),
-            additional_paths_mean=float(payload["additional_paths_mean"]),
-            additional_paths_max=float(payload["additional_paths_max"]),
-        )
-
 
 @dataclass(frozen=True)
-class ExperimentsResult:
+class ExperimentsResult(JsonCodec):
     """Outcome of the combined harness (``Session.experiments``)."""
+
+    kind = "experiments_result"
 
     full: bool
     seed: int | None
@@ -230,38 +118,9 @@ class ExperimentsResult:
             f"{', '.join(entry.key for entry in self.sections)}"
         )
 
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope (sections nest their own)."""
-        return envelope(
-            "experiments_result",
-            {
-                "full": self.full,
-                "seed": self.seed,
-                "trials": self.trials,
-                "jobs": self.jobs,
-                "sections": [section.to_json_dict() for section in self.sections],
-            },
-        )
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "ExperimentsResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "experiments_result")
-        require_keys(payload, "experiments_result", ("sections",))
-        return cls(
-            full=bool(payload.get("full", False)),
-            seed=payload.get("seed"),
-            trials=payload.get("trials"),
-            jobs=int(payload.get("jobs", 1)),
-            sections=tuple(
-                SectionResult.from_json_dict(section)
-                for section in payload["sections"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class GrcAllResult:
+class GrcAllResult(JsonCodec):
     """Outcome of the all-sources GRC pass (``Session.grc_all``).
 
     The envelope carries the deterministic aggregate statistics plus
@@ -270,6 +129,8 @@ class GrcAllResult:
     file (``output``), not inside the envelope, because at internet
     scale it is tens of thousands of rows.
     """
+
+    kind = "grc_all_result"
 
     source: str  # "loaded" | "generated"
     topology_path: str | None
@@ -284,62 +145,9 @@ class GrcAllResult:
     max_destinations: int
     output: str | None = None
 
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope."""
-        return envelope(
-            "grc_all_result",
-            {
-                "source": self.source,
-                "topology_path": self.topology_path,
-                "fingerprint": self.fingerprint,
-                "jobs": self.jobs,
-                "shards": self.shards,
-                "num_ases": self.num_ases,
-                "total_paths": self.total_paths,
-                "mean_paths": self.mean_paths,
-                "max_paths": self.max_paths,
-                "mean_destinations": self.mean_destinations,
-                "max_destinations": self.max_destinations,
-                "output": self.output,
-            },
-        )
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "GrcAllResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "grc_all_result")
-        require_keys(
-            payload,
-            "grc_all_result",
-            (
-                "source",
-                "fingerprint",
-                "num_ases",
-                "total_paths",
-                "mean_paths",
-                "max_paths",
-                "mean_destinations",
-                "max_destinations",
-            ),
-        )
-        return cls(
-            source=payload["source"],
-            topology_path=payload.get("topology_path"),
-            fingerprint=payload["fingerprint"],
-            jobs=int(payload.get("jobs", 1)),
-            shards=int(payload.get("shards", 1)),
-            num_ases=int(payload["num_ases"]),
-            total_paths=int(payload["total_paths"]),
-            mean_paths=float(payload["mean_paths"]),
-            max_paths=int(payload["max_paths"]),
-            mean_destinations=float(payload["mean_destinations"]),
-            max_destinations=int(payload["max_destinations"]),
-            output=payload.get("output"),
-        )
-
 
 @dataclass(frozen=True)
-class PopulationResult:
+class PopulationResult(JsonCodec):
     """Per-profile metrics of a heterogeneous population run.
 
     Built from the ``profile_metrics`` records a population-carrying
@@ -347,28 +155,10 @@ class PopulationResult:
     uptake, realized utility, Price of Dishonesty, and default rate.
     """
 
+    kind = "population_result"
+
     name: str
     profiles: tuple[dict[str, Any], ...]
-
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope."""
-        return envelope(
-            "population_result",
-            {
-                "name": self.name,
-                "profiles": [dict(row) for row in self.profiles],
-            },
-        )
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "PopulationResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "population_result")
-        require_keys(payload, "population_result", ("name", "profiles"))
-        return cls(
-            name=payload["name"],
-            profiles=tuple(dict(row) for row in payload["profiles"]),
-        )
 
     @classmethod
     def from_scenario(cls, result: ScenarioResult) -> "PopulationResult | None":
@@ -383,7 +173,7 @@ class PopulationResult:
 
 
 @dataclass(frozen=True)
-class SimulateResult:
+class SimulateResult(JsonCodec):
     """Outcome of one scenario run (``Session.simulate``).
 
     The envelope carries the summary-level data (name, seed, horizon,
@@ -395,6 +185,8 @@ class SimulateResult:
     ``ScenarioResult.to_json_dict()`` when the whole trace must travel.
     """
 
+    kind = "simulate_result"
+
     name: str
     seed: int
     duration: float
@@ -403,54 +195,12 @@ class SimulateResult:
     kinds: dict[str, int]
     headline: tuple[str, ...]
     trace_out: str | None = None
-    #: Per-profile metrics of a heterogeneous population run (None for
-    #: the homogeneous scenarios).
-    population: PopulationResult | None = None
+    #: Per-profile metrics of a heterogeneous population run (None, and
+    #: absent from the envelope, for the homogeneous scenarios).
+    population: PopulationResult | None = field(default=None, metadata=OMIT_IF_NONE)
     scenario_result: ScenarioResult | None = field(
-        default=None, compare=False, repr=False
+        default=None, compare=False, repr=False, metadata=IN_PROCESS
     )
-
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope."""
-        payload = {
-            "name": self.name,
-            "seed": self.seed,
-            "duration": self.duration,
-            "events_processed": self.events_processed,
-            "num_trace_records": self.num_trace_records,
-            "kinds": dict(self.kinds),
-            "headline": list(self.headline),
-            "trace_out": self.trace_out,
-        }
-        if self.population is not None:
-            payload["population"] = self.population.to_json_dict()
-        return envelope("simulate_result", payload)
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "SimulateResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "simulate_result")
-        require_keys(
-            payload,
-            "simulate_result",
-            ("name", "seed", "duration", "events_processed", "num_trace_records"),
-        )
-        population_payload = payload.get("population")
-        return cls(
-            name=payload["name"],
-            seed=int(payload["seed"]),
-            duration=float(payload["duration"]),
-            events_processed=int(payload["events_processed"]),
-            num_trace_records=int(payload["num_trace_records"]),
-            kinds={str(k): int(v) for k, v in payload.get("kinds", {}).items()},
-            headline=tuple(payload.get("headline", ())),
-            trace_out=payload.get("trace_out"),
-            population=(
-                PopulationResult.from_json_dict(population_payload)
-                if population_payload
-                else None
-            ),
-        )
 
     @classmethod
     def from_scenario(
@@ -493,7 +243,7 @@ class SimulateResult:
 
 
 @dataclass(frozen=True)
-class NegotiateResult:
+class NegotiateResult(JsonCodec):
     """Outcome of one batched negotiation pass (``Session.negotiate``).
 
     The Fig. 2-style Price-of-Dishonesty statistics over the request's
@@ -502,6 +252,8 @@ class NegotiateResult:
     envelope is byte-stable and cacheable; the ``repro serve`` result
     cache stores the serialized envelope keyed by the request digest.
     """
+
+    kind = "negotiate_result"
 
     distribution: str
     num_choices: int
@@ -516,68 +268,12 @@ class NegotiateResult:
     best_expected_nash_product: float
     truthful_nash_product: float
 
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope."""
-        return envelope(
-            "negotiate_result",
-            {
-                "distribution": self.distribution,
-                "num_choices": self.num_choices,
-                "trials": self.trials,
-                "seed": self.seed,
-                "converged_trials": self.converged_trials,
-                "skipped_trials": self.skipped_trials,
-                "min_pod": self.min_pod,
-                "mean_pod": self.mean_pod,
-                "max_pod": self.max_pod,
-                "mean_equilibrium_choices": self.mean_equilibrium_choices,
-                "best_expected_nash_product": self.best_expected_nash_product,
-                "truthful_nash_product": self.truthful_nash_product,
-            },
-        )
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "NegotiateResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "negotiate_result")
-        require_keys(
-            payload,
-            "negotiate_result",
-            (
-                "distribution",
-                "num_choices",
-                "trials",
-                "seed",
-                "converged_trials",
-                "skipped_trials",
-                "min_pod",
-                "mean_pod",
-                "max_pod",
-            ),
-        )
-        return cls(
-            distribution=payload["distribution"],
-            num_choices=int(payload["num_choices"]),
-            trials=int(payload["trials"]),
-            seed=int(payload["seed"]),
-            converged_trials=int(payload["converged_trials"]),
-            skipped_trials=int(payload["skipped_trials"]),
-            min_pod=float(payload["min_pod"]),
-            mean_pod=float(payload["mean_pod"]),
-            max_pod=float(payload["max_pod"]),
-            mean_equilibrium_choices=float(
-                payload.get("mean_equilibrium_choices", 0.0)
-            ),
-            best_expected_nash_product=float(
-                payload.get("best_expected_nash_product", 0.0)
-            ),
-            truthful_nash_product=float(payload.get("truthful_nash_product", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult(JsonCodec):
     """Outcome of an executed sweep (``Session.sweep``)."""
+
+    kind = "sweep_result"
 
     name: str
     executed: tuple[str, ...]
@@ -586,57 +282,15 @@ class SweepResult:
     num_tables: int
     summary: dict[str, Any]
 
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope."""
-        return envelope(
-            "sweep_result",
-            {
-                "name": self.name,
-                "executed": list(self.executed),
-                "reused": list(self.reused),
-                "summary_path": self.summary_path,
-                "num_tables": self.num_tables,
-                "summary": self.summary,
-            },
-        )
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "SweepResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "sweep_result")
-        require_keys(
-            payload, "sweep_result", ("name", "executed", "reused", "summary_path")
-        )
-        return cls(
-            name=payload["name"],
-            executed=tuple(payload["executed"]),
-            reused=tuple(payload["reused"]),
-            summary_path=payload["summary_path"],
-            num_tables=int(payload.get("num_tables", 0)),
-            summary=dict(payload.get("summary", {})),
-        )
-
 
 @dataclass(frozen=True)
-class SweepListResult:
+class SweepListResult(JsonCodec):
     """Outcome of a ``--list`` sweep expansion (no shard is run)."""
+
+    kind = "sweep_list_result"
 
     name: str
     shard_ids: tuple[str, ...]
-
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope."""
-        return envelope(
-            "sweep_list_result",
-            {"name": self.name, "shard_ids": list(self.shard_ids)},
-        )
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "SweepListResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "sweep_list_result")
-        require_keys(payload, "sweep_list_result", ("name", "shard_ids"))
-        return cls(name=payload["name"], shard_ids=tuple(payload["shard_ids"]))
 
 
 #: The lifecycle states of an asynchronous job, in order of appearance.
@@ -645,7 +299,7 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 
 @dataclass(frozen=True)
-class JobStatusResult:
+class JobStatusResult(JsonCodec):
     """One observation of an asynchronous job (``GET /v1/jobs/<id>``).
 
     ``progress`` is a small free-form mapping the running workflow
@@ -655,12 +309,14 @@ class JobStatusResult:
     it is ``failed``.
     """
 
+    kind = "job_status_result"
+
     job_id: str
     workflow: str
     state: str
-    progress: dict[str, Any] = field(default_factory=dict)
-    result: dict[str, Any] | None = None
-    error: dict[str, Any] | None = None
+    progress: dict[str, Any]
+    result: Envelope | None = None
+    error: Envelope | None = None
 
     def __post_init__(self) -> None:
         if self.state not in JOB_STATES:
@@ -673,36 +329,6 @@ class JobStatusResult:
     def is_terminal(self) -> bool:
         """Whether the job can no longer change state."""
         return self.state in ("done", "failed", "cancelled")
-
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope."""
-        return envelope(
-            "job_status_result",
-            {
-                "job_id": self.job_id,
-                "workflow": self.workflow,
-                "state": self.state,
-                "progress": dict(self.progress),
-                "result": self.result,
-                "error": self.error,
-            },
-        )
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "JobStatusResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "job_status_result")
-        require_keys(
-            payload, "job_status_result", ("job_id", "workflow", "state", "progress")
-        )
-        return cls(
-            job_id=payload["job_id"],
-            workflow=payload["workflow"],
-            state=payload["state"],
-            progress=dict(payload["progress"]),
-            result=payload.get("result"),
-            error=payload.get("error"),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -773,24 +399,12 @@ def render_simulate_text(result: SimulateResult) -> str:
 
 
 @dataclass(frozen=True)
-class AgentsListResult:
+class AgentsListResult(JsonCodec):
     """The registered behavior profiles (``repro agents list``)."""
 
+    kind = "agents_list_result"
+
     profiles: tuple[dict[str, Any], ...]
-
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope."""
-        return envelope(
-            "agents_list_result",
-            {"profiles": [dict(row) for row in self.profiles]},
-        )
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "AgentsListResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "agents_list_result")
-        require_keys(payload, "agents_list_result", ("profiles",))
-        return cls(profiles=tuple(dict(row) for row in payload["profiles"]))
 
     @classmethod
     def build(cls) -> "AgentsListResult":
@@ -801,24 +415,12 @@ class AgentsListResult:
 
 
 @dataclass(frozen=True)
-class ScenarioListResult:
+class ScenarioListResult(JsonCodec):
     """The canned scenarios (``repro simulate --list-scenarios``)."""
 
+    kind = "scenario_list_result"
+
     scenarios: tuple[dict[str, Any], ...]
-
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope."""
-        return envelope(
-            "scenario_list_result",
-            {"scenarios": [dict(row) for row in self.scenarios]},
-        )
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "ScenarioListResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "scenario_list_result")
-        require_keys(payload, "scenario_list_result", ("scenarios",))
-        return cls(scenarios=tuple(dict(row) for row in payload["scenarios"]))
 
     @classmethod
     def build(cls) -> "ScenarioListResult":

@@ -7,7 +7,8 @@ anything:
 
 - the document is a JSON object with the current integer
   ``schema_version`` and a known ``kind``;
-- the kind's required payload keys are present;
+- the kind's required payload keys (read from the codec registry) are
+  present, in it and in every nested envelope;
 - every number anywhere in the payload is finite (``NaN``/``Infinity``
   would not survive strict JSON parsers downstream).
 
@@ -27,66 +28,19 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
-from repro.envelope import SCHEMA_VERSION
+# Importing these registers every dataclass kind (requests, results,
+# sections, engine-level envelopes) with the codec.
+import repro.api.requests  # noqa: F401
+import repro.sweep.executor  # noqa: F401
+from repro.envelope import KINDS, SCHEMA_VERSION, nested_envelopes, required_keys
 
 __all__ = ["REQUIRED_KEYS", "validate_envelope", "main"]
 
-#: Required payload keys per envelope kind.
+#: Required payload keys per envelope kind: every codec dataclass's
+#: fields without a default, plus the serve layer's plain-dict kinds.
 REQUIRED_KEYS: dict[str, tuple[str, ...]] = {
-    "topology_request": (),
-    "diversity_request": (),
-    "experiments_request": (),
-    "grc_all_request": (),
-    "simulate_request": (),
-    "negotiate_request": (),
-    "sweep_request": (),
-    "topology_result": (
-        "num_ases",
-        "num_transit_links",
-        "num_peering_links",
-        "graph_description",
-    ),
-    "diversity_result": ("source", "graph_description", "num_agreements", "rows"),
-    "experiments_result": ("sections",),
-    "grc_all_result": (
-        "source",
-        "fingerprint",
-        "num_ases",
-        "total_paths",
-        "mean_paths",
-        "max_paths",
-        "mean_destinations",
-        "max_destinations",
-    ),
-    "section_result": ("key", "title", "metrics"),
-    "simulate_result": (
-        "name",
-        "seed",
-        "duration",
-        "events_processed",
-        "num_trace_records",
-    ),
-    "sweep_result": ("name", "executed", "reused", "summary_path"),
-    "sweep_list_result": ("name", "shard_ids"),
-    "population_result": ("name", "profiles"),
-    "agents_list_result": ("profiles",),
-    "scenario_list_result": ("scenarios",),
-    "scenario_result": ("name", "seed", "duration", "events_processed", "trace"),
-    "sweep_run_result": ("spec", "summary", "executed", "reused"),
-    "negotiate_result": (
-        "distribution",
-        "num_choices",
-        "trials",
-        "seed",
-        "converged_trials",
-        "skipped_trials",
-        "min_pod",
-        "mean_pod",
-        "max_pod",
-    ),
+    **{kind: required_keys(cls) for kind, cls in KINDS.items()},
     "error_result": ("error", "exit_code", "http_status"),
-    "job_request": ("workflow", "request"),
-    "job_status_result": ("job_id", "workflow", "state", "progress"),
     "serve_stats": ("requests_total", "result_cache", "coalescing", "session"),
     "serve_health": ("status",),
     "serve_log_record": ("method", "path", "status", "latency_ms"),
@@ -112,6 +66,14 @@ def _non_finite_paths(value: Any, path: str) -> list[str]:
 
 def validate_envelope(data: Any) -> list[str]:
     """Problems with one decoded envelope document (empty list = valid)."""
+    problems = _contract_problems(data)
+    if isinstance(data, dict):
+        problems.extend(_non_finite_paths(data, "$"))
+    return problems
+
+
+def _contract_problems(data: Any) -> list[str]:
+    """Header and required-key problems, recursing into nested envelopes."""
     if not isinstance(data, dict):
         return [f"envelope must be a JSON object, got {type(data).__name__}"]
     problems: list[str] = []
@@ -135,14 +97,14 @@ def validate_envelope(data: Any) -> list[str]:
             problems.append(
                 f"kind {kind!r} is missing required key(s): {', '.join(missing)}"
             )
-        # Nested envelopes (sections inside an experiments result) are
-        # checked recursively, so one top-level validation covers the
-        # whole document.
-        if kind == "experiments_result":
-            for index, section in enumerate(data.get("sections", ())):
-                for problem in validate_envelope(section):
-                    problems.append(f"sections[{index}]: {problem}")
-    problems.extend(_non_finite_paths(data, "$"))
+        # Nested envelopes (sections, a population, a job's result or
+        # error) are checked recursively, so one top-level validation
+        # covers the whole document.
+        if kind in KINDS:
+            for where, nested in nested_envelopes(KINDS[kind], data):
+                problems.extend(
+                    f"{where}: {problem}" for problem in _contract_problems(nested)
+                )
     return problems
 
 

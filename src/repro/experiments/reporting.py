@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
-from repro.envelope import envelope, expect_envelope, require_keys
+from repro.envelope import JsonCodec
 
 
 @dataclass(frozen=True)
-class PaperComparison:
+class PaperComparison(JsonCodec):
     """One paper-quoted quantity next to the reproduced measurement."""
 
     metric: str
@@ -35,28 +35,9 @@ class PaperComparison:
     measured_value: str
     note: str = ""
 
-    def to_json_dict(self) -> dict[str, str]:
-        """Flat JSON form (no envelope: always nested inside a section)."""
-        return {
-            "metric": self.metric,
-            "paper_value": self.paper_value,
-            "measured_value": self.measured_value,
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "PaperComparison":
-        """Inverse of :meth:`to_json_dict`."""
-        return cls(
-            metric=data["metric"],
-            paper_value=data["paper_value"],
-            measured_value=data["measured_value"],
-            note=data.get("note", ""),
-        )
-
 
 @dataclass(frozen=True)
-class SectionTable:
+class SectionTable(JsonCodec):
     """A rendered-cell table: headers plus rows of pre-formatted cells.
 
     Cells are strings on purpose — the experiment decides the number
@@ -69,43 +50,18 @@ class SectionTable:
     headers: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
 
-    def to_json_dict(self) -> dict[str, Any]:
-        """Flat JSON form."""
-        return {"headers": list(self.headers), "rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "SectionTable":
-        """Inverse of :meth:`to_json_dict`."""
-        return cls(
-            headers=tuple(data["headers"]),
-            rows=tuple(tuple(row) for row in data["rows"]),
-        )
-
 
 @dataclass(frozen=True)
-class SectionSeries:
+class SectionSeries(JsonCodec):
     """One named (x, y) series — a CDF of a figure, kept as raw floats."""
 
     name: str
     xs: tuple[float, ...]
     ys: tuple[float, ...]
 
-    def to_json_dict(self) -> dict[str, Any]:
-        """Flat JSON form."""
-        return {"name": self.name, "xs": list(self.xs), "ys": list(self.ys)}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "SectionSeries":
-        """Inverse of :meth:`to_json_dict`."""
-        return cls(
-            name=data["name"],
-            xs=tuple(float(x) for x in data["xs"]),
-            ys=tuple(float(y) for y in data["ys"]),
-        )
-
 
 @dataclass(frozen=True)
-class SectionResult:
+class SectionResult(JsonCodec):
     """The structured outcome of one report section of the combined run.
 
     ``key`` is the stable machine identifier (``stability``, ``fig2`` …
@@ -115,6 +71,8 @@ class SectionResult:
     no comparison table.
     """
 
+    kind = "section_result"
+
     key: str
     title: str
     comparisons: tuple[PaperComparison, ...] = ()
@@ -123,43 +81,6 @@ class SectionResult:
     series_caption: str = ""
     series: tuple[SectionSeries, ...] = ()
     metrics: dict[str, Any] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope of the section."""
-        return envelope(
-            "section_result",
-            {
-                "key": self.key,
-                "title": self.title,
-                "comparisons": [c.to_json_dict() for c in self.comparisons],
-                "preamble": list(self.preamble),
-                "table": None if self.table is None else self.table.to_json_dict(),
-                "series_caption": self.series_caption,
-                "series": [s.to_json_dict() for s in self.series],
-                "metrics": dict(self.metrics),
-            },
-        )
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "SectionResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "section_result")
-        require_keys(payload, "section_result", ("key", "title"))
-        table = payload.get("table")
-        return cls(
-            key=payload["key"],
-            title=payload["title"],
-            comparisons=tuple(
-                PaperComparison.from_json_dict(c) for c in payload.get("comparisons", ())
-            ),
-            preamble=tuple(payload.get("preamble", ())),
-            table=None if table is None else SectionTable.from_json_dict(table),
-            series_caption=payload.get("series_caption", ""),
-            series=tuple(
-                SectionSeries.from_json_dict(s) for s in payload.get("series", ())
-            ),
-            metrics=dict(payload.get("metrics", {})),
-        )
 
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:

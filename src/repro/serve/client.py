@@ -31,6 +31,7 @@ import time
 from typing import Any, Mapping
 
 from repro.api.requests import (
+    WORKFLOWS,
     DiversityRequest,
     ExperimentsRequest,
     JobRequest,
@@ -181,10 +182,6 @@ class ServeClient:
         self._connection.request("DELETE", path)
         return self._read()
 
-    # Backwards-compatible aliases for the pre-typed client surface.
-    get = raw_get
-    post = raw_post
-
     def _read(self) -> ServeResponse:
         response = self._connection.getresponse()
         result = ServeResponse(
@@ -229,26 +226,28 @@ class ServeClient:
         return self._decoded(self.raw_get("/v1/stats"))
 
     def topology(self, request: TopologyRequest | None = None) -> TopologyResult:
-        return self._workflow("topology", request, TopologyResult)
+        return self._workflow(TopologyRequest, request)
 
     def diversity(self, request: DiversityRequest | None = None) -> DiversityResult:
-        return self._workflow("diversity", request, DiversityResult)
+        return self._workflow(DiversityRequest, request)
 
     def experiments(
         self, request: ExperimentsRequest | None = None
     ) -> ExperimentsResult:
-        return self._workflow("experiments", request, ExperimentsResult)
+        return self._workflow(ExperimentsRequest, request)
 
     def simulate(self, request: SimulateRequest | None = None) -> SimulateResult:
-        return self._workflow("simulate", request, SimulateResult)
+        return self._workflow(SimulateRequest, request)
 
     def negotiate(self, request: NegotiateRequest | None = None) -> NegotiateResult:
-        return self._workflow("negotiate", request, NegotiateResult)
+        return self._workflow(NegotiateRequest, request)
 
-    def _workflow(self, name: str, request: Any, result_cls: Any) -> Any:
+    def _workflow(self, request_type: type, request: Any) -> Any:
+        """POST to the request type's route; decode its result type."""
+        workflow = next(w for w in WORKFLOWS.values() if w.request_type is request_type)
         payload = None if request is None else request.to_json_dict()
-        response = self.raw_post(f"/v1/{name}", payload)
-        return result_cls.from_json_dict(self._decoded(response))
+        response = self.raw_post(f"/v1/{workflow.name}", payload)
+        return workflow.result_type.from_json_dict(self._decoded(response))
 
     def close(self) -> None:
         self._connection.close()

@@ -134,9 +134,8 @@ def response_bytes(
     """Serialize one complete response (headers + body) to wire bytes.
 
     ``extra_headers`` are emitted verbatim after the framing headers —
-    the service uses them for ``Deprecation`` on legacy unversioned
-    paths and ``X-Repro-Worker`` (the serving worker's pid), neither of
-    which may leak into the body bytes.
+    the service uses them for ``X-Repro-Worker`` (the serving worker's
+    pid), which must not leak into the body bytes.
     """
     reason = REASONS.get(status, "Unknown")
     lines = [

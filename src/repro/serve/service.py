@@ -17,21 +17,19 @@ The service owns the pieces the server wires together:
   counters into one ``/stats`` view;
 - the :class:`~repro.serve.log.RequestLog`.
 
-Routing is **versioned**: ``/v1/<name>`` is canonical for the five
-workflow envelopes (``topology``, ``diversity``, ``experiments``,
-``simulate``, ``negotiate``), the job API (``POST /v1/jobs``,
-``GET``/``DELETE /v1/jobs/<id>``), ``GET /v1/health`` and ``GET
-/v1/stats``.  The bare legacy paths still answer, but carry a
-``Deprecation: true`` response header and ``"meta": {"deprecated":
-true}`` in the envelope — the body is re-marked *after* the byte cache,
-so cached bytes stay canonical and both forms are served from one
-entry.
+Every route is **versioned**: ``POST /v1/<name>`` for each routable
+workflow of :data:`~repro.api.requests.WORKFLOWS`, the job API (``POST
+/v1/jobs``, ``GET``/``DELETE /v1/jobs/<id>``), ``GET /v1/health`` and
+``GET /v1/stats``.  Any other path, bare unversioned ones included,
+gets a ``404`` ``error_result`` listing these routes.
 
 A request body may be a full schema-versioned envelope or a bare
 payload object (convenient for ``curl``); an empty body means "all
-defaults".  Responses are always envelopes — results on success, an
-``error_result`` (message + the CLI exit code + the HTTP status, from
-the one :data:`~repro.errors.STATUS_TABLE`) on failure — serialized
+defaults".  Bodies decode through the type-checking envelope codec, so
+an ill-typed field is a ``400`` naming it, never a ``500``.  Responses
+are always envelopes — results on success, an ``error_result``
+(message + the CLI exit code + the HTTP status, from the one
+:data:`~repro.errors.STATUS_TABLE`) on failure — serialized
 exactly like ``--format json`` prints them, trailing newline included,
 so a served response is byte-identical to the CLI's output for the
 same request.  Every response names its worker process in an
@@ -49,17 +47,17 @@ import tempfile
 import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.api.requests import (
+    WORKFLOWS,
     DiversityRequest,
-    ExperimentsRequest,
     JobRequest,
     NegotiateRequest,
-    SimulateRequest,
-    TopologyRequest,
+    SweepRequest,
+    Workflow,
+    decode_request,
 )
 from repro.api.results import NegotiateResult
 from repro.api.session import Session
@@ -83,7 +81,7 @@ from repro.serve.http import HttpRequest
 from repro.serve.jobs import JobRunner, JobStore
 from repro.serve.log import RequestLog
 
-__all__ = ["ROUTES", "JOB_SESSION_WORKFLOWS", "ServeService", "serialize_envelope"]
+__all__ = ["ServeService", "serialize_envelope"]
 
 
 def serialize_envelope(document: dict[str, Any]) -> bytes:
@@ -104,6 +102,20 @@ def _error_payload(message: str, *, exit_code: int, http_status: int) -> bytes:
     )
 
 
+def _rejected(status: int, message: str) -> tuple[int, bytes, None, None, None]:
+    """A routing-layer client error (exit code 2), as a route result."""
+    body = _error_payload(message, exit_code=2, http_status=status)
+    return status, body, None, None, None
+
+
+def _method_not_allowed(
+    request: HttpRequest, allowed: str
+) -> tuple[int, bytes, None, None, None]:
+    return _rejected(
+        405, f"method {request.method} not allowed for {request.path} (use {allowed})"
+    )
+
+
 def _error_response(error: ReproError) -> tuple[int, bytes]:
     status = http_status_for(error)
     return status, _error_payload(
@@ -111,76 +123,15 @@ def _error_response(error: ReproError) -> tuple[int, bytes]:
     )
 
 
-@dataclass(frozen=True)
-class _Route:
-    """One workflow route: its request type and cacheability rule."""
-
-    request_cls: type
-    workflow: str
-    #: Side-effecting requests (file writes) must never be served from
-    #: cache — a replayed body would silently skip the write.
-    cacheable: Callable[[Any], bool]
-
-
-ROUTES: dict[str, _Route] = {
-    "topology": _Route(TopologyRequest, "topology", lambda r: r.output is None),
-    "diversity": _Route(DiversityRequest, "diversity", lambda r: True),
-    "experiments": _Route(ExperimentsRequest, "experiments", lambda r: True),
-    # Population specs are referenced by path, whose contents the cache
-    # key cannot see — population-carrying runs are never cached.
-    "simulate": _Route(
-        SimulateRequest,
-        "simulate",
-        lambda r: r.trace_out is None and r.population is None,
-    ),
-    "negotiate": _Route(NegotiateRequest, "negotiate", lambda r: True),
-}
-
-#: Job workflow name → the :class:`Session` method that runs it.
-JOB_SESSION_WORKFLOWS: dict[str, str] = {
-    "topology": "topology",
-    "diversity": "diversity",
-    "experiments": "experiments",
-    "grc-all": "grc_all",
-    "simulate": "simulate",
-    "negotiate": "negotiate",
-    "sweep": "sweep",
-}
-
-
-def _build_request(request_cls: type, body: bytes) -> Any:
+def _build_request(request_type: type, body: bytes) -> Any:
     """Decode a body (envelope, bare payload, or empty) into a request."""
     text = body.decode("utf-8", errors="replace").strip()
-    if not text:
-        data: Any = {}
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ValidationError(
-                f"request body is not valid JSON: {error}"
-            ) from error
-    if not isinstance(data, dict):
-        raise ValidationError(
-            f"request body must be a JSON object, got {type(data).__name__}"
-        )
-    if "kind" not in data and "schema_version" not in data:
-        data = envelope(request_cls.kind, data)
-    return request_cls.from_json_dict(data)
-
-
-def _mark_deprecated(body: bytes) -> bytes:
-    """Re-serialize a response envelope with ``meta.deprecated = true``."""
     try:
-        document = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):  # pragma: no cover
-        return body
-    if not isinstance(document, dict):  # pragma: no cover - always envelopes
-        return body
-    meta = dict(document.get("meta") or {})
-    meta["deprecated"] = True
-    document["meta"] = meta
-    return serialize_envelope(document)
+        data = json.loads(text) if text else {}
+    except (ValueError, RecursionError) as error:
+        # ValueError covers JSONDecodeError and over-long integer literals.
+        raise ValidationError(f"request body is not valid JSON: {error}") from error
+    return decode_request(request_type, data)
 
 
 class ServeService:
@@ -272,13 +223,6 @@ class ServeService:
             )
         finally:
             self.active -= 1
-        headers = {"X-Repro-Worker": str(self.board.pid)}
-        if not request.path.startswith("/v1/") and status != 404:
-            # Legacy unversioned path: same entry, marked.  The byte
-            # cache holds only canonical bodies, so the marking happens
-            # after cache lookup/store and both forms share one entry.
-            body = _mark_deprecated(body)
-            headers["Deprecation"] = "true"
         latency_ms = (time.perf_counter() - started) * 1000.0
         self.log.record(
             method=request.method,
@@ -291,66 +235,51 @@ class ServeService:
             batch_size=batch_size,
         )
         self.board.publish(self._snapshot())
-        return status, body, headers
+        return status, body, {"X-Repro-Worker": str(self.board.pid)}
 
     async def _route(
         self, request: HttpRequest
     ) -> tuple[int, bytes, str | None, str | None, int | None]:
-        path = request.path
-        if path.startswith("/v1/"):
-            path = path[len("/v1") :]
+        # Unversioned paths match nothing below and end as the 404.
+        path = request.path[len("/v1") :] if request.path.startswith("/v1/") else ""
         if path == "/jobs" or path.startswith("/jobs/"):
             return await self._route_jobs(request, path)
         if path == "/health":
             if request.method != "GET":
-                return self._method_not_allowed(request, "GET")
+                return _method_not_allowed(request, "GET")
             status = "draining" if self.draining else "ok"
             body = serialize_envelope(envelope("serve_health", {"status": status}))
             return 200, body, "serve_health", None, None
         if path == "/stats":
             if request.method != "GET":
-                return self._method_not_allowed(request, "GET")
+                return _method_not_allowed(request, "GET")
             return 200, serialize_envelope(self.stats_payload()), (
                 "serve_stats"
             ), None, None
-        route = ROUTES.get(path.strip("/"))
-        if route is None:
-            known = ", ".join(sorted(ROUTES))
-            body = _error_payload(
+        workflow = WORKFLOWS.get(path.strip("/"))
+        if workflow is None or not workflow.routable:
+            known = ", ".join(sorted(w.name for w in WORKFLOWS.values() if w.routable))
+            return _rejected(
+                404,
                 f"unknown path {request.path!r}; routes: /v1/health, "
                 f"/v1/stats, /v1/jobs, and POST /v1/{{{known}}}",
-                exit_code=2,
-                http_status=404,
             )
-            return 404, body, None, None, None
         if request.method != "POST":
-            return self._method_not_allowed(request, "POST")
+            return _method_not_allowed(request, "POST")
         if self.draining:
             raise ServiceUnavailableError(
                 "server is draining; not accepting new work"
             )
-        typed = _build_request(route.request_cls, request.body)
-        return await self._execute(route, typed)
-
-    @staticmethod
-    def _method_not_allowed(
-        request: HttpRequest, allowed: str
-    ) -> tuple[int, bytes, str | None, str | None, int | None]:
-        body = _error_payload(
-            f"method {request.method} not allowed for {request.path} "
-            f"(use {allowed})",
-            exit_code=2,
-            http_status=405,
-        )
-        return 405, body, None, None, None
+        typed = _build_request(workflow.request_type, request.body)
+        return await self._execute(workflow, typed)
 
     async def _execute(
-        self, route: _Route, typed: Any
+        self, workflow: Workflow, typed: Any
     ) -> tuple[int, bytes, str, str, int | None]:
         """Run one typed workflow request, through the cache when allowed."""
-        kind = route.request_cls.kind
+        kind = workflow.request_type.kind
         key: str | None = None
-        if route.cacheable(typed):
+        if workflow.cacheable(typed):
             extra = None
             if isinstance(typed, DiversityRequest) and typed.topology is not None:
                 # Key per-topology results on file *content*, so an
@@ -368,8 +297,7 @@ class ServeService:
         if isinstance(typed, NegotiateRequest):
             result, batch_size = await self.coalescer.submit(typed)
         else:
-            workflow = getattr(self.session, route.workflow)
-            result = await self._call(workflow, typed)
+            result = await self._call(getattr(self.session, workflow.method), typed)
         body = serialize_envelope(result.to_json_dict())
         if key is not None:
             self.cache.store(key, body)
@@ -384,7 +312,7 @@ class ServeService:
     ) -> tuple[int, bytes, str | None, str | None, int | None]:
         if path == "/jobs":
             if request.method != "POST":
-                return self._method_not_allowed(request, "POST")
+                return _method_not_allowed(request, "POST")
             if self.draining:
                 raise ServiceUnavailableError(
                     "server is draining; not accepting new work"
@@ -398,23 +326,17 @@ class ServeService:
             return 202, body, "job_request", None, None
         job_id = path[len("/jobs/") :]
         if not job_id or "/" in job_id:
-            return 404, self._unknown_job(request.path), None, None, None
+            return _rejected(404, f"unknown job {request.path!r}")
         if request.method == "GET":
             status = self.jobs.status(job_id)
         elif request.method == "DELETE":
             status = self.jobs.cancel(job_id)
         else:
-            return self._method_not_allowed(request, "GET or DELETE")
+            return _method_not_allowed(request, "GET or DELETE")
         if status is None:
-            return 404, self._unknown_job(request.path), None, None, None
+            return _rejected(404, f"unknown job {request.path!r}")
         body = serialize_envelope(status.to_json_dict())
         return 200, body, "job_status_result", None, None
-
-    @staticmethod
-    def _unknown_job(path: str) -> bytes:
-        return _error_payload(
-            f"unknown job {path!r}", exit_code=2, http_status=404
-        )
 
     async def _execute_job(
         self, request: JobRequest, *, progress: Callable[[dict[str, Any]], None]
@@ -426,8 +348,8 @@ class ServeService:
         compute instead of racing the session.
         """
         typed = request.typed_request()
-        method = getattr(self.session, JOB_SESSION_WORKFLOWS[request.workflow])
-        if request.workflow == "sweep":
+        method = getattr(self.session, WORKFLOWS[request.workflow].method)
+        if isinstance(typed, SweepRequest):
             on_message = _sweep_progress(progress)
             result = await self._call(
                 lambda: method(typed, progress=on_message)

@@ -75,6 +75,13 @@ class MetricsTrace:
             trace.record(float(entry["time"]), str(entry["kind"]), **data)
         return trace
 
+    #: The envelope codec's constructor hook (:mod:`repro.envelope`).
+    from_json_value = from_records
+
+    def to_json_value(self) -> list[dict[str, object]]:
+        """The record dicts :meth:`from_records` takes (envelope form)."""
+        return [{"time": r.time, "kind": r.kind, **r.data} for r in self._records]
+
     @property
     def records(self) -> tuple[TraceRecord, ...]:
         """All recorded observations in emission order."""

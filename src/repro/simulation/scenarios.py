@@ -24,7 +24,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.agents.population import (
     default_population_spec,
 )
 from repro.economics.timeseries import BillingRule
-from repro.envelope import envelope, expect_envelope, require_keys
+from repro.envelope import JsonCodec
 from repro.errors import ValidationError
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.failures import FailureInjector, StochasticFailureModel
@@ -55,15 +55,17 @@ from repro.topology.relationships import Relationship
 
 
 @dataclass(frozen=True)
-class ScenarioResult:
-    """Outcome of one scenario run."""
+class ScenarioResult(JsonCodec):
+    """Outcome of one scenario run; its envelope carries the full trace."""
+
+    kind = "scenario_result"
 
     name: str
     seed: int
     duration: float
     events_processed: int
-    trace: MetricsTrace
     headline: tuple[str, ...] = ()
+    trace: MetricsTrace = field(kw_only=True)
 
     def trace_text(self) -> str:
         """The full metrics trace as deterministic JSON lines."""
@@ -79,46 +81,6 @@ class ScenarioResult:
             *self.headline,
         ]
         return "\n".join(lines)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope, including the full trace.
-
-        The trace records are the same flat dicts
-        :meth:`~repro.simulation.metrics.TraceRecord.to_json` encodes,
-        so the envelope carries everything :meth:`trace_text` does.
-        """
-        return envelope(
-            "scenario_result",
-            {
-                "name": self.name,
-                "seed": self.seed,
-                "duration": self.duration,
-                "events_processed": self.events_processed,
-                "headline": list(self.headline),
-                "trace": [
-                    {"time": record.time, "kind": record.kind, **record.data}
-                    for record in self.trace.records
-                ],
-            },
-        )
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "ScenarioResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "scenario_result")
-        require_keys(
-            payload,
-            "scenario_result",
-            ("name", "seed", "duration", "events_processed", "trace"),
-        )
-        return cls(
-            name=payload["name"],
-            seed=int(payload["seed"]),
-            duration=float(payload["duration"]),
-            events_processed=int(payload["events_processed"]),
-            trace=MetricsTrace.from_records(payload["trace"]),
-            headline=tuple(payload.get("headline", ())),
-        )
 
 
 class SimulationScenario(abc.ABC):

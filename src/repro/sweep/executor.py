@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.envelope import envelope, expect_envelope, require_keys
+from repro.envelope import JsonCodec
 from repro.sweep.aggregate import build_summary, summary_text, write_outputs
 from repro.sweep.cache import SweepCache, code_version, shard_key
 from repro.sweep.shard import run_shard
@@ -41,8 +41,10 @@ DEFAULT_OUT_DIR = "sweep-results"
 
 
 @dataclass(frozen=True)
-class SweepRunResult:
+class SweepRunResult(JsonCodec):
     """Outcome of one :func:`run_sweep` call."""
+
+    kind = "sweep_run_result"
 
     spec: SweepSpec
     summary: dict[str, Any]
@@ -69,34 +71,6 @@ class SweepRunResult:
             f"tables:   {len(self.written) - 1} metric CSVs",
         ]
         return "\n".join(lines)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema-versioned JSON envelope of the whole run outcome."""
-        return envelope(
-            "sweep_run_result",
-            {
-                "spec": self.spec.canonical(),
-                "summary": self.summary,
-                "executed": list(self.executed),
-                "reused": list(self.reused),
-                "written": {key: str(path) for key, path in self.written.items()},
-            },
-        )
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "SweepRunResult":
-        """Inverse of :meth:`to_json_dict`."""
-        payload = expect_envelope(data, "sweep_run_result")
-        require_keys(
-            payload, "sweep_run_result", ("spec", "summary", "executed", "reused")
-        )
-        return cls(
-            spec=SweepSpec.from_mapping(payload["spec"]),
-            summary=payload["summary"],
-            executed=tuple(payload["executed"]),
-            reused=tuple(payload["reused"]),
-            written={key: Path(value) for key, value in payload.get("written", {}).items()},
-        )
 
 
 def _execute_shard(

@@ -353,6 +353,10 @@ class SweepSpec:
             record["sample"] = {"count": self.sample_count, "seed": self.sample_seed}
         return record
 
+    # The envelope codec's hooks (:mod:`repro.envelope`).
+    to_json_value = canonical
+    from_json_value = from_mapping
+
     def spec_hash(self) -> str:
         """Stable digest of the canonical spec content."""
         return hashlib.sha256(canonical_json(self.canonical()).encode()).hexdigest()

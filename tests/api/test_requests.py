@@ -163,14 +163,14 @@ class TestJobRequests:
     """The async job layer's request envelope and workflow registry."""
 
     def test_every_registered_workflow_builds_its_request_type(self):
-        from repro.api import JOB_WORKFLOWS, build_workflow_request
+        from repro.api import WORKFLOWS, build_workflow_request
 
         # Sweep insists on exactly one of spec/smoke; the rest accept
         # their defaults.
         minimal = {"sweep": {"smoke": True}}
-        for workflow, request_type in JOB_WORKFLOWS.items():
-            built = build_workflow_request(workflow, minimal.get(workflow, {}))
-            assert isinstance(built, request_type)
+        for name, workflow in WORKFLOWS.items():
+            built = build_workflow_request(name, minimal.get(name, {}))
+            assert isinstance(built, workflow.request_type)
 
     def test_unknown_workflow_names_the_available_ones(self):
         from repro.api import ValidationError, build_workflow_request

@@ -30,7 +30,7 @@ TINY = {"num_choices": 10, "trials": 5}
 
 def post_negotiate(port: int, seed: int) -> bytes:
     with ServeClient("127.0.0.1", port) as client:
-        response = client.post("/v1/negotiate", {**TINY, "seed": seed})
+        response = client.raw_post("/v1/negotiate", {**TINY, "seed": seed})
         assert response.status == 200
         return response.body
 
@@ -60,7 +60,7 @@ class TestCoalescedByteIdentity:
         # The run must actually have coalesced — otherwise this test
         # proves nothing about cross-client batching.
         with ServeClient("127.0.0.1", server.port) as client:
-            stats = client.get("/v1/stats").json()
+            stats = client.raw_get("/v1/stats").json()
         assert validate_envelope(stats) == []
         assert stats["coalescing"]["max_batch_size"] > 1
         assert stats["coalescing"]["coalesced_requests"] > 1
@@ -89,14 +89,14 @@ class TestMixedWorkloads:
         server = serve_process([])
         with ServeClient("127.0.0.1", server.port) as client:
             responses = [
-                client.get("/v1/health"),
-                client.post(
+                client.raw_get("/v1/health"),
+                client.raw_post(
                     "/v1/topology",
                     {"tier1": 2, "tier2": 3, "tier3": 4, "stubs": 8, "seed": 1},
                 ),
-                client.post("/v1/negotiate", {**TINY, "seed": 5}),
-                client.post("/v1/simulate", {"scenario": "failure-churn"}),
-                client.get("/v1/stats"),
+                client.raw_post("/v1/negotiate", {**TINY, "seed": 5}),
+                client.raw_post("/v1/simulate", {"scenario": "failure-churn"}),
+                client.raw_get("/v1/stats"),
             ]
         for response in responses:
             assert response.status == 200
@@ -125,7 +125,7 @@ class TestGracefulDrain:
             """Status code, or None when the socket already closed."""
             try:
                 with ServeClient("127.0.0.1", server.port) as client:
-                    return client.post("/v1/negotiate", {**TINY, "seed": seed}).status
+                    return client.raw_post("/v1/negotiate", {**TINY, "seed": seed}).status
             except OSError:
                 return None
 

@@ -65,37 +65,23 @@ class TestIntrospectionRoutes:
 
 
 class TestVersionedRouting:
-    def test_legacy_path_carries_the_deprecation_marker(self, service):
-        status, body, headers = handle_full(service, "GET", "/health")
-        assert status == 200
-        assert headers["Deprecation"] == "true"
-        document = json.loads(body)
-        assert validate_envelope(document) == []
-        assert document["meta"] == {"deprecated": True}
-
     def test_canonical_path_is_unmarked(self, service):
         status, body, headers = handle_full(service, "GET", "/v1/health")
         assert status == 200
         assert "Deprecation" not in headers
         assert "meta" not in json.loads(body)
 
-    def test_legacy_body_differs_only_by_the_marker(self, service):
-        _, canonical, _ = handle_full(
-            service, "POST", "/v1/negotiate", TINY_NEGOTIATE
-        )
-        _, legacy, headers = handle_full(
-            service, "POST", "/negotiate", TINY_NEGOTIATE
-        )
-        assert headers["Deprecation"] == "true"
-        marked = json.loads(legacy)
-        assert marked.pop("meta") == {"deprecated": True}
-        assert marked == json.loads(canonical)
-
-    def test_both_forms_share_one_cache_entry(self, service):
-        handle(service, "POST", "/v1/negotiate", TINY_NEGOTIATE)
-        handle(service, "POST", "/negotiate", TINY_NEGOTIATE)
-        stats = service.cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
+    @pytest.mark.parametrize(
+        ("method", "path"), [("GET", "/health"), ("POST", "/negotiate")]
+    )
+    def test_bare_paths_are_404_listing_the_v1_routes(self, service, method, path):
+        status, body = handle(service, method, path, TINY_NEGOTIATE)
+        assert status == 404
+        document = json.loads(body)
+        assert validate_envelope(document) == []
+        assert document["kind"] == "error_result"
+        assert "/v1/health" in document["error"]
+        assert "POST /v1/{" in document["error"]
 
 
 class TestWorkflowRoutes:
