@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.api.results import (
@@ -34,7 +34,7 @@ from repro.bargaining.distributions import (
     paper_distribution_u1,
     paper_distribution_u2,
 )
-from repro.envelope import JsonCodec, envelope
+from repro.envelope import INPUT_FILE, JsonCodec, envelope
 from repro.errors import ValidationError
 from repro.simulation.scenarios import SCENARIOS, scenario_field_names
 
@@ -135,7 +135,7 @@ class DiversityRequest(_JsonRequest):
 
     kind = "diversity_request"
 
-    topology: str | None = None
+    topology: str | None = field(default=None, metadata=INPUT_FILE)
     sample_size: int = 200
     seed: int = 2021
     tier1: int = 8
@@ -192,7 +192,7 @@ class GrcAllRequest(_JsonRequest):
 
     kind = "grc_all_request"
 
-    topology: str | None = None
+    topology: str | None = field(default=None, metadata=INPUT_FILE)
     jobs: int = 1
     shards: int | None = None
     output: str | None = None
@@ -227,7 +227,7 @@ class SimulateRequest(_JsonRequest):
     trace_out: str | None = None
     #: Path of a population spec JSON — only meaningful for scenarios
     #: with a ``population`` field (``marketplace-heterogeneous``).
-    population: str | None = None
+    population: str | None = field(default=None, metadata=INPUT_FILE)
 
     def __post_init__(self) -> None:
         # Checked in the order the CLI historically reported them.
@@ -340,7 +340,7 @@ class SweepRequest(_JsonRequest):
 
     kind = "sweep_request"
 
-    spec: str | None = None
+    spec: str | None = field(default=None, metadata=INPUT_FILE)
     smoke: bool = False
     jobs: int = 1
     out: str | None = None
@@ -391,8 +391,7 @@ class Workflow:
 
 
 #: The one workflow table.  A sweep with ``list_shards`` returns a
-#: SweepListResult; population specs are paths whose content the cache
-#: key cannot see, so population runs never cache.
+#: SweepListResult.
 WORKFLOWS: dict[str, Workflow] = {
     w.name: w
     for w in (
@@ -400,13 +399,7 @@ WORKFLOWS: dict[str, Workflow] = {
         Workflow("diversity", DiversityRequest, DiversityResult, True, lambda r: True),
         Workflow("experiments", ExperimentsRequest, ExperimentsResult, True, lambda r: True),
         Workflow("grc-all", GrcAllRequest, GrcAllResult, False, lambda r: r.output is None),
-        Workflow(
-            "simulate",
-            SimulateRequest,
-            SimulateResult,
-            True,
-            lambda r: r.trace_out is None and r.population is None,
-        ),
+        Workflow("simulate", SimulateRequest, SimulateResult, True, lambda r: r.trace_out is None),
         Workflow("negotiate", NegotiateRequest, NegotiateResult, True, lambda r: True),
         Workflow("sweep", SweepRequest, SweepResult, False, lambda r: False),
     )

@@ -263,16 +263,6 @@ class Session:
             self._truthful.put(distribution_name, value)
         return value
 
-    def topology_fingerprint(self, path: str) -> str:
-        """Content fingerprint of an ``as-rel`` file (via the load cache).
-
-        ``repro serve`` keys cached per-topology results on this digest,
-        so an edited file changes the key instead of serving stale
-        results.
-        """
-        with self._entered():
-            return self._loaded_topology(path).content_fingerprint()
-
     def context_for(self, config) -> DiversityContext:
         """The session's shared experiment context for a diversity config.
 

@@ -11,48 +11,48 @@ serializes a :class:`~repro.core.compiled.CompiledTopology` as one
 physical pages shared between every process that opens the same
 artifact.
 
-Layout (mirrors the sweep cache's content-addressed design)::
+Layout::
 
     <root>/                         # .topology-cache/ by default
-      <fingerprint>-v<format>/      # one directory per topology content
+      <key[:2]>/<key>/              # one directory per topology content
         meta.json                   # format, fingerprint, n, num_links
         asn_array.npy
         prov_indptr.npy … nbr_roles.npy   # one per ARRAY_FIELDS entry
 
 Contract:
 
-- **Addressing** — the directory name is the topology's
-  ``source_fingerprint`` (``ASGraph.content_fingerprint()``; the
-  streaming compiler produces the identical digest) plus the artifact
-  format version.  Identical content → identical artifact; a format
-  bump changes every address, so stale-layout artifacts are simply
-  never hit again.
+- **Addressing** — an artifact is a :class:`~repro.core.store.Store`
+  entry whose key covers the topology's ``source_fingerprint``
+  (``ASGraph.content_fingerprint()``; the streaming compiler produces
+  the identical digest), :data:`ARTIFACT_FORMAT` and the code version.
+  Identical content under the same code → identical artifact; a format
+  bump or a code change moves every address, so old artifacts are
+  simply never hit again.
 - **Staleness** — mmap-loaded views are *detached*: there is no source
   graph to mutate under them, so the fingerprint IS the staleness
   contract.  An artifact is valid for exactly the byte-identical
   topology content it was compiled from; callers holding a mutated
   graph get a different fingerprint and miss.
-- **Atomicity** — artifacts are written to a temporary sibling
-  directory and published with one ``os.rename``; a concurrent writer
-  losing the race discards its copy.  Readers never observe a partial
-  artifact.
+- **Atomicity** — artifacts are published as one directory through
+  :func:`~repro.core.store.publish`; a concurrent writer losing the
+  race discards its copy.  Readers never observe a partial artifact.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.compiled import ARRAY_FIELDS, CompiledTopology, compile_topology
+from repro.core.store import Store, publish, store_key
 from repro.topology.graph import ASGraph
 
 #: Bump when the on-disk layout or the compiled array semantics change;
-#: old artifacts become unreachable (different directory suffix) rather
-#: than misread.
+#: old artifacts become unreachable (a different address) rather than
+#: misread.
 ARTIFACT_FORMAT = 1
 
 #: Default store location, relative to the working directory; override
@@ -103,15 +103,16 @@ def load_artifact(path: str | Path) -> CompiledTopology:
     return CompiledTopology.from_arrays(source_fingerprint=fingerprint, **arrays)
 
 
-class ArtifactStore:
+class ArtifactStore(Store):
     """Content-addressed store of memory-mapped compiled topologies."""
 
     def __init__(self, root: str | Path | None = None) -> None:
-        self.root = Path(root) if root is not None else default_store_root()
+        super().__init__(root if root is not None else default_store_root())
 
     def path_for(self, fingerprint: str) -> Path:
         """The artifact directory address of a topology fingerprint."""
-        return self.root / f"{fingerprint}-v{ARTIFACT_FORMAT}"
+        namespace = f"topology-artifact-v{ARTIFACT_FORMAT}"
+        return self.path(store_key(namespace, {"fingerprint": fingerprint}))
 
     def contains(self, fingerprint: str) -> bool:
         """Whether a published artifact exists for this fingerprint."""
@@ -138,12 +139,8 @@ class ArtifactStore:
         final = self.path_for(fingerprint)
         if (final / _META_NAME).is_file():
             return final
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.root / f".tmp-{fingerprint[:16]}-{os.getpid()}"
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        tmp.mkdir()
-        try:
+
+        def write(tmp: Path) -> None:
             for name in ARRAY_FIELDS:
                 np.save(tmp / f"{name}.npy", np.asarray(getattr(compiled, name)))
             meta = {
@@ -156,16 +153,13 @@ class ArtifactStore:
             (tmp / _META_NAME).write_text(
                 json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
-            try:
-                os.rename(tmp, final)
-            except OSError:
-                if not (final / _META_NAME).is_file():
-                    raise
-                # Another process published the same content first.
-                shutil.rmtree(tmp, ignore_errors=True)
-        finally:
-            if tmp.exists() and (final / _META_NAME).is_file():
-                shutil.rmtree(tmp, ignore_errors=True)
+
+        try:
+            publish(final, write, directory=True)
+        except OSError:
+            # Another process published the same content first.
+            if not (final / _META_NAME).is_file():
+                raise
         return final
 
     def ensure(self, graph: ASGraph) -> tuple[CompiledTopology, Path]:

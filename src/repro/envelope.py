@@ -39,6 +39,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "Envelope",
     "IN_PROCESS",
+    "INPUT_FILE",
     "JsonCodec",
     "KINDS",
     "OMIT_IF_NONE",
@@ -58,6 +59,9 @@ Envelope = NewType("Envelope", dict)
 OMIT_IF_NONE = {"json": "omit_if_none"}
 #: Field metadata: an in-process value that is never serialized.
 IN_PROCESS = {"json": "skip"}
+#: Field metadata: a path whose file content is part of every cache key
+#: (:func:`repro.core.store.store_key`).  Combines with the ``json`` ones.
+INPUT_FILE = {"input_file": True}
 
 #: Envelope kind → the :class:`JsonCodec` class that declares it.
 KINDS: dict[str, type[JsonCodec]] = {}

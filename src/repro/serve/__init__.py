@@ -12,7 +12,8 @@ scaled across processes by a pre-fork supervisor:
   concurrent negotiation requests into shared engine batches,
   bit-identically to the sequential path;
 - :mod:`repro.serve.cache` — the two-tier result cache: per-worker LRU
-  over the content-addressed disk store all workers share;
+  over the content-addressed :class:`~repro.core.store.Store` all
+  workers share;
 - :mod:`repro.serve.jobs` — the submit-then-poll async job API
   (directory-backed queue, crash-safe records, orphan requeue);
 - :mod:`repro.serve.board` — per-worker stats snapshots merged into
@@ -30,7 +31,7 @@ section shows the request shapes.
 """
 
 from repro.serve.board import WorkerBoard
-from repro.serve.cache import DiskResultStore, ResultCache
+from repro.serve.cache import ResultCache
 from repro.serve.client import ServeClient, ServeResponse
 from repro.serve.jobs import JobRunner, JobStore
 from repro.serve.server import (
@@ -43,7 +44,6 @@ from repro.serve.service import ServeService
 from repro.serve.supervisor import Supervisor, run_supervisor
 
 __all__ = [
-    "DiskResultStore",
     "JobRunner",
     "JobStore",
     "ReproServer",

@@ -2,8 +2,8 @@
 
 Each worker process publishes a small JSON snapshot of its own counters
 (requests served, cache tiers, coalescing) to
-``<state>/workers/<pid>.json`` after every completed request — an
-atomic tmp-write + :func:`os.replace`, so readers never observe a torn
+``<state>/workers/<pid>.json`` after every completed request with
+:func:`~repro.core.store.write_atomic`, so readers never observe a torn
 snapshot.  Any worker answering ``GET /stats`` reads every snapshot and
 merges the counters, giving clients one cross-worker view no matter
 which worker the connection landed on (stale by at most each worker's
@@ -16,12 +16,12 @@ restarted worker publishes under its new pid alongside.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any
+
+from repro.core.store import write_atomic
 
 __all__ = ["WorkerBoard"]
 
@@ -36,19 +36,8 @@ class WorkerBoard:
 
     def publish(self, snapshot: dict[str, Any]) -> None:
         """Atomically replace this worker's snapshot."""
-        path = self.root / f"{self.pid}.json"
         body = json.dumps(snapshot, sort_keys=True).encode("utf-8")
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=f".{self.pid}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(body)
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp_name)
-            raise
+        write_atomic(self.root / f"{self.pid}.json", body)
 
     def read_all(self) -> dict[int, dict[str, Any]]:
         """Every published snapshot, keyed by worker pid."""

@@ -1,4 +1,4 @@
-"""Fingerprint-keyed response cache of the serve subsystem.
+"""Two-tier response cache of the serve subsystem.
 
 The server caches **serialized envelope bytes**, not result objects:
 a cache hit replays the exact bytes the miss produced, so cached and
@@ -6,29 +6,21 @@ computed responses are byte-identical by construction (the same
 ``json.dumps(..., indent=2, sort_keys=True)`` rendering the CLI's
 ``--format json`` uses).
 
-Keys are content fingerprints, never identities:
+Keys come from :func:`repro.core.store.store_key`: the request's
+envelope, the code version and the content of every input file the
+request names, so neither an upgrade nor an edited topology or
+population file can replay stale bytes.  Requests with filesystem side
+effects (``topology`` with ``output``, ``simulate`` with
+``trace_out``) are never cached: replaying bytes must never skip a
+write the client asked for.
 
-- every key starts from the request's canonical envelope JSON
-  (sorted keys, compact separators — field order cannot matter);
-- per-topology results mix in the graph's
-  :meth:`~repro.topology.graph.ASGraph.content_fingerprint`, so two
-  requests naming the same ``as-rel`` path hit only while the file's
-  *content* is unchanged — an edited topology changes the key instead
-  of serving stale bytes.
-
-Requests with filesystem side effects (``topology`` with ``output``,
-``simulate`` with ``trace_out``) are never cached: replaying bytes must
-never skip a write the client asked for.
-
-The cache is **two-tier** since the pre-fork supervisor arrived:
+The cache has two tiers:
 
 - a per-worker in-memory LRU front (:class:`~repro.core.caching.
-  BoundedCache`, same bounds and counters as before), and
-- an optional shared :class:`DiskResultStore` behind it — a
-  content-addressed byte store on disk, published with the same
-  tmp-write + atomic-rename discipline as
-  :class:`~repro.core.artifacts.ArtifactStore`, so a result computed
-  by any worker process is a warm hit for all of them.
+  BoundedCache`), and
+- an optional :class:`~repro.core.store.Store` behind it that every
+  worker of the pre-fork supervisor shares, so a result computed by
+  any worker process is a warm hit for all of them.
 
 A *disk hit* is the cross-process event: a worker that computed a
 result holds it in its own memory tier, so serving from disk means
@@ -39,93 +31,16 @@ merged across workers.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
-from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.core.caching import BoundedCache
+from repro.core.store import Store
 
-__all__ = [
-    "DiskResultStore",
-    "ResultCache",
-    "merge_cache_stats",
-    "request_fingerprint",
-]
-
-
-def request_fingerprint(
-    request: Any, *, extra: Mapping[str, str] | None = None
-) -> str:
-    """Stable hex digest of a typed request (plus optional extra parts).
-
-    ``extra`` mixes additional content identity into the key — the serve
-    routes pass ``{"topology_fingerprint": ...}`` for requests that read
-    an ``as-rel`` file.
-    """
-    document: dict[str, Any] = dict(request.to_json_dict())
-    if extra:
-        document["_fingerprint_extra"] = dict(extra)
-    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-class DiskResultStore:
-    """Content-addressed on-disk byte store shared by all workers.
-
-    Layout is ``root/<fp[:2]>/<fp>`` (two-hex-char fan-out keeps
-    directory sizes flat at paper scale).  Publication is crash- and
-    race-safe the same way :class:`~repro.core.artifacts.ArtifactStore`
-    is: bytes land in a uniquely named temp file in the same directory,
-    then a single atomic :func:`os.replace` installs them.  Two workers
-    racing on one fingerprint both publish identical bytes (the key is
-    a content hash of the request, the value a deterministic rendering
-    of the result), so the loser's replace is a benign overwrite — no
-    locks, no torn reads: a reader either misses or sees complete bytes.
-    """
-
-    def __init__(self, root: str | os.PathLike[str]) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        if len(key) < 3 or not all(c in "0123456789abcdef" for c in key):
-            raise ValueError(f"not a hex fingerprint: {key!r}")
-        return self.root / key[:2] / key
-
-    def get(self, key: str) -> bytes | None:
-        """The stored bytes for ``key``, or ``None`` if never published."""
-        try:
-            return self._path(key).read_bytes()
-        except FileNotFoundError:
-            return None
-
-    def put(self, key: str, body: bytes) -> None:
-        """Atomically publish ``body`` under ``key``."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:12]}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(body)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except FileNotFoundError:
-                pass
-            raise
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("??/*") if _.suffix != ".tmp")
+__all__ = ["ResultCache", "merge_cache_stats"]
 
 
 class ResultCache:
-    """Fingerprint → response-bytes cache: memory LRU over a shared store.
+    """Store key → response bytes: a memory LRU over a shared store.
 
     ``lookup`` consults the per-process LRU first, then the disk store
     (promoting disk hits into memory so repeat traffic stays off the
@@ -135,17 +50,13 @@ class ResultCache:
     """
 
     def __init__(
-        self, max_entries: int | None, *, store: DiskResultStore | None = None
+        self, max_entries: int | None, *, store: Store | None = None
     ) -> None:
         self._cache = BoundedCache(max_entries)
         self._store = store
         self._disk_hits = 0
         self._disk_misses = 0
         self._store_writes = 0
-
-    @property
-    def disk_hits(self) -> int:
-        return self._disk_hits
 
     def lookup(self, key: str) -> bytes | None:
         """The cached body for ``key`` (counts a hit or a miss per tier)."""

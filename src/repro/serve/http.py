@@ -102,16 +102,16 @@ async def read_request(
     if "chunked" in headers.get("transfer-encoding", "").lower():
         raise HttpProtocolError("chunked request bodies are not supported")
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError as error:
+    # ASCII digits only: int() would also take "+10" and "1_0".
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise HttpProtocolError(f"malformed Content-Length: {length_text!r}")
+    # Compared as text first, since int() refuses over-long digit strings.
+    digits = length_text.lstrip("0") or "0"
+    if len(digits) > len(str(max_body)) or int(digits) > max_body:
         raise HttpProtocolError(
-            f"malformed Content-Length: {length_text!r}"
-        ) from error
-    if length < 0 or length > max_body:
-        raise HttpProtocolError(
-            f"request body of {length} bytes exceeds the {max_body}-byte limit"
+            f"request body of {digits} bytes exceeds the {max_body}-byte limit"
         )
+    length = int(digits)
     body = b""
     if length:
         try:

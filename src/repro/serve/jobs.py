@@ -1,17 +1,15 @@
 """Asynchronous jobs: submit-then-poll execution over a shared directory.
 
 ``POST /v1/jobs`` exists because slow workflows (``sweep``,
-``experiments``, long ``simulate`` runs — including
-population-carrying heterogeneous-marketplace simulations, which are
-never result-cached) should not occupy a keep-alive connection
-start-to-finish: the submit returns a job id immediately and the
-client polls ``GET /v1/jobs/<id>`` until the state is terminal.
+``experiments``, long ``simulate`` runs) should not occupy a keep-alive
+connection start-to-finish: the submit returns a job id immediately and
+the client polls ``GET /v1/jobs/<id>`` until the state is terminal.
 
 All job state lives on the filesystem, one directory per job under the
 server's shared state dir, written with crash-safe primitives only:
 
 - ``job.json`` — the submitted ``job_request`` envelope, published with
-  tmp-write + atomic :func:`os.replace` (a job either exists completely
+  :func:`~repro.core.store.write_atomic` (a job either exists completely
   or not at all);
 - ``events.jsonl`` — append-only lifecycle log (``queued``,
   ``claimed``, ``progress``, ``requeued``, ``cancelled``, ``done``,
@@ -43,30 +41,23 @@ import asyncio
 import contextlib
 import json
 import os
+import re
 import secrets
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.api.requests import JobRequest
 from repro.api.results import JobStatusResult
+from repro.core.store import write_atomic
 from repro.envelope import envelope
-from repro.errors import ReproError, ValidationError, exit_code_for, http_status_for
+from repro.errors import ReproError, exit_code_for, http_status_for
 
 __all__ = ["JobStore", "JobRunner"]
 
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".job.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp_name)
-        raise
+#: The exact shape of the ids :meth:`JobStore.submit` issues; any other
+#: id names no job.
+_JOB_ID = re.compile(r"[0-9]{19}-[0-9]+-[0-9a-f]{6}")
 
 
 def _pid_alive(pid: int) -> bool:
@@ -89,21 +80,16 @@ class JobStore:
     # ------------------------------------------------------------------
     # Paths and low-level records
     # ------------------------------------------------------------------
-    def _dir(self, job_id: str) -> Path:
-        if not job_id or "/" in job_id or job_id.startswith("."):
-            raise ValidationError(f"malformed job id {job_id!r}")
-        return self.root / job_id
-
     def _append_event(self, job_id: str, event: str, **extra: Any) -> None:
         record = {"event": event, "ts": time.time(), **extra}
         line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        with open(self._dir(job_id) / "events.jsonl", "a", encoding="utf-8") as f:
+        with open(self.root / job_id / "events.jsonl", "a", encoding="utf-8") as f:
             f.write(line)
             f.flush()
 
     def _events(self, job_id: str) -> list[dict[str, Any]]:
         try:
-            text = (self._dir(job_id) / "events.jsonl").read_text(encoding="utf-8")
+            text = (self.root / job_id / "events.jsonl").read_text(encoding="utf-8")
         except FileNotFoundError:
             return []
         events = []
@@ -119,7 +105,7 @@ class JobStore:
     def _read_envelope(self, job_id: str, name: str) -> dict[str, Any] | None:
         try:
             return json.loads(
-                (self._dir(job_id) / name).read_text(encoding="utf-8")
+                (self.root / job_id / name).read_text(encoding="utf-8")
             )
         except FileNotFoundError:
             return None
@@ -134,10 +120,10 @@ class JobStore:
         so "claim the oldest queued job" is a directory listing.
         """
         job_id = f"{time.time_ns():019d}-{os.getpid()}-{secrets.token_hex(3)}"
-        job_dir = self._dir(job_id)
+        job_dir = self.root / job_id
         job_dir.mkdir(parents=True)
         document = json.dumps(request.to_json_dict(), sort_keys=True, indent=2)
-        _atomic_write(job_dir / "job.json", (document + "\n").encode("utf-8"))
+        write_atomic(job_dir / "job.json", (document + "\n").encode("utf-8"))
         self._append_event(job_id, "queued", workflow=request.workflow)
         return job_id
 
@@ -149,6 +135,8 @@ class JobStore:
 
     def status(self, job_id: str) -> JobStatusResult | None:
         """The current observation of one job (``None`` if unknown)."""
+        if not _JOB_ID.fullmatch(job_id):
+            return None
         document = self._read_envelope(job_id, "job.json")
         if document is None:
             return None
@@ -185,7 +173,7 @@ class JobStore:
     def _live_claim(self, job_id: str) -> int | None:
         """The pid holding the job's claim, or ``None`` (absent or dead)."""
         try:
-            text = (self._dir(job_id) / "claim").read_text(encoding="utf-8")
+            text = (self.root / job_id / "claim").read_text(encoding="utf-8")
         except (FileNotFoundError, OSError):
             return None
         try:
@@ -232,7 +220,7 @@ class JobStore:
     def finish(self, job_id: str, result_envelope: dict[str, Any]) -> None:
         """Publish the result envelope; the job becomes ``done``."""
         body = json.dumps(result_envelope, sort_keys=True, indent=2) + "\n"
-        _atomic_write(self._dir(job_id) / "result.json", body.encode("utf-8"))
+        write_atomic(self.root / job_id / "result.json", body.encode("utf-8"))
         self._append_event(job_id, "done")
 
     def fail(self, job_id: str, error: BaseException) -> None:
@@ -248,7 +236,7 @@ class JobStore:
             {"error": message, "exit_code": exit_code, "http_status": http_status},
         )
         body = json.dumps(document, sort_keys=True, indent=2) + "\n"
-        _atomic_write(self._dir(job_id) / "error.json", body.encode("utf-8"))
+        write_atomic(self.root / job_id / "error.json", body.encode("utf-8"))
         self._append_event(job_id, "failed")
 
     def cancel(self, job_id: str) -> JobStatusResult | None:

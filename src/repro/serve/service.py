@@ -9,8 +9,9 @@ The service owns the pieces the server wires together:
 - the :class:`~repro.serve.coalesce.CoalescingScheduler` for
   negotiation requests;
 - the two-tier :class:`~repro.serve.cache.ResultCache` of serialized
-  envelope bytes — a per-process LRU over the content-addressed disk
-  store every worker of a pre-fork supervisor shares;
+  envelope bytes — a per-process LRU over the content-addressed
+  :class:`~repro.core.store.Store` every worker of a pre-fork
+  supervisor shares;
 - the :class:`~repro.serve.jobs.JobStore`/:class:`~repro.serve.jobs.
   JobRunner` pair behind the async job API;
 - the :class:`~repro.serve.board.WorkerBoard` that merges per-worker
@@ -52,7 +53,6 @@ from typing import Any
 
 from repro.api.requests import (
     WORKFLOWS,
-    DiversityRequest,
     JobRequest,
     NegotiateRequest,
     SweepRequest,
@@ -61,6 +61,7 @@ from repro.api.requests import (
 )
 from repro.api.results import NegotiateResult
 from repro.api.session import Session
+from repro.core.store import Store, input_files, store_key
 from repro.envelope import envelope
 from repro.errors import (
     ReproError,
@@ -70,18 +71,16 @@ from repro.errors import (
     http_status_for,
 )
 from repro.serve.board import WorkerBoard
-from repro.serve.cache import (
-    DiskResultStore,
-    ResultCache,
-    merge_cache_stats,
-    request_fingerprint,
-)
+from repro.serve.cache import ResultCache, merge_cache_stats
 from repro.serve.coalesce import CoalescingScheduler
 from repro.serve.http import HttpRequest
 from repro.serve.jobs import JobRunner, JobStore
 from repro.serve.log import RequestLog
 
 __all__ = ["ServeService", "serialize_envelope"]
+
+#: The store namespace (and format) of served response bytes.
+RESULT_NAMESPACE = "serve-result-v1"
 
 
 def serialize_envelope(document: dict[str, Any]) -> bytes:
@@ -157,11 +156,7 @@ class ServeService:
             state_dir = self._state_tmp.name
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        store = (
-            DiskResultStore(self.state_dir / "results-cache")
-            if cache_entries != 0
-            else None
-        )
+        store = Store(self.state_dir / "results-cache") if cache_entries != 0 else None
         self.cache = ResultCache(cache_entries, store=store)
         self.coalescer = CoalescingScheduler(
             window_s=coalesce_window_ms / 1000.0,
@@ -280,16 +275,14 @@ class ServeService:
         kind = workflow.request_type.kind
         key: str | None = None
         if workflow.cacheable(typed):
-            extra = None
-            if isinstance(typed, DiversityRequest) and typed.topology is not None:
-                # Key per-topology results on file *content*, so an
-                # edited as-rel file misses instead of serving stale
-                # bytes.  This also validates the path up front.
-                fingerprint = await self._call(
-                    self.session.topology_fingerprint, typed.topology
-                )
-                extra = {"topology_fingerprint": fingerprint}
-            key = request_fingerprint(typed, extra=extra)
+            params = typed.to_json_dict()
+            files = input_files(type(typed), params)
+            # Hashing input files is file I/O: it runs on the executor.
+            key = (
+                await self._call(store_key, RESULT_NAMESPACE, params, files)
+                if files
+                else store_key(RESULT_NAMESPACE, params)
+            )
             cached = self.cache.lookup(key)
             if cached is not None:
                 return 200, cached, kind, "hit", None
@@ -325,8 +318,6 @@ class ServeService:
             body = serialize_envelope(status.to_json_dict())
             return 202, body, "job_request", None, None
         job_id = path[len("/jobs/") :]
-        if not job_id or "/" in job_id:
-            return _rejected(404, f"unknown job {request.path!r}")
         if request.method == "GET":
             status = self.jobs.status(job_id)
         elif request.method == "DELETE":

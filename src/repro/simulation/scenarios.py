@@ -34,7 +34,7 @@ from repro.agents.population import (
     default_population_spec,
 )
 from repro.economics.timeseries import BillingRule
-from repro.envelope import JsonCodec
+from repro.envelope import INPUT_FILE, JsonCodec
 from repro.errors import ValidationError
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.failures import FailureInjector, StochasticFailureModel
@@ -363,7 +363,7 @@ class HeterogeneousMarketplaceScenario(SimulationScenario):
     metering_interval: float = 1.0
     mean_demand: float = 10.0
     #: Path of a population spec JSON ("" = the built-in mixed spec).
-    population: str = ""
+    population: str = field(default="", metadata=INPUT_FILE)
     partition_region: int = 2
     partition_start: float = 24.0 * 5.0
     partition_duration: float = 48.0

@@ -8,16 +8,14 @@ knobs?" into one declarative spec and one command (``repro sweep``):
   deterministic grid expansion into shards;
 - :mod:`repro.sweep.shard` — executes one shard (all selected figures
   sharing one compiled context, or one scenario configuration);
-- :mod:`repro.sweep.cache` — content-addressed on-disk results keyed by
-  (format, code version, shard params) for instant resume;
 - :mod:`repro.sweep.executor` — process-parallel orchestration with
-  atomic per-shard persistence;
+  per-shard results in a content-addressed
+  :class:`~repro.core.store.Store` for instant resume;
 - :mod:`repro.sweep.aggregate` — fixed-order merging into
   ``sweep_summary.json`` + per-metric CSV tables.
 """
 
 from repro.sweep.aggregate import build_summary, summary_text, write_outputs
-from repro.sweep.cache import SweepCache, code_version, shard_key
 from repro.sweep.executor import (
     DEFAULT_CACHE_DIR,
     DEFAULT_OUT_DIR,
@@ -44,15 +42,12 @@ __all__ = [
     "ScaleSpec",
     "ScenarioSpec",
     "Shard",
-    "SweepCache",
     "SweepRunResult",
     "SweepSpec",
     "SweepSpecError",
     "build_summary",
-    "code_version",
     "run_shard",
     "run_sweep",
-    "shard_key",
     "smoke_spec",
     "summary_text",
     "write_outputs",

@@ -3,8 +3,9 @@
 :func:`run_sweep` is the orchestration core behind ``repro sweep``:
 
 1. expand the spec into its deterministic shard list;
-2. probe the content-addressed cache — hits are reused verbatim,
-   misses become the work list (``--force`` dirties everything);
+2. probe the content-addressed :class:`~repro.core.store.Store` — hits
+   are reused verbatim, misses become the work list (``--force``
+   dirties everything);
 3. execute missing shards, either in-process or across a
    :class:`~concurrent.futures.ProcessPoolExecutor`, persisting each
    result atomically *as it completes* so a killed run loses at most
@@ -23,21 +24,25 @@ land on the same worker reuse the full context.
 
 from __future__ import annotations
 
+import json
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.core.store import Store, code_version, store_key
 from repro.envelope import JsonCodec
 from repro.sweep.aggregate import build_summary, summary_text, write_outputs
-from repro.sweep.cache import SweepCache, code_version, shard_key
 from repro.sweep.shard import run_shard
 from repro.sweep.spec import Shard, SweepSpec
 
 #: Default locations relative to the working directory.
 DEFAULT_CACHE_DIR = ".sweep-cache"
 DEFAULT_OUT_DIR = "sweep-results"
+
+#: The store namespace (and format) of shard records.
+SHARD_NAMESPACE = "sweep-shard-v1"
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,19 @@ class SweepRunResult(JsonCodec):
         return "\n".join(lines)
 
 
+def load_record(store: Store, key: str) -> dict[str, Any] | None:
+    """The shard record under ``key``; ``None`` if absent, corrupt or misfiled.
+
+    A truncated or hand-edited entry is a miss, never an error: the
+    shard is recomputed and the entry rewritten.
+    """
+    try:
+        record = json.loads(store.get(key) or b"null")
+    except ValueError:
+        return None
+    return record if isinstance(record, dict) and record.get("key") == key else None
+
+
 def _execute_shard(
     shard: Shard, artifact_dir: str | None = None
 ) -> tuple[dict[str, Any], float]:
@@ -106,14 +124,17 @@ def run_sweep(
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
     shards = spec.expand()
-    cache = SweepCache(cache_dir)
+    store = Store(cache_dir)
     code = code_version()
-    keys = {shard: shard_key(shard.params(), code=code) for shard in shards}
+    keys = {
+        shard: store_key(SHARD_NAMESPACE, shard.params(), shard.input_files())
+        for shard in shards
+    }
 
     records: dict[Shard, dict[str, Any]] = {}
     pending: list[Shard] = []
     for shard in shards:
-        cached = None if force else cache.load(keys[shard])
+        cached = None if force else load_record(store, keys[shard])
         if cached is not None:
             records[shard] = cached
         else:
@@ -125,8 +146,9 @@ def run_sweep(
         )
 
     def _persist(shard: Shard, record: dict[str, Any], elapsed: float) -> None:
-        entry = dict(record, elapsed_s=elapsed, code_version=code)
-        cache.store(keys[shard], entry)
+        entry = dict(record, elapsed_s=elapsed, code_version=code, key=keys[shard])
+        text = json.dumps(entry, indent=2, sort_keys=True) + "\n"
+        store.put(keys[shard], text.encode("utf-8"))
         records[shard] = entry
         if progress:
             progress(f"done {shard.shard_id} ({elapsed:.2f}s)")

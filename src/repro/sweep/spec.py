@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.core.store import canonical_json, input_files
 from repro.simulation.scenarios import SCENARIOS, scenario_field_names
 
 #: Figures a sweep can select, in canonical order.
@@ -176,10 +177,12 @@ class Shard:
             record["scenario"] = self.scenario.as_dict()
         return record
 
-
-def canonical_json(value: Any) -> str:
-    """Deterministic JSON serialization used for hashing spec content."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    def input_files(self) -> dict[str, Any]:
+        """The input files the shard reads; their content joins its key."""
+        if self.scenario is None:
+            return {}
+        scenario_cls = SCENARIOS[self.scenario.scenario]
+        return input_files(scenario_cls, dict(self.scenario.overrides))
 
 
 def _parse_scale(entry: Any) -> ScaleSpec:

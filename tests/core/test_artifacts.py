@@ -74,13 +74,6 @@ class TestPublishSemantics:
         _, second = store.ensure(figure1_topology())
         assert first != second
 
-    def test_no_partial_directories_left_behind(self, tmp_path, graph):
-        store = ArtifactStore(tmp_path)
-        _, path = store.ensure(graph)
-        # Only fully-published artifact directories live under the root.
-        children = [p for p in store.root.iterdir()]
-        assert children == [path]
-
     def test_ensure_compiled_accepts_detached_views(self, tmp_path, graph):
         store = ArtifactStore(tmp_path)
         compiled = compile_topology(graph)

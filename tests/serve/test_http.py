@@ -3,8 +3,11 @@
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.http import (
+    HttpRequest,
     HttpProtocolError,
     read_request,
     response_bytes,
@@ -77,6 +80,19 @@ class TestRejection:
         with pytest.raises(HttpProtocolError, match="malformed Content-Length"):
             parse(b"POST / HTTP/1.1\r\nContent-Length: many\r\n\r\n")
 
+    @pytest.mark.parametrize(
+        "value", [b"1_0", b"+10", b"-1", b" 1 0", b"0x10", b"1e1", b"", b"\xb2"]
+    )
+    def test_content_length_is_ascii_digits_only(self, value):
+        # int() would accept "1_0" and "+10" and frame a 10-byte body.
+        with pytest.raises(HttpProtocolError, match="malformed Content-Length"):
+            parse(b"POST / HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n0123456789")
+
+    def test_over_long_content_length_is_too_large_not_a_crash(self):
+        # int() refuses digit strings beyond 4300 characters.
+        with pytest.raises(HttpProtocolError, match="exceeds"):
+            parse(b"POST / HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n")
+
     def test_oversized_body_rejected_before_reading(self):
         with pytest.raises(HttpProtocolError, match="exceeds"):
             parse(
@@ -106,3 +122,32 @@ class TestResponse:
         raw = response_bytes(599, b"", keep_alive=False)
         assert raw.startswith(b"HTTP/1.1 599 Unknown\r\n")
         assert b"Connection: close\r\n" in raw
+
+
+REQUEST_PARTS = st.lists(
+    st.sampled_from(
+        [
+            b"GET / HTTP/1.1\r\n",
+            b"POST /v1/negotiate HTTP/1.1\r\n",
+            b"Content-Length: 4\r\n",
+            b"Content-Length: ",
+            b"Transfer-Encoding: chunked\r\n",
+            b"Connection: close\r\n",
+            b"\r\n",
+            b"\n",
+            b"{}",
+        ]
+    )
+    | st.binary(max_size=40),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=REQUEST_PARTS)
+def test_any_bytes_parse_or_raise_a_protocol_error(parts):
+    try:
+        result = parse(b"".join(parts))
+    except HttpProtocolError:
+        return
+    assert result is None or isinstance(result, HttpRequest)

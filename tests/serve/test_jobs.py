@@ -6,6 +6,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import JobRequest, Session
 from repro.api.validate import validate_envelope
@@ -31,6 +33,15 @@ class TestJobStore:
 
     def test_unknown_job_is_none(self, tmp_path):
         assert JobStore(tmp_path).status("no-such-job") is None
+
+    def test_only_the_submitted_id_shape_names_a_job(self, tmp_path):
+        store = JobStore(tmp_path)
+        job_id = store.submit(negotiate_job())
+        (tmp_path / "stray").mkdir()
+        for other in ("stray", f"{job_id}x", f"x{job_id}", job_id.upper(), "."):
+            assert store.status(other) is None
+            assert store.cancel(other) is None
+        assert store.status(job_id).state == "queued"
 
     def test_claim_marks_running_and_is_exclusive(self, tmp_path):
         store = JobStore(tmp_path)
@@ -283,3 +294,46 @@ class TestJobRoutesAndRunner:
         status, body, _ = asyncio.run(scenario())
         assert status == 503
         assert json.loads(body)["http_status"] == 503
+
+
+@pytest.fixture(scope="module")
+def id_service(tmp_path_factory):
+    service = ServeService(
+        Session(),
+        coalesce_window_ms=0.0,
+        cache_entries=8,
+        state_dir=tmp_path_factory.mktemp("ids") / "state",
+    )
+    yield service
+    asyncio.run(service.aclose())
+
+
+def _answer(service, method, path):
+    request = HttpRequest(method=method, path=path, query="", body=b"")
+    status, body, _ = asyncio.run(service.handle(request))
+    return status, json.loads(body)
+
+
+def _assert_unknown_job(service, method, job_id):
+    status, document = _answer(service, method, f"/v1/jobs/{job_id}")
+    assert status == 404, document
+    assert "unknown job" in document["error"]
+    # The service keeps answering valid requests.
+    status, document = _answer(service, "GET", "/v1/health")
+    assert status == 200 and document["status"] == "ok"
+
+
+@pytest.mark.parametrize("method", ["GET", "DELETE"])
+@pytest.mark.parametrize(
+    "job_id",
+    ["a\x00b", "x" * 300, "", ".", "..", "../jobs", "a/b", "0" * 19 + "-1-ABCDEF"],
+    ids=["nul", "too-long", "empty", "dot", "dotdot", "parent", "slash", "upper-hex"],
+)
+def test_malformed_job_ids_are_404(id_service, method, job_id):
+    _assert_unknown_job(id_service, method, job_id)
+
+
+@settings(max_examples=150, deadline=None)
+@given(method=st.sampled_from(["GET", "DELETE"]), job_id=st.text(max_size=300))
+def test_any_text_job_id_is_never_a_500(id_service, method, job_id):
+    _assert_unknown_job(id_service, method, job_id)

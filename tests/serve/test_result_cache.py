@@ -1,37 +1,10 @@
-"""Result cache: fingerprint keys and byte replay."""
+"""Result cache: the memory tier's byte replay, bound and counters.
 
-from repro.api.requests import DiversityRequest, NegotiateRequest
-from repro.serve.cache import ResultCache, request_fingerprint
+The keys and the shared disk tier are the store's, tested in
+``tests/core/test_store.py``.
+"""
 
-
-class TestRequestFingerprint:
-    def test_equal_requests_share_a_key(self):
-        a = NegotiateRequest(num_choices=10, trials=5, seed=3)
-        b = NegotiateRequest(seed=3, trials=5, num_choices=10)
-        assert request_fingerprint(a) == request_fingerprint(b)
-
-    def test_any_parameter_changes_the_key(self):
-        base = NegotiateRequest(num_choices=10, trials=5, seed=3)
-        for changed in (
-            NegotiateRequest(num_choices=11, trials=5, seed=3),
-            NegotiateRequest(num_choices=10, trials=6, seed=3),
-            NegotiateRequest(num_choices=10, trials=5, seed=4),
-            NegotiateRequest(distribution="u2", num_choices=10, trials=5, seed=3),
-        ):
-            assert request_fingerprint(changed) != request_fingerprint(base)
-
-    def test_request_kinds_never_collide(self):
-        # Same field values under different kinds must key differently.
-        assert request_fingerprint(DiversityRequest()) != request_fingerprint(
-            NegotiateRequest()
-        )
-
-    def test_extra_content_identity_changes_the_key(self):
-        request = DiversityRequest(topology="topo.txt", sample_size=10, seed=1)
-        first = request_fingerprint(request, extra={"topology_fingerprint": "aa"})
-        second = request_fingerprint(request, extra={"topology_fingerprint": "bb"})
-        assert first != second
-        assert first != request_fingerprint(request)
+from repro.serve.cache import ResultCache
 
 
 class TestResultCache:

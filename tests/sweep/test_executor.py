@@ -60,15 +60,16 @@ def test_rerun_is_fully_cached_and_byte_identical(tiny_spec, tmp_path):
 
 
 def test_interrupted_run_resumes_only_missing_shards(tiny_spec, tmp_path):
-    from repro.sweep import SweepCache, code_version, shard_key
+    from repro.core.store import Store, store_key
+    from repro.sweep.executor import SHARD_NAMESPACE
 
     reference = run_sweep(tiny_spec, cache_dir=tmp_path / "c", out_dir=tmp_path / "o")
     # Simulate a kill mid-run: two shards never got their cache entry.
     shards = tiny_spec.expand()
-    cache = SweepCache(tmp_path / "c")
+    store = Store(tmp_path / "c")
     killed = [shards[1], shards[3]]
     for shard in killed:
-        cache.path_for(shard_key(shard.params(), code=code_version())).unlink()
+        store.path(store_key(SHARD_NAMESPACE, shard.params())).unlink()
     resumed = run_sweep(tiny_spec, cache_dir=tmp_path / "c", out_dir=tmp_path / "o2")
     assert sorted(resumed.executed) == sorted(shard.shard_id for shard in killed)
     assert len(resumed.reused) == 2
