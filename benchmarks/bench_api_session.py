@@ -29,9 +29,7 @@ import time
 
 from _emit import emit
 
-from repro.api import DiversityRequest, Session
-from repro.bargaining.mechanism import BoscoService
-from repro.bargaining.distributions import paper_distribution_u1
+from repro.api import DiversityRequest, NegotiateRequest, Session
 
 _SCALES = {
     # tiny is still CI-fast, but large enough that the cold rebuild
@@ -72,11 +70,8 @@ def _request(scale: dict) -> DiversityRequest:
 
 
 def _negotiate(session: Session) -> None:
-    """A small batched negotiation pass sharing the session's engine."""
-    service = BoscoService(
-        paper_distribution_u1(), seed=7, engine=session.negotiation
-    )
-    service.pod_statistics(10, trials=10)
+    """A small batched negotiation pass through the session."""
+    session.negotiate(NegotiateRequest(num_choices=10, trials=10, seed=7))
 
 
 def _one_call(session: Session, request: DiversityRequest):

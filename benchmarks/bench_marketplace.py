@@ -6,7 +6,7 @@ population (the built-in five-profile mix of
 topology, AS pairs are drawn from it, each pair negotiates under the
 smaller of its parties' preferred choice-set cardinalities (the
 lifecycle's ``W`` rule), and the whole cohort is decided twice — once
-through :func:`repro.agents.decide_sequential` (one scalar
+through :func:`repro.reference.decide_sequential` (one scalar
 ``BoscoService.negotiate`` per pair, the reference) and once through
 :func:`repro.agents.decide_mixed_cohort` (order-preserving sub-batches,
 one ``negotiate_many`` per published mechanism).
@@ -31,10 +31,11 @@ import time
 import numpy as np
 from _emit import emit
 
-from repro.agents import CohortEntry, decide_mixed_cohort, decide_sequential
+from repro.agents import CohortEntry, decide_mixed_cohort
 from repro.agents.population import default_population_spec
 from repro.bargaining.distributions import paper_distribution_u1
 from repro.bargaining.mechanism import BoscoService
+from repro.reference import decide_sequential
 from repro.topology.generator import generate_topology
 
 _SCALES = {

@@ -3,12 +3,12 @@
 The workload is the §V primitive behind Fig. 2 and behind every
 marketplace agreement: configure a BOSCO mechanism by evaluating many
 random choice-set trials (equilibrium search + Price of Dishonesty) and
-summarize the PoD statistics.  The baseline is the pre-refactor
-approach — :class:`repro.bargaining.mechanism.BoscoService` with
-``backend="reference"``, one pure-Python trial at a time — and the
-contender is the batched backend, which packs all trials of a
-cardinality into one :class:`~repro.bargaining.engine.NegotiationEngine`
-call.
+summarize the PoD statistics.  The baseline is the per-trial oracle
+:func:`repro.reference.pod_statistics`, one pure-Python trial at a
+time, and the contender is
+:class:`repro.bargaining.mechanism.BoscoService`, which packs all
+trials of a cardinality into one
+:class:`~repro.bargaining.engine.NegotiationEngine` call.
 
 Scales (``REPRO_BENCH_SCALE`` env var, or ``--paper-scale``):
 
@@ -27,8 +27,10 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 from _emit import emit
 
+from repro import reference
 from repro.bargaining.distributions import paper_distribution_u1
 from repro.bargaining.mechanism import BoscoService
 
@@ -53,9 +55,19 @@ def _scale_name(paper_scale: bool) -> str:
     return "full" if paper_scale else "default"
 
 
-def _pod_sweep(backend: str, choice_counts, trials: int, seed: int):
-    """PoD statistics for every cardinality on one backend."""
-    service = BoscoService(paper_distribution_u1(), seed=seed, backend=backend)
+def _reference_sweep(choice_counts, trials: int, seed: int):
+    """PoD statistics for every cardinality from the per-trial oracle."""
+    distribution = paper_distribution_u1()
+    rng = np.random.default_rng(seed)
+    return {
+        num_choices: reference.pod_statistics(distribution, rng, num_choices, trials)
+        for num_choices in choice_counts
+    }
+
+
+def _batched_sweep(choice_counts, trials: int, seed: int):
+    """PoD statistics for every cardinality from one batched service."""
+    service = BoscoService(paper_distribution_u1(), seed=seed)
     return {
         num_choices: service.pod_statistics(num_choices, trials=trials)
         for num_choices in choice_counts
@@ -69,17 +81,17 @@ def test_negotiation_engine_speedup(paper_scale):
     trials = _SCALES[scale]["trials"]
 
     started = time.perf_counter()
-    reference = _pod_sweep("reference", choice_counts, trials, seed)
+    expected = _reference_sweep(choice_counts, trials, seed)
     reference_time = time.perf_counter() - started
 
     started = time.perf_counter()
-    batched = _pod_sweep("batched", choice_counts, trials, seed)
+    batched = _batched_sweep(choice_counts, trials, seed)
     engine_time = time.perf_counter() - started
 
     # The engine must agree with the reference bit for bit, at every
     # scale — not approximately: byte-identical seeded Fig. 2 tables
     # and marketplace traces hang off this equality.
-    assert batched == reference
+    assert batched == expected
 
     speedup = reference_time / engine_time if engine_time > 0.0 else float("inf")
     emit(

@@ -4,7 +4,7 @@ The workload is the §VI primitive every figure consumes: for *all*
 sources of the synthetic topology, the number of GRC-conforming
 length-3 paths and the number of destinations those paths reach.  The
 baseline is the pre-refactor approach — one naive graph walk per source
-(:func:`repro.paths.grc.iter_grc_length3_paths`) — and the contender is
+(:func:`repro.reference.iter_grc_length3_paths`) — and the contender is
 a cold :class:`repro.core.PathEngine` (compile time included).
 
 Scales (``REPRO_BENCH_SCALE`` env var, or ``--paper-scale``):
@@ -47,7 +47,7 @@ from repro.core import (
     load_artifact,
 )
 from repro.core.artifacts import ArtifactStore
-from repro.paths.grc import iter_grc_length3_paths
+from repro.reference import iter_grc_length3_paths
 from repro.topology.caida import dump_as_rel_lines, parse_as_rel_lines
 from repro.topology.generator import generate_topology
 

@@ -6,13 +6,15 @@ concurrent mixed workload at it through the typed
 :class:`~repro.serve.client.ServeClient` — negotiation requests from
 several client threads (exercising the coalescing window), the other
 workflow routes, async job submissions polled to completion, and the
-introspection routes, a bare unversioned path (404) and a mistyped
-request (400) — then SIGKILLs one worker mid-run and verifies
+introspection routes, a bare unversioned path (404), a mistyped
+request and a topology without tier-1 ASes (both 400) — then SIGKILLs
+one worker mid-run and verifies
 the survivors keep answering (byte-identically, off the shared disk
 cache) while the supervisor forks a replacement.  Every response
 envelope is written to ``--out`` as a ``.json`` file, the server is
 SIGTERMed, and the drain is checked: exit code 0 and a request log of
-complete JSONL lines.
+complete JSONL lines.  The same tier-1-less topology must also be a
+clean exit 2 from ``repro topology``.
 
 CI then validates every written response (and the log records) with
 ``python -m repro.api.validate`` and uploads the request log as an
@@ -33,6 +35,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -103,6 +106,17 @@ def main(argv: list[str] | None = None) -> int:
 
     failures: list[str] = []
 
+    with tempfile.TemporaryDirectory() as scratch:
+        cli = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "topology", "t.txt", "--tier1", "0"],
+            cwd=scratch,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+    if cli.returncode != 2:
+        failures.append(f"repro topology --tier1 0 exited {cli.returncode}, not 2")
+
     def save(name: str, response) -> None:
         if response.status != 200:
             failures.append(f"{name}: HTTP {response.status}: {response.body!r}")
@@ -152,6 +166,11 @@ def main(argv: list[str] | None = None) -> int:
             error = mistyped.json()
             if mistyped.status != 400 or error.get("exit_code") != 2:
                 failures.append(f"mistyped negotiate answered {mistyped.status}: {error}")
+            # A topology needs a tier-1 AS: zero is bad input, not a 500.
+            tierless = client.raw_post("/v1/topology", {"tier1": 0})
+            error = tierless.json()
+            if tierless.status != 400 or error.get("exit_code") != 2:
+                failures.append(f"tier1=0 topology answered {tierless.status}: {error}")
 
     def job_client() -> None:
         with ServeClient("127.0.0.1", port) as client:

@@ -11,7 +11,7 @@ The subsystem has three layers:
   topology;
 - :mod:`repro.agents.negotiator` — order-preserving sub-batched
   negotiation of mixed cohorts, bit-identical to the per-agent scalar
-  reference.
+  reference in :mod:`repro.reference`.
 """
 
 from repro.agents.behaviors import (
@@ -25,11 +25,7 @@ from repro.agents.behaviors import (
     DishonestBehavior,
     RegionalBehavior,
 )
-from repro.agents.negotiator import (
-    CohortEntry,
-    decide_mixed_cohort,
-    decide_sequential,
-)
+from repro.agents.negotiator import CohortEntry, decide_mixed_cohort
 from repro.agents.population import (
     GroupMatch,
     Population,
@@ -69,5 +65,4 @@ __all__ = [
     "default_population_spec",
     "CohortEntry",
     "decide_mixed_cohort",
-    "decide_sequential",
 ]

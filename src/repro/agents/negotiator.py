@@ -9,12 +9,11 @@ flush is decided as **order-preserving sub-batches**: entries are
 grouped by mechanism key, each group runs one batched engine call, and
 the outcomes are scattered back into request order.
 
-Both paths — :func:`decide_mixed_cohort` (sub-batched) and
-:func:`decide_sequential` (one scalar ``negotiate`` per entry, the
-reference) — are contracted to be **bit-identical**, never
-approximately equal; a property test pins the equality and
-``benchmarks/bench_marketplace.py`` asserts the batched path's ≥2×
-speedup at paper scale.
+:func:`decide_mixed_cohort` is contracted to be **bit-identical**, never
+approximately equal, to the per-agent reference in
+:mod:`repro.reference` (one scalar ``negotiate`` per entry); a property
+test pins the equality and ``benchmarks/bench_marketplace.py`` asserts
+the batched path's ≥2× speedup at paper scale.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.bargaining.mechanism import (
     NegotiationOutcome,
 )
 
-__all__ = ["CohortEntry", "decide_mixed_cohort", "decide_sequential"]
+__all__ = ["CohortEntry", "decide_mixed_cohort"]
 
 
 @dataclass(frozen=True)
@@ -82,15 +81,3 @@ def decide_mixed_cohort(
         for index, outcome in zip(indices, batch):
             outcomes[index] = outcome
     return [outcome for outcome in outcomes if outcome is not None]
-
-
-def decide_sequential(
-    mechanisms: Mapping[int, MechanismInformation],
-    entries: Sequence[CohortEntry],
-) -> list[NegotiationOutcome]:
-    """The per-agent reference path: one scalar negotiation per entry."""
-    _check_keys(mechanisms, entries)
-    return [
-        BoscoService.negotiate(mechanisms[entry.key], entry.utility_x, entry.utility_y)
-        for entry in entries
-    ]

@@ -6,8 +6,8 @@ programmatically and with structure instead of strings:
 - :class:`Session` — the entry point.  A session owns the expensive
   shared state (generated/loaded topologies keyed by their parameters,
   compiled path engines, mutuality-agreement enumerations and path
-  indexes, the shared experiment context, one
-  :class:`~repro.bargaining.engine.NegotiationEngine`) and reuses it
+  indexes, the shared experiment context, the truthful Nash product of
+  each negotiation distribution) and reuses it
   across calls, so repeated programmatic calls are much faster than
   rebuilding per call (see ``benchmarks/bench_api_session.py``).
 - Typed request dataclasses (:mod:`repro.api.requests`) — construction

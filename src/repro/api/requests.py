@@ -81,6 +81,13 @@ def _check_non_negative(name: str, value: int) -> None:
         raise ValidationError(f"--{name} must be non-negative, got {value}")
 
 
+def _check_tiers(request: Any) -> None:
+    """A generated topology needs a tier-1 AS; the other tiers may be empty."""
+    _check_positive("tier1", request.tier1)
+    for name in ("tier2", "tier3", "stubs"):
+        _check_non_negative(name, getattr(request, name))
+
+
 class _JsonRequest(JsonCodec):
     """Request codec base: ill-typed input is a plain ValidationError."""
 
@@ -109,8 +116,7 @@ class TopologyRequest(_JsonRequest):
     file_format: str = "as-rel"
 
     def __post_init__(self) -> None:
-        for name in ("tier1", "tier2", "tier3", "stubs"):
-            _check_non_negative(name, getattr(self, name))
+        _check_tiers(self)
         _check_seed(self.seed)
         if self.file_format not in TOPOLOGY_FILE_FORMATS:
             raise ValidationError(
@@ -146,8 +152,7 @@ class DiversityRequest(_JsonRequest):
     def __post_init__(self) -> None:
         _check_positive("sample-size", self.sample_size)
         _check_seed(self.seed)
-        for name in ("tier1", "tier2", "tier3", "stubs"):
-            _check_non_negative(name, getattr(self, name))
+        _check_tiers(self)
 
     def generation_key(self) -> tuple[int, int, int, int, int]:
         """The session cache key of the generated topology (no file)."""
@@ -207,8 +212,7 @@ class GrcAllRequest(_JsonRequest):
         _check_positive("jobs", self.jobs)
         _check_positive("shards", self.shards)
         _check_seed(self.seed)
-        for name in ("tier1", "tier2", "tier3", "stubs"):
-            _check_non_negative(name, getattr(self, name))
+        _check_tiers(self)
 
     def generation_key(self) -> tuple[int, int, int, int, int]:
         """The session cache key of the generated topology (no file)."""

@@ -20,9 +20,8 @@ reuses instead of rebuilding:
   across ``experiments()`` calls (sequential runs only: worker
   processes rebuild their own, exactly as ``repro experiments --jobs``
   always has).
-- **The negotiation engine** — one shared
-  :class:`~repro.bargaining.engine.NegotiationEngine` for every
-  batched bargaining evaluation of the session.
+- **Truthful Nash products** — ``E[N | σ⊤]`` per named negotiation
+  distribution, computed once and handed to every cohort solve.
 
 Sessions are serialized, not parallel: every workflow runs under one
 reentrant lock, so a session shared across threads (the ``repro
@@ -43,13 +42,10 @@ raise :class:`~repro.errors.ServiceError`.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import os
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.agreements.agreement import Agreement
 from repro.agreements.mutuality import enumerate_mutuality_agreements
@@ -74,11 +70,11 @@ from repro.api.results import (
     TopologyResult,
 )
 from repro.bargaining.efficiency import expected_truthful_nash_product
-from repro.bargaining.engine import NegotiationEngine
 from repro.bargaining.mechanism import (
     SolvedCohort,
     draw_trial_pairs,
     solve_trial_cohorts,
+    summarize_cohort,
 )
 from repro.core import PathEngine, compile_as_rel_file, compile_topology, path_engine_for
 from repro.core.artifacts import ArtifactStore
@@ -135,8 +131,6 @@ class Session:
         #: Serializes every workflow: concurrent callers queue here.
         self._lock = threading.RLock()
         self._closed = False
-        #: Shared batched-bargaining engine of the session.
-        self.negotiation = NegotiationEngine()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -264,17 +258,8 @@ class Session:
         return value
 
     def context_for(self, config) -> DiversityContext:
-        """The session's shared experiment context for a diversity config.
-
-        The context's negotiation engine is the session's own — the
-        "one shared NegotiationEngine" seam holds for every workflow,
-        so any state the engine grows later is shared session-wide.
-        The context is re-bound (not mutated) when it came from the
-        per-process build memo, which other sessions may also hold.
-        """
+        """The session's shared experiment context for a diversity config."""
         context = context_for(config, self._contexts.get(config))
-        if context.negotiation is not self.negotiation:
-            context = dataclasses.replace(context, negotiation=self.negotiation)
         self._contexts.put(config, context)
         return context
 
@@ -565,50 +550,35 @@ class Session:
                 )
                 for request in requests
             ]
-            solved = solve_trial_cohorts(
-                self.negotiation, distribution, cohorts, truthful_value=truthful
-            )
+            solved = solve_trial_cohorts(distribution, cohorts, truthful_value=truthful)
         return [
-            _negotiate_result(request, cohort, truthful, self.negotiation)
+            _negotiate_result(request, cohort, truthful)
             for request, cohort in zip(requests, solved)
         ]
 
 
 def _negotiate_result(
-    request: NegotiateRequest,
-    cohort: SolvedCohort,
-    truthful_value: float,
-    engine: NegotiationEngine,
+    request: NegotiateRequest, cohort: SolvedCohort, truthful_value: float
 ) -> NegotiateResult:
-    """Summarize one solved cohort exactly like ``pod_statistics`` would."""
-    equilibria = cohort.solution.equilibria
-    counts_x, counts_y = engine.equilibrium_choice_counts(equilibria)
-    pods: list[float] = []
-    choice_counts: list[float] = []
-    best: int | None = None
-    for trial in range(len(cohort.batch)):
-        if not equilibria.converged[trial]:
-            continue
-        pods.append(float(cohort.solution.pods[trial]))
-        choice_counts.append((int(counts_x[trial]) + int(counts_y[trial])) / 2.0)
-        if best is None or cohort.solution.pods[trial] < cohort.solution.pods[best]:
-            best = trial
-    if best is None:
+    """The result of one solved cohort, from :func:`summarize_cohort`."""
+    summary = summarize_cohort(cohort)
+    if summary.best is None:
         raise ServiceError(
             f"no negotiation trial converged (distribution {request.distribution}, "
             f"W={request.num_choices}, {request.trials} trials, seed {request.seed})"
         )
+    statistics = summary.statistics()
     return NegotiateResult(
         distribution=request.distribution,
         num_choices=request.num_choices,
         trials=request.trials,
         seed=request.seed,
-        converged_trials=len(pods),
-        skipped_trials=request.trials - len(pods),
-        min_pod=float(np.min(pods)),
-        mean_pod=float(np.mean(pods)),
-        max_pod=float(np.max(pods)),
-        mean_equilibrium_choices=float(np.mean(choice_counts)),
-        best_expected_nash_product=float(cohort.solution.nash_products[best]),
+        converged_trials=len(summary.pods),
+        skipped_trials=summary.skipped,
+        min_pod=statistics["min"],
+        mean_pod=statistics["mean"],
+        max_pod=statistics["max"],
+        mean_equilibrium_choices=statistics["mean_equilibrium_choices"],
+        best_expected_nash_product=float(cohort.nash_products[summary.best]),
         truthful_nash_product=float(truthful_value),
     )

@@ -50,7 +50,6 @@ from repro.bargaining.game import (
 )
 from repro.bargaining.mechanism import (
     BoscoService,
-    ChoiceSetTrialResult,
     MechanismInformation,
     NegotiationOutcome,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "BoscoService",
     "MechanismInformation",
     "NegotiationOutcome",
-    "ChoiceSetTrialResult",
     "PostedPriceMechanism",
     "PostedPriceOutcome",
     "optimal_posted_price",

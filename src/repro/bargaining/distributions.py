@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 
 class UtilityDistribution(abc.ABC):
@@ -170,6 +169,8 @@ class TruncatedNormalUtilityDistribution(UtilityDistribution):
         hi = min(high, self.high)
         if hi <= lo:
             return 0.0
+        from scipy import integrate  # deferred: only this quadrature needs scipy
+
         value, _ = integrate.quad(lambda u: u * self.pdf(u), lo, hi)
         return value
 

@@ -264,11 +264,10 @@ class BatchedEquilibria:
 class NegotiationEngine:
     """Evaluates batches of BOSCO bargaining games with NumPy kernels.
 
-    Stateless: instances are cheap and safely shared across consumers
-    (the combined experiment runner, sweep shards, and the simulation
-    lifecycle all reuse one).  Every public method is row-independent —
-    evaluating a sub-batch yields the same bits as evaluating the full
-    batch and slicing.
+    Stateless: :mod:`repro.bargaining.mechanism` holds the one instance
+    every configuration path solves with.  Every public method is
+    row-independent — evaluating a sub-batch yields the same bits as
+    evaluating the full batch and slicing.
     """
 
     # ------------------------------------------------------------------

@@ -15,6 +15,13 @@ stages:
    private true utility and commits the resulting claim; the service
    concludes the agreement iff the apparent surplus is non-negative and
    settles the cash compensation ``Π = (v_X − v_Y)/2``.
+
+Configuration has one production path: draw a cohort of trials, solve
+it in one :class:`~repro.bargaining.engine.NegotiationEngine` batch
+(:func:`solve_trial_cohorts`) and read the best trial and the PoD
+statistics off :func:`summarize_cohort`.  :class:`BoscoService` and the
+API session's negotiate workflow both go through it; the per-trial
+oracle it is pinned to lives in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
@@ -27,11 +34,7 @@ import numpy as np
 
 from repro.bargaining.choices import ChoiceSet, quantile_choice_set, random_choice_set
 from repro.bargaining.distributions import JointUtilityDistribution
-from repro.bargaining.efficiency import (
-    expected_nash_product,
-    expected_truthful_nash_product,
-    price_of_dishonesty,
-)
+from repro.bargaining.efficiency import expected_truthful_nash_product
 from repro.bargaining.engine import (
     BatchedEquilibria,
     GameBatch,
@@ -39,6 +42,10 @@ from repro.bargaining.engine import (
     batched_claims,
 )
 from repro.bargaining.game import BargainingGame, EquilibriumError, StrategyProfile
+
+#: The one negotiation engine.  It is stateless, so every cohort solve
+#: shares it.
+_ENGINE = NegotiationEngine()
 
 
 @dataclass(frozen=True)
@@ -104,28 +111,13 @@ class NegotiationOutcome(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ChoiceSetTrialResult:
-    """Outcome of one random choice-set trial during configuration."""
-
-    information: MechanismInformation | None
-    converged: bool
-
-
-@dataclass(frozen=True)
-class BatchSolution:
-    """Solved equilibria and ratings of one batch of configuration trials."""
-
-    equilibria: "BatchedEquilibria"
-    nash_products: np.ndarray
-    pods: np.ndarray
-
-
-@dataclass(frozen=True)
 class SolvedCohort:
     """One caller's trials, solved (possibly inside a larger packed batch)."""
 
     batch: GameBatch
-    solution: BatchSolution
+    equilibria: BatchedEquilibria
+    nash_products: np.ndarray
+    pods: np.ndarray
 
 
 def draw_trial_pairs(
@@ -133,16 +125,17 @@ def draw_trial_pairs(
     num_choices: int,
     trials: int,
     *,
-    seed: int,
+    seed: int | np.random.Generator,
 ) -> list[tuple[ChoiceSet, ChoiceSet]]:
     """Draw the random choice-set pairs of ``trials`` configuration trials.
 
     Exactly the draws a ``BoscoService(distribution, seed=seed)`` with
     ``choice_construction="random"`` would consume for the same number
-    of trials: a fresh ``default_rng(seed)``, X before Y per trial.  A
-    cohort drawn here is therefore independent of *when* and *with
-    whom* it is later solved — the seam the ``repro serve`` coalescer
-    relies on to pack concurrent callers into one batch.
+    of trials: ``default_rng(seed)``, X before Y per trial.  A cohort
+    drawn here is therefore independent of *when* and *with whom* it is
+    later solved — the seam the ``repro serve`` coalescer relies on to
+    pack concurrent callers into one batch.  A ``Generator`` seed is
+    drawn from as is (the service passes its own).
     """
     rng = np.random.default_rng(seed)
     return [
@@ -155,7 +148,6 @@ def draw_trial_pairs(
 
 
 def solve_trial_cohorts(
-    engine: NegotiationEngine,
     distribution: JointUtilityDistribution,
     cohorts: Sequence[Sequence[tuple[ChoiceSet, ChoiceSet]]],
     *,
@@ -185,44 +177,72 @@ def solve_trial_cohorts(
         raise ValueError("every cohort needs at least one trial")
     all_pairs = [pair for cohort in cohorts for pair in cohort]
     packed = GameBatch.from_choice_sets(distribution, all_pairs)
-    equilibria = engine.solve(packed)
-    values = engine.expected_nash_products(packed, equilibria)
+    equilibria = _ENGINE.solve(packed)
+    values = _ENGINE.expected_nash_products(packed, equilibria)
     if truthful_value is None:
         truthful_value = expected_truthful_nash_product(distribution)
-    pods = engine.prices_of_dishonesty(values, truthful_value)
+    pods = _ENGINE.prices_of_dishonesty(values, truthful_value)
     solved = []
     start = 0
     for size in sizes:
-        selector = slice(start, start + size)
+        rows = slice(start, start + size)
         solved.append(
-            SolvedCohort(
-                batch=packed.rows(selector),
-                solution=BatchSolution(
-                    equilibria=equilibria.rows(selector),
-                    nash_products=values[selector],
-                    pods=pods[selector],
-                ),
-            )
+            SolvedCohort(packed.rows(rows), equilibria.rows(rows), values[rows], pods[rows])
         )
         start += size
     return solved
 
 
+@dataclass(frozen=True)
+class CohortSummary:
+    """What a solved cohort says about its trials.
+
+    ``pods`` and ``equilibrium_choices`` (the mean of both parties'
+    equilibrium-choice counts) list the converged trials in trial
+    order.  ``best`` is the cohort row with the lowest PoD, the first
+    one on ties, or ``None`` when no trial converged.
+    """
+
+    pods: list[float]
+    equilibrium_choices: list[float]
+    skipped: int
+    best: int | None
+
+    def statistics(self) -> dict[str, float]:
+        """The Fig. 2 PoD statistics; needs at least one converged trial."""
+        return {
+            "min": float(np.min(self.pods)),
+            "mean": float(np.mean(self.pods)),
+            "max": float(np.max(self.pods)),
+            "trials": float(len(self.pods)),
+            "mean_equilibrium_choices": float(np.mean(self.equilibrium_choices)),
+            "skipped_trials": float(self.skipped),
+        }
+
+
+def summarize_cohort(cohort: SolvedCohort) -> CohortSummary:
+    """Summarize the converged trials of one solved cohort."""
+    rows = np.flatnonzero(cohort.equilibria.converged)
+    counts_x, counts_y = _ENGINE.equilibrium_choice_counts(cohort.equilibria)
+    pods = cohort.pods[rows]
+    return CohortSummary(
+        pods=pods.tolist(),
+        equilibrium_choices=((counts_x[rows] + counts_y[rows]) / 2.0).tolist(),
+        skipped=len(cohort.batch) - len(rows),
+        best=int(rows[np.argmin(pods)]) if len(rows) else None,
+    )
+
+
 class BoscoService:
     """Configures and supervises BOSCO negotiations.
 
-    ``backend`` selects how configuration trials are evaluated:
-    ``"batched"`` (the default) packs all random trials of a
-    :meth:`configure` / :meth:`pod_statistics` call into one
-    :class:`~repro.bargaining.engine.GameBatch` and solves them with the
-    :class:`~repro.bargaining.engine.NegotiationEngine`'s array kernels;
-    ``"reference"`` keeps the original one-trial-at-a-time Python path.
-    Both backends draw choice sets in the identical RNG order and the
-    engine is bit-exact, so the two produce byte-identical seeded
-    results — the reference path survives as the testing fallback the
-    equivalence suite compares against.
+    :meth:`configure` and :meth:`pod_statistics` draw all random trials
+    of a call from the service's seeded RNG (X's choice set, then Y's,
+    per trial), solve them in one batch and read the result off
+    :func:`summarize_cohort`.  The per-trial oracle this is pinned to
+    bit for bit lives in :mod:`repro.reference`.
 
-    Non-converging trials are no longer silently dropped:
+    Non-converging trials are not silently dropped:
     :attr:`skipped_trials` accumulates how many configuration trials
     failed to reach an equilibrium over the service's lifetime.
     """
@@ -233,22 +253,14 @@ class BoscoService:
         *,
         seed: int = 0,
         choice_construction: str = "random",
-        backend: str = "batched",
-        engine: NegotiationEngine | None = None,
     ) -> None:
         if choice_construction not in ("random", "quantile"):
             raise ValueError(
                 f"choice_construction must be 'random' or 'quantile', got "
                 f"{choice_construction!r}"
             )
-        if backend not in ("batched", "reference"):
-            raise ValueError(
-                f"backend must be 'batched' or 'reference', got {backend!r}"
-            )
         self.distribution = distribution
         self.choice_construction = choice_construction
-        self.backend = backend
-        self.engine = engine if engine is not None else NegotiationEngine()
         self.skipped_trials = 0
         self._rng = np.random.default_rng(seed)
         self._truthful_value = expected_truthful_nash_product(distribution)
@@ -261,67 +273,24 @@ class BoscoService:
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    def _draw_choice_sets(
-        self, num_choices_x: int, num_choices_y: int
-    ) -> tuple[ChoiceSet, ChoiceSet]:
-        """Construct one trial's choice sets (X first, then Y).
-
-        Both backends call this in the same per-trial order, so the
-        random draws consume the service RNG identically and the batched
-        path sees byte-identical choice sets.
-        """
-        if self.choice_construction == "random":
-            return (
-                random_choice_set(self.distribution.marginal_x, num_choices_x, self._rng),
-                random_choice_set(self.distribution.marginal_y, num_choices_y, self._rng),
-            )
-        return (
-            quantile_choice_set(self.distribution.marginal_x, num_choices_x),
-            quantile_choice_set(self.distribution.marginal_y, num_choices_y),
-        )
-
-    def run_trial(self, num_choices_x: int, num_choices_y: int) -> ChoiceSetTrialResult:
-        """Run one choice-set construction trial and evaluate its equilibrium.
-
-        This is the naive reference path: one game at a time, pure
-        Python.  The batched backend reproduces it bit for bit.
-        """
-        choices_x, choices_y = self._draw_choice_sets(num_choices_x, num_choices_y)
-        game = BargainingGame(
-            distribution_x=self.distribution.marginal_x,
-            distribution_y=self.distribution.marginal_y,
-            choices_x=choices_x,
-            choices_y=choices_y,
-        )
-        try:
-            equilibrium = game.find_equilibrium()
-        except EquilibriumError:
-            return ChoiceSetTrialResult(information=None, converged=False)
-        pod = price_of_dishonesty(
-            equilibrium, self.distribution, truthful_value=self._truthful_value
-        )
-        information = MechanismInformation(
-            distribution=self.distribution,
-            choices_x=choices_x,
-            choices_y=choices_y,
-            equilibrium=equilibrium,
-            price_of_dishonesty=pod,
-            expected_nash_product=expected_nash_product(equilibrium, self.distribution),
-        )
-        return ChoiceSetTrialResult(information=information, converged=True)
-
     def _solve_trials(
         self, num_choices: int, trials: int
-    ) -> tuple[GameBatch, "BatchSolution"]:
-        """Draw ``trials`` choice-set pairs and solve them in one batch."""
-        pairs = [self._draw_choice_sets(num_choices, num_choices) for _ in range(trials)]
-        solved = solve_trial_cohorts(
-            self.engine,
-            self.distribution,
-            [pairs],
-            truthful_value=self._truthful_value,
-        )[0]
-        return solved.batch, solved.solution
+    ) -> tuple[SolvedCohort, CohortSummary]:
+        """Draw and solve ``trials`` trials; count the skipped ones."""
+        if self.choice_construction == "random":
+            pairs = draw_trial_pairs(self.distribution, num_choices, trials, seed=self._rng)
+        else:
+            quantiles = (
+                quantile_choice_set(self.distribution.marginal_x, num_choices),
+                quantile_choice_set(self.distribution.marginal_y, num_choices),
+            )
+            pairs = [quantiles] * trials
+        (cohort,) = solve_trial_cohorts(
+            self.distribution, [pairs], truthful_value=self._truthful_value
+        )
+        summary = summarize_cohort(cohort)
+        self.skipped_trials += summary.skipped
+        return cohort, summary
 
     def configure(
         self,
@@ -338,52 +307,23 @@ class BoscoService:
         """
         if trials < 1:
             raise ValueError("at least one trial is required")
-        if self.backend == "reference":
-            return self._configure_reference(num_choices, trials)
-        batch, solution = self._solve_trials(num_choices, trials)
-        equilibria = solution.equilibria
-        best: int | None = None
-        for trial in range(trials):
-            if not equilibria.converged[trial]:
-                continue
-            if best is None or solution.pods[trial] < solution.pods[best]:
-                best = trial
-        skipped = trials - int(equilibria.converged.sum())
-        self.skipped_trials += skipped
+        cohort, summary = self._solve_trials(num_choices, trials)
+        best = summary.best
         if best is None:
             raise EquilibriumError(
                 "no choice-set trial produced a converging equilibrium",
-                iterations=int(np.max(equilibria.iterations, initial=0)),
-                last_delta=float(np.nanmax(equilibria.last_delta)),
-                skipped_trials=skipped,
+                iterations=int(np.max(cohort.equilibria.iterations, initial=0)),
+                last_delta=float(np.nanmax(cohort.equilibria.last_delta)),
+                skipped_trials=summary.skipped,
             )
         return MechanismInformation(
             distribution=self.distribution,
-            choices_x=batch.sets_x[best],
-            choices_y=batch.sets_y[best],
-            equilibrium=equilibria.profile(batch, best),
-            price_of_dishonesty=float(solution.pods[best]),
-            expected_nash_product=float(solution.nash_products[best]),
+            choices_x=cohort.batch.sets_x[best],
+            choices_y=cohort.batch.sets_y[best],
+            equilibrium=cohort.equilibria.profile(cohort.batch, best),
+            price_of_dishonesty=float(cohort.pods[best]),
+            expected_nash_product=float(cohort.nash_products[best]),
         )
-
-    def _configure_reference(self, num_choices: int, trials: int) -> MechanismInformation:
-        """The original per-trial configuration loop (testing fallback)."""
-        best: MechanismInformation | None = None
-        skipped = 0
-        for _ in range(trials):
-            result = self.run_trial(num_choices, num_choices)
-            if result.information is None:
-                skipped += 1
-                continue
-            if best is None or result.information.price_of_dishonesty < best.price_of_dishonesty:
-                best = result.information
-        self.skipped_trials += skipped
-        if best is None:
-            raise EquilibriumError(
-                "no choice-set trial produced a converging equilibrium",
-                skipped_trials=skipped,
-            )
-        return best
 
     def pod_statistics(
         self,
@@ -397,69 +337,13 @@ class BoscoService:
         not converge (their PoD is excluded from the statistics, as in
         the paper's evaluation).
         """
-        if self.backend == "reference":
-            return self._pod_statistics_reference(num_choices, trials)
-        batch, solution = self._solve_trials(num_choices, trials)
-        equilibria = solution.equilibria
-        counts_x, counts_y = self.engine.equilibrium_choice_counts(equilibria)
-        pods = []
-        equilibrium_choice_counts = []
-        for trial in range(trials):
-            if not equilibria.converged[trial]:
-                continue
-            pods.append(float(solution.pods[trial]))
-            equilibrium_choice_counts.append(
-                (int(counts_x[trial]) + int(counts_y[trial])) / 2.0
-            )
-        skipped = trials - len(pods)
-        self.skipped_trials += skipped
-        if not pods:
+        _, summary = self._solve_trials(num_choices, trials)
+        if summary.best is None:
             raise EquilibriumError(
                 "no trial converged; cannot compute PoD statistics",
-                skipped_trials=skipped,
+                skipped_trials=summary.skipped,
             )
-        return self._pod_summary(pods, equilibrium_choice_counts, skipped)
-
-    def _pod_statistics_reference(
-        self, num_choices: int, trials: int
-    ) -> dict[str, float]:
-        """The original per-trial PoD loop (testing fallback)."""
-        pods = []
-        equilibrium_choice_counts = []
-        for _ in range(trials):
-            result = self.run_trial(num_choices, num_choices)
-            if result.information is None:
-                continue
-            pods.append(result.information.price_of_dishonesty)
-            profile = result.information.equilibrium
-            equilibrium_choice_counts.append(
-                (
-                    len(profile.strategy_x.equilibrium_choice_indices())
-                    + len(profile.strategy_y.equilibrium_choice_indices())
-                )
-                / 2.0
-            )
-        skipped = trials - len(pods)
-        self.skipped_trials += skipped
-        if not pods:
-            raise EquilibriumError(
-                "no trial converged; cannot compute PoD statistics",
-                skipped_trials=skipped,
-            )
-        return self._pod_summary(pods, equilibrium_choice_counts, skipped)
-
-    @staticmethod
-    def _pod_summary(
-        pods: list[float], equilibrium_choice_counts: list[float], skipped: int
-    ) -> dict[str, float]:
-        return {
-            "min": float(np.min(pods)),
-            "mean": float(np.mean(pods)),
-            "max": float(np.max(pods)),
-            "trials": float(len(pods)),
-            "mean_equilibrium_choices": float(np.mean(equilibrium_choice_counts)),
-            "skipped_trials": float(skipped),
-        }
+        return summary.statistics()
 
     # ------------------------------------------------------------------
     # Negotiation

@@ -311,14 +311,6 @@ class CompiledTopology:
         """Sorted customer indices (``γ``) of the AS at ``index``."""
         return self.cust_indices[self.cust_indptr[index]:self.cust_indptr[index + 1]]
 
-    def peers_idx(self, index: int) -> np.ndarray:
-        """Sorted peer indices (``ε``) of the AS at ``index``."""
-        return self.peer_indices[self.peer_indptr[index]:self.peer_indptr[index + 1]]
-
-    def providers_idx(self, index: int) -> np.ndarray:
-        """Sorted provider indices (``π``) of the AS at ``index``."""
-        return self.prov_indices[self.prov_indptr[index]:self.prov_indptr[index + 1]]
-
     # ------------------------------------------------------------------
     # Role / membership tests (binary search over sorted CSR rows)
     # ------------------------------------------------------------------

@@ -4,9 +4,9 @@ The §VI analyses all consume the same primitive: the GRC-conforming
 length-3 paths ``(source, transit, destination)`` of every AS — a path
 is conforming exactly when the transit is willing to forward, i.e. when
 ``source ∈ γ(transit)`` or ``destination ∈ γ(transit)``.  The naive
-reference (:func:`repro.paths.grc.iter_grc_length3_paths`) re-walks the
-dict/set graph per source; this engine instead computes *all* sources in
-one batched sweep over the compiled CSR arrays:
+reference in :mod:`repro.reference` re-walks the dict/set graph per
+source; this engine instead computes *all* sources in one batched sweep
+over the compiled CSR arrays:
 
 - **Counts** — the number of paths of source ``s`` decomposes per
   transit ``t ∈ N(s)``: ``|N(t)| - 1`` paths when ``s ∈ γ(t)`` (the
@@ -335,12 +335,6 @@ class PathEngine:
         if not (topo.has_link_idx(s, t) and topo.has_link_idx(t, d)):
             return False
         return topo.is_customer_idx(t, s) or topo.is_customer_idx(t, d)
-
-    # grc.py-compatible aliases ----------------------------------------
-    grc_length3_paths = paths
-    grc_length3_destinations = destinations
-    count_grc_length3_paths = count
-    grc_paths_between = paths_between
 
 
 #: Per-graph engine cache, weakly keyed like the compile cache.

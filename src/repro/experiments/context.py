@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 from repro.agreements.agreement import Agreement
 from repro.agreements.mutuality import enumerate_mutuality_agreements
-from repro.bargaining.engine import NegotiationEngine
 from repro.core import CompiledTopology, PathEngine, compile_topology, path_engine_for
 from repro.core.artifacts import ArtifactStore
 from repro.paths.ma_paths import MAPathIndex, build_ma_path_index
@@ -40,13 +39,6 @@ class DiversityContext:
     engine: PathEngine
     agreements: list[Agreement] = field(default_factory=list)
     index: MAPathIndex = field(default_factory=MAPathIndex)
-    #: Shared batched-bargaining engine.  Unlike the path engine it is
-    #: currently stateless (cheap to construct, nothing memoized), so
-    #: sharing it is a structural seam, not a speedup: consumers hold
-    #: one engine per run the way they hold one PathEngine, and any
-    #: state the engine grows later (scratch buffers, kernel caches)
-    #: is shared for free.
-    negotiation: NegotiationEngine = field(default_factory=NegotiationEngine)
 
     @classmethod
     def build(

@@ -18,7 +18,6 @@ from repro.bargaining.distributions import (
     paper_distribution_u1,
     paper_distribution_u2,
 )
-from repro.bargaining.engine import NegotiationEngine
 from repro.bargaining.mechanism import BoscoService
 from repro.experiments.reporting import (
     PaperComparison,
@@ -35,16 +34,12 @@ class Fig2Config:
     The paper uses 200 trials per cardinality; the default here is lower
     so that the benchmark finishes quickly — pass ``trials=200`` (now
     reachable as ``repro experiments --trials 200``) for the full
-    reproduction.  ``backend`` selects the
-    :class:`~repro.bargaining.mechanism.BoscoService` evaluation path:
-    the batched engine (default) or the naive per-trial reference; both
-    produce byte-identical seeded tables.
+    reproduction.
     """
 
     choice_counts: tuple[int, ...] = (10, 20, 30, 40, 50, 60)
     trials: int = 40
     seed: int = 7
-    backend: str = "batched"
 
 
 @dataclass(frozen=True)
@@ -135,17 +130,12 @@ class Fig2Result:
         return render_figure_body(self.table(), "", ())
 
 
-def run_fig2(
-    config: Fig2Config | None = None, *, engine: NegotiationEngine | None = None
-) -> Fig2Result:
+def run_fig2(config: Fig2Config | None = None) -> Fig2Result:
     """Run the Fig. 2 experiment.
 
-    All ``trials`` random choice-set trials of each cardinality are
-    evaluated in one :class:`~repro.bargaining.engine.NegotiationEngine`
-    batch (unless ``config.backend`` selects the reference path).  An
-    ``engine`` can be passed in so consumers hold a single instance per
-    run (sweep shards pass their ``DiversityContext``'s); the engine is
-    stateless today, so this is a structural seam rather than a cache.
+    One :class:`~repro.bargaining.mechanism.BoscoService` per
+    distribution evaluates every cardinality in turn, all ``trials``
+    random choice-set trials of a cardinality in one engine batch.
     """
     config = config or Fig2Config()
     distributions: list[tuple[str, JointUtilityDistribution]] = [
@@ -154,9 +144,7 @@ def run_fig2(
     ]
     result = Fig2Result()
     for name, distribution in distributions:
-        service = BoscoService(
-            distribution, seed=config.seed, backend=config.backend, engine=engine
-        )
+        service = BoscoService(distribution, seed=config.seed)
         for num_choices in config.choice_counts:
             statistics = service.pod_statistics(num_choices, trials=config.trials)
             result.rows.append(

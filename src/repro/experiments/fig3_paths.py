@@ -22,7 +22,7 @@ from repro.experiments.reporting import (
     render_figure_body,
 )
 from repro.paths.diversity import DEFAULT_SCENARIOS, DiversityResult, analyze_path_diversity
-from repro.topology.generator import GeneratedTopology, TopologyParameters
+from repro.topology.generator import GeneratedTopology
 
 if TYPE_CHECKING:
     from repro.experiments.context import DiversityContext
@@ -38,16 +38,6 @@ class PathDiversityConfig:
     num_stubs: int = 350
     sample_size: int = 200
     seed: int = 2021
-
-    def topology_parameters(self) -> TopologyParameters:
-        """Topology-generator parameters for this configuration."""
-        return TopologyParameters(
-            num_tier1=self.num_tier1,
-            num_tier2=self.num_tier2,
-            num_tier3=self.num_tier3,
-            num_stubs=self.num_stubs,
-            seed=self.seed,
-        )
 
 
 @dataclass

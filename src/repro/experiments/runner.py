@@ -34,11 +34,7 @@ from repro.experiments.fig3_paths import PathDiversityConfig, run_fig3
 from repro.experiments.fig4_destinations import run_fig4
 from repro.experiments.fig5_geodistance import Fig5Config, run_fig5
 from repro.experiments.fig6_bandwidth import Fig6Config, run_fig6
-from repro.experiments.reporting import (
-    SectionResult,
-    render_report,
-    render_section,
-)
+from repro.experiments.reporting import SectionResult, render_report
 from repro.routing.convergence import analyze_gadget
 from repro.topology.fixtures import bad_gadget_topology, disagree_topology
 
@@ -137,9 +133,7 @@ def _section_stability(config: RunnerConfig, context=None) -> SectionResult:
 
 
 def _section_fig2(config: RunnerConfig, context=None) -> SectionResult:
-    fig2 = run_fig2(
-        config.fig2(), engine=context.negotiation if context is not None else None
-    )
+    fig2 = run_fig2(config.fig2())
     return SectionResult(
         key="fig2",
         title="Fig. 2 — Price of Dishonesty",
@@ -210,9 +204,7 @@ _SECTIONS = (
 )
 
 #: Sections that consume the shared diversity context.
-_CONTEXT_SECTIONS = frozenset(
-    {_section_fig2, _section_fig3, _section_fig4, _section_fig5, _section_fig6}
-)
+_CONTEXT_SECTIONS = frozenset({_section_fig3, _section_fig4, _section_fig5, _section_fig6})
 
 
 def _run_section(
@@ -312,11 +304,6 @@ def run_all(config: RunnerConfig | None = None, *, jobs: int = 1) -> str:
     to the pre-redesign report (golden tests pin this).
     """
     return render_report(run_sections(config, jobs=jobs))
-
-
-def _stability_section() -> str:
-    """Backward-compatible alias for the §II stability section text."""
-    return render_section(_section_stability(RunnerConfig()))
 
 
 def main(argv=None) -> None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.agreements.scenario import AgreementScenario, SegmentTraffic
 from repro.agreements.utility import joint_utilities
@@ -116,6 +115,10 @@ def optimize_flow_volume_targets(
     where the flow-volume method cannot conclude an agreement that cash
     compensation might still rescue.
     """
+    # Deferred: importing scipy costs more than everything else
+    # ``import repro.cli`` loads, and only this solver needs it.
+    from scipy.optimize import minimize
+
     party_x, party_y = scenario.agreement.parties
     num_segments = len(scenario.segments)
     if num_segments == 0:

@@ -38,7 +38,6 @@ from repro.paths.grc import (
     grc_length3_paths,
     grc_paths_between,
     is_grc_conforming_segment,
-    iter_grc_length3_paths,
 )
 from repro.paths.ma_paths import (
     MAPathIndex,
@@ -50,7 +49,6 @@ from repro.paths.metrics import EmpiricalCDF, summarize
 
 __all__ = [
     "is_grc_conforming_segment",
-    "iter_grc_length3_paths",
     "grc_length3_paths",
     "grc_length3_destinations",
     "grc_paths_between",

@@ -8,20 +8,15 @@ transit AS ``B`` is willing to forward between ``A`` and ``C`` under a
 GRC-conforming export policy, i.e. when at least one of ``A`` and ``C``
 is a customer of ``B``.
 
-Two implementations coexist here:
-
-- :func:`iter_grc_length3_paths` is the *naive reference*: a direct
-  generator over the dict/set graph, kept as the executable definition
-  the property tests compare against.
-- Every other function delegates to the shared, per-graph-cached
-  :class:`repro.core.PathEngine`, which batch-computes all sources over
-  the compiled topology and memoizes per-source results — so repeated
-  queries (the common case in the §VI analyses) cost a dict lookup.
+Every query here delegates to the shared, per-graph-cached
+:class:`repro.core.PathEngine`, which batch-computes all sources over
+the compiled topology and memoizes per-source results — so repeated
+queries (the common case in the §VI analyses) cost a dict lookup.  The
+naive dict/set walk the property tests compare against lives in
+:mod:`repro.reference`.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 from repro.core import path_engine_for
 from repro.topology.graph import ASGraph
@@ -31,25 +26,6 @@ def is_grc_conforming_segment(graph: ASGraph, first: int, transit: int, last: in
     """Whether the transit AS would forward between ``first`` and ``last`` under the GRC."""
     customers = graph.customers(transit)
     return first in customers or last in customers
-
-
-def iter_grc_length3_paths(graph: ASGraph, source: int) -> Iterator[tuple[int, int, int]]:
-    """Yield every GRC-conforming length-3 path starting at ``source``.
-
-    Paths are tuples ``(source, transit, destination)`` with three
-    distinct ASes and two existing links.  This is the naive reference
-    implementation (one uncached graph walk per call); analysis code
-    should prefer :func:`grc_length3_paths` and friends, which share the
-    compiled path engine.
-    """
-    for transit in graph.neighbors(source):
-        transit_customers = graph.customers(transit)
-        source_is_customer = source in transit_customers
-        for destination in graph.neighbors(transit):
-            if destination == source:
-                continue
-            if source_is_customer or destination in transit_customers:
-                yield (source, transit, destination)
 
 
 def grc_length3_paths(graph: ASGraph, source: int) -> frozenset[tuple[int, int, int]]:

@@ -33,7 +33,8 @@ agents), billing prices carry per-agent and :class:`PriceWar`
 multipliers, and realized utilities feed post-billing learning.  Pairs
 preferring different BOSCO cardinalities are decided inside one flush
 as order-preserving sub-batches (:func:`decide_mixed_cohort`) — still
-bit-identical to the per-agent sequential reference.  Without a
+bit-identical to the per-agent sequential reference in
+:mod:`repro.reference`.  Without a
 population, every code path reduces exactly to the homogeneous
 marketplace, keeping seeded traces byte-identical to the historical
 formulation.

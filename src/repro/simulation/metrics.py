@@ -139,12 +139,3 @@ class MetricsTrace:
                 if key.startswith("revenue_"):
                     totals[int(key.removeprefix("revenue_"))] += float(value)
         return dict(sorted(totals.items()))
-
-    def utility_by_as(self) -> dict[int, float]:
-        """Cumulative realized agreement utility per AS (sorted)."""
-        totals: dict[int, float] = defaultdict(float)
-        for entry in self.of_kind("billing"):
-            for key, value in entry.data.items():
-                if key.startswith("utility_"):
-                    totals[int(key.removeprefix("utility_"))] += float(value)
-        return dict(sorted(totals.items()))

@@ -50,20 +50,16 @@ def diversity_config(scale: ScaleSpec, seed: int) -> PathDiversityConfig:
     )
 
 
-def _fig2_metrics(
-    scale: ScaleSpec, seed: int, ctx: DiversityContext | None
-) -> dict[str, Any]:
+def _fig2_metrics(scale: ScaleSpec, seed: int) -> dict[str, Any]:
     # Fig. 2 is a bargaining experiment with no topology: the scale axis
     # only sizes its trial count so tiny sweeps stay tiny (an inline
-    # scale with sample_size=1000 reaches the paper's 200 trials).  All
-    # trials of a cardinality run through one NegotiationEngine batch,
-    # shared with the rest of the shard when a context exists.
+    # scale with sample_size=1000 reaches the paper's 200 trials).
     config = Fig2Config(
         choice_counts=(10, 20, 30),
         trials=max(5, scale.sample_size // 5),
         seed=seed,
     )
-    result = run_fig2(config, engine=ctx.negotiation if ctx is not None else None)
+    result = run_fig2(config)
     return {
         "fig2.best_pod_u1": _clean(result.best_pod("U(1)")),
         "fig2.best_pod_u2": _clean(result.best_pod("U(2)")),
@@ -148,7 +144,7 @@ def _run_figures_shard(shard: Shard, artifact_dir: str | None = None) -> dict[st
         fingerprint = ctx.compiled.source_fingerprint
     for figure in shard.figures:  # canonical order fixed by the spec
         if figure == "fig2":
-            metrics.update(_fig2_metrics(shard.scale, shard.seed, ctx))
+            metrics.update(_fig2_metrics(shard.scale, shard.seed))
         elif figure == "fig3":
             assert ctx is not None
             metrics.update(_fig3_metrics(config, ctx))

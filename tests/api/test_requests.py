@@ -1,15 +1,24 @@
 """Typed-request validation: API callers get the same errors as CLI users."""
 
+import asyncio
+import json
+
 import pytest
 
 from repro.api import (
+    WORKFLOWS,
     DiversityRequest,
     ExperimentsRequest,
+    GrcAllRequest,
+    Session,
     SimulateRequest,
     SweepRequest,
     TopologyRequest,
     ValidationError,
 )
+from repro.cli import main
+from repro.serve.http import HttpRequest
+from repro.serve.service import ServeService
 
 
 class TestSeedValidation:
@@ -80,7 +89,8 @@ class TestSimulateValidation:
 class TestTopologyAndDiversityValidation:
     @pytest.mark.parametrize("field", ["tier1", "tier2", "tier3", "stubs"])
     def test_negative_tier_counts_are_rejected(self, field):
-        with pytest.raises(ValidationError, match=f"--{field} must be non-negative"):
+        expected = "a positive integer" if field == "tier1" else "non-negative"
+        with pytest.raises(ValidationError, match=f"--{field} must be {expected}"):
             TopologyRequest(**{field: -1})
 
     @pytest.mark.parametrize("sample_size", [0, -3])
@@ -89,6 +99,45 @@ class TestTopologyAndDiversityValidation:
             ValidationError, match="--sample-size must be a positive integer"
         ):
             DiversityRequest(sample_size=sample_size)
+
+
+class TestTierOneIsRequired:
+    """A generated topology needs a tier-1 AS: 0 fails as bad input, never a 500."""
+
+    @pytest.mark.parametrize(
+        ("request_type", "argv"),
+        [
+            (TopologyRequest, ["topology", "t.txt", "--tier1", "0"]),
+            (DiversityRequest, None),  # the CLI exposes no tier flags
+            (GrcAllRequest, ["grc-all", "--tier1", "0"]),
+        ],
+    )
+    def test_zero_tier1_is_rejected_by_request_server_and_cli(
+        self, request_type, argv, tmp_path, monkeypatch, capsys
+    ):
+        message = "--tier1 must be a positive integer, got 0"
+        tiers = {"tier1": 0, "tier2": 0, "tier3": 0, "stubs": 0}
+        with pytest.raises(ValidationError) as excinfo:
+            request_type(**tiers)
+        assert str(excinfo.value) == message
+
+        (workflow,) = [w for w in WORKFLOWS.values() if w.request_type is request_type]
+        if workflow.routable:
+            service = ServeService(Session(), coalesce_window_ms=0.0, cache_entries=8)
+            request = HttpRequest(
+                method="POST",
+                path=f"/v1/{workflow.name}",
+                query="",
+                body=json.dumps(tiers).encode(),
+            )
+            status, body, _ = asyncio.run(service.handle(request))
+            assert status == 400
+            assert json.loads(body)["error"] == message
+
+        if argv is not None:
+            monkeypatch.chdir(tmp_path)
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestSweepValidation:

@@ -146,16 +146,6 @@ class TestExperimentsWorkflow:
         first = session.context_for(config.diversity())
         assert session.context_for(config.diversity()) is first
 
-    def test_context_shares_the_session_negotiation_engine(self):
-        """The 'one shared NegotiationEngine' seam holds for experiments."""
-        session = Session()
-        config = tiny_runner_config()
-        context = session.context_for(config.diversity())
-        assert context.negotiation is session.negotiation
-        # A second session must not inherit the first one's engine.
-        other = Session()
-        assert other.context_for(config.diversity()).negotiation is other.negotiation
-
     def test_structured_sections_render_to_the_classic_report(self, tiny_sections):
         from repro.experiments.reporting import render_report
         from repro.experiments.runner import run_all

@@ -131,33 +131,12 @@ class TestFig2Shape:
 
 
 class TestBackends:
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            BoscoService(paper_distribution_u1(), backend="quantum")
-
-    def test_default_backend_is_batched(self):
-        service = BoscoService(paper_distribution_u1())
-        assert service.backend == "batched"
-        assert service.engine is not None
-
-    def test_reference_backend_still_works(self):
-        service = BoscoService(paper_distribution_u1(), seed=5, backend="reference")
-        stats = service.pod_statistics(10, trials=5)
-        assert stats["trials"] + stats["skipped_trials"] == 5
-
     def test_quantile_construction_on_the_batched_backend(self):
         service = BoscoService(
             paper_distribution_u1(), seed=0, choice_construction="quantile"
         )
         information = service.configure(12, trials=1)
         assert information.verify_equilibrium()
-
-    def test_shared_engine_instance_is_used(self):
-        from repro.bargaining.engine import NegotiationEngine
-
-        engine = NegotiationEngine()
-        service = BoscoService(paper_distribution_u1(), engine=engine)
-        assert service.engine is engine
 
 
 class TestSkippedTrialAccounting:
@@ -192,7 +171,6 @@ class TestTrialCohorts:
             assert ay.finite_values == by.finite_values
 
     def test_packed_cohorts_are_bit_identical_to_solo_solves(self):
-        from repro.bargaining.engine import NegotiationEngine
         from repro.bargaining.mechanism import draw_trial_pairs, solve_trial_cohorts
 
         distribution = paper_distribution_u1()
@@ -200,29 +178,17 @@ class TestTrialCohorts:
             draw_trial_pairs(distribution, 8, trials, seed=seed)
             for trials, seed in ((3, 1), (5, 2), (2, 9))
         ]
-        packed = solve_trial_cohorts(NegotiationEngine(), distribution, cohorts)
+        packed = solve_trial_cohorts(distribution, cohorts)
         assert [len(s.batch) for s in packed] == [3, 5, 2]
         for cohort, solved in zip(cohorts, packed):
-            solo = solve_trial_cohorts(
-                NegotiationEngine(), distribution, [cohort]
-            )[0]
+            solo = solve_trial_cohorts(distribution, [cohort])[0]
+            assert np.array_equal(solved.pods, solo.pods, equal_nan=True)
             assert np.array_equal(
-                solved.solution.pods, solo.solution.pods, equal_nan=True
+                solved.nash_products, solo.nash_products, equal_nan=True
             )
-            assert np.array_equal(
-                solved.solution.nash_products,
-                solo.solution.nash_products,
-                equal_nan=True,
-            )
-            assert np.array_equal(
-                solved.solution.equilibria.converged,
-                solo.solution.equilibria.converged,
-            )
+            assert np.array_equal(solved.equilibria.converged, solo.equilibria.converged)
 
     def test_empty_cohort_list_is_empty(self):
-        from repro.bargaining.engine import NegotiationEngine
         from repro.bargaining.mechanism import solve_trial_cohorts
 
-        assert solve_trial_cohorts(
-            NegotiationEngine(), paper_distribution_u1(), []
-        ) == []
+        assert solve_trial_cohorts(paper_distribution_u1(), []) == []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import PathEngine, compile_topology, path_engine_for
-from repro.paths.grc import iter_grc_length3_paths
+from repro.reference import iter_grc_length3_paths
 from repro.topology import TopologyError, figure1_topology
 from repro.topology.fixtures import AS_A, AS_C, AS_D, AS_E, AS_H, AS_I
 from repro.topology.generator import generate_topology
@@ -65,12 +65,6 @@ class TestPerSourceQueries:
             engine.paths(999_999)
         with pytest.raises(TopologyError):
             engine.count(999_999)
-
-    def test_grc_api_aliases(self, graph, engine):
-        assert engine.grc_length3_paths(AS_H) == engine.paths(AS_H)
-        assert engine.grc_length3_destinations(AS_H) == engine.destinations(AS_H)
-        assert engine.count_grc_length3_paths(AS_H) == engine.count(AS_H)
-        assert engine.grc_paths_between(AS_H, AS_A) == engine.paths_between(AS_H, AS_A)
 
 
 class TestBatchedQueries:

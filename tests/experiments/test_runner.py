@@ -4,7 +4,8 @@ from repro.experiments.fig2_pod import Fig2Config
 from repro.experiments.fig3_paths import PathDiversityConfig
 from repro.experiments.fig5_geodistance import Fig5Config
 from repro.experiments.fig6_bandwidth import Fig6Config
-from repro.experiments.runner import RunnerConfig, _stability_section
+from repro.experiments.reporting import render_section
+from repro.experiments.runner import RunnerConfig, _section_stability
 
 
 class TinyRunnerConfig(RunnerConfig):
@@ -91,7 +92,7 @@ class TestRunnerConfig:
 
 class TestStabilitySection:
     def test_section_mentions_both_gadgets(self):
-        text = _stability_section()
+        text = render_section(_section_stability(RunnerConfig()))
         assert "DISAGREE" in text
         assert "BAD GADGET" in text
         assert "oscillation detected = True" in text

@@ -8,7 +8,7 @@ from repro.paths.bandwidth import (
     analyze_bandwidth,
     path_bandwidths,
 )
-from repro.paths.grc import iter_grc_length3_paths
+from repro.reference import iter_grc_length3_paths
 from repro.topology import degree_gravity_capacities, figure1_topology
 
 

@@ -8,7 +8,7 @@ from repro.paths.geodistance import (
     analyze_geodistance,
     path_geodistances,
 )
-from repro.paths.grc import iter_grc_length3_paths
+from repro.reference import iter_grc_length3_paths
 from repro.topology import figure1_topology
 from repro.topology.geography import SyntheticGeographyGenerator
 

@@ -4,7 +4,7 @@ The heterogeneous-marketplace lifecycle flushes every negotiation due
 at one virtual instant through :func:`repro.agents.decide_mixed_cohort`
 (order-preserving sub-batches, one batched engine call per published
 mechanism).  That path is contracted **bit-identical** — never
-approximately equal — to :func:`repro.agents.decide_sequential`, the
+approximately equal — to :func:`repro.reference.decide_sequential`, the
 one-scalar-``negotiate``-per-entry reference.  These properties drive
 both paths over random mechanism sets, cohort shapes, and utilities
 drawn from the mechanisms' own distributions, comparing outcomes with
@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agents import CohortEntry, decide_mixed_cohort, decide_sequential
+from repro.agents import CohortEntry, decide_mixed_cohort
 from repro.bargaining.distributions import paper_distribution_u1
 from repro.bargaining.mechanism import BoscoService
+from repro.reference import decide_sequential
 
 #: Small published-mechanism pool shared across examples (configuring a
 #: mechanism is the expensive part, and equality of the *decision*

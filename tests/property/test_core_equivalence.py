@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PathEngine, compile_topology, path_engine_for
-from repro.paths.grc import iter_grc_length3_paths
+from repro.reference import iter_grc_length3_paths
 from repro.topology import generate_topology
 
 

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.paths.grc import iter_grc_length3_paths
+from repro.reference import iter_grc_length3_paths
 from repro.simulation import DynamicNetwork
 from repro.topology import figure1_topology
 from repro.topology.fixtures import AS_A, AS_D, AS_E, AS_H, AS_I

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -289,3 +294,15 @@ class TestServeCommand:
 
         assert cli_main(["serve", "--max-batch", "0", "--port", "0"]) == 2
         assert "--max-batch must be a positive integer" in capsys.readouterr().err
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    """scipy is imported only by the two functions that use it."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    probe = "import sys, repro.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
