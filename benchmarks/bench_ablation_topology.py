@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.agreements import enumerate_mutuality_agreements
 from repro.experiments.reporting import format_table
-from repro.paths import analyze_geodistance, analyze_path_diversity
+from repro.paths import analyze_geodistance, analyze_path_diversity, build_ma_path_index
 from repro.topology.generator import InternetTopologyGenerator, TopologyParameters
 from repro.topology.geography import SyntheticGeographyGenerator
 
@@ -37,12 +37,11 @@ def _run_level(membership: float, peering: float) -> dict[str, float]:
     topology = InternetTopologyGenerator(params).generate()
     graph = topology.graph
     agreements = list(enumerate_mutuality_agreements(graph))
-    diversity = analyze_path_diversity(
-        graph, agreements=agreements, sample_size=80, seed=3
-    )
+    index = build_ma_path_index(agreements)
+    diversity = analyze_path_diversity(graph, index=index, sample_size=80, seed=3)
     embedding = SyntheticGeographyGenerator(seed=3).embed(graph)
     geodistance = analyze_geodistance(
-        graph, embedding, agreements=agreements, sample_size=25, seed=3
+        graph, embedding, index=index, sample_size=25, seed=3
     )
     return {
         "peering_links": float(graph.num_peering_links()),

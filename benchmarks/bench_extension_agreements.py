@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.agreements import enumerate_mutuality_agreements
 from repro.experiments.reporting import format_table
-from repro.paths import analyze_path_diversity
+from repro.paths import analyze_path_diversity, build_ma_path_index
 from repro.paths.extensions import analyze_extension_diversity
 from repro.paths.diversity import sample_ases
 from repro.topology import generate_topology
@@ -26,7 +26,7 @@ def test_extension_agreement_diversity(benchmark):
 
     def run():
         base_diversity = analyze_path_diversity(
-            graph, agreements=base, sample_size=40, seed=2
+            graph, index=build_ma_path_index(base), sample_size=40, seed=2
         )
         extension_summary = analyze_extension_diversity(graph, base, sample)
         return base_diversity, extension_summary

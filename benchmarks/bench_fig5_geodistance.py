@@ -2,7 +2,8 @@
 
 Regenerates the three condition series of Fig. 5a (MA paths beating the
 maximum / median / minimum GRC geodistance per AS pair) and the relative
-geodistance-reduction CDF of Fig. 5b.  Headline numbers are also
+geodistance-reduction CDF of Fig. 5b, through the pair-metric analysis
+Fig. 6 shares (``repro.paths.pair_metrics``).  Headline numbers are also
 emitted to ``BENCH_fig5_geodistance.json`` (see ``_emit``).
 """
 
@@ -32,7 +33,7 @@ def test_fig5_geodistance(benchmark, run_once, fig5_config):
     print(format_comparisons("Fig. 5 — geodistance of MA paths", result.comparisons()))
     print(result.report())
 
-    analysis = result.geodistance
+    analysis = result.analysis
     below_min = analysis.fraction_of_pairs_improving("min", 1)
     below_median = analysis.fraction_of_pairs_improving("median", 1)
     below_max = analysis.fraction_of_pairs_improving("max", 1)
@@ -44,7 +45,7 @@ def test_fig5_geodistance(benchmark, run_once, fig5_config):
 
     # Fig. 5b: the reductions are real (strictly positive) and sizeable for
     # the median benefiting pair.
-    reduction = analysis.reduction_cdf()
+    reduction = analysis.gain_cdf()
     assert reduction.count > 0
     assert reduction.minimum > 0.0
     assert reduction.median >= 0.10

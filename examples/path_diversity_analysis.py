@@ -17,6 +17,7 @@ from repro.paths import (
     analyze_bandwidth,
     analyze_geodistance,
     analyze_path_diversity,
+    build_ma_path_index,
 )
 from repro.topology import degree_gravity_capacities, generate_topology
 from repro.topology.geography import SyntheticGeographyGenerator
@@ -32,11 +33,12 @@ def main() -> None:
 
     agreements = list(enumerate_mutuality_agreements(graph))
     print(f"  possible mutuality-based agreements (one per peering link): {len(agreements)}")
+    index = build_ma_path_index(agreements)
     print()
 
     print("Fig. 3 / Fig. 4 — paths and destinations per AS (sample of 120 ASes):")
     diversity = analyze_path_diversity(
-        graph, agreements=agreements, sample_size=120, seed=1
+        graph, index=index, sample_size=120, seed=1
     )
     for scenario in ("GRC", "MA* (Top 1)", "MA* (Top 5)", "MA*", "MA"):
         paths = diversity.path_cdf(scenario)
@@ -60,12 +62,12 @@ def main() -> None:
     print("Fig. 5 — geodistance of the additional MA paths (sample of 40 source ASes):")
     embedding = SyntheticGeographyGenerator(seed=3).embed(graph)
     geodistance = analyze_geodistance(
-        graph, embedding, agreements=agreements, sample_size=40, seed=2
+        graph, embedding, index=index, sample_size=40, seed=2
     )
     for condition in ("max", "median", "min"):
         fraction = geodistance.fraction_of_pairs_improving(condition, 1)
         print(f"  pairs with ≥1 MA path shorter than the GRC {condition}: {fraction:.0%}")
-    reduction = geodistance.reduction_cdf()
+    reduction = geodistance.gain_cdf()
     if reduction.count:
         print(
             f"  median relative geodistance reduction among benefiting pairs: "
@@ -76,14 +78,14 @@ def main() -> None:
     print("Fig. 6 — bandwidth of the additional MA paths (degree-gravity capacities):")
     capacities = degree_gravity_capacities(graph)
     bandwidth = analyze_bandwidth(
-        graph, capacities, agreements=agreements, sample_size=40, seed=2
+        graph, capacities, index=index, sample_size=40, seed=2
     )
     fraction = bandwidth.fraction_of_pairs_improving("max", 1)
     print(
         f"  pairs with ≥1 MA path above the GRC maximum bandwidth: "
         f"{fraction:.0%} (paper: ≈35%)"
     )
-    increase = bandwidth.increase_cdf()
+    increase = bandwidth.gain_cdf()
     if increase.count:
         print(
             f"  median relative bandwidth increase among benefiting pairs: "

@@ -252,12 +252,12 @@ class PopulationSpec:
     def load(cls, path: str | Path) -> "PopulationSpec":
         """Read and validate a population spec JSON file."""
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            raw = Path(path).read_bytes()
         except OSError as error:
             raise ValidationError(f"cannot read population spec {path}: {error}") from error
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
+            data = json.loads(raw.decode("utf-8"))
+        except ValueError as error:  # JSONDecodeError or UnicodeDecodeError
             raise ValidationError(
                 f"population spec {path} is not valid JSON: {error}"
             ) from error

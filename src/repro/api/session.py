@@ -113,6 +113,20 @@ class _DiversityArtifacts:
     index: MAPathIndex
 
 
+@contextlib.contextmanager
+def _reading_topology(path: str):
+    """Map a topology file's read and parse failures to ValidationError."""
+    try:
+        yield
+    except OSError as error:
+        raise ValidationError(
+            f"cannot read topology {path}: {error.strerror or error}"
+        ) from error
+    except (CaidaFormatError, GmlFormatError, UnicodeDecodeError) as error:
+        kind = "GML topology" if path.endswith(".gml") else "topology"
+        raise ValidationError(f"cannot parse {kind} {path}: {error}") from error
+
+
 class Session:
     """Reusable execution context for every public workflow.
 
@@ -212,25 +226,13 @@ class Session:
         GML (:mod:`repro.topology.gml`), everything else as CAIDA
         ``as-rel``.
         """
-        try:
+        with _reading_topology(path):
             stat = os.stat(path)
-        except OSError as error:
-            raise ValidationError(
-                f"cannot read topology {path}: {error.strerror or error}"
-            ) from error
-        key = (os.path.abspath(path), stat.st_size, stat.st_mtime_ns)
-        graph = self._loaded.get(key)
-        if graph is None:
-            if path.endswith(".gml"):
-                try:
-                    graph = load_gml(path)
-                except GmlFormatError as error:
-                    raise ValidationError(
-                        f"cannot parse GML topology {path}: {error}"
-                    ) from error
-            else:
-                graph = load_as_rel(path)
-            self._loaded.put(key, graph)
+            key = (os.path.abspath(path), stat.st_size, stat.st_mtime_ns)
+            graph = self._loaded.get(key)
+            if graph is None:
+                graph = load_gml(path) if path.endswith(".gml") else load_as_rel(path)
+                self._loaded.put(key, graph)
         return graph
 
     def _diversity_artifacts(
@@ -318,7 +320,6 @@ class Session:
             # engine's per-source memos.
             analysis = analyze_path_diversity(
                 graph,
-                agreements=artifacts.agreements,
                 sample_size=request.sample_size,
                 seed=request.seed,
                 engine=artifacts.engine,
@@ -390,17 +391,8 @@ class Session:
                 if request.topology.endswith(".gml"):
                     compiled = compile_topology(self._loaded_topology(request.topology))
                 else:
-                    try:
+                    with _reading_topology(request.topology):
                         compiled = compile_as_rel_file(request.topology)
-                    except OSError as error:
-                        raise ValidationError(
-                            f"cannot read topology {request.topology}: "
-                            f"{error.strerror or error}"
-                        ) from error
-                    except CaidaFormatError as error:
-                        raise ValidationError(
-                            f"cannot parse topology {request.topology}: {error}"
-                        ) from error
             else:
                 source = "generated"
                 compiled = compile_topology(

@@ -179,6 +179,10 @@ def compute_best_response(
             if crossing < best_crossing or steeper_tie:
                 best_crossing = crossing
                 best_position = next_position
+        if best_position is None:
+            # Every crossing overflowed to +inf (slope gaps too small to
+            # divide by): the remaining lines never take over at a finite u.
+            break
         thresholds[active[best_position]] = best_crossing
         position = best_position
 

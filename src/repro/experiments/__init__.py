@@ -15,9 +15,10 @@ rendering (:func:`~repro.experiments.runner.run_all`).
 from repro.experiments.fig2_pod import Fig2Config, Fig2Result, run_fig2
 from repro.experiments.fig3_paths import Fig3Result, PathDiversityConfig, run_fig3
 from repro.experiments.fig4_destinations import Fig4Result, run_fig4
-from repro.experiments.fig5_geodistance import Fig5Config, Fig5Result, run_fig5
-from repro.experiments.fig6_bandwidth import Fig6Config, Fig6Result, run_fig6
+from repro.experiments.fig5_geodistance import Fig5Config, run_fig5
+from repro.experiments.fig6_bandwidth import Fig6Config, run_fig6
 from repro.experiments.reporting import (
+    PairMetricFigure,
     PaperComparison,
     SectionResult,
     SectionSeries,
@@ -39,11 +40,10 @@ __all__ = [
     "Fig4Result",
     "run_fig4",
     "Fig5Config",
-    "Fig5Result",
     "run_fig5",
     "Fig6Config",
-    "Fig6Result",
     "run_fig6",
+    "PairMetricFigure",
     "PaperComparison",
     "SectionResult",
     "SectionTable",

@@ -10,7 +10,9 @@ times for identical work.  :class:`DiversityContext` builds them once
 and is threaded through ``run_fig3``/``run_fig4``/``run_fig5``/
 ``run_fig6`` by the combined runner (each ``run_figN`` still builds its
 own context when called standalone, so the public entry points keep
-their one-argument signatures).
+their one-argument signatures).  Figs. 5 and 6 run the same
+pair-metric analysis (:mod:`repro.paths.pair_metrics`) on this context;
+only their per-path metric — geodistance or bandwidth — differs.
 """
 
 from __future__ import annotations

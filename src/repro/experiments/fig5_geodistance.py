@@ -2,10 +2,12 @@
 
 Builds the synthetic topology plus a synthetic geographic embedding
 (the GeoLite2/CAIDA-geo substitution, see DESIGN.md), enumerates all
-MAs, and compares, per analyzed AS pair, the geodistance of the new MA
-paths against the minimum / median / maximum geodistance of the GRC
-paths (Fig. 5a), plus the relative geodistance reduction among the
-benefiting pairs (Fig. 5b).
+MAs, and runs the pair-metric analysis of
+:mod:`repro.paths.pair_metrics` on geodistance: per analyzed AS pair,
+the MA paths shorter than the minimum / median / maximum geodistance of
+the GRC paths (Fig. 5a), plus the relative geodistance reduction among
+the benefiting pairs (Fig. 5b).  The figure result is the shared
+:class:`~repro.experiments.reporting.PairMetricFigure`.
 """
 
 from __future__ import annotations
@@ -14,15 +16,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.experiments.fig3_paths import PathDiversityConfig
-from repro.experiments.reporting import (
-    PaperComparison,
-    SectionSeries,
-    SectionTable,
-    metric_value,
-    render_figure_body,
-)
-from repro.paths.geodistance import GeodistanceResult, analyze_geodistance
-from repro.topology.generator import GeneratedTopology
+from repro.experiments.reporting import MEDIAN_GAIN, PairMetricFigure
+from repro.paths.pair_metrics import analyze_geodistance
 from repro.topology.geography import SyntheticGeographyGenerator
 
 if TYPE_CHECKING:
@@ -38,93 +33,26 @@ class Fig5Config:
     geography_seed: int = 11
 
 
-@dataclass
-class Fig5Result:
-    """Full result of the Fig. 5 experiment."""
+#: (metric, paper value, quantity) rows of the headline comparisons.
+PAPER = (
+    ("AS pairs gaining ≥1 path below the GRC minimum geodistance", "≈ 50%", ("min", 1)),
+    ("AS pairs gaining ≥5 paths below the GRC minimum geodistance", "≈ 25%", ("min", 5)),
+    ("median relative geodistance reduction among benefiting pairs", "≈ 24%", MEDIAN_GAIN),
+)
 
-    geodistance: GeodistanceResult
-    topology: GeneratedTopology
-    num_agreements: int
-
-    def comparisons(self) -> list[PaperComparison]:
-        """Headline paper-vs-measured comparisons."""
-        result = self.geodistance
-        reduction_cdf = result.reduction_cdf()
-        median_reduction = (
-            reduction_cdf.median if reduction_cdf.count > 0 else float("nan")
-        )
-        return [
-            PaperComparison(
-                metric="AS pairs gaining ≥1 path below the GRC minimum geodistance",
-                paper_value="≈ 50%",
-                measured_value=f"{result.fraction_of_pairs_improving('min', 1):.0%}",
-            ),
-            PaperComparison(
-                metric="AS pairs gaining ≥5 paths below the GRC minimum geodistance",
-                paper_value="≈ 25%",
-                measured_value=f"{result.fraction_of_pairs_improving('min', 5):.0%}",
-            ),
-            PaperComparison(
-                metric="median relative geodistance reduction among benefiting pairs",
-                paper_value="≈ 24%",
-                measured_value=f"{median_reduction:.0%}",
-            ),
-        ]
-
-    def table(self) -> SectionTable:
-        """The Fig. 5a condition counts as a structured table."""
-        rows = []
-        for condition in ("max", "median", "min"):
-            cdf = self.geodistance.count_cdf(condition)
-            rows.append(
-                (
-                    f"< GRC {condition}",
-                    f"{cdf.fraction_at_least(1):.0%}",
-                    f"{cdf.fraction_at_least(5):.0%}",
-                    f"{cdf.fraction_at_least(10):.0%}",
-                    f"{cdf.mean:.1f}",
-                )
-            )
-        return SectionTable(
-            headers=("condition", "≥1 path", "≥5 paths", "≥10 paths", "mean #paths"),
-            rows=tuple(rows),
-        )
-
-    def series(self) -> tuple[SectionSeries, ...]:
-        """The Fig. 5b relative-reduction CDF with its raw values."""
-        return (
-            SectionSeries(
-                "relative geodistance reduction",
-                *self.geodistance.reduction_cdf().series(),
-            ),
-        )
-
-    def metrics(self) -> dict[str, float | int | None]:
-        """Headline numbers of the experiment, JSON-safe."""
-        reduction = self.geodistance.reduction_cdf()
-        return {
-            "num_agreements": self.num_agreements,
-            "pairs_below_grc_min": metric_value(
-                self.geodistance.fraction_of_pairs_improving("min", 1)
-            ),
-            "pairs_below_grc_min_5": metric_value(
-                self.geodistance.fraction_of_pairs_improving("min", 5)
-            ),
-            "median_reduction": (
-                metric_value(reduction.median) if reduction.count > 0 else None
-            ),
-        }
-
-    def report(self) -> str:
-        """Text report with the Fig. 5a condition counts and Fig. 5b reduction CDF."""
-        return render_figure_body(self.table(), "", self.series())
+#: (key, quantity) rows of the figure's metrics.
+METRIC_KEYS = (
+    ("pairs_below_grc_min", ("min", 1)),
+    ("pairs_below_grc_min_5", ("min", 5)),
+    ("median_reduction", MEDIAN_GAIN),
+)
 
 
 def run_fig5(
     config: Fig5Config | None = None,
     *,
     context: "DiversityContext | None" = None,
-) -> Fig5Result:
+) -> PairMetricFigure:
     """Run the Fig. 5 experiment.
 
     Shares the topology, compiled path engine, and MA path index with
@@ -134,19 +62,16 @@ def run_fig5(
     from repro.experiments.context import context_for
 
     config = config or Fig5Config()
-    diversity = config.diversity
-    ctx = context_for(diversity, context)
+    ctx = context_for(config.diversity, context)
     embedding = SyntheticGeographyGenerator(seed=config.geography_seed).embed(
         ctx.topology.graph
     )
-    geodistance = analyze_geodistance(
+    analysis = analyze_geodistance(
         ctx.topology.graph,
         embedding,
         index=ctx.index,
         sample_size=config.pair_sample_size,
-        seed=diversity.seed,
+        seed=config.diversity.seed,
         engine=ctx.engine,
     )
-    return Fig5Result(
-        geodistance=geodistance, topology=ctx.topology, num_agreements=len(ctx.agreements)
-    )
+    return PairMetricFigure(analysis, len(ctx.agreements), PAPER, METRIC_KEYS)

@@ -2,10 +2,12 @@
 
 Uses the same synthetic topology and MA enumeration as the other
 path-diversity experiments and the degree-gravity capacity model of the
-paper.  For every analyzed AS pair it counts the MA paths whose
-bottleneck bandwidth exceeds the maximum / median / minimum bandwidth of
-the GRC paths (Fig. 6a) and reports the relative bandwidth increase for
-the benefiting pairs (Fig. 6b).
+paper, and runs the pair-metric analysis of
+:mod:`repro.paths.pair_metrics` on bottleneck bandwidth: per analyzed AS
+pair, the MA paths wider than the maximum / median / minimum bandwidth
+of the GRC paths (Fig. 6a), plus the relative bandwidth increase among
+the benefiting pairs (Fig. 6b).  The figure result is the shared
+:class:`~repro.experiments.reporting.PairMetricFigure`.
 """
 
 from __future__ import annotations
@@ -14,16 +16,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.experiments.fig3_paths import PathDiversityConfig
-from repro.experiments.reporting import (
-    PaperComparison,
-    SectionSeries,
-    SectionTable,
-    metric_value,
-    render_figure_body,
-)
-from repro.paths.bandwidth import BandwidthResult, analyze_bandwidth
+from repro.experiments.reporting import MEDIAN_GAIN, PairMetricFigure
+from repro.paths.pair_metrics import analyze_bandwidth
 from repro.topology.bandwidth import degree_gravity_capacities
-from repro.topology.generator import GeneratedTopology
 
 if TYPE_CHECKING:
     from repro.experiments.context import DiversityContext
@@ -31,105 +26,31 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Fig6Config:
-    """Parameters of the Fig. 6 experiment.
-
-    ``sampling_seed`` seeds the AS-pair sample of the bandwidth
-    analysis; ``None`` falls back to the diversity seed (the historical
-    behavior).  It exists so a runner-level ``--seed`` override reaches
-    this figure explicitly, mirroring Fig. 5's ``geography_seed``.
-    """
+    """Parameters of the Fig. 6 experiment."""
 
     diversity: PathDiversityConfig = PathDiversityConfig(sample_size=60)
     pair_sample_size: int = 60
-    sampling_seed: int | None = None
-
-    @property
-    def effective_sampling_seed(self) -> int:
-        """The seed the pair sampling actually uses."""
-        if self.sampling_seed is not None:
-            return self.sampling_seed
-        return self.diversity.seed
 
 
-@dataclass
-class Fig6Result:
-    """Full result of the Fig. 6 experiment."""
+#: (metric, paper value, quantity) rows of the headline comparisons.
+PAPER = (
+    ("AS pairs gaining ≥1 path above the GRC maximum bandwidth", "≈ 35%", ("max", 1)),
+    ("median relative bandwidth increase among benefiting pairs", "≈ 150%", MEDIAN_GAIN),
+)
 
-    bandwidth: BandwidthResult
-    topology: GeneratedTopology
-    num_agreements: int
-
-    def comparisons(self) -> list[PaperComparison]:
-        """Headline paper-vs-measured comparisons."""
-        result = self.bandwidth
-        increase_cdf = result.increase_cdf()
-        median_increase = increase_cdf.median if increase_cdf.count > 0 else float("nan")
-        return [
-            PaperComparison(
-                metric="AS pairs gaining ≥1 path above the GRC maximum bandwidth",
-                paper_value="≈ 35%",
-                measured_value=f"{result.fraction_of_pairs_improving('max', 1):.0%}",
-            ),
-            PaperComparison(
-                metric="median relative bandwidth increase among benefiting pairs",
-                paper_value="≈ 150%",
-                measured_value=f"{median_increase:.0%}",
-            ),
-        ]
-
-    def table(self) -> SectionTable:
-        """The Fig. 6a condition counts as a structured table."""
-        rows = []
-        for condition in ("max", "median", "min"):
-            cdf = self.bandwidth.count_cdf(condition)
-            rows.append(
-                (
-                    f"> GRC {condition}",
-                    f"{cdf.fraction_at_least(1):.0%}",
-                    f"{cdf.fraction_at_least(5):.0%}",
-                    f"{cdf.fraction_at_least(10):.0%}",
-                    f"{cdf.mean:.1f}",
-                )
-            )
-        return SectionTable(
-            headers=("condition", "≥1 path", "≥5 paths", "≥10 paths", "mean #paths"),
-            rows=tuple(rows),
-        )
-
-    def series(self) -> tuple[SectionSeries, ...]:
-        """The Fig. 6b relative-increase CDF with its raw values."""
-        return (
-            SectionSeries(
-                "relative bandwidth increase", *self.bandwidth.increase_cdf().series()
-            ),
-        )
-
-    def metrics(self) -> dict[str, float | int | None]:
-        """Headline numbers of the experiment, JSON-safe."""
-        increase = self.bandwidth.increase_cdf()
-        return {
-            "num_agreements": self.num_agreements,
-            "pairs_above_grc_max": metric_value(
-                self.bandwidth.fraction_of_pairs_improving("max", 1)
-            ),
-            "pairs_above_grc_min": metric_value(
-                self.bandwidth.fraction_of_pairs_improving("min", 1)
-            ),
-            "median_increase": (
-                metric_value(increase.median) if increase.count > 0 else None
-            ),
-        }
-
-    def report(self) -> str:
-        """Text report with the Fig. 6a condition counts and Fig. 6b increase CDF."""
-        return render_figure_body(self.table(), "", self.series())
+#: (key, quantity) rows of the figure's metrics.
+METRIC_KEYS = (
+    ("pairs_above_grc_max", ("max", 1)),
+    ("pairs_above_grc_min", ("min", 1)),
+    ("median_increase", MEDIAN_GAIN),
+)
 
 
 def run_fig6(
     config: Fig6Config | None = None,
     *,
     context: "DiversityContext | None" = None,
-) -> Fig6Result:
+) -> PairMetricFigure:
     """Run the Fig. 6 experiment.
 
     Shares the topology, compiled path engine, and MA path index with
@@ -139,17 +60,14 @@ def run_fig6(
     from repro.experiments.context import context_for
 
     config = config or Fig6Config()
-    diversity = config.diversity
-    ctx = context_for(diversity, context)
+    ctx = context_for(config.diversity, context)
     capacities = degree_gravity_capacities(ctx.topology.graph)
-    bandwidth = analyze_bandwidth(
+    analysis = analyze_bandwidth(
         ctx.topology.graph,
         capacities,
         index=ctx.index,
         sample_size=config.pair_sample_size,
-        seed=config.effective_sampling_seed,
+        seed=config.diversity.seed,
         engine=ctx.engine,
     )
-    return Fig6Result(
-        bandwidth=bandwidth, topology=ctx.topology, num_agreements=len(ctx.agreements)
-    )
+    return PairMetricFigure(analysis, len(ctx.agreements), PAPER, METRIC_KEYS)

@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.envelope import JsonCodec
+
+if TYPE_CHECKING:
+    from repro.paths.pair_metrics import PairMetricResult
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,84 @@ def metric_value(value: float) -> float | None:
     """A metrics-dict value: NaN/inf become ``None`` (strict-JSON safe)."""
     number = float(value)
     return number if math.isfinite(number) else None
+
+
+#: The median relative gain among benefiting pairs, as a figure quantity.
+MEDIAN_GAIN = "median gain"
+
+#: A headline number of a pair-metric figure: the fraction of AS pairs
+#: gaining ``at_least`` MA paths that beat a GRC ``(condition,
+#: at_least)`` value, or :data:`MEDIAN_GAIN`.
+Quantity = tuple[str, int] | str
+
+
+@dataclass
+class PairMetricFigure:
+    """Full result of a pair-metric figure: Fig. 5 or Fig. 6.
+
+    The figure module supplies its paper comparisons as ``(metric,
+    paper value, quantity)`` rows and its metric keys as ``(key,
+    quantity)`` rows; table and series labels come from the analysis'
+    metric.
+    """
+
+    analysis: "PairMetricResult"
+    num_agreements: int
+    paper: tuple[tuple[str, str, Quantity], ...]
+    metric_keys: tuple[tuple[str, Quantity], ...]
+
+    def quantity(self, quantity: Quantity) -> float:
+        """The measured value of one quantity (NaN for a median of no gains)."""
+        if quantity == MEDIAN_GAIN:
+            gains = self.analysis.gain_cdf()
+            return gains.median if gains.count > 0 else math.nan
+        condition, at_least = quantity
+        return self.analysis.fraction_of_pairs_improving(condition, at_least)
+
+    def comparisons(self) -> list[PaperComparison]:
+        """Headline paper-vs-measured comparisons."""
+        return [
+            PaperComparison(metric, paper_value, f"{self.quantity(quantity):.0%}")
+            for metric, paper_value, quantity in self.paper
+        ]
+
+    def table(self) -> SectionTable:
+        """The condition counts (Figs. 5a/6a) as a structured table."""
+        rows = []
+        for condition in ("max", "median", "min"):
+            cdf = self.analysis.count_cdf(condition)
+            rows.append(
+                (
+                    self.analysis.metric.condition_label(condition),
+                    f"{cdf.fraction_at_least(1):.0%}",
+                    f"{cdf.fraction_at_least(5):.0%}",
+                    f"{cdf.fraction_at_least(10):.0%}",
+                    f"{cdf.mean:.1f}",
+                )
+            )
+        return SectionTable(
+            headers=("condition", "≥1 path", "≥5 paths", "≥10 paths", "mean #paths"),
+            rows=tuple(rows),
+        )
+
+    def series(self) -> tuple[SectionSeries, ...]:
+        """The relative-gain CDF (Figs. 5b/6b) with its raw values."""
+        label = self.analysis.metric.gain_label
+        return (SectionSeries(label, *self.analysis.gain_cdf().series()),)
+
+    def metrics(self) -> dict[str, float | int | None]:
+        """Headline numbers of the figure, JSON-safe."""
+        return {
+            "num_agreements": self.num_agreements,
+            **{
+                key: metric_value(self.quantity(quantity))
+                for key, quantity in self.metric_keys
+            },
+        }
+
+    def report(self) -> str:
+        """Text report with the condition counts and the relative-gain CDF."""
+        return render_figure_body(self.table(), "", self.series())
 
 
 # ----------------------------------------------------------------------

@@ -90,10 +90,7 @@ class RunnerConfig:
     def fig6(self) -> Fig6Config:
         """Fig. 6 configuration."""
         base = self.diversity()
-        config = Fig6Config(diversity=base, pair_sample_size=80 if self.full else 40)
-        if self.seed is not None:
-            config = replace(config, sampling_seed=self.seed)
-        return config
+        return Fig6Config(diversity=base, pair_sample_size=80 if self.full else 40)
 
 
 # ----------------------------------------------------------------------
@@ -143,54 +140,41 @@ def _section_fig2(config: RunnerConfig, context=None) -> SectionResult:
     )
 
 
+def _figure_section(key: str, title: str, figure, series_caption: str = "") -> SectionResult:
+    """The section of a path-diversity figure result (Figs. 3–6)."""
+    return SectionResult(
+        key=key,
+        title=title,
+        comparisons=tuple(figure.comparisons()),
+        table=figure.table(),
+        series_caption=series_caption,
+        series=figure.series(),
+        metrics=figure.metrics(),
+    )
+
+
 def _section_fig3(config: RunnerConfig, context=None) -> SectionResult:
     fig3 = run_fig3(config.diversity(), context=context)
-    return SectionResult(
-        key="fig3",
-        title="Fig. 3 — length-3 paths per AS",
-        comparisons=tuple(fig3.comparisons()),
-        table=fig3.table(),
-        series_caption=fig3.SERIES_CAPTION,
-        series=fig3.series(),
-        metrics=fig3.metrics(),
+    return _figure_section(
+        "fig3", "Fig. 3 — length-3 paths per AS", fig3, fig3.SERIES_CAPTION
     )
 
 
 def _section_fig4(config: RunnerConfig, context=None) -> SectionResult:
     fig4 = run_fig4(config.diversity(), context=context)
-    return SectionResult(
-        key="fig4",
-        title="Fig. 4 — nearby destinations per AS",
-        comparisons=tuple(fig4.comparisons()),
-        table=fig4.table(),
-        series_caption=fig4.SERIES_CAPTION,
-        series=fig4.series(),
-        metrics=fig4.metrics(),
+    return _figure_section(
+        "fig4", "Fig. 4 — nearby destinations per AS", fig4, fig4.SERIES_CAPTION
     )
 
 
 def _section_fig5(config: RunnerConfig, context=None) -> SectionResult:
     fig5 = run_fig5(config.fig5(), context=context)
-    return SectionResult(
-        key="fig5",
-        title="Fig. 5 — geodistance of MA paths",
-        comparisons=tuple(fig5.comparisons()),
-        table=fig5.table(),
-        series=fig5.series(),
-        metrics=fig5.metrics(),
-    )
+    return _figure_section("fig5", "Fig. 5 — geodistance of MA paths", fig5)
 
 
 def _section_fig6(config: RunnerConfig, context=None) -> SectionResult:
     fig6 = run_fig6(config.fig6(), context=context)
-    return SectionResult(
-        key="fig6",
-        title="Fig. 6 — bandwidth of MA paths",
-        comparisons=tuple(fig6.comparisons()),
-        table=fig6.table(),
-        series=fig6.series(),
-        metrics=fig6.metrics(),
-    )
+    return _figure_section("fig6", "Fig. 6 — bandwidth of MA paths", fig6)
 
 
 #: The report sections in output order.

@@ -2,16 +2,11 @@
 
 GRC-conforming length-3 path enumeration, MA-created paths (directly and
 indirectly gained, Top-n agreement conclusion), the path/destination
-diversity analysis (Figs. 3 and 4), the geodistance analysis (Fig. 5),
-the bandwidth analysis (Fig. 6), and CDF/statistics helpers.
+diversity analysis (Figs. 3 and 4), the pair-metric analysis behind the
+geodistance (Fig. 5) and bandwidth (Fig. 6) figures, and CDF/statistics
+helpers.
 """
 
-from repro.paths.bandwidth import (
-    BandwidthResult,
-    PairBandwidthRecord,
-    analyze_bandwidth,
-    path_bandwidths,
-)
 from repro.paths.diversity import (
     DEFAULT_SCENARIOS,
     ASDiversityRecord,
@@ -19,12 +14,6 @@ from repro.paths.diversity import (
     analyze_as,
     analyze_path_diversity,
     sample_ases,
-)
-from repro.paths.geodistance import (
-    GeodistanceResult,
-    PairGeodistanceRecord,
-    analyze_geodistance,
-    path_geodistances,
 )
 from repro.paths.extensions import (
     ExtensionPathIndex,
@@ -46,6 +35,13 @@ from repro.paths.ma_paths import (
     new_ma_paths,
 )
 from repro.paths.metrics import EmpiricalCDF, summarize
+from repro.paths.pair_metrics import (
+    PairMetricRecord,
+    PairMetricResult,
+    analyze_bandwidth,
+    analyze_geodistance,
+    group_by_pair,
+)
 
 __all__ = [
     "is_grc_conforming_segment",
@@ -65,14 +61,11 @@ __all__ = [
     "analyze_as",
     "analyze_path_diversity",
     "sample_ases",
-    "PairGeodistanceRecord",
-    "GeodistanceResult",
+    "PairMetricRecord",
+    "PairMetricResult",
+    "group_by_pair",
     "analyze_geodistance",
-    "path_geodistances",
-    "PairBandwidthRecord",
-    "BandwidthResult",
     "analyze_bandwidth",
-    "path_bandwidths",
     "ExtensionPathIndex",
     "enumerate_extension_agreements",
     "build_extension_path_index",

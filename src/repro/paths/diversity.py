@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.agreements.agreement import Agreement
 from repro.agreements.mutuality import enumerate_mutuality_agreements
 from repro.core import PathEngine, path_engine_for
 from repro.paths.ma_paths import MAPathIndex, build_ma_path_index
@@ -137,7 +136,6 @@ def analyze_as(
 def analyze_path_diversity(
     graph: ASGraph,
     *,
-    agreements: list[Agreement] | None = None,
     sample_size: int = 500,
     seed: int = 0,
     top_n_values: tuple[int, ...] = (1, 5, 50),
@@ -146,16 +144,14 @@ def analyze_path_diversity(
 ) -> DiversityResult:
     """Run the full Figs. 3/4 analysis over a sample of ASes.
 
-    ``agreements`` defaults to all maximal mutuality-based agreements of
-    the topology (the paper's "all possible MAs" case); ``engine`` and
-    ``index`` default to the shared compiled path engine of the graph
-    and a freshly built MA path index, so callers that already hold them
-    (the experiment context) pay for neither twice.
+    ``index`` defaults to the MA path index of all maximal
+    mutuality-based agreements of the topology (the paper's "all
+    possible MAs" case) and ``engine`` to the shared compiled path
+    engine of the graph, so callers that already hold them (the
+    experiment context) pay for neither twice.
     """
     if index is None:
-        if agreements is None:
-            agreements = list(enumerate_mutuality_agreements(graph))
-        index = build_ma_path_index(agreements)
+        index = build_ma_path_index(list(enumerate_mutuality_agreements(graph)))
     if engine is None:
         engine = path_engine_for(graph)
     result = DiversityResult()

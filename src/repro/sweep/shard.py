@@ -25,6 +25,7 @@ from repro.experiments.fig3_paths import PathDiversityConfig, run_fig3
 from repro.experiments.fig4_destinations import run_fig4
 from repro.experiments.fig5_geodistance import Fig5Config, run_fig5
 from repro.experiments.fig6_bandwidth import Fig6Config, run_fig6
+from repro.experiments.reporting import MEDIAN_GAIN, PairMetricFigure
 from repro.simulation.scenarios import run_scenario, scenario_field_names
 from repro.sweep.spec import ScaleSpec, Shard
 
@@ -91,45 +92,25 @@ def _fig4_metrics(config: PathDiversityConfig, ctx: DiversityContext) -> dict[st
     }
 
 
-def _fig5_metrics(
-    config: PathDiversityConfig, scale: ScaleSpec, seed: int, ctx: DiversityContext
-) -> dict[str, Any]:
-    result = run_fig5(
-        Fig5Config(
-            diversity=config,
-            pair_sample_size=scale.pair_sample_size,
-            geography_seed=seed,
-        ),
-        context=ctx,
-    )
-    analysis = result.geodistance
-    reduction = analysis.reduction_cdf()
-    return {
-        "fig5.pairs_below_grc_min": _clean(analysis.fraction_of_pairs_improving("min", 1)),
-        "fig5.pairs_below_grc_median": _clean(
-            analysis.fraction_of_pairs_improving("median", 1)
-        ),
-        "fig5.median_reduction": _clean(reduction.median) if reduction.count else None,
-    }
+#: Sweep keys of the pair-metric figures as (key, quantity) rows.
+_PAIR_METRIC_KEYS = {
+    "fig5": (
+        ("pairs_below_grc_min", ("min", 1)),
+        ("pairs_below_grc_median", ("median", 1)),
+        ("median_reduction", MEDIAN_GAIN),
+    ),
+    "fig6": (
+        ("pairs_above_grc_max", ("max", 1)),
+        ("pairs_above_grc_min", ("min", 1)),
+        ("median_increase", MEDIAN_GAIN),
+    ),
+}
 
 
-def _fig6_metrics(
-    config: PathDiversityConfig, scale: ScaleSpec, seed: int, ctx: DiversityContext
-) -> dict[str, Any]:
-    result = run_fig6(
-        Fig6Config(
-            diversity=config,
-            pair_sample_size=scale.pair_sample_size,
-            sampling_seed=seed,
-        ),
-        context=ctx,
-    )
-    analysis = result.bandwidth
-    increase = analysis.increase_cdf()
+def _pair_metrics(figure: str, result: PairMetricFigure) -> dict[str, Any]:
     return {
-        "fig6.pairs_above_grc_max": _clean(analysis.fraction_of_pairs_improving("max", 1)),
-        "fig6.pairs_above_grc_min": _clean(analysis.fraction_of_pairs_improving("min", 1)),
-        "fig6.median_increase": _clean(increase.median) if increase.count else None,
+        f"{figure}.{key}": _clean(result.quantity(quantity))
+        for key, quantity in _PAIR_METRIC_KEYS[figure]
     }
 
 
@@ -153,10 +134,16 @@ def _run_figures_shard(shard: Shard, artifact_dir: str | None = None) -> dict[st
             metrics.update(_fig4_metrics(config, ctx))
         elif figure == "fig5":
             assert ctx is not None
-            metrics.update(_fig5_metrics(config, shard.scale, shard.seed, ctx))
+            fig5 = Fig5Config(
+                diversity=config,
+                pair_sample_size=shard.scale.pair_sample_size,
+                geography_seed=shard.seed,
+            )
+            metrics.update(_pair_metrics(figure, run_fig5(fig5, context=ctx)))
         elif figure == "fig6":
             assert ctx is not None
-            metrics.update(_fig6_metrics(config, shard.scale, shard.seed, ctx))
+            fig6 = Fig6Config(diversity=config, pair_sample_size=shard.scale.pair_sample_size)
+            metrics.update(_pair_metrics(figure, run_fig6(fig6, context=ctx)))
         else:  # pragma: no cover - expansion already validated figure names
             raise ValueError(f"unknown figure {figure!r}")
     return {"metrics": metrics, "topology_fingerprint": fingerprint}

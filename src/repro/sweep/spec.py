@@ -334,12 +334,12 @@ class SweepSpec:
     def from_json_file(cls, path: str | Path) -> "SweepSpec":
         """Load a spec from a JSON file."""
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            raw = Path(path).read_bytes()
         except OSError as error:
             raise SweepSpecError(f"cannot read sweep spec {path}: {error}") from error
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
+            data = json.loads(raw.decode("utf-8"))
+        except ValueError as error:  # JSONDecodeError or UnicodeDecodeError
             raise SweepSpecError(f"sweep spec {path} is not valid JSON: {error}") from error
         return cls.from_mapping(data)
 

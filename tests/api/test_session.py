@@ -63,7 +63,7 @@ class TestDiversityWorkflow:
     def test_matches_the_cold_one_shot_analysis(self):
         """The session must not change results, only amortize them."""
         from repro.agreements import enumerate_mutuality_agreements
-        from repro.paths import analyze_path_diversity
+        from repro.paths import analyze_path_diversity, build_ma_path_index
         from repro.topology import generate_topology
 
         graph = generate_topology(
@@ -71,7 +71,7 @@ class TestDiversityWorkflow:
         ).graph
         agreements = list(enumerate_mutuality_agreements(graph))
         cold = analyze_path_diversity(
-            graph, agreements=agreements, sample_size=10, seed=1
+            graph, index=build_ma_path_index(agreements), sample_size=10, seed=1
         )
         warm = Session().diversity(DiversityRequest(sample_size=10, seed=1, **TINY))
         assert warm.num_agreements == len(agreements)

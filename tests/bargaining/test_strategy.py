@@ -136,6 +136,14 @@ class TestComputeBestResponse:
         assert strategy(5.0) == CANCEL
         assert strategy(-5.0) == CANCEL
 
+    def test_crossings_beyond_the_float_range_never_take_over(self, three_choices):
+        # A subnormal slope gap makes every crossing overflow to +inf.
+        slopes = [0.0, 1e-309, 1e-309, 1e-309]
+        intercepts = [1.0, 0.0, 0.0, 0.0]
+        strategy = compute_best_response(three_choices, slopes, intercepts)
+        assert strategy.thresholds[1:] == (math.inf, math.inf, math.inf)
+        assert strategy(1e300) == CANCEL
+
 
 class TestChoiceIndexBoundaries:
     """Regression pins for the bisect-based ``choice_index`` lookup.

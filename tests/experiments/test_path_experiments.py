@@ -62,10 +62,10 @@ class TestFig4:
 
 class TestFig5:
     def test_records_exist(self, fig5_result):
-        assert fig5_result.geodistance.records
+        assert fig5_result.analysis.records
 
     def test_condition_ordering(self, fig5_result):
-        result = fig5_result.geodistance
+        result = fig5_result.analysis
         assert result.fraction_of_pairs_improving(
             "min", 1
         ) <= result.fraction_of_pairs_improving("max", 1)
@@ -77,10 +77,10 @@ class TestFig5:
 
 class TestFig6:
     def test_records_exist(self, fig6_result):
-        assert fig6_result.bandwidth.records
+        assert fig6_result.analysis.records
 
     def test_condition_ordering(self, fig6_result):
-        result = fig6_result.bandwidth
+        result = fig6_result.analysis
         assert result.fraction_of_pairs_improving(
             "max", 1
         ) <= result.fraction_of_pairs_improving("min", 1)
@@ -88,3 +88,20 @@ class TestFig6:
     def test_report_and_comparisons_render(self, fig6_result):
         assert "GRC max" in fig6_result.report()
         assert len(fig6_result.comparisons()) == 2
+
+
+def test_fig5_and_fig6_headline_metrics_are_pinned(fig5_result, fig6_result):
+    # Exact values (``==`` on floats): any change in pair grouping,
+    # threshold comparison or gain arithmetic moves at least one.
+    assert fig5_result.metrics() == {
+        "num_agreements": 1392,
+        "pairs_below_grc_min": 0.39453924914675764,
+        "pairs_below_grc_min_5": 0.058703071672355,
+        "median_reduction": 0.17921504462917495,
+    }
+    assert fig6_result.metrics() == {
+        "num_agreements": 1392,
+        "pairs_above_grc_max": 0.24505119453924917,
+        "pairs_above_grc_min": 0.27713310580204775,
+        "median_increase": 0.3023255813953488,
+    }

@@ -67,14 +67,6 @@ class TestRunnerConfig:
         assert fig5.geography_seed == 41
         fig6 = config.fig6()  # Fig. 6
         assert fig6.diversity.seed == 41
-        assert fig6.sampling_seed == 41
-        assert fig6.effective_sampling_seed == 41
-
-    def test_fig6_sampling_seed_defaults_to_the_diversity_seed(self):
-        config = RunnerConfig()
-        fig6 = config.fig6()
-        assert fig6.sampling_seed is None
-        assert fig6.effective_sampling_seed == fig6.diversity.seed
 
     def test_no_seed_keeps_the_per_experiment_defaults(self):
         config = RunnerConfig()

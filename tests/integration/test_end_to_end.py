@@ -114,7 +114,7 @@ class TestTopologyWideWorkflow:
 
         # Path-diversity effect of all agreements.
         diversity = analyze_path_diversity(
-            graph, agreements=agreements, sample_size=30, seed=2
+            graph, index=build_ma_path_index(agreements), sample_size=30, seed=2
         )
         assert diversity.path_cdf("MA").mean >= diversity.path_cdf("GRC").mean
 

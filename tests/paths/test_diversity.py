@@ -105,7 +105,10 @@ class TestAnalyzePathDiversity:
     def test_explicit_agreement_list_matches_default(self, medium_topology):
         agreements = list(enumerate_mutuality_agreements(medium_topology.graph))
         explicit = analyze_path_diversity(
-            medium_topology.graph, agreements=agreements, sample_size=20, seed=9
+            medium_topology.graph,
+            index=build_ma_path_index(agreements),
+            sample_size=20,
+            seed=9,
         )
         default = analyze_path_diversity(medium_topology.graph, sample_size=20, seed=9)
         for left, right in zip(explicit.records, default.records):

@@ -43,6 +43,19 @@ def test_figures_shard_metrics_are_json_safe_and_deterministic():
     assert len(record["topology_fingerprint"]) == 64
 
 
+def test_fig5_fig6_shard_metrics_are_pinned():
+    # Exact values (``==`` on floats) of the sweep's Fig. 5/6 keys.
+    (shard,) = spec_for(figures=["fig5", "fig6"]).expand()
+    assert run_shard(shard)["metrics"] == {
+        "fig5.pairs_below_grc_min": 0.20895522388059706,
+        "fig5.pairs_below_grc_median": 0.21890547263681592,
+        "fig5.median_reduction": 0.2508164346294475,
+        "fig6.pairs_above_grc_max": 0.03980099502487566,
+        "fig6.pairs_above_grc_min": 0.04477611940298509,
+        "fig6.median_increase": 0.5861244019138756,
+    }
+
+
 def test_fig2_only_shard_skips_topology_work():
     spec = spec_for(figures=["fig2"])
     (shard,) = spec.expand()
