@@ -5,15 +5,25 @@ module — ``python -m repro.cli`` (the ``repro`` console script) and
 ``python -m repro.experiments.runner`` (the historical experiments
 alias) share the same argument definitions, the same typed-request
 validation, the same :class:`~repro.api.session.Session` execution, and
-the same renderers.  A handler is deliberately trivial:
+the same renderers.
 
-1. build the typed request (construction validates; a
-   :class:`~repro.errors.ValidationError` becomes the familiar
-   ``repro <command>: error: …`` message with exit code 2);
-2. call the session workflow;
-3. print the result — ``--format text`` renders the historical
-   byte-identical report, ``--format json`` prints the schema-versioned
-   envelope.
+The flags of every :data:`~repro.api.requests.WORKFLOWS` command are
+derived from its request dataclass: each field is one ``--field-name``
+flag whose type, default and help text are the field's.  One generic
+runner builds the request (construction validates; a
+:class:`~repro.errors.ValidationError` becomes the familiar
+``repro <command>: error: …`` message with exit code 2), calls the
+session workflow, and prints the result — ``--format text`` renders the
+historical byte-identical report, ``--format json`` prints the
+schema-versioned envelope.
+
+Only CLI-only behaviour is spelled out by hand: ``--format`` (whose
+``gml`` choice sets ``repro topology``'s file format), topology's
+required positional ``output``, ``simulate --list-scenarios`` and its
+text-mode trace ordering, ``agents list``, sweep's required
+``--spec | --smoke`` group and ``--list`` spelling, and the ``serve``
+flags (deriving them from ``ServeConfig`` would load the server stack
+on every ``import repro.cli``).
 
 Nothing else in the codebase parses CLI arguments or formats CLI
 output.
@@ -25,21 +35,21 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import get_args, get_type_hints
 
-from repro.api.requests import (
-    NEGOTIATE_DISTRIBUTIONS,
-    DiversityRequest,
-    ExperimentsRequest,
-    GrcAllRequest,
-    NegotiateRequest,
-    SimulateRequest,
-    SweepRequest,
-    TopologyRequest,
-)
+from repro.api.requests import NEGOTIATE_DISTRIBUTIONS, WORKFLOWS, Workflow
 from repro.api.results import (
     AgentsListResult,
+    DiversityResult,
+    ExperimentsResult,
+    GrcAllResult,
+    NegotiateResult,
     ScenarioListResult,
+    SimulateResult,
+    SweepListResult,
+    SweepResult,
+    TopologyResult,
     render_agents_list_text,
     render_diversity_text,
     render_experiments_text,
@@ -54,57 +64,176 @@ from repro.api.results import (
 from repro.api.session import Session
 from repro.errors import ReproError
 from repro.simulation.scenarios import SCENARIOS
-from repro.sweep import DEFAULT_CACHE_DIR, DEFAULT_OUT_DIR
 
 __all__ = ["build_parser", "dispatch", "main", "run_experiments_command"]
 
+#: Subcommand → its ``repro --help`` line, in listing order.
+_COMMANDS = {
+    "topology": "generate a synthetic AS topology in CAIDA as-rel format",
+    "diversity": "run the §VI path-diversity analysis",
+    "grc-all": "run the all-sources GRC pass (blocked memory, optional sharding)",
+    "experiments": "run the full experiment harness (every figure)",
+    "simulate": "run a discrete-event simulation scenario",
+    "agents": "inspect the heterogeneous-agent behavior registry",
+    "negotiate": "run a batched BOSCO negotiation pass",
+    "serve": "serve the session workflows over HTTP with batch coalescing",
+    "sweep": "run a sharded, resumable parameter sweep",
+}
 
-def _add_format_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format: the classic text report or a schema-versioned "
-        "JSON envelope (default: text)",
-    )
+#: Request fields whose values argparse restricts to a fixed set.
+_CHOICES = {
+    "scenario": sorted(SCENARIOS),
+    "distribution": sorted(NEGOTIATE_DISTRIBUTIONS),
+}
+
+#: ``repro serve`` flags as (field, type, default, help).  Spelled out
+#: rather than derived from ``ServeConfig`` so ``import repro.cli`` never
+#: loads the server stack; the CLI surface test holds them to its fields.
+_SERVE_FLAGS = (
+    ("host", None, "127.0.0.1", "interface to bind"),
+    ("port", int, 8000, "TCP port to bind; 0 picks an ephemeral port and prints it"),
+    (
+        "max_batch",
+        int,
+        32,
+        "flush a coalescing group early once it holds this many negotiation requests",
+    ),
+    (
+        "coalesce_window_ms",
+        float,
+        5.0,
+        "finite window during which concurrent negotiation requests join one "
+        "engine batch; 0 disables coalescing",
+    ),
+    (
+        "cache_entries",
+        int,
+        256,
+        "LRU bound of the fingerprint-keyed result cache; 0 disables caching",
+    ),
+    (
+        "session_cache_limit",
+        int,
+        None,
+        "LRU bound for each of every worker's warm session caches (default: unbounded)",
+    ),
+    ("request_log", None, None, "append a structured JSONL record per request to this file"),
+    (
+        "workers",
+        int,
+        1,
+        "worker processes accepting on one shared socket; 2+ runs the pre-fork "
+        "supervisor with crash restarts",
+    ),
+    (
+        "state_dir",
+        None,
+        None,
+        "directory for the cross-worker shared state (result cache, job queue, "
+        "stats board); default: a private tempdir",
+    ),
+)
+
+#: Result type → its ``--format text`` renderer.
+_RENDERERS = {
+    TopologyResult: render_topology_text,
+    DiversityResult: render_diversity_text,
+    GrcAllResult: render_grc_all_text,
+    ExperimentsResult: render_experiments_text,
+    SimulateResult: render_simulate_text,
+    ScenarioListResult: render_scenario_list_text,
+    AgentsListResult: render_agents_list_text,
+    NegotiateResult: render_negotiate_text,
+    SweepResult: render_sweep_text,
+    SweepListResult: render_sweep_list_text,
+}
 
 
-def _add_experiments_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``repro experiments`` flags, shared with the runner alias."""
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="use the paper's trial counts and sample sizes (slower)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed every experiment for an end-to-end reproducible run "
-        "(defaults to each experiment's own seed)",
-    )
-    parser.add_argument(
-        "--trials",
-        type=int,
-        default=None,
-        help="Fig. 2 trials per choice-set cardinality (200 = paper scale; "
-        "defaults to the run scale's own trial count)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="run the figure sections in N worker processes; the report is "
-        "merged in a fixed order, so seeded output is byte-identical to a "
-        "sequential run (default: 1)",
-    )
-    parser.add_argument(
-        "--artifact-dir",
-        default=None,
-        help="root of the memory-mapped topology artifact store shared by "
-        "--jobs workers (default: .topology-cache, or $REPRO_TOPOLOGY_STORE)",
-    )
-    _add_format_argument(parser)
+def _help(text: str, default) -> str:
+    """Help text naming a real default (``None`` defaults explain themselves)."""
+    if default is None or isinstance(default, bool):
+        return text
+    return f"{text} (default: %(default)s)"
+
+
+def _field_options(hint) -> dict:
+    """argparse options for a field annotation (``X | None`` is ``X``)."""
+    kind = next((t for t in get_args(hint) if t is not type(None)), hint)
+    if kind is bool:
+        return {"action": "store_true"}
+    return {"type": kind if kind in (int, float) else None}
+
+
+def _add_request_arguments(parser: argparse.ArgumentParser, workflow: Workflow) -> None:
+    """One flag per request field, typed, defaulted and documented by the field."""
+    hints = get_type_hints(workflow.request_type)
+    source = None
+    if workflow.name == "sweep":
+        source = parser.add_mutually_exclusive_group(required=True)
+    for field in fields(workflow.request_type):
+        if field.name == "file_format":  # set by topology's ``--format gml``
+            continue
+        doc = _help(field.metadata["doc"], field.default)
+        if workflow.name == "topology" and field.name == "output":
+            parser.add_argument("output", help=doc)  # required on the CLI only
+            continue
+        options = _field_options(hints[field.name])
+        if field.name in _CHOICES:
+            options["choices"] = _CHOICES[field.name]
+        container = source if field.name in ("spec", "smoke") else parser
+        container.add_argument(
+            "--list" if field.name == "list_shards" else "--" + field.name.replace("_", "-"),
+            dest=field.name,
+            default=field.default,
+            help=doc,
+            **options,
+        )
+
+
+def _add_command_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """The derived request flags plus each command's CLI-only arguments."""
+    if name in WORKFLOWS:
+        _add_request_arguments(parser, WORKFLOWS[name])
+    if name == "serve":  # prints no result, so takes no --format
+        for dest, kind, default, text in _SERVE_FLAGS:
+            parser.add_argument(
+                "--" + dest.replace("_", "-"),
+                dest=dest,
+                type=kind,
+                default=default,
+                help=_help(text, default),
+            )
+        return
+    if name == "simulate":
+        parser.add_argument(
+            "--list-scenarios",
+            action="store_true",
+            help="print the scenario catalog with parameter schemas and exit",
+        )
+    elif name == "agents":
+        parser.add_argument(
+            "action",
+            choices=("list",),
+            help="'list' prints every registered behavior profile with its "
+            "parameter schema",
+        )
+    if name == "topology":
+        parser.add_argument(
+            "--format",
+            choices=("text", "json", "gml"),
+            default="text",
+            help="text/json select the report format (the file is written as "
+            "CAIDA as-rel); gml writes the file in GML and prints the text "
+            "report (default: text)",
+        )
+    else:
+        parser.add_argument(
+            "--format",
+            choices=("text", "json"),
+            default="text",
+            help="output format: the classic text report or a schema-versioned "
+            "JSON envelope (default: text)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,441 +244,84 @@ def build_parser() -> argparse.ArgumentParser:
         "with Path-Aware Networking Architectures' (DSN 2021)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    topology = subparsers.add_parser(
-        "topology", help="generate a synthetic AS topology in CAIDA as-rel format"
-    )
-    topology.add_argument("output", help="path of the topology file to write")
-    topology.add_argument("--tier1", type=int, default=8, help="number of tier-1 ASes")
-    topology.add_argument("--tier2", type=int, default=60, help="number of tier-2 ASes")
-    topology.add_argument("--tier3", type=int, default=200, help="number of tier-3 ASes")
-    topology.add_argument("--stubs", type=int, default=800, help="number of stub ASes")
-    topology.add_argument("--seed", type=int, default=2021, help="generator seed")
-    topology.add_argument(
-        "--format",
-        choices=("text", "json", "gml"),
-        default="text",
-        help="text/json select the report format (the file is written as "
-        "CAIDA as-rel); gml writes the file in GML and prints the text "
-        "report (default: text)",
-    )
-
-    diversity = subparsers.add_parser(
-        "diversity", help="run the §VI path-diversity analysis"
-    )
-    diversity.add_argument(
-        "--topology",
-        help="CAIDA as-rel file to analyze (a synthetic topology is generated "
-        "when omitted)",
-    )
-    diversity.add_argument(
-        "--sample-size", type=int, default=200, help="number of ASes to sample"
-    )
-    diversity.add_argument("--seed", type=int, default=2021, help="sampling seed")
-    _add_format_argument(diversity)
-
-    grc_all = subparsers.add_parser(
-        "grc-all",
-        help="run the all-sources GRC pass (blocked memory, optional sharding)",
-    )
-    grc_all.add_argument(
-        "--topology",
-        help="topology file to ingest: CAIDA as-rel (streaming-compiled, the "
-        "internet-scale path) or .gml; a synthetic topology is generated "
-        "when omitted",
-    )
-    grc_all.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="shard the source index space across N worker processes sharing "
-        "one memory-mapped artifact; output is byte-identical to a "
-        "sequential pass (default: 1)",
-    )
-    grc_all.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="number of contiguous source ranges (default: one per job)",
-    )
-    grc_all.add_argument(
-        "--output",
-        help="write the per-source asn,paths,destinations table to this CSV",
-    )
-    grc_all.add_argument(
-        "--artifact-dir",
-        default=None,
-        help="root of the memory-mapped topology artifact store used under "
-        "--jobs (default: .topology-cache, or $REPRO_TOPOLOGY_STORE)",
-    )
-    grc_all.add_argument("--tier1", type=int, default=8, help="number of tier-1 ASes")
-    grc_all.add_argument("--tier2", type=int, default=60, help="number of tier-2 ASes")
-    grc_all.add_argument("--tier3", type=int, default=200, help="number of tier-3 ASes")
-    grc_all.add_argument("--stubs", type=int, default=800, help="number of stub ASes")
-    grc_all.add_argument(
-        "--seed", type=int, default=2021, help="generator seed (no --topology)"
-    )
-    _add_format_argument(grc_all)
-
-    experiments = subparsers.add_parser(
-        "experiments", help="run the full experiment harness (every figure)"
-    )
-    _add_experiments_arguments(experiments)
-
-    simulate = subparsers.add_parser(
-        "simulate", help="run a discrete-event simulation scenario"
-    )
-    simulate.add_argument(
-        "--scenario",
-        choices=sorted(SCENARIOS),
-        default="failure-churn",
-        help="canned scenario to run (default: failure-churn)",
-    )
-    simulate.add_argument(
-        "--seed", type=int, default=None, help="simulation seed (default: scenario's)"
-    )
-    simulate.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="virtual-time horizon in hours (default: scenario's)",
-    )
-    simulate.add_argument(
-        "--trace-out",
-        help="write the full JSONL metrics trace to this file",
-    )
-    simulate.add_argument(
-        "--population",
-        default=None,
-        help="JSON population spec mapping behavior profiles onto AS sets "
-        "(scenarios with a 'population' field only; see README 'Agents')",
-    )
-    simulate.add_argument(
-        "--list-scenarios",
-        action="store_true",
-        help="print the scenario catalog with parameter schemas and exit",
-    )
-    _add_format_argument(simulate)
-
-    agents = subparsers.add_parser(
-        "agents", help="inspect the heterogeneous-agent behavior registry"
-    )
-    agents.add_argument(
-        "action",
-        choices=("list",),
-        help="'list' prints every registered behavior profile with its "
-        "parameter schema",
-    )
-    _add_format_argument(agents)
-
-    negotiate = subparsers.add_parser(
-        "negotiate", help="run a batched BOSCO negotiation pass"
-    )
-    negotiate.add_argument(
-        "--distribution",
-        choices=sorted(NEGOTIATE_DISTRIBUTIONS),
-        default="u1",
-        help="joint utility distribution from the paper (default: u1)",
-    )
-    negotiate.add_argument(
-        "--num-choices",
-        type=int,
-        default=50,
-        help="choice-set cardinality W per party (default: 50)",
-    )
-    negotiate.add_argument(
-        "--trials",
-        type=int,
-        default=40,
-        help="random choice-set configuration trials (default: 40)",
-    )
-    negotiate.add_argument(
-        "--seed", type=int, default=7, help="trial-draw seed (default: 7)"
-    )
-    _add_format_argument(negotiate)
-
-    serve = subparsers.add_parser(
-        "serve",
-        help="serve the session workflows over HTTP with batch coalescing",
-    )
-    serve.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (default: 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8000,
-        help="TCP port to bind; 0 picks an ephemeral port and prints it "
-        "(default: 8000)",
-    )
-    serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        help="flush a coalescing group early once it holds this many "
-        "negotiation requests (default: 32)",
-    )
-    serve.add_argument(
-        "--coalesce-window-ms",
-        type=float,
-        default=5.0,
-        help="window during which concurrent negotiation requests join one "
-        "engine batch; 0 disables coalescing (default: 5.0)",
-    )
-    serve.add_argument(
-        "--cache-entries",
-        type=int,
-        default=256,
-        help="LRU bound of the fingerprint-keyed result cache; 0 disables "
-        "caching (default: 256)",
-    )
-    serve.add_argument(
-        "--session-cache-limit",
-        type=int,
-        default=None,
-        help="LRU bound for each of the warm session's internal caches "
-        "(default: unbounded)",
-    )
-    serve.add_argument(
-        "--request-log",
-        default=None,
-        help="append a structured JSONL record per request to this file",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes accepting on one shared socket; 2+ runs the "
-        "pre-fork supervisor with crash restarts (default: 1)",
-    )
-    serve.add_argument(
-        "--state-dir",
-        default=None,
-        help="directory for the cross-worker shared state (result cache, "
-        "job queue, stats board); default: a private tempdir",
-    )
-
-    sweep = subparsers.add_parser(
-        "sweep", help="run a sharded, resumable parameter sweep"
-    )
-    source = sweep.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "--spec",
-        help="JSON sweep spec file (see README 'Sweeps & CI' for the format)",
-    )
-    source.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the built-in tiny CI smoke grid instead of a spec file",
-    )
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="run shards in N worker processes (results merge in a fixed "
-        "order, so the summary is byte-identical to a sequential run)",
-    )
-    sweep.add_argument(
-        "--out",
-        default=DEFAULT_OUT_DIR,
-        help=f"directory for sweep_summary.json and the per-metric CSV "
-        f"tables (default: {DEFAULT_OUT_DIR})",
-    )
-    sweep.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"shard result cache directory; re-runs and interrupted sweeps "
-        f"resume from it (default: {DEFAULT_CACHE_DIR})",
-    )
-    sweep.add_argument(
-        "--force",
-        action="store_true",
-        help="recompute every shard even when a cached result exists",
-    )
-    sweep.add_argument(
-        "--list",
-        action="store_true",
-        dest="list_shards",
-        help="print the expanded shard list without running anything",
-    )
-    _add_format_argument(sweep)
-
+    for name, summary in _COMMANDS.items():
+        _add_command_arguments(subparsers.add_parser(name, help=summary), name)
     return parser
 
 
-def _emit(result, render, output_format: str) -> None:
+def _emit(result, output_format: str) -> None:
     """Print a result in the selected format."""
     if output_format == "json":
         print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
     else:
-        print(render(result))
+        print(_RENDERERS[type(result)](result))
 
 
-def _run_topology(session: Session, args: argparse.Namespace) -> int:
-    request = TopologyRequest(
-        tier1=args.tier1,
-        tier2=args.tier2,
-        tier3=args.tier3,
-        stubs=args.stubs,
-        seed=args.seed,
-        output=args.output,
-        file_format="gml" if args.format == "gml" else "as-rel",
-    )
-    output_format = "text" if args.format == "gml" else args.format
-    _emit(session.topology(request), render_topology_text, output_format)
+def _request(args: argparse.Namespace):
+    """The typed request of a parsed workflow command (validated)."""
+    request_type = WORKFLOWS[args.command].request_type
+    values = {f.name: getattr(args, f.name) for f in fields(request_type) if f.name in args}
+    if args.format == "gml":  # topology: write GML, print the text report
+        values["file_format"], args.format = "gml", "text"
+    return request_type(**values)
+
+
+def _sweep_progress(message: str) -> None:
+    print(f"sweep: {message}", file=sys.stderr)
+
+
+def _run_workflow(args: argparse.Namespace) -> int:
+    options = {"progress": _sweep_progress} if args.command == "sweep" else {}
+    method = getattr(Session(), WORKFLOWS[args.command].method)
+    _emit(method(_request(args), **options), args.format)
     return 0
 
 
-def _run_grc_all(session: Session, args: argparse.Namespace) -> int:
-    request = GrcAllRequest(
-        topology=args.topology,
-        jobs=args.jobs,
-        shards=args.shards,
-        output=args.output,
-        artifact_dir=args.artifact_dir,
-        tier1=args.tier1,
-        tier2=args.tier2,
-        tier3=args.tier3,
-        stubs=args.stubs,
-        seed=args.seed,
-    )
-    _emit(session.grc_all(request), render_grc_all_text, args.format)
-    return 0
-
-
-def _run_diversity(session: Session, args: argparse.Namespace) -> int:
-    request = DiversityRequest(
-        topology=args.topology, sample_size=args.sample_size, seed=args.seed
-    )
-    _emit(session.diversity(request), render_diversity_text, args.format)
-    return 0
-
-
-def _run_experiments(session: Session, args: argparse.Namespace) -> int:
-    request = ExperimentsRequest(
-        full=args.full,
-        seed=args.seed,
-        trials=args.trials,
-        jobs=args.jobs,
-        artifact_dir=args.artifact_dir,
-    )
-    _emit(session.experiments(request), render_experiments_text, args.format)
-    return 0
-
-
-def _run_simulate(session: Session, args: argparse.Namespace) -> int:
+def _run_simulate(args: argparse.Namespace) -> int:
     if args.list_scenarios:
-        _emit(ScenarioListResult.build(), render_scenario_list_text, args.format)
+        _emit(ScenarioListResult.build(), args.format)
         return 0
-    request = SimulateRequest(
-        scenario=args.scenario,
-        seed=args.seed,
-        duration=args.duration,
-        trace_out=args.trace_out,
-        population=args.population,
-    )
     if args.format == "json":
         # The session writes the trace before the envelope is printed,
         # so an emitted envelope's trace_out is always a written file.
-        _emit(session.simulate(request), render_simulate_text, args.format)
-        return 0
+        return _run_workflow(args)
     # Text mode preserves the historical ordering: the summary prints
     # even when the trace file turns out to be unwritable.
-    result = session.simulate(replace(request, trace_out=None))
-    print(render_simulate_text(result))
+    result = Session().simulate(replace(_request(args), trace_out=None))
+    _emit(result, "text")
     if args.trace_out:
         result.write_trace(args.trace_out)  # OutputError -> exit 1 via dispatch
-        print(
-            f"trace written to {args.trace_out} "
-            f"({result.num_trace_records} records)"
-        )
+        print(f"trace written to {args.trace_out} ({result.num_trace_records} records)")
     return 0
 
 
-def _run_agents(session: Session, args: argparse.Namespace) -> int:
+def _run_agents(args: argparse.Namespace) -> int:
     # Only 'list' exists today; argparse choices already rejected the rest.
-    _emit(AgentsListResult.build(), render_agents_list_text, args.format)
+    _emit(AgentsListResult.build(), args.format)
     return 0
 
 
-def _run_sweep(session: Session, args: argparse.Namespace) -> int:
-    request = SweepRequest(
-        spec=args.spec,
-        smoke=args.smoke,
-        jobs=args.jobs,
-        out=args.out,
-        cache_dir=args.cache_dir,
-        force=args.force,
-        list_shards=args.list_shards,
-    )
-    result = session.sweep(
-        request,
-        progress=lambda message: print(f"sweep: {message}", file=sys.stderr),
-    )
-    render = render_sweep_list_text if args.list_shards else render_sweep_text
-    _emit(result, render, args.format)
-    return 0
-
-
-def _run_negotiate(session: Session, args: argparse.Namespace) -> int:
-    request = NegotiateRequest(
-        distribution=args.distribution,
-        num_choices=args.num_choices,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    _emit(session.negotiate(request), render_negotiate_text, args.format)
-    return 0
-
-
-def _run_serve(session: Session, args: argparse.Namespace) -> int:
+def _run_serve(args: argparse.Namespace) -> int:
     # Imported lazily so plain CLI commands never pay for (or depend on)
     # the server stack.
     from repro.serve import ServeConfig, run_server
 
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        max_batch=args.max_batch,
-        coalesce_window_ms=args.coalesce_window_ms,
-        cache_entries=args.cache_entries,
-        request_log=args.request_log,
-        workers=args.workers,
-        state_dir=args.state_dir,
-    )
-    if args.session_cache_limit is not None:
-        session = Session(cache_limit=args.session_cache_limit)
-    return run_server(config, session=session)
+    return run_server(ServeConfig(**{dest: getattr(args, dest) for dest, *_ in _SERVE_FLAGS}))
 
 
-_HANDLERS = {
-    "topology": _run_topology,
-    "diversity": _run_diversity,
-    "grc-all": _run_grc_all,
-    "experiments": _run_experiments,
-    "simulate": _run_simulate,
-    "agents": _run_agents,
-    "negotiate": _run_negotiate,
-    "serve": _run_serve,
-    "sweep": _run_sweep,
-}
+#: The commands with their own runner; every other is a request workflow.
+_HANDLERS = {"simulate": _run_simulate, "agents": _run_agents, "serve": _run_serve}
 
 
-def dispatch(args: argparse.Namespace, *, session: Session | None = None) -> int:
+def dispatch(args: argparse.Namespace) -> int:
     """Run one parsed command and return the process exit code.
 
     The :class:`~repro.errors.ReproError` taxonomy maps to stable exit
     codes here (validation → 2, delivery failures → 1), with the same
     ``repro <command>: error: …`` stderr line the CLI always printed.
     """
-    handler = _HANDLERS.get(args.command)
-    if handler is None:
-        print(f"repro: error: unknown command {args.command!r}", file=sys.stderr)
-        return 2
     try:
-        return handler(session or Session(), args)
+        return _HANDLERS.get(args.command, _run_workflow)(args)
     except ReproError as error:
         print(f"repro {args.command}: error: {error}", file=sys.stderr)
         return error.exit_code
@@ -557,25 +329,22 @@ def dispatch(args: argparse.Namespace, *, session: Session | None = None) -> int
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return dispatch(args)
+    return dispatch(build_parser().parse_args(argv))
 
 
 def run_experiments_command(argv: Sequence[str] | None = None) -> int:
     """Entry point of ``python -m repro.experiments.runner``.
 
-    The historical standalone runner re-implemented the ``repro
-    experiments`` argparse and validation; it is now an alias: same
-    flags, same typed-request checks, same session execution, same
-    output — only the program name differs.
+    The historical standalone runner is an alias of ``repro
+    experiments``: same flags, same typed-request checks, same session
+    execution, same output — only the program name differs.
     """
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Run every experiment of the paper's evaluation and print "
         "a combined report (alias of 'repro experiments').",
     )
-    _add_experiments_arguments(parser)
+    _add_command_arguments(parser, "experiments")
     args = parser.parse_args(argv)
     args.command = "experiments"
     return dispatch(args)

@@ -7,10 +7,12 @@ across CLI handlers (``_check_seed``, the ``--jobs``/``--trials``/
 the same :class:`~repro.errors.ValidationError` message a CLI user sees
 (the CLI adapter only adds its ``repro <command>: error:`` prefix).
 
-Field names deliberately mirror the CLI flags; the error messages spell
-the flag (``--seed must be non-negative``) because the CLI is the
-surface most humans meet first, and one canonical message beats two
-near-duplicates.
+The CLI is derived from these classes: each field is one flag
+(``sample_size`` → ``--sample-size``) whose type and default are the
+field's, and whose ``--help`` text is the field's ``doc`` metadata.  The
+error messages spell the flag (``--seed must be non-negative``) because
+the CLI is the surface most humans meet first, and one canonical message
+beats two near-duplicates.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.bargaining.distributions import (
 from repro.envelope import INPUT_FILE, JsonCodec, envelope
 from repro.errors import ValidationError
 from repro.simulation.scenarios import SCENARIOS, scenario_field_names
+from repro.sweep import DEFAULT_CACHE_DIR, DEFAULT_OUT_DIR
 
 __all__ = [
     "TopologyRequest",
@@ -63,6 +66,17 @@ NEGOTIATE_DISTRIBUTIONS = {
     "u1": paper_distribution_u1,
     "u2": paper_distribution_u2,
 }
+
+
+def _field(default: Any, doc: str, **extra: Any) -> Any:
+    """A request field with its help text (the CLI flag's ``--help``)."""
+    return field(default=default, metadata={**extra, "doc": doc})
+
+
+_TIER1 = "number of tier-1 ASes"
+_TIER2 = "number of tier-2 ASes"
+_TIER3 = "number of tier-3 ASes"
+_STUBS = "number of stub ASes"
 
 
 def _check_seed(seed: int | None) -> None:
@@ -107,12 +121,12 @@ class TopologyRequest(_JsonRequest):
 
     kind = "topology_request"
 
-    tier1: int = 8
-    tier2: int = 60
-    tier3: int = 200
-    stubs: int = 800
-    seed: int = 2021
-    output: str | None = None
+    tier1: int = _field(8, _TIER1)
+    tier2: int = _field(60, _TIER2)
+    tier3: int = _field(200, _TIER3)
+    stubs: int = _field(800, _STUBS)
+    seed: int = _field(2021, "generator seed")
+    output: str | None = _field(None, "path of the topology file to write")
     file_format: str = "as-rel"
 
     def __post_init__(self) -> None:
@@ -134,20 +148,23 @@ class DiversityRequest(_JsonRequest):
     """Run the §VI path-diversity analysis (``repro diversity``).
 
     ``topology`` selects a CAIDA ``as-rel`` file to analyze; when
-    omitted a synthetic topology is generated from the tier knobs
-    (the CLI only exposes the default sizes; the API exposes them all,
-    which is also what the session benchmark scales with).
+    omitted a synthetic topology is generated from the tier knobs.
     """
 
     kind = "diversity_request"
 
-    topology: str | None = field(default=None, metadata=INPUT_FILE)
-    sample_size: int = 200
-    seed: int = 2021
-    tier1: int = 8
-    tier2: int = 60
-    tier3: int = 200
-    stubs: int = 800
+    topology: str | None = _field(
+        None,
+        "CAIDA as-rel file to analyze (a synthetic topology is generated "
+        "when omitted)",
+        **INPUT_FILE,
+    )
+    sample_size: int = _field(200, "number of ASes to sample")
+    seed: int = _field(2021, "sampling seed")
+    tier1: int = _field(8, _TIER1)
+    tier2: int = _field(60, _TIER2)
+    tier3: int = _field(200, _TIER3)
+    stubs: int = _field(800, _STUBS)
 
     def __post_init__(self) -> None:
         _check_positive("sample-size", self.sample_size)
@@ -170,11 +187,28 @@ class ExperimentsRequest(_JsonRequest):
 
     kind = "experiments_request"
 
-    full: bool = False
-    seed: int | None = None
-    trials: int | None = None
-    jobs: int = 1
-    artifact_dir: str | None = None
+    full: bool = _field(False, "use the paper's trial counts and sample sizes (slower)")
+    seed: int | None = _field(
+        None,
+        "seed every experiment for an end-to-end reproducible run "
+        "(defaults to each experiment's own seed)",
+    )
+    trials: int | None = _field(
+        None,
+        "Fig. 2 trials per choice-set cardinality (200 = paper scale; "
+        "defaults to the run scale's own trial count)",
+    )
+    jobs: int = _field(
+        1,
+        "run the figure sections in N worker processes; the report is "
+        "merged in a fixed order, so seeded output is byte-identical to a "
+        "sequential run",
+    )
+    artifact_dir: str | None = _field(
+        None,
+        "root of the memory-mapped topology artifact store shared by "
+        "--jobs workers (default: .topology-cache, or $REPRO_TOPOLOGY_STORE)",
+    )
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
@@ -197,16 +231,33 @@ class GrcAllRequest(_JsonRequest):
 
     kind = "grc_all_request"
 
-    topology: str | None = field(default=None, metadata=INPUT_FILE)
-    jobs: int = 1
-    shards: int | None = None
-    output: str | None = None
-    artifact_dir: str | None = None
-    tier1: int = 8
-    tier2: int = 60
-    tier3: int = 200
-    stubs: int = 800
-    seed: int = 2021
+    topology: str | None = _field(
+        None,
+        "topology file to ingest: CAIDA as-rel (streaming-compiled, the "
+        "internet-scale path) or .gml; a synthetic topology is generated "
+        "when omitted",
+        **INPUT_FILE,
+    )
+    jobs: int = _field(
+        1,
+        "shard the source index space across N worker processes sharing "
+        "one memory-mapped artifact; output is byte-identical to a "
+        "sequential pass",
+    )
+    shards: int | None = _field(None, "number of contiguous source ranges (default: one per job)")
+    output: str | None = _field(
+        None, "write the per-source asn,paths,destinations table to this CSV"
+    )
+    artifact_dir: str | None = _field(
+        None,
+        "root of the memory-mapped topology artifact store used under "
+        "--jobs (default: .topology-cache, or $REPRO_TOPOLOGY_STORE)",
+    )
+    tier1: int = _field(8, _TIER1)
+    tier2: int = _field(60, _TIER2)
+    tier3: int = _field(200, _TIER3)
+    stubs: int = _field(800, _STUBS)
+    seed: int = _field(2021, "generator seed (no --topology)")
 
     def __post_init__(self) -> None:
         _check_positive("jobs", self.jobs)
@@ -225,13 +276,16 @@ class SimulateRequest(_JsonRequest):
 
     kind = "simulate_request"
 
-    scenario: str = "failure-churn"
-    seed: int | None = None
-    duration: float | None = None
-    trace_out: str | None = None
-    #: Path of a population spec JSON — only meaningful for scenarios
-    #: with a ``population`` field (``marketplace-heterogeneous``).
-    population: str | None = field(default=None, metadata=INPUT_FILE)
+    scenario: str = _field("failure-churn", "canned scenario to run")
+    seed: int | None = _field(None, "simulation seed (default: scenario's)")
+    duration: float | None = _field(None, "virtual-time horizon in hours (default: scenario's)")
+    trace_out: str | None = _field(None, "write the full JSONL metrics trace to this file")
+    population: str | None = _field(
+        None,
+        "JSON population spec mapping behavior profiles onto AS sets "
+        "(scenarios with a 'population' field only; see README 'Agents')",
+        **INPUT_FILE,
+    )
 
     def __post_init__(self) -> None:
         # Checked in the order the CLI historically reported them.
@@ -279,10 +333,10 @@ class NegotiateRequest(_JsonRequest):
 
     kind = "negotiate_request"
 
-    distribution: str = "u1"
-    num_choices: int = 50
-    trials: int = 40
-    seed: int = 7
+    distribution: str = _field("u1", "joint utility distribution from the paper")
+    num_choices: int = _field(50, "choice-set cardinality W per party")
+    trials: int = _field(40, "random choice-set configuration trials")
+    seed: int = _field(7, "trial-draw seed")
 
     def __post_init__(self) -> None:
         if self.distribution not in NEGOTIATE_DISTRIBUTIONS:
@@ -344,13 +398,29 @@ class SweepRequest(_JsonRequest):
 
     kind = "sweep_request"
 
-    spec: str | None = field(default=None, metadata=INPUT_FILE)
-    smoke: bool = False
-    jobs: int = 1
-    out: str | None = None
-    cache_dir: str | None = None
-    force: bool = False
-    list_shards: bool = False
+    spec: str | None = _field(
+        None,
+        "JSON sweep spec file (see README 'Sweeps & CI' for the format)",
+        **INPUT_FILE,
+    )
+    smoke: bool = _field(False, "run the built-in tiny CI smoke grid instead of a spec file")
+    jobs: int = _field(
+        1,
+        "run shards in N worker processes (results merge in a fixed "
+        "order, so the summary is byte-identical to a sequential run)",
+    )
+    out: str | None = _field(
+        None,
+        f"directory for sweep_summary.json and the per-metric CSV "
+        f"tables (default: {DEFAULT_OUT_DIR})",
+    )
+    cache_dir: str | None = _field(
+        None,
+        f"shard result cache directory; re-runs and interrupted sweeps "
+        f"resume from it (default: {DEFAULT_CACHE_DIR})",
+    )
+    force: bool = _field(False, "recompute every shard even when a cached result exists")
+    list_shards: bool = _field(False, "print the expanded shard list without running anything")
 
     def __post_init__(self) -> None:
         _check_positive("jobs", self.jobs)

@@ -39,11 +39,18 @@ Every subcommand accepts ``--format text|json``: the classic text
 report, or the schema-versioned JSON envelope of the structured result
 (validated in CI by ``python -m repro.api.validate``).
 
+The flags of every workflow command are derived from its request
+dataclass (:data:`repro.api.WORKFLOWS`): one ``--field-name`` flag per
+field, with the field's type, default and help text.  Only CLI-only
+options are written by hand: ``--format``, topology's positional output
+path, ``simulate --list-scenarios``, ``agents list``, sweep's
+``--spec | --smoke`` group and ``--list``, and the ``serve`` flags.
+
 All argument parsing, validation, execution, and rendering live in
-:mod:`repro.api` — this module only re-exports the adapter's entry
-points so ``python -m repro.cli`` and the ``repro`` console script keep
-working.  Programmatic consumers should use :class:`repro.api.Session`
-directly.
+:mod:`repro.api.adapter` — this module only re-exports the adapter's
+entry points so ``python -m repro.cli`` and the ``repro`` console
+script keep working.  Programmatic consumers should use
+:class:`repro.api.Session` directly.
 """
 
 from __future__ import annotations

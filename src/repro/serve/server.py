@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import os
 import signal
 import socket as socket_module
@@ -57,13 +58,18 @@ __all__ = ["ServeConfig", "ReproServer", "run_server"]
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Validated knobs of one server instance (CLI flags mirror fields)."""
+    """Validated knobs of one server instance (CLI flags mirror fields).
+
+    ``session_cache_limit`` bounds each internal cache of every worker's
+    warm :class:`~repro.api.session.Session` (``None``: unbounded).
+    """
 
     host: str = "127.0.0.1"
     port: int = 8000
     max_batch: int = 32
     coalesce_window_ms: float = 5.0
     cache_entries: int = 256
+    session_cache_limit: int | None = None
     request_log: str | None = None
     workers: int = 1
     state_dir: str | None = None
@@ -77,14 +83,19 @@ class ServeConfig:
             raise ValidationError(
                 f"--max-batch must be a positive integer, got {self.max_batch}"
             )
-        if self.coalesce_window_ms < 0:
+        if not (math.isfinite(self.coalesce_window_ms) and self.coalesce_window_ms >= 0.0):
             raise ValidationError(
-                f"--coalesce-window-ms must be non-negative, "
-                f"got {self.coalesce_window_ms:g}"
+                f"--coalesce-window-ms must be a non-negative finite number of "
+                f"milliseconds, got {self.coalesce_window_ms:g}"
             )
         if self.cache_entries < 0:
             raise ValidationError(
                 f"--cache-entries must be non-negative, got {self.cache_entries}"
+            )
+        if self.session_cache_limit is not None and self.session_cache_limit < 0:
+            raise ValidationError(
+                f"--session-cache-limit must be non-negative, "
+                f"got {self.session_cache_limit}"
             )
         if self.workers < 1:
             raise ValidationError(
@@ -95,9 +106,9 @@ class ServeConfig:
 class ReproServer:
     """One listening socket in front of one :class:`ServeService`."""
 
-    def __init__(self, config: ServeConfig, *, session: Session | None = None) -> None:
+    def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        self.session = session if session is not None else Session()
+        self.session = Session(cache_limit=config.session_cache_limit)
         self.service = ServeService(
             self.session,
             coalesce_window_ms=config.coalesce_window_ms,
@@ -216,7 +227,6 @@ class ReproServer:
 
 async def serve_until_signal(
     config: ServeConfig,
-    session: Session | None = None,
     *,
     sock: socket_module.socket | None = None,
     announce: bool = True,
@@ -233,7 +243,7 @@ async def serve_until_signal(
     kernel-level ``PR_SET_PDEATHSIG`` the supervisor arms fires first;
     this watchdog is the portable cover.)
     """
-    server = ReproServer(config, session=session)
+    server = ReproServer(config)
     await server.start(sock=sock, announce=announce)
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
@@ -266,13 +276,13 @@ async def serve_until_signal(
     return 0
 
 
-def run_server(config: ServeConfig, *, session: Session | None = None) -> int:
+def run_server(config: ServeConfig) -> int:
     """Blocking entry point of ``repro serve``; returns the exit code."""
     if config.workers > 1:
         from repro.serve.supervisor import run_supervisor
 
         return run_supervisor(config)
     try:
-        return asyncio.run(serve_until_signal(config, session))
+        return asyncio.run(serve_until_signal(config))
     except KeyboardInterrupt:  # SIGINT raced the handler installation
         return 0

@@ -227,3 +227,19 @@ class TestSingleWorkerPath:
 
         with pytest.raises(ValidationError):
             ServeConfig(workers=0)
+
+
+def test_session_cache_limit_bounds_the_worker_session():
+    """Every worker builds its session from the config alone."""
+    import asyncio
+
+    from repro.core.caching import BoundedCache
+    from repro.serve.server import ReproServer, ServeConfig
+
+    server = ReproServer(ServeConfig(session_cache_limit=3))
+    try:
+        caches = [c for c in vars(server.session).values() if isinstance(c, BoundedCache)]
+        assert caches
+        assert {cache.max_entries for cache in caches} == {3}
+    finally:
+        asyncio.run(server.shutdown())

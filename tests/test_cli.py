@@ -294,15 +294,29 @@ class TestServeCommand:
 
         assert cli_main(["serve", "--max-batch", "0", "--port", "0"]) == 2
         assert "--max-batch must be a positive integer" in capsys.readouterr().err
+        # inf would never fire the coalescing timer; nan silently disabled it.
+        for window in ("inf", "nan"):
+            assert cli_main(["serve", "--port", "0", "--coalesce-window-ms", window]) == 2
+            assert (
+                "--coalesce-window-ms must be a non-negative finite number"
+                in capsys.readouterr().err
+            )
+        assert cli_main(["serve", "--port", "0", "--session-cache-limit", "-1"]) == 2
+        assert "--session-cache-limit must be non-negative" in capsys.readouterr().err
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    """scipy is imported only by the two functions that use it."""
+    """scipy is imported only by the two functions that use it.
+
+    Nor does the CLI load the server stack (or asyncio) until ``repro
+    serve`` runs: ``import repro.cli`` is every command's setup cost.
+    """
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    probe = "import sys, repro.cli; print('scipy' in sys.modules)"
+    lazy = ("scipy", "asyncio", "repro.serve", "repro.serve.server")
+    probe = f"import sys, repro.cli; print([m for m in {lazy!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
