@@ -88,7 +88,7 @@ def _ingestion_times(lines: list[str]) -> dict[str, float]:
     assert streamed.source_fingerprint == graph_view.source_fingerprint
 
     with tempfile.TemporaryDirectory() as tmp:
-        artifact = ArtifactStore(tmp).ensure_compiled(streamed)
+        artifact = ArtifactStore(tmp).save(streamed)
         started = time.perf_counter()
         view = load_artifact(artifact)
         mmap_open_s = time.perf_counter() - started
@@ -226,7 +226,7 @@ def test_path_engine_scale10k():
     streamed = compile_as_rel_lines(lines)
     n = streamed.n
     with tempfile.TemporaryDirectory() as tmp:
-        artifact = ArtifactStore(tmp).ensure_compiled(streamed)
+        artifact = ArtifactStore(tmp).save(streamed)
         view = load_artifact(artifact)
         engine = PathEngine(view)
         tracemalloc.start()

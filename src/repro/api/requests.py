@@ -180,9 +180,8 @@ class DiversityRequest(_JsonRequest):
 class ExperimentsRequest(_JsonRequest):
     """Run the combined experiment harness (``repro experiments``).
 
-    ``artifact_dir`` roots the memory-mapped topology artifact store
-    that ``--jobs`` workers share (``None`` → the default store,
-    honoring ``REPRO_TOPOLOGY_STORE``); sequential runs never touch it.
+    ``jobs > 1`` runs the report sections in worker processes that each
+    build their own diversity context; nothing is written to disk.
     """
 
     kind = "experiments_request"
@@ -203,11 +202,6 @@ class ExperimentsRequest(_JsonRequest):
         "run the figure sections in N worker processes; the report is "
         "merged in a fixed order, so seeded output is byte-identical to a "
         "sequential run",
-    )
-    artifact_dir: str | None = _field(
-        None,
-        "root of the memory-mapped topology artifact store shared by "
-        "--jobs workers (default: .topology-cache, or $REPRO_TOPOLOGY_STORE)",
     )
 
     def __post_init__(self) -> None:

@@ -80,7 +80,7 @@ from repro.core import PathEngine, compile_as_rel_file, compile_topology, path_e
 from repro.core.artifacts import ArtifactStore
 from repro.core.caching import BoundedCache
 from repro.errors import OutputError, ServiceError, ValidationError
-from repro.experiments.context import DiversityContext, context_for
+from repro.experiments.context import DiversityContext
 from repro.experiments.runner import RunnerConfig, run_sections
 from repro.paths.diversity import analyze_path_diversity
 from repro.paths.ma_paths import MAPathIndex, build_ma_path_index
@@ -260,9 +260,17 @@ class Session:
         return value
 
     def context_for(self, config) -> DiversityContext:
-        """The session's shared experiment context for a diversity config."""
-        context = context_for(config, self._contexts.get(config))
-        self._contexts.put(config, context)
+        """The session's shared experiment context for a diversity config.
+
+        The context lives only in this session's cache: it is built
+        here on a miss, never taken from or left in the per-process
+        memo of :func:`repro.experiments.context.context_for`, so
+        ``cache_limit`` and :meth:`close` bound its lifetime.
+        """
+        context = self._contexts.get(config)
+        if context is None:
+            context = DiversityContext.build(config)
+            self._contexts.put(config, context)
         return context
 
     # ------------------------------------------------------------------
@@ -359,12 +367,7 @@ class Session:
             context = None
             if request.jobs == 1:
                 context = self.context_for(config.diversity())
-            sections = run_sections(
-                config,
-                jobs=request.jobs,
-                context=context,
-                artifact_dir=request.artifact_dir,
-            )
+            sections = run_sections(config, jobs=request.jobs, context=context)
         return ExperimentsResult(
             full=request.full,
             seed=request.seed,
@@ -400,8 +403,7 @@ class Session:
                 )
             num_shards = 1
             if request.jobs > 1 and compiled.n > 0:
-                store = ArtifactStore(request.artifact_dir)
-                artifact_path = store.ensure_compiled(compiled)
+                artifact_path = ArtifactStore(request.artifact_dir).save(compiled)
                 ranges = plan_ranges(
                     compiled.n,
                     request.shards if request.shards is not None else request.jobs,

@@ -1,15 +1,15 @@
 """Content-addressed on-disk store of compiled topology artifacts.
 
-Before this store, every ``--jobs`` worker, sweep shard, and serve
-process re-parsed and re-compiled its topology from scratch: the graph
-cannot be shared across processes, and pickling a dict-of-frozensets
-``ASGraph`` into each worker costs more than recompiling.  The compiled
-arrays, however, are exactly the thing an OS can share: this module
-serializes a :class:`~repro.core.compiled.CompiledTopology` as one
-``.npy`` file per array plus a ``meta.json``, and loads it back with
+The one user is the sharded all-sources GRC pass (``repro grc-all
+--jobs N``): its workers need nothing but the compiled arrays, so the
+parent publishes them once and each worker opens them instead of
+re-parsing a possibly Internet-scale topology.  This module serializes
+a :class:`~repro.core.compiled.CompiledTopology` as one ``.npy`` file
+per array plus a ``meta.json``, and loads it back with
 ``np.load(mmap_mode="r")`` — zero-copy, lazily paged, and with the
 physical pages shared between every process that opens the same
-artifact.
+artifact.  The experiment and sweep workers do not use it: they need
+the MA enumeration and path index too, which dwarf the compile.
 
 Layout::
 
@@ -46,9 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.compiled import ARRAY_FIELDS, CompiledTopology, compile_topology
+from repro.core.compiled import ARRAY_FIELDS, CompiledTopology
 from repro.core.store import Store, publish, store_key
-from repro.topology.graph import ASGraph
 
 #: Bump when the on-disk layout or the compiled array semantics change;
 #: old artifacts become unreachable (a different address) rather than
@@ -161,20 +160,3 @@ class ArtifactStore(Store):
             if not (final / _META_NAME).is_file():
                 raise
         return final
-
-    def ensure(self, graph: ASGraph) -> tuple[CompiledTopology, Path]:
-        """Mmap-open the artifact for a graph, compiling it on first use.
-
-        Returns ``(view, artifact_path)``.  On a hit the graph is never
-        compiled — only fingerprinted; on a miss the graph is compiled
-        once, published, and the memory-mapped view is returned, so
-        warm and cold callers hold exactly the same kind of object.
-        """
-        fingerprint = graph.content_fingerprint()
-        if not self.contains(fingerprint):
-            self.save(compile_topology(graph))
-        return self.load(fingerprint), self.path_for(fingerprint)
-
-    def ensure_compiled(self, compiled: CompiledTopology) -> Path:
-        """Publish an already-compiled (e.g. streamed) view; returns its path."""
-        return self.save(compiled)

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 from repro.agreements.agreement import Agreement
 from repro.agreements.mutuality import enumerate_mutuality_agreements
 from repro.core import CompiledTopology, PathEngine, compile_topology, path_engine_for
-from repro.core.artifacts import ArtifactStore
 from repro.paths.ma_paths import MAPathIndex, build_ma_path_index
 from repro.topology.generator import GeneratedTopology, generate_topology
 
@@ -43,23 +42,8 @@ class DiversityContext:
     index: MAPathIndex = field(default_factory=MAPathIndex)
 
     @classmethod
-    def build(
-        cls,
-        config: "PathDiversityConfig",
-        *,
-        store: ArtifactStore | None = None,
-    ) -> "DiversityContext":
-        """Generate the topology and derive every shared artifact once.
-
-        With a ``store``, the compiled topology comes from the
-        memory-mapped artifact store instead of an in-process compile:
-        the first builder publishes the artifact, every later process —
-        parallel runner workers, sweep shards — opens it zero-copy and
-        shares the physical pages.  The engine's results are identical
-        either way (the compiled arrays are element-equal by the
-        artifact contract), so store-backed and in-process contexts are
-        interchangeable.
-        """
+    def build(cls, config: "PathDiversityConfig") -> "DiversityContext":
+        """Generate the topology and derive every shared artifact once."""
         topology = generate_topology(
             num_tier1=config.num_tier1,
             num_tier2=config.num_tier2,
@@ -68,12 +52,8 @@ class DiversityContext:
             seed=config.seed,
         )
         graph = topology.graph
-        if store is not None:
-            compiled, _ = store.ensure(graph)
-            engine = PathEngine(compiled)
-        else:
-            compiled = compile_topology(graph)
-            engine = path_engine_for(graph)
+        compiled = compile_topology(graph)
+        engine = path_engine_for(graph)
         agreements = list(enumerate_mutuality_agreements(graph))
         index = build_ma_path_index(agreements)
         return cls(
@@ -98,20 +78,8 @@ class DiversityContext:
 _LAST_BUILT: list[DiversityContext] = []
 
 
-def _memo_still_valid(built: DiversityContext) -> bool:
-    # Detached (artifact-backed) compiled views have no mutable source;
-    # the memoized context's graph is private to it, so the view stays
-    # valid for as long as the memo matches the config.
-    if built.compiled.detached:
-        return True
-    return not built.compiled.is_stale(built.topology.graph)
-
-
 def context_for(
-    config: "PathDiversityConfig",
-    context: DiversityContext | None,
-    *,
-    store: ArtifactStore | None = None,
+    config: "PathDiversityConfig", context: DiversityContext | None
 ) -> DiversityContext:
     """Reuse ``context`` when it matches ``config``, else build afresh.
 
@@ -120,18 +88,17 @@ def context_for(
     correct (if slower) fresh build instead of producing wrong numbers.
     Fresh builds are memoized per process (one slot), so repeated calls
     for the same configuration — the parallel runner's workers — build
-    once.  ``store`` is forwarded to fresh builds only; a matching
-    existing context is reused regardless of how its topology was
-    compiled (both kinds answer identically).
+    once.
     """
     if context is not None and context.matches(config):
         return context
+    memo = _LAST_BUILT[0] if _LAST_BUILT else None
     if (
-        _LAST_BUILT
-        and _LAST_BUILT[0].matches(config)
-        and _memo_still_valid(_LAST_BUILT[0])
+        memo is not None
+        and memo.matches(config)
+        and not memo.compiled.is_stale(memo.topology.graph)
     ):
-        return _LAST_BUILT[0]
-    built = DiversityContext.build(config, store=store)
+        return memo
+    built = DiversityContext.build(config)
     _LAST_BUILT[:] = [built]
     return built

@@ -16,12 +16,12 @@ structured form the API session consumes).
 A sequential run shares one :class:`DiversityContext` (topology,
 compiled path engine, MA enumeration and path index) across Figs. 3–6
 instead of rebuilding it per figure.  ``--jobs N`` opts into
-process-parallel figure execution: the parent publishes the compiled
-topology once into the memory-mapped artifact store
-(:mod:`repro.core.artifacts`), each section runs in its own worker
-process and opens that artifact zero-copy instead of recompiling, and
-the results are merged in the fixed section order, so seeded output is
-byte-identical to a sequential run.
+process-parallel figure execution: each section runs in a worker
+process, every worker builds its own context (sections that land on the
+same worker share one build through the per-process memo of
+:func:`~repro.experiments.context.context_for`), and the results are
+merged in the fixed section order, so seeded output is byte-identical
+to a sequential run.
 """
 
 from __future__ import annotations
@@ -191,50 +191,14 @@ _SECTIONS = (
 _CONTEXT_SECTIONS = frozenset({_section_fig3, _section_fig4, _section_fig5, _section_fig6})
 
 
-def _run_section(
-    index: int, config: RunnerConfig, artifact_dir: str | None = None
-) -> SectionResult:
-    """Worker entry point for process-parallel execution.
-
-    With an ``artifact_dir`` the worker opens the parent-published
-    compiled-topology artifact through the store (a zero-copy mmap of
-    pages shared with every sibling worker) instead of compiling its
-    own; per-process memoization in ``context_for`` still applies when
-    several sections land on the same worker.
-    """
+def _run_section(index: int, config: RunnerConfig) -> SectionResult:
+    """Worker entry point for process-parallel execution."""
     section = _SECTIONS[index]
     if section not in _CONTEXT_SECTIONS:
         return section(config)
-    from repro.core.artifacts import ArtifactStore
     from repro.experiments.context import context_for
 
-    store = ArtifactStore(artifact_dir) if artifact_dir is not None else None
-    ctx = context_for(config.diversity(), None, store=store)
-    return section(config, ctx)
-
-
-def _publish_diversity_artifact(config: RunnerConfig, artifact_dir: str | None) -> str:
-    """Publish the run's compiled topology into the artifact store.
-
-    Returns the store root to hand to workers.  Publishing is
-    idempotent and content-addressed, so repeated runs of the same
-    seeded configuration hit the existing artifact instead of
-    recompiling.
-    """
-    from repro.core.artifacts import ArtifactStore
-    from repro.topology.generator import generate_topology
-
-    diversity = config.diversity()
-    graph = generate_topology(
-        num_tier1=diversity.num_tier1,
-        num_tier2=diversity.num_tier2,
-        num_tier3=diversity.num_tier3,
-        num_stubs=diversity.num_stubs,
-        seed=diversity.seed,
-    ).graph
-    store = ArtifactStore(artifact_dir)
-    store.ensure(graph)
-    return str(store.root)
+    return section(config, context_for(config.diversity(), None))
 
 
 def run_sections(
@@ -242,18 +206,14 @@ def run_sections(
     *,
     jobs: int = 1,
     context=None,
-    artifact_dir: str | None = None,
 ) -> tuple[SectionResult, ...]:
     """Run every experiment and return the structured section results.
 
     ``jobs`` > 1 runs the sections in that many worker processes; the
     merge order is the fixed section order regardless of completion
     order, and every section is deterministic given its config, so the
-    rendered report is byte-identical to a sequential run.  Before
-    dispatch the parent publishes the run's compiled topology into the
-    artifact store (``artifact_dir``, default
-    :func:`repro.core.artifacts.default_store_root`); workers open it
-    via mmap instead of recompiling.  ``context`` lets a caller that
+    rendered report is byte-identical to a sequential run.  Each worker
+    builds its own diversity context.  ``context`` lets a caller that
     already holds a matching
     :class:`~repro.experiments.context.DiversityContext` (the API
     session) share it with the sequential path; mismatched or absent
@@ -272,10 +232,9 @@ def run_sections(
             for section in _SECTIONS
         )
 
-    store_root = _publish_diversity_artifact(config, artifact_dir)
     with ProcessPoolExecutor(max_workers=min(jobs, len(_SECTIONS))) as executor:
         futures = [
-            executor.submit(_run_section, index, config, store_root)
+            executor.submit(_run_section, index, config)
             for index in range(len(_SECTIONS))
         ]
         return tuple(future.result() for future in futures)

@@ -13,13 +13,10 @@
 4. merge all shard records in expansion order into the byte-reproducible
    ``sweep_summary.json`` and per-metric CSV tables.
 
-Worker processes never receive pickled compiled arrays: under
-``--jobs N`` each figure shard publishes-or-opens its compiled topology
-in the memory-mapped artifact store (:mod:`repro.core.artifacts`), so
-shards sharing a (scale, seed) — across workers and across runs — map
-the same physical pages instead of recompiling; the per-process context
-memo in :mod:`repro.experiments.context` additionally lets shards that
-land on the same worker reuse the full context.
+Worker processes receive only the shard parameters: under ``--jobs N``
+each worker builds its own diversity context, and the per-process
+context memo in :mod:`repro.experiments.context` lets consecutive
+shards of one (scale, seed) on the same worker reuse it.
 """
 
 from __future__ import annotations
@@ -91,12 +88,10 @@ def load_record(store: Store, key: str) -> dict[str, Any] | None:
     return record if isinstance(record, dict) and record.get("key") == key else None
 
 
-def _execute_shard(
-    shard: Shard, artifact_dir: str | None = None
-) -> tuple[dict[str, Any], float]:
+def _execute_shard(shard: Shard) -> tuple[dict[str, Any], float]:
     """Worker entry point: run one shard, returning (record, elapsed)."""
     started = time.perf_counter()
-    record = run_shard(shard, artifact_dir)
+    record = run_shard(shard)
     return record, time.perf_counter() - started
 
 
@@ -108,18 +103,15 @@ def run_sweep(
     out_dir: str | Path = DEFAULT_OUT_DIR,
     force: bool = False,
     progress: Callable[[str], None] | None = None,
-    artifact_dir: str | Path | None = None,
 ) -> SweepRunResult:
     """Run (or resume) a sweep and write its outputs.
 
     The cache makes this idempotent and interrupt-safe: re-running the
     same spec against the same code recomputes nothing and rewrites a
     byte-identical summary; after a kill, only the shards without a
-    completed cache entry run again.  Under ``jobs > 1``, figure shards
-    share compiled topologies through the memory-mapped artifact store
-    rooted at ``artifact_dir`` (default
-    :func:`repro.core.artifacts.default_store_root`); sequential runs
-    compile in-process and touch no artifact files.
+    completed cache entry run again.  Under ``jobs > 1`` the pending
+    shards run in worker processes that each build their own context;
+    the summary is byte-identical to a sequential run.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
@@ -158,14 +150,8 @@ def run_sweep(
             record, elapsed = _execute_shard(shard)
             _persist(shard, record, elapsed)
     elif pending:
-        from repro.core.artifacts import ArtifactStore
-
-        store_root = str(ArtifactStore(artifact_dir).root)
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as executor:
-            futures = {
-                executor.submit(_execute_shard, shard, store_root): shard
-                for shard in pending
-            }
+            futures = {executor.submit(_execute_shard, shard): shard for shard in pending}
             remaining = set(futures)
             # Persist as results land (not in submission order), so an
             # interrupt preserves every completed shard.

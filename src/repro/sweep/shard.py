@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from repro.core.artifacts import ArtifactStore
 from repro.experiments.context import DiversityContext, context_for
 from repro.experiments.fig2_pod import Fig2Config, run_fig2
 from repro.experiments.fig3_paths import PathDiversityConfig, run_fig3
@@ -114,14 +113,13 @@ def _pair_metrics(figure: str, result: PairMetricFigure) -> dict[str, Any]:
     }
 
 
-def _run_figures_shard(shard: Shard, artifact_dir: str | None = None) -> dict[str, Any]:
+def _run_figures_shard(shard: Shard) -> dict[str, Any]:
     config = diversity_config(shard.scale, shard.seed)
     metrics: dict[str, Any] = {}
     fingerprint: str | None = None
     ctx: DiversityContext | None = None
     if _CONTEXT_FIGURES & set(shard.figures):
-        store = ArtifactStore(artifact_dir) if artifact_dir is not None else None
-        ctx = context_for(config, None, store=store)
+        ctx = context_for(config, None)
         fingerprint = ctx.compiled.source_fingerprint
     for figure in shard.figures:  # canonical order fixed by the spec
         if figure == "fig2":
@@ -176,21 +174,16 @@ def _run_scenario_shard(shard: Shard) -> dict[str, Any]:
     return {"metrics": metrics, "topology_fingerprint": None}
 
 
-def run_shard(shard: Shard, artifact_dir: str | None = None) -> dict[str, Any]:
+def run_shard(shard: Shard) -> dict[str, Any]:
     """Run one shard and return its JSON-safe result record.
 
     The record contains the shard id/params, the deterministic metrics
     mapping, and (for figure shards) the content fingerprint of the
     topology the metrics were computed on — the cross-process face of
-    the :mod:`repro.core` staleness contract.  With an ``artifact_dir``
-    (a :class:`~repro.core.artifacts.ArtifactStore` root), figure shards
-    publish-or-open their compiled topology there: the first shard of a
-    (scale, seed) compiles and publishes, every sibling — in this run or
-    any later one — opens the memory-mapped artifact instead.  The
-    record is byte-identical either way.
+    the :mod:`repro.core` staleness contract.
     """
     if shard.kind == "figures":
-        result = _run_figures_shard(shard, artifact_dir)
+        result = _run_figures_shard(shard)
     elif shard.kind == "scenario":
         result = _run_scenario_shard(shard)
     else:

@@ -13,8 +13,6 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable, Iterator
 
-import networkx as nx
-
 from repro.topology.relationships import Link, Relationship, Role
 
 
@@ -26,8 +24,7 @@ class ASGraph:
     """Mixed AS-level graph with provider–customer and peering links.
 
     The graph offers O(1) access to the provider / peer / customer sets
-    of every AS, link lookup by endpoint pair, and export to a
-    :mod:`networkx` multigraph for generic graph algorithms.
+    of every AS and link lookup by endpoint pair.
 
     Example
     -------
@@ -284,30 +281,38 @@ class ASGraph:
                 raise TopologyError(
                     f"AS {asn} has neighbors with conflicting roles: {overlapping}"
                 )
-        transit = nx.DiGraph()
-        transit.add_nodes_from(self._providers)
-        for link in self._links.values():
-            if link.relationship is Relationship.PROVIDER_TO_CUSTOMER:
-                transit.add_edge(link.provider, link.customer)
-        if not nx.is_directed_acyclic_graph(transit):
-            cycle = nx.find_cycle(transit)
-            raise TopologyError(f"provider–customer cycle detected: {cycle}")
+        cycle = self._provider_cycle()
+        if cycle is not None:
+            loop = " -> ".join(f"AS {asn}" for asn in [*cycle, cycle[0]])
+            raise TopologyError(f"provider–customer cycle detected: {loop}")
 
-    def to_networkx(self) -> nx.Graph:
-        """Export to an undirected :class:`networkx.Graph`.
+    def _provider_cycle(self) -> list[int] | None:
+        """The ASes of one provider→customer cycle, in order, or ``None``.
 
-        Edges carry a ``relationship`` attribute; provider–customer edges
-        additionally carry ``provider`` and ``customer`` attributes.
+        An iterative depth-first search over the customer sets: an edge
+        back to an AS still on the search path closes a cycle.
         """
-        graph = nx.Graph()
-        graph.add_nodes_from(self._providers)
-        for link in self._links.values():
-            attrs: dict[str, object] = {"relationship": link.relationship}
-            if link.relationship is Relationship.PROVIDER_TO_CUSTOMER:
-                attrs["provider"] = link.provider
-                attrs["customer"] = link.customer
-            graph.add_edge(link.first, link.second, **attrs)
-        return graph
+        finished: set[int] = set()
+        for root in self._customers:
+            if root in finished:
+                continue
+            path = [root]
+            on_path = {root}
+            pending = [iter(self._customers[root])]
+            while pending:
+                customer = next(pending[-1], None)
+                if customer is None:
+                    pending.pop()
+                    done = path.pop()
+                    on_path.discard(done)
+                    finished.add(done)
+                elif customer in on_path:
+                    return path[path.index(customer) :]
+                elif customer not in finished:
+                    path.append(customer)
+                    on_path.add(customer)
+                    pending.append(iter(self._customers[customer]))
+        return None
 
     def copy(self) -> "ASGraph":
         """Return a deep copy of the topology."""

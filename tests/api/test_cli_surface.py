@@ -58,7 +58,6 @@ PINNED = {
         "seed": (("--seed",), "int", None, False),
         "trials": (("--trials",), "int", None, False),
         "jobs": (("--jobs",), "int", None, False),
-        "artifact_dir": (("--artifact-dir",), None, None, False),
         **_FORMAT,
     },
     "simulate": {

@@ -65,6 +65,42 @@ class TestExperimentsValidation:
         assert str(excinfo.value) == "--jobs must be a positive integer, got 0"
 
 
+class TestExperimentsTakesNoArtifactStore:
+    """``artifact_dir`` belongs to grc-all alone; experiments rejects it."""
+
+    def test_request_job_server_and_cli_reject_artifact_dir(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.api import JobRequest, build_workflow_request
+
+        payload = {"artifact_dir": "store"}
+        with pytest.raises(ValidationError, match="artifact_dir"):
+            build_workflow_request("experiments", payload)
+        with pytest.raises(ValidationError, match="artifact_dir"):
+            JobRequest(workflow="experiments", request=payload)
+
+        service = ServeService(
+            Session(), coalesce_window_ms=0.0, cache_entries=8, state_dir=tmp_path / "state"
+        )
+        for path, document in (
+            ("/v1/experiments", payload),
+            ("/v1/jobs", {"workflow": "experiments", "request": payload}),
+        ):
+            request = HttpRequest(
+                method="POST", path=path, query="", body=json.dumps(document).encode()
+            )
+            status, body, _ = asyncio.run(service.handle(request))
+            assert status == 400, path
+            assert "artifact_dir" in json.loads(body)["error"], path
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiments", "--artifact-dir", "store"])
+        assert exit_info.value.code == 2
+        assert "--artifact-dir" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
+
+
 class TestSimulateValidation:
     @pytest.mark.parametrize("duration", [-5.0, float("nan"), float("inf")])
     def test_bad_duration_is_rejected(self, duration):

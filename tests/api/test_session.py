@@ -146,6 +146,24 @@ class TestExperimentsWorkflow:
         first = session.context_for(config.diversity())
         assert session.context_for(config.diversity()) is first
 
+    def test_experiment_context_dies_with_its_session(self):
+        import gc
+        import weakref
+
+        diversity = tiny_runner_config(seed=23).diversity()
+        session = Session()
+        context = weakref.ref(session.context_for(diversity))
+        gc.collect()
+        assert context() is not None  # the session cache holds it
+        session.close()
+        gc.collect()
+        assert context() is None
+
+    def test_zero_capacity_sessions_never_share_a_context(self):
+        diversity = tiny_runner_config(seed=29).diversity()
+        first = Session(cache_limit=0).context_for(diversity)
+        assert Session(cache_limit=0).context_for(diversity) is not first
+
     def test_structured_sections_render_to_the_classic_report(self, tiny_sections):
         from repro.experiments.reporting import render_report
         from repro.experiments.runner import run_all

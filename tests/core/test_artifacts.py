@@ -12,9 +12,10 @@ import json
 
 import pytest
 
-from repro.core import PathEngine, compile_topology, load_artifact
+from repro.core import PathEngine, compile_as_rel_lines, compile_topology, load_artifact
 from repro.core.artifacts import ArtifactError, ArtifactStore, default_store_root
 from repro.topology import generate_topology
+from repro.topology.caida import dump_as_rel_lines
 from repro.topology.fixtures import figure1_topology
 
 
@@ -25,10 +26,15 @@ def graph():
     ).graph
 
 
+def saved(store: ArtifactStore, graph):
+    """Publish a fresh compile of ``graph``; returns ``(compiled, path)``."""
+    compiled = compile_topology(graph)
+    return compiled, store.save(compiled)
+
+
 class TestRoundTrip:
     def test_loaded_artifact_matches_fresh_compile(self, tmp_path, graph):
-        store = ArtifactStore(tmp_path)
-        compiled, path = store.ensure(graph)
+        _, path = saved(ArtifactStore(tmp_path), graph)
         view = load_artifact(path)
         fresh = compile_topology(graph)
         assert view.same_arrays(fresh)
@@ -37,8 +43,7 @@ class TestRoundTrip:
         assert not view.is_stale()
 
     def test_path_engine_outputs_identical_on_mmap_view(self, tmp_path, graph):
-        store = ArtifactStore(tmp_path)
-        _, path = store.ensure(graph)
+        _, path = saved(ArtifactStore(tmp_path), graph)
         from_artifact = PathEngine(load_artifact(path))
         from_graph = PathEngine(compile_topology(graph))
         assert from_artifact.counts_by_source() == from_graph.counts_by_source()
@@ -51,7 +56,7 @@ class TestRoundTrip:
 
     def test_store_addressed_by_fingerprint(self, tmp_path, graph):
         store = ArtifactStore(tmp_path)
-        compiled, path = store.ensure(graph)
+        compiled, path = saved(store, graph)
         assert store.contains(compiled.source_fingerprint)
         assert store.path_for(compiled.source_fingerprint) == path
         loaded = store.load(compiled.source_fingerprint)
@@ -59,26 +64,26 @@ class TestRoundTrip:
 
 
 class TestPublishSemantics:
-    def test_ensure_is_idempotent(self, tmp_path, graph):
+    def test_save_is_idempotent(self, tmp_path, graph):
         store = ArtifactStore(tmp_path)
-        _, first = store.ensure(graph)
+        _, first = saved(store, graph)
         meta_mtime = (first / "meta.json").stat().st_mtime_ns
-        _, second = store.ensure(graph)
+        _, second = saved(store, graph)
         assert second == first
-        # The second ensure was served from the store, not re-published.
+        # The second save found the artifact and did not re-publish it.
         assert (first / "meta.json").stat().st_mtime_ns == meta_mtime
 
     def test_distinct_topologies_get_distinct_directories(self, tmp_path, graph):
         store = ArtifactStore(tmp_path)
-        _, first = store.ensure(graph)
-        _, second = store.ensure(figure1_topology())
+        _, first = saved(store, graph)
+        _, second = saved(store, figure1_topology())
         assert first != second
 
-    def test_ensure_compiled_accepts_detached_views(self, tmp_path, graph):
-        store = ArtifactStore(tmp_path)
-        compiled = compile_topology(graph)
-        path = store.ensure_compiled(compiled)
-        assert load_artifact(path).same_arrays(compiled)
+    def test_save_accepts_detached_views(self, tmp_path, graph):
+        streamed = compile_as_rel_lines(dump_as_rel_lines(graph))
+        assert streamed.detached
+        path = ArtifactStore(tmp_path).save(streamed)
+        assert load_artifact(path).same_arrays(compile_topology(graph))
 
 
 class TestErrors:
@@ -91,8 +96,7 @@ class TestErrors:
             ArtifactStore(tmp_path).load("0" * 64)
 
     def test_corrupt_meta_rejected(self, tmp_path, graph):
-        store = ArtifactStore(tmp_path)
-        _, path = store.ensure(graph)
+        _, path = saved(ArtifactStore(tmp_path), graph)
         meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
         del meta["fingerprint"]
         (path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")

@@ -31,6 +31,7 @@ from repro.api.requests import (
     TopologyRequest,
 )
 from repro.core import store as store_module
+from repro.core import compile_topology
 from repro.core.artifacts import ArtifactStore
 from repro.core.store import Store, code_version, input_files, publish, store_key
 from repro.envelope import INPUT_FILE
@@ -190,7 +191,7 @@ class TestStore:
             graph = generate_topology(
                 num_tier1=2, num_tier2=3, num_tier3=4, num_stubs=8, seed=1
             ).graph
-            _, path = ArtifactStore(tmp_path / "s").ensure(graph)
+            path = ArtifactStore(tmp_path / "s").save(compile_topology(graph))
             assert path.parent.parent == tmp_path / "s"
             expected = 1
         entries = list((tmp_path / "s").glob("*/*"))
@@ -295,7 +296,7 @@ class TestStaleHits:
             num_tier1=2, num_tier2=3, num_tier3=4, num_stubs=8, seed=1
         ).graph
         store = ArtifactStore(tmp_path)
-        _, path = store.ensure(graph)
+        path = store.save(compile_topology(graph))
         fingerprint = graph.content_fingerprint()
         assert store.contains(fingerprint)
         other_code_version(monkeypatch)

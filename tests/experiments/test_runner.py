@@ -111,6 +111,18 @@ class TestRunAll:
         config = TinyRunnerConfig(seed=13)
         assert run_all(config, jobs=3) == run_all(config, jobs=1)
 
+    def test_parallel_sections_write_nothing_to_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments.reporting import render_report
+        from repro.experiments.runner import run_sections
+
+        monkeypatch.chdir(tmp_path)
+        config = TinyRunnerConfig(seed=5)
+        parallel = render_report(run_sections(config, jobs=2))
+        assert parallel == render_report(run_sections(config, jobs=1))
+        assert list(tmp_path.iterdir()) == []
+
     def test_jobs_must_be_positive(self):
         import pytest
 

@@ -80,14 +80,14 @@ class TestSequentialPass:
 class TestShardedPass:
     def test_sharded_run_is_byte_identical_to_sequential(self, compiled, tmp_path):
         sequential = run_grc_all(compiled)
-        artifact = ArtifactStore(tmp_path).ensure_compiled(compiled)
+        artifact = ArtifactStore(tmp_path).save(compiled)
         sharded = run_grc_all(compiled, jobs=2, artifact_path=artifact)
         assert sharded.csv_lines() == sequential.csv_lines()
         assert sharded.fingerprint == sequential.fingerprint
 
     def test_more_shards_than_jobs_still_identical(self, compiled, tmp_path):
         sequential = run_grc_all(compiled)
-        artifact = ArtifactStore(tmp_path).ensure_compiled(compiled)
+        artifact = ArtifactStore(tmp_path).save(compiled)
         sharded = run_grc_all(compiled, jobs=2, shards=5, artifact_path=artifact)
         assert sharded.csv_lines() == sequential.csv_lines()
 

@@ -58,9 +58,7 @@ class TestArtifactEquivalence:
         graph = topology.graph
         fresh = compile_topology(graph)
         with tempfile.TemporaryDirectory() as tmp:
-            store = ArtifactStore(tmp)
-            _, path = store.ensure(graph)
-            view = load_artifact(path)
+            view = load_artifact(ArtifactStore(tmp).save(fresh))
             self._assert_indistinguishable(view, fresh)
 
     @staticmethod

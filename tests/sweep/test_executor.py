@@ -106,6 +106,14 @@ def test_parallel_equals_sequential(tiny_spec, tmp_path):
     assert parallel.summary_bytes() == sequential.summary_bytes()
 
 
+def test_parallel_run_writes_only_its_cache_and_outputs(tiny_spec, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sequential = run_sweep(tiny_spec, jobs=1, cache_dir="c1", out_dir="o1")
+    parallel = run_sweep(tiny_spec, jobs=2, cache_dir="c2", out_dir="o2")
+    assert parallel.summary_bytes() == sequential.summary_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c1", "c2", "o1", "o2"]
+
+
 def test_force_recomputes_everything(tiny_spec, tmp_path):
     run_sweep(tiny_spec, cache_dir=tmp_path / "c", out_dir=tmp_path / "o")
     forced = run_sweep(

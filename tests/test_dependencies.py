@@ -7,7 +7,9 @@ CI still runs 3.10.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,3 +79,13 @@ def test_parser_agrees_with_tomllib():
         "dependencies": _names([f'"{r}"' for r in project["dependencies"]]),
         "extras": _names([f'"{r}"' for r in extras]),
     }
+
+
+def test_cli_import_loads_no_graph_library():
+    """``repro.cli`` starts without networkx: the code has no use for it."""
+    probe = "import sys, repro.cli; print('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -133,14 +133,22 @@ class TestValidationAndExport:
         graph.add_provider_customer(1, 2)
         graph.add_provider_customer(2, 3)
         graph.add_provider_customer(3, 1)
-        with pytest.raises(TopologyError):
+        graph.add_provider_customer(3, 4)
+        with pytest.raises(TopologyError, match="cycle") as caught:
             graph.validate()
+        message = str(caught.value)
+        for asn in (1, 2, 3):
+            assert f"AS {asn}" in message
+        assert "AS 4" not in message
 
-    def test_to_networkx_preserves_edges(self, simple_graph):
-        nx_graph = simple_graph.to_networkx()
-        assert nx_graph.number_of_nodes() == 4
-        assert nx_graph.number_of_edges() == 4
-        assert nx_graph.edges[1, 2]["relationship"] is Relationship.PROVIDER_TO_CUSTOMER
+    def test_validate_walks_deep_hierarchies_iteratively(self):
+        graph = ASGraph()
+        for asn in range(1, 5000):
+            graph.add_provider_customer(asn, asn + 1)
+        graph.validate()
+        graph.add_provider_customer(5000, 1)
+        with pytest.raises(TopologyError, match="AS 5000 -> AS 1"):
+            graph.validate()
 
     def test_copy_is_independent(self, simple_graph):
         clone = simple_graph.copy()
