@@ -20,10 +20,11 @@ points —
   cautious after terms that realized negative utility, and relax
   again after profitable ones).
 
-Behaviors are frozen dataclasses: their constructor parameters *are*
-their schema (see :mod:`repro.agents.registry`), and equal parameters
-compare equal — which keeps resolved populations hashable and seeded
-runs byte-reproducible.  Every behavior owns per-AS mutable state in an
+Behaviors are frozen :class:`~repro.envelope.JsonCodec` dataclasses:
+their constructor parameters *are* their schema, decoded and
+type-checked like any request (see :mod:`repro.agents.registry`), and
+equal parameters compare equal — which keeps seeded runs
+byte-reproducible.  Every behavior owns per-AS mutable state in an
 :class:`AgentState`, never on the behavior instance itself, so one
 behavior instance can serve thousands of ASes.
 """
@@ -34,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
+from repro.envelope import JsonCodec
 from repro.errors import ValidationError
 from repro.topology.geography import DEFAULT_REGION_HUBS
 
@@ -95,7 +97,7 @@ class AgentState:
 
 
 @dataclass(frozen=True)
-class AgentBehavior:
+class AgentBehavior(JsonCodec):
     """The honest baseline profile — and the hook surface of all others.
 
     Subclasses override individual hooks; everything not overridden
@@ -108,6 +110,7 @@ class AgentBehavior:
     description: ClassVar[str] = (
         "reports its true Eq. 7 utility and accepts any negotiated transfer"
     )
+    decode_error = ValidationError
 
     #: Preferred BOSCO choice-set cardinality ``W`` (0 = the
     #: marketplace default).  A pair negotiates under the smaller of the

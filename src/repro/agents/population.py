@@ -22,9 +22,13 @@ groups override earlier ones), each selecting ASes by *role*
 (hub index of the synthetic geography), degree bounds, or an explicit
 ASN list — optionally thinned by a seeded ``fraction`` sample, so the
 same spec resolved against the same topology always yields the same
-assignment.  Validation runs through the
-:class:`~repro.errors.ValidationError` taxonomy (CLI exit 2, HTTP 400),
-with unknown keys, profiles, and parameters all named explicitly.
+assignment.  The spec, its groups and matches are
+:class:`~repro.envelope.JsonCodec` dataclasses, decoded and type-checked
+like any request, and each group's ``params`` are decoded by its
+behavior class (:func:`~repro.agents.registry.build_behavior`).  Every
+bad value is a :class:`~repro.errors.ValidationError` (CLI exit 2, HTTP
+400) naming its path, e.g. ``PopulationSpec.groups[].match.region``;
+unknown keys and profiles are listed beside the valid ones.
 
 Region membership is derived per AS from a seeded hash
 (:func:`assign_regions`), independent of graph iteration order — the
@@ -33,7 +37,6 @@ same idiom the stochastic failure model uses for per-link streams.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -41,7 +44,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.agents.behaviors import NUM_REGIONS, AgentBehavior, AgentState
-from repro.agents.registry import BEHAVIORS, build_behavior
+from repro.agents.registry import build_behavior
+from repro.envelope import JsonCodec, read_json_document
 from repro.errors import ValidationError
 from repro.topology.graph import ASGraph
 
@@ -72,24 +76,11 @@ def assign_regions(graph: ASGraph, *, seed: int = 0) -> dict[int, int]:
     }
 
 
-def _require_mapping(value: Any, what: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
-        raise ValidationError(f"{what} must be a JSON object, got {value!r}")
-    return value
-
-
-def _reject_unknown(data: Mapping[str, Any], allowed: tuple[str, ...], what: str) -> None:
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ValidationError(
-            f"{what} has no field(s) {', '.join(sorted(repr(k) for k in unknown))}; "
-            f"available: {', '.join(allowed)}"
-        )
-
-
 @dataclass(frozen=True)
-class GroupMatch:
+class GroupMatch(JsonCodec):
     """The AS selector of one population group."""
+
+    decode_error = ValidationError
 
     role: str = "any"
     region: int | None = None
@@ -116,28 +107,6 @@ class GroupMatch:
             )
         object.__setattr__(self, "asns", tuple(sorted(set(self.asns))))
 
-    @classmethod
-    def from_mapping(cls, data: Mapping[str, Any]) -> "GroupMatch":
-        data = _require_mapping(data, "population group 'match'")
-        _reject_unknown(
-            data,
-            ("role", "region", "min_degree", "max_degree", "asns", "fraction"),
-            "population group 'match'",
-        )
-        asns = data.get("asns", ())
-        if not isinstance(asns, (list, tuple)) or any(
-            isinstance(a, bool) or not isinstance(a, int) for a in asns
-        ):
-            raise ValidationError(f"'asns' must be a list of integers, got {asns!r}")
-        return cls(
-            role=data.get("role", "any"),
-            region=data.get("region"),
-            min_degree=data.get("min_degree"),
-            max_degree=data.get("max_degree"),
-            asns=tuple(asns),
-            fraction=float(data.get("fraction", 1.0)),
-        )
-
     def matches(self, graph: ASGraph, regions: Mapping[int, int], asn: int) -> bool:
         """Whether an AS passes every selector of this match."""
         if self.asns and asn not in self.asns:
@@ -159,62 +128,35 @@ class GroupMatch:
 
 
 @dataclass(frozen=True)
-class PopulationGroup:
+class PopulationGroup(JsonCodec):
     """One profile→AS-set mapping of a population spec."""
 
+    decode_error = ValidationError
+
     profile: str
-    params: tuple[tuple[str, Any], ...] = ()
+    params: dict[str, Any] = field(default_factory=dict)
     match: GroupMatch = field(default_factory=GroupMatch)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(sorted(self.params)))
         # Construction is validation: an invalid profile or parameter
         # set fails here, not at resolve time.
         self.behavior()
 
-    @classmethod
-    def from_mapping(cls, data: Mapping[str, Any]) -> "PopulationGroup":
-        data = _require_mapping(data, "population group")
-        _reject_unknown(data, ("profile", "params", "match"), "population group")
-        if "profile" not in data:
-            raise ValidationError(
-                f"population group needs a 'profile'; "
-                f"available: {', '.join(sorted(BEHAVIORS))}"
-            )
-        params = _require_mapping(data.get("params", {}), "population group 'params'")
-        return cls(
-            profile=data["profile"],
-            params=tuple(params.items()),
-            match=GroupMatch.from_mapping(data.get("match", {})),
-        )
-
     def behavior(self) -> AgentBehavior:
         """The validated behavior instance this group assigns."""
-        return build_behavior(self.profile, dict(self.params))
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "profile": self.profile,
-            "params": dict(self.params),
-            "match": {
-                "role": self.match.role,
-                "region": self.match.region,
-                "min_degree": self.match.min_degree,
-                "max_degree": self.match.max_degree,
-                "asns": list(self.match.asns),
-                "fraction": self.match.fraction,
-            },
-        }
+        return build_behavior(self.profile, self.params)
 
 
 @dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(JsonCodec):
     """A validated population document (construction is validation)."""
+
+    decode_error = ValidationError
 
     name: str = "population"
     seed: int = 0
     default_profile: str = "honest"
-    default_params: tuple[tuple[str, Any], ...] = ()
+    default_params: dict[str, Any] = field(default_factory=dict)
     groups: tuple[PopulationGroup, ...] = ()
 
     def __post_init__(self) -> None:
@@ -222,56 +164,12 @@ class PopulationSpec:
             raise ValidationError("population spec needs a non-empty 'name'")
         if self.seed < 0:
             raise ValidationError(f"population seed must be non-negative, got {self.seed}")
-        object.__setattr__(self, "default_params", tuple(sorted(self.default_params)))
-        object.__setattr__(self, "groups", tuple(self.groups))
-        build_behavior(self.default_profile, dict(self.default_params))
-
-    @classmethod
-    def from_mapping(cls, data: Mapping[str, Any]) -> "PopulationSpec":
-        data = _require_mapping(data, "population spec")
-        _reject_unknown(
-            data,
-            ("name", "seed", "default_profile", "default_params", "groups"),
-            "population spec",
-        )
-        groups = data.get("groups", [])
-        if not isinstance(groups, (list, tuple)):
-            raise ValidationError(f"'groups' must be a list, got {groups!r}")
-        default_params = _require_mapping(
-            data.get("default_params", {}), "population 'default_params'"
-        )
-        return cls(
-            name=data.get("name", "population"),
-            seed=int(data.get("seed", 0)),
-            default_profile=data.get("default_profile", "honest"),
-            default_params=tuple(default_params.items()),
-            groups=tuple(PopulationGroup.from_mapping(entry) for entry in groups),
-        )
+        build_behavior(self.default_profile, self.default_params)
 
     @classmethod
     def load(cls, path: str | Path) -> "PopulationSpec":
         """Read and validate a population spec JSON file."""
-        try:
-            raw = Path(path).read_bytes()
-        except OSError as error:
-            raise ValidationError(f"cannot read population spec {path}: {error}") from error
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except ValueError as error:  # JSONDecodeError or UnicodeDecodeError
-            raise ValidationError(
-                f"population spec {path} is not valid JSON: {error}"
-            ) from error
-        return cls.from_mapping(data)
-
-    def as_dict(self) -> dict[str, Any]:
-        """Canonical JSON-safe form."""
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "default_profile": self.default_profile,
-            "default_params": dict(self.default_params),
-            "groups": [group.as_dict() for group in self.groups],
-        }
+        return cls.from_json_dict(read_json_document(path, "population spec"))
 
     def resolve(
         self, graph: ASGraph, regions: Mapping[int, int] | None = None
@@ -284,7 +182,7 @@ class PopulationSpec:
         """
         if regions is None:
             regions = assign_regions(graph, seed=self.seed)
-        default = build_behavior(self.default_profile, dict(self.default_params))
+        default = build_behavior(self.default_profile, self.default_params)
         behaviors: dict[int, AgentBehavior] = {asn: default for asn in sorted(graph)}
         for index, group in enumerate(self.groups):
             candidates = [
@@ -357,22 +255,22 @@ def default_population_spec(seed: int = 0) -> PopulationSpec:
         groups=(
             PopulationGroup(
                 profile="dishonest",
-                params=(("shade", 0.25),),
+                params={"shade": 0.25},
                 match=GroupMatch(fraction=0.3),
             ),
             PopulationGroup(
                 profile="adaptive",
-                params=(("learning_rate", 0.15), ("num_choices", 8)),
+                params={"learning_rate": 0.15, "num_choices": 8},
                 match=GroupMatch(role="transit", fraction=0.5),
             ),
             PopulationGroup(
                 profile="regional",
-                params=(("intensity", 1.0),),
+                params={"intensity": 1.0},
                 match=GroupMatch(fraction=0.2),
             ),
             PopulationGroup(
                 profile="budget",
-                params=(("budget", 2.0),),
+                params={"budget": 2.0},
                 match=GroupMatch(fraction=0.2),
             ),
         ),

@@ -2,10 +2,12 @@
 
 Behavior variants stay *data, not code*: a population spec names a
 profile (``"dishonest"``) and passes parameters (``{"shade": 0.3}``),
-and the registry builds the frozen behavior instance — validating the
-profile name, the parameter names, and the parameter types with the
-same :class:`~repro.errors.ValidationError` taxonomy (exit 2 / HTTP
-400) the typed API requests use.
+and the registry looks up the profile's class, which decodes the
+parameters with the request codec (:class:`~repro.envelope.JsonCodec`).
+An unknown profile, an unknown or ill-typed parameter (an ``int``
+parameter takes JSON integers only) and an out-of-range value all raise
+a :class:`~repro.errors.ValidationError` (exit 2 / HTTP 400) naming
+what is wrong.
 
 Because behaviors are dataclasses, their constructor signature *is*
 their schema: :func:`behavior_catalog` derives the parameter listing
@@ -75,57 +77,20 @@ def _behavior_class(profile: str) -> type[AgentBehavior]:
 
 def behavior_parameters(profile: str) -> tuple[dict[str, Any], ...]:
     """The parameter schema of a profile: (name, type, default, doc) rows."""
-    behavior_cls = _behavior_class(profile)
-    rows = []
-    for field in dataclasses.fields(behavior_cls):
-        if not field.init:
-            continue
-        rows.append(
-            {
-                "name": field.name,
-                "type": field.type if isinstance(field.type, str) else field.type.__name__,
-                "default": field.default,
-                "doc": field.metadata.get("doc", ""),
-            }
-        )
-    return tuple(rows)
+    return tuple(
+        {
+            "name": field.name,
+            "type": field.type if isinstance(field.type, str) else field.type.__name__,
+            "default": field.default,
+            "doc": field.metadata.get("doc", ""),
+        }
+        for field in dataclasses.fields(_behavior_class(profile))
+    )
 
 
 def build_behavior(profile: str, params: Mapping[str, Any] | None = None) -> AgentBehavior:
-    """Build (and validate) a behavior instance from a profile + params.
-
-    Unknown profiles and unknown parameter names raise
-    :class:`ValidationError` naming the valid alternatives; value
-    checks are the behavior constructor's own (also ValidationError).
-    """
-    behavior_cls = _behavior_class(profile)
-    params = dict(params or {})
-    allowed = {field.name for field in dataclasses.fields(behavior_cls) if field.init}
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValidationError(
-            f"behavior profile {profile!r} has no parameter(s) "
-            f"{', '.join(sorted(repr(key) for key in unknown))}; "
-            f"available: {', '.join(sorted(allowed))}"
-        )
-    for field in dataclasses.fields(behavior_cls):
-        if field.name not in params:
-            continue
-        value = params[field.name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(
-                f"behavior parameter {field.name!r} of profile {profile!r} "
-                f"must be a number, got {value!r}"
-            )
-        if field.type in ("int", int) and not isinstance(value, int):
-            if float(value).is_integer():
-                params[field.name] = int(value)
-            else:
-                raise ValidationError(
-                    f"behavior parameter {field.name!r} of profile {profile!r} "
-                    f"must be an integer, got {value!r}"
-                )
-    return behavior_cls(**params)
+    """Build (and validate) a behavior instance from a profile + params."""
+    return _behavior_class(profile).from_json_dict(params or {})
 
 
 def behavior_catalog() -> tuple[dict[str, Any], ...]:

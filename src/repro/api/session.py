@@ -89,7 +89,6 @@ from repro.sweep import (
     DEFAULT_CACHE_DIR,
     DEFAULT_OUT_DIR,
     SweepSpec,
-    SweepSpecError,
     run_sweep,
     smoke_spec,
 )
@@ -476,12 +475,7 @@ class Session:
         progress=None,
     ) -> SweepResult | SweepListResult:
         """Run (or ``--list`` expand) a sharded, resumable sweep."""
-        try:
-            spec = (
-                smoke_spec() if request.smoke else SweepSpec.from_json_file(request.spec)
-            )
-        except SweepSpecError as error:
-            raise ValidationError(str(error)) from error
+        spec = smoke_spec() if request.smoke else SweepSpec.from_json_file(request.spec)
         if request.list_shards:
             shards = spec.expand()
             return SweepListResult(

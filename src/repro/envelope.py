@@ -20,16 +20,20 @@ checks types: a ``bool`` is never an ``int``, a ``float`` field takes
 any finite number, and a mismatch raises the class's ``decode_error``
 naming ``kind.field``, the expected JSON type and the one it got.
 ``python -m repro.api.validate`` reads the same :data:`KINDS` registry.
+The input documents (population specs, behavior parameters, scenario
+overrides) are codec classes too; :func:`read_json_document` reads
+their files.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import types
 import typing
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import Any, Callable, ClassVar, NewType
 
@@ -46,6 +50,7 @@ __all__ = [
     "envelope",
     "expect_envelope",
     "nested_envelopes",
+    "read_json_document",
     "required_keys",
 ]
 
@@ -101,6 +106,22 @@ def expect_envelope(data: Mapping[str, Any], kind: str) -> dict[str, Any]:
         for key, value in data.items()
         if key not in ("schema_version", "kind")
     }
+
+
+def read_json_document(path: str | Path, what: str) -> Any:
+    """The parsed content of a JSON input file (``what`` names it in errors).
+
+    An unreadable file or one that is not UTF-8 JSON raises
+    :class:`~repro.errors.ValidationError` naming the path.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as error:
+        raise ValidationError(f"cannot read {what} {path}: {error}") from error
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as error:  # JSONDecodeError or UnicodeDecodeError
+        raise ValidationError(f"{what} {path} is not valid JSON: {error}") from error
 
 
 class JsonCodec:
@@ -171,6 +192,10 @@ _JSON_NAMES = {
 def _mismatch(where: str, expected: str, value: Any) -> _Mismatch:
     got = _JSON_NAMES.get(type(value), type(value).__name__)
     return _Mismatch(f"{where} must be {expected}, got {got}")
+
+
+def _quoted(keys: Iterable[str]) -> str:
+    return ", ".join(repr(key) for key in keys)
 
 
 def _checked(accepts: Callable[[Any], bool], expected: str) -> Decoder:
@@ -311,10 +336,13 @@ class _Codec:
         payload = expect_envelope(data, self.kind) if self.kind else _decode_object(data, where)
         unknown = payload.keys() - self.names
         if unknown:
-            raise _Mismatch(f"unknown {where} field(s): {', '.join(sorted(unknown))}")
+            raise _Mismatch(
+                f"unknown {where} field(s) {_quoted(sorted(unknown))}; "
+                f"available: {', '.join(sorted(self.names))}"
+            )
         missing = [name for name in self.required if name not in payload]
         if missing:
-            raise _Mismatch(f"{where} is missing required key(s): {', '.join(missing)}")
+            raise _Mismatch(f"{where} is missing required key(s): {_quoted(missing)}")
         return self.cls(
             **{
                 name: decode(payload[name], f"{where}.{name}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -83,11 +83,16 @@ class ScenarioResult(JsonCodec):
         return "\n".join(lines)
 
 
-class SimulationScenario(abc.ABC):
-    """A reproducible simulation setup: build processes, run, summarize."""
+class SimulationScenario(JsonCodec, abc.ABC):
+    """A reproducible simulation setup: build processes, run, summarize.
 
-    name: str = "scenario"
-    description: str = ""
+    Its public fields are the scenario's knobs, decoded from overrides
+    like any request (:func:`run_scenario`).
+    """
+
+    name: ClassVar[str] = "scenario"
+    description: ClassVar[str] = ""
+    decode_error = ValidationError
     seed: int
     duration: float
 
@@ -123,6 +128,9 @@ class SimulationScenario(abc.ABC):
 class FailureChurnScenario(SimulationScenario):
     """BGP vs. PAN availability under seeded link-failure churn."""
 
+    name: ClassVar[str] = "failure-churn"
+    description: ClassVar[str] = "BGP vs. PAN path availability under link-failure churn"
+
     seed: int = 2021
     duration: float = 72.0
     num_tier1: int = 3
@@ -135,11 +143,6 @@ class FailureChurnScenario(SimulationScenario):
     beacon_interval: float = 1.0
     reconvergence_delay: float = 0.25
     sample_interval: float = 0.5
-    name: str = field(default="failure-churn", init=False)
-    description: str = field(
-        default="BGP vs. PAN path availability under link-failure churn",
-        init=False,
-    )
 
     def topology(self) -> ASGraph:
         return generate_topology(
@@ -218,6 +221,11 @@ class FailureChurnScenario(SimulationScenario):
 class AgreementMarketplaceScenario(SimulationScenario):
     """Mutuality agreements negotiated, metered, billed, renegotiated."""
 
+    name: ClassVar[str] = "marketplace"
+    description: ClassVar[str] = (
+        "agreement lifecycles (negotiate/meter/bill) over a billing horizon"
+    )
+
     seed: int = 2021
     duration: float = 24.0 * 30.0
     num_tier1: int = 3
@@ -228,11 +236,6 @@ class AgreementMarketplaceScenario(SimulationScenario):
     term_duration: float = 24.0 * 7.0
     metering_interval: float = 1.0
     mean_demand: float = 10.0
-    name: str = field(default="marketplace", init=False)
-    description: str = field(
-        default="agreement lifecycles (negotiate/meter/bill) over a billing horizon",
-        init=False,
-    )
 
     def topology(self) -> ASGraph:
         return generate_topology(
@@ -285,6 +288,9 @@ class AgreementMarketplaceScenario(SimulationScenario):
 class FlashCrowdScenario(SimulationScenario):
     """A flash crowd hits the Fig. 1 D–E agreement mid-term."""
 
+    name: ClassVar[str] = "flash-crowd"
+    description: ClassVar[str] = "a traffic spike through the Fig. 1 D-E agreement and its p95 bill"
+
     seed: int = 2021
     duration: float = 24.0 * 7.0 + 1.0
     term_duration: float = 24.0 * 7.0
@@ -293,11 +299,6 @@ class FlashCrowdScenario(SimulationScenario):
     crowd_start: float = 24.0 * 3.0
     crowd_duration: float = 12.0
     crowd_multiplier: float = 6.0
-    name: str = field(default="flash-crowd", init=False)
-    description: str = field(
-        default="a traffic spike through the Fig. 1 D-E agreement and its p95 bill",
-        init=False,
-    )
 
     def topology(self) -> ASGraph:
         return figure1_topology()
@@ -352,6 +353,9 @@ class HeterogeneousMarketplaceScenario(SimulationScenario):
     default-rate metrics close the trace.
     """
 
+    name: ClassVar[str] = "marketplace-heterogeneous"
+    description: ClassVar[str] = "a mixed-profile agreement marketplace with regional shocks"
+
     seed: int = 2021
     duration: float = 24.0 * 14.0
     num_tier1: int = 3
@@ -371,11 +375,6 @@ class HeterogeneousMarketplaceScenario(SimulationScenario):
     price_war_start: float = 24.0 * 8.0
     price_war_duration: float = 96.0
     price_war_multiplier: float = 0.5
-    name: str = field(default="marketplace-heterogeneous", init=False)
-    description: str = field(
-        default="a mixed-profile agreement marketplace with regional shocks",
-        init=False,
-    )
 
     def topology(self) -> ASGraph:
         return generate_topology(
@@ -491,17 +490,14 @@ def scenario_catalog() -> tuple[dict[str, Any], ...]:
     catalog = []
     for name in sorted(SCENARIOS):
         scenario_cls = SCENARIOS[name]
-        fields = []
-        for spec in dataclasses.fields(scenario_cls):
-            if not spec.init:
-                continue
-            fields.append(
-                {
-                    "name": spec.name,
-                    "type": spec.type if isinstance(spec.type, str) else spec.type.__name__,
-                    "default": spec.default,
-                }
-            )
+        fields = [
+            {
+                "name": spec.name,
+                "type": spec.type if isinstance(spec.type, str) else spec.type.__name__,
+                "default": spec.default,
+            }
+            for spec in dataclasses.fields(scenario_cls)
+        ]
         catalog.append(
             {
                 "name": name,
@@ -517,15 +513,13 @@ def scenario_field_names(name: str) -> frozenset[str]:
 
     This is the validation surface of the sweep spec's ``scenarios``
     axis: any field listed here can be overridden per sweep
-    configuration; ``name``/``description`` are identity, not knobs.
+    configuration.
     """
     if name not in SCENARIOS:
         raise KeyError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}"
         )
-    return frozenset(
-        field.name for field in dataclasses.fields(SCENARIOS[name]) if field.init
-    )
+    return frozenset(field.name for field in dataclasses.fields(SCENARIOS[name]))
 
 
 def run_scenario(
@@ -540,28 +534,16 @@ def run_scenario(
     ``overrides`` may set any sweepable scenario field (see
     :func:`scenario_field_names`) — the hook the sweep orchestrator uses
     to explore scenario knobs (failure rates, demand levels, topology
-    sizes, …) without hand-editing scenario classes.
+    sizes, …) without hand-editing scenario classes.  They are decoded
+    like a request: an unknown or ill-typed field is a
+    :class:`~repro.errors.ValidationError` (exit 2 / HTTP 400) naming it.
     """
     if name not in SCENARIOS:
         raise KeyError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}"
         )
-    allowed = scenario_field_names(name)
-    unknown = set(overrides) - allowed
-    if unknown:
-        # ValidationError (exit 2 / HTTP 400), naming both the invalid
-        # key(s) and the full valid field list — so a sweep spec typo is
-        # diagnosable without reading scenario source.
-        raise ValidationError(
-            f"scenario {name!r} has no field(s) "
-            f"{', '.join(sorted(repr(key) for key in unknown))}; "
-            f"available: {', '.join(sorted(allowed))}"
-        )
-    scenario = SCENARIOS[name]()
-    for key, value in sorted(overrides.items()):
-        setattr(scenario, key, value)
     if seed is not None:
-        scenario.seed = seed
+        overrides["seed"] = seed
     if duration is not None:
-        scenario.duration = duration
-    return scenario.run()
+        overrides["duration"] = duration
+    return SCENARIOS[name].from_json_dict(overrides).run()

@@ -30,7 +30,6 @@ from repro.sweep.spec import (
     ScenarioSpec,
     Shard,
     SweepSpec,
-    SweepSpecError,
     smoke_spec,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "Shard",
     "SweepRunResult",
     "SweepSpec",
-    "SweepSpecError",
     "build_summary",
     "run_shard",
     "run_sweep",

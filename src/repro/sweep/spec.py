@@ -36,21 +36,18 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
 from repro.core.store import canonical_json, input_files
-from repro.simulation.scenarios import SCENARIOS, scenario_field_names
+from repro.envelope import read_json_document
+from repro.errors import ValidationError
+from repro.simulation.scenarios import SCENARIOS
 
 #: Figures a sweep can select, in canonical order.
 FIGURES: tuple[str, ...] = ("fig2", "fig3", "fig4", "fig5", "fig6")
-
-
-class SweepSpecError(ValueError):
-    """Raised when a sweep spec document is malformed."""
 
 
 @dataclass(frozen=True)
@@ -94,9 +91,10 @@ class ScenarioSpec:
     """One ``repro simulate`` configuration of the ``scenarios`` axis.
 
     ``overrides`` holds sweepable scenario knobs as a sorted tuple of
-    ``(field, value)`` pairs, validated against the scenario dataclass's
-    public fields.  ``label`` distinguishes configurations of the same
-    scenario in shard ids and aggregation groups.
+    ``(field, value)`` pairs, kept as written (the spec's canonical
+    form) and checked by decoding them into the scenario dataclass.
+    ``label`` distinguishes configurations of the same scenario in
+    shard ids and aggregation groups.
     """
 
     scenario: str
@@ -105,28 +103,14 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
-            raise SweepSpecError(
+            raise ValidationError(
                 f"unknown scenario {self.scenario!r}; "
                 f"available: {', '.join(sorted(SCENARIOS))}"
             )
-        allowed = scenario_field_names(self.scenario)
-        for key, value in self.overrides:
-            if key in ("seed",):
-                raise SweepSpecError(
-                    "scenario overrides cannot set 'seed'; seeds are a sweep axis"
-                )
-            if key not in allowed:
-                raise SweepSpecError(
-                    f"scenario {self.scenario!r} has no sweepable field {key!r}; "
-                    f"available: {', '.join(sorted(allowed))}"
-                )
-            # Strings are sweepable too: population spec paths make
-            # agent populations a sweep axis.
-            if not isinstance(value, (int, float, bool, str)):
-                raise SweepSpecError(
-                    f"scenario override {key!r} must be a number, bool, "
-                    f"or string, got {value!r}"
-                )
+        overrides = dict(self.overrides)
+        if "seed" in overrides:
+            raise ValidationError("scenario overrides cannot set 'seed'; seeds are a sweep axis")
+        SCENARIOS[self.scenario].from_json_dict(overrides)
 
     def as_dict(self) -> dict[str, Any]:
         """Canonical JSON-safe form."""
@@ -190,7 +174,7 @@ def _parse_scale(entry: Any) -> ScaleSpec:
         try:
             return NAMED_SCALES[entry]
         except KeyError:
-            raise SweepSpecError(
+            raise ValidationError(
                 f"unknown named scale {entry!r}; "
                 f"available: {', '.join(sorted(NAMED_SCALES))}"
             ) from None
@@ -198,37 +182,37 @@ def _parse_scale(entry: Any) -> ScaleSpec:
         data = dict(entry)
         name = data.pop("name", None)
         if not isinstance(name, str) or not name:
-            raise SweepSpecError("inline scales need a non-empty 'name'")
+            raise ValidationError("inline scales need a non-empty 'name'")
         base = NAMED_SCALES.get(name, NAMED_SCALES["tiny"])
         known = {field.name for field in dataclasses.fields(ScaleSpec)} - {"name"}
         unknown = set(data) - known
         if unknown:
-            raise SweepSpecError(
+            raise ValidationError(
                 f"unknown scale field(s) {sorted(unknown)}; allowed: {sorted(known)}"
             )
         values = {field: getattr(base, field) for field in known}
         for key, value in data.items():
             if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-                raise SweepSpecError(
+                raise ValidationError(
                     f"scale field {key!r} must be a positive integer, got {value!r}"
                 )
             values[key] = value
         return ScaleSpec(name=name, **values)
-    raise SweepSpecError(f"scales entries must be names or mappings, got {entry!r}")
+    raise ValidationError(f"scales entries must be names or mappings, got {entry!r}")
 
 
 def _parse_scenario(entry: Any, position: int) -> ScenarioSpec:
     if not isinstance(entry, Mapping):
-        raise SweepSpecError(f"scenarios entries must be mappings, got {entry!r}")
+        raise ValidationError(f"scenarios entries must be mappings, got {entry!r}")
     data = dict(entry)
     name = data.pop("scenario", None)
     if not isinstance(name, str):
-        raise SweepSpecError("each scenarios entry needs a 'scenario' name")
+        raise ValidationError("each scenarios entry needs a 'scenario' name")
     label = data.pop("label", None)
     if label is None:
         label = name if not data else f"{name}#{position}"
     if not isinstance(label, str) or not label:
-        raise SweepSpecError("scenario 'label' must be a non-empty string")
+        raise ValidationError("scenario 'label' must be a non-empty string")
     overrides = tuple(sorted(data.items()))
     return ScenarioSpec(scenario=name, label=label, overrides=overrides)
 
@@ -247,30 +231,30 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise SweepSpecError("sweep spec needs a non-empty 'name'")
+            raise ValidationError("sweep spec needs a non-empty 'name'")
         if not self.scales:
-            raise SweepSpecError("sweep spec needs at least one scale")
+            raise ValidationError("sweep spec needs at least one scale")
         if not self.seeds:
-            raise SweepSpecError("sweep spec needs at least one seed")
+            raise ValidationError("sweep spec needs at least one seed")
         if not self.figures and not self.scenarios:
-            raise SweepSpecError("sweep spec needs 'figures' and/or 'scenarios'")
+            raise ValidationError("sweep spec needs 'figures' and/or 'scenarios'")
         if len({scale.name for scale in self.scales}) != len(self.scales):
-            raise SweepSpecError("scale names must be unique")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise SweepSpecError("seeds must be unique")
-        labels = [scenario.label for scenario in self.scenarios]
-        if len(set(labels)) != len(labels):
-            raise SweepSpecError("scenario labels must be unique")
+            raise ValidationError("scale names must be unique")
         for seed in self.seeds:
             if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-                raise SweepSpecError(f"seeds must be non-negative integers, got {seed!r}")
+                raise ValidationError(f"seeds must be non-negative integers, got {seed!r}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValidationError("seeds must be unique")
+        labels = [scenario.label for scenario in self.scenarios]
+        if len(set(labels)) != len(labels):
+            raise ValidationError("scenario labels must be unique")
         for figure in self.figures:
             if figure not in FIGURES:
-                raise SweepSpecError(
+                raise ValidationError(
                     f"unknown figure {figure!r}; available: {', '.join(FIGURES)}"
                 )
         if self.sample_count is not None and self.sample_count < 1:
-            raise SweepSpecError(
+            raise ValidationError(
                 f"sample count must be positive, got {self.sample_count}"
             )
 
@@ -278,30 +262,30 @@ class SweepSpec:
     def from_mapping(cls, data: Mapping[str, Any]) -> "SweepSpec":
         """Parse and validate a spec document (the JSON file's content)."""
         if not isinstance(data, Mapping):
-            raise SweepSpecError(f"sweep spec must be a mapping, got {data!r}")
+            raise ValidationError(f"sweep spec must be a mapping, got {data!r}")
         unknown = set(data) - {"name", "scales", "seeds", "figures", "scenarios", "sample"}
         if unknown:
-            raise SweepSpecError(f"unknown spec field(s): {sorted(unknown)}")
+            raise ValidationError(f"unknown spec field(s): {sorted(unknown)}")
         name = data.get("name")
         if not isinstance(name, str) or not name:
-            raise SweepSpecError("sweep spec needs a non-empty 'name'")
+            raise ValidationError("sweep spec needs a non-empty 'name'")
         for field in ("scales", "seeds", "figures", "scenarios"):
             value = data.get(field, [])
             if not isinstance(value, list):
-                raise SweepSpecError(f"'{field}' must be a list, got {value!r}")
+                raise ValidationError(f"'{field}' must be a list, got {value!r}")
         scales = tuple(_parse_scale(entry) for entry in data.get("scales", ()))
         seeds = tuple(data.get("seeds", ()))
         figures_raw = data.get("figures", ())
         for entry in figures_raw:
             if not isinstance(entry, str):
-                raise SweepSpecError(f"figures entries must be names, got {entry!r}")
+                raise ValidationError(f"figures entries must be names, got {entry!r}")
         # Canonical figure order regardless of spec order.
         figures = tuple(f for f in FIGURES if f in set(figures_raw))
         if len(set(figures_raw)) != len(tuple(figures_raw)):
-            raise SweepSpecError("figures must be unique")
+            raise ValidationError("figures must be unique")
         if set(figures_raw) - set(figures):
             bad = sorted(set(figures_raw) - set(figures))
-            raise SweepSpecError(
+            raise ValidationError(
                 f"unknown figure(s) {bad}; available: {', '.join(FIGURES)}"
             )
         scenarios = tuple(
@@ -313,13 +297,13 @@ class SweepSpec:
         sample_seed = 0
         if sample is not None:
             if not isinstance(sample, Mapping) or "count" not in sample:
-                raise SweepSpecError("'sample' must be a mapping with a 'count'")
+                raise ValidationError("'sample' must be a mapping with a 'count'")
             sample_count = sample["count"]
             if not isinstance(sample_count, int) or isinstance(sample_count, bool):
-                raise SweepSpecError("'sample.count' must be an integer")
+                raise ValidationError("'sample.count' must be an integer")
             sample_seed = sample.get("seed", 0)
             if not isinstance(sample_seed, int) or isinstance(sample_seed, bool):
-                raise SweepSpecError("'sample.seed' must be an integer")
+                raise ValidationError("'sample.seed' must be an integer")
         return cls(
             name=name,
             scales=scales,
@@ -333,15 +317,7 @@ class SweepSpec:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "SweepSpec":
         """Load a spec from a JSON file."""
-        try:
-            raw = Path(path).read_bytes()
-        except OSError as error:
-            raise SweepSpecError(f"cannot read sweep spec {path}: {error}") from error
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except ValueError as error:  # JSONDecodeError or UnicodeDecodeError
-            raise SweepSpecError(f"sweep spec {path} is not valid JSON: {error}") from error
-        return cls.from_mapping(data)
+        return cls.from_mapping(read_json_document(path, "sweep spec"))
 
     def canonical(self) -> dict[str, Any]:
         """Canonical JSON-safe form of the whole spec."""

@@ -42,18 +42,22 @@ def test_unknown_parameter_names_the_valid_ones():
         build_behavior("dishonest", {"greed": 2.0})
     message = str(excinfo.value)
     assert "'greed'" in message
-    assert "shade" in message
+    assert "available: num_choices, shade" in message
 
 
 def test_non_numeric_parameter_is_rejected():
     with pytest.raises(ValidationError, match="must be a number"):
         build_behavior("dishonest", {"shade": "lots"})
+    with pytest.raises(ValidationError, match=r"\.shade must be a number, got boolean"):
+        build_behavior("dishonest", {"shade": True})
 
 
-def test_integer_parameters_coerce_whole_floats_only():
-    assert build_behavior("honest", {"num_choices": 4.0}).num_choices == 4
-    with pytest.raises(ValidationError, match="must be an integer"):
-        build_behavior("honest", {"num_choices": 4.5})
+def test_integer_parameters_take_json_integers_only():
+    # The rule every request field follows: 4.0 is a number, not an integer.
+    assert build_behavior("honest", {"num_choices": 4}).num_choices == 4
+    for value in (4.0, 4.5, "4", True):
+        with pytest.raises(ValidationError, match=r"\.num_choices must be an integer"):
+            build_behavior("honest", {"num_choices": value})
 
 
 def test_behavior_parameters_expose_the_schema():

@@ -1,8 +1,8 @@
-"""A malformed or non-UTF-8 input file is a ValidationError.
+"""A malformed, non-UTF-8 or ill-typed input file is a ValidationError.
 
-Every workflow that reads a file names it in a clean error: exit 2 from
-the CLI, HTTP 400 from the server for the routable workflows — never a
-traceback or an internal 500.
+Every workflow that reads a file names it (or the ill-typed field) in a
+clean error: exit 2 from the CLI, HTTP 400 from the server for the
+routable workflows — never a traceback or an internal 500.
 """
 
 import asyncio
@@ -30,19 +30,47 @@ INPUTS = {
     "sweep": (["sweep", "--spec"], {}, "spec"),
 }
 
+
+def _sweep_spec(**fields) -> bytes:
+    spec = {"name": "bad", "scales": ["tiny"], "seeds": [1], "figures": ["fig3"]}
+    return json.dumps({**spec, **fields}).encode()
+
+
+def _churn(**override) -> bytes:
+    return _sweep_spec(figures=[], scenarios=[{"scenario": "failure-churn", **override}])
+
+
+#: (workflow, file name, content, what the error names: None = the file path)
 CASES = [
-    ("diversity", "unknown-code.txt", b"1|2|7\n"),
-    ("diversity", "non-numeric.txt", b"a|b|0\n"),
-    ("diversity", "self-loop.txt", b"1|1|0\n"),
-    ("diversity", "conflicting-duplicate.txt", b"1|2|-1\n1|2|0\n"),
-    ("diversity", "not-utf8.txt", NOT_UTF8),
-    ("diversity", "not-utf8.gml", NOT_UTF8),
-    ("grc-all", "unknown-code.txt", b"1|2|7\n"),
-    ("grc-all", "conflicting-duplicate.txt", b"1|2|-1\n1|2|0\n"),
-    ("grc-all", "not-utf8.txt", NOT_UTF8),
-    ("grc-all", "not-utf8.gml", NOT_UTF8),
-    ("simulate", "not-utf8.json", NOT_UTF8),
-    ("sweep", "not-utf8.json", NOT_UTF8),
+    ("diversity", "unknown-code.txt", b"1|2|7\n", None),
+    ("diversity", "non-numeric.txt", b"a|b|0\n", None),
+    ("diversity", "self-loop.txt", b"1|1|0\n", None),
+    ("diversity", "conflicting-duplicate.txt", b"1|2|-1\n1|2|0\n", None),
+    ("diversity", "not-utf8.txt", NOT_UTF8, None),
+    ("diversity", "not-utf8.gml", NOT_UTF8, None),
+    ("grc-all", "unknown-code.txt", b"1|2|7\n", None),
+    ("grc-all", "conflicting-duplicate.txt", b"1|2|-1\n1|2|0\n", None),
+    ("grc-all", "not-utf8.txt", NOT_UTF8, None),
+    ("grc-all", "not-utf8.gml", NOT_UTF8, None),
+    ("simulate", "not-utf8.json", NOT_UTF8, None),
+    ("sweep", "not-utf8.json", NOT_UTF8, None),
+    # Well-formed JSON with an ill-typed field: the error names the field.
+    (
+        "simulate",
+        "region-string.json",
+        b'{"groups": [{"profile": "budget", "match": {"region": "3"}}]}',
+        "PopulationSpec.groups[].match.region",
+    ),
+    (
+        "simulate",
+        "profile-list.json",
+        b'{"groups": [{"profile": ["dishonest"]}]}',
+        "PopulationSpec.groups[].profile",
+    ),
+    ("simulate", "seed-string.json", b'{"seed": "abc"}', "PopulationSpec.seed"),
+    ("sweep", "duration-string.json", _churn(duration="abc"), "FailureChurnScenario.duration"),
+    ("sweep", "num-pairs-float.json", _churn(num_pairs=2.5), "FailureChurnScenario.num_pairs"),
+    ("sweep", "seed-list.json", _sweep_spec(seeds=[[1]]), "seeds"),
 ]
 
 
@@ -56,16 +84,18 @@ def post(workflow: str, payload: dict) -> tuple[int, dict]:
 
 
 @pytest.mark.parametrize(
-    "workflow, name, content", CASES, ids=[f"{w}-{n}" for w, n, _ in CASES]
+    "workflow, name, content, names", CASES, ids=[f"{w}-{n}" for w, n, _, _ in CASES]
 )
-def test_bad_input_file_is_a_validation_error(tmp_path, capsys, workflow, name, content):
+def test_bad_input_file_is_a_validation_error(tmp_path, capsys, workflow, name, content, names):
     path = tmp_path / name
     path.write_bytes(content)
+    expected = names or str(path)
     argv, payload, field = INPUTS[workflow]
     assert main([*argv, str(path)]) == 2
-    assert str(path) in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
     if WORKFLOWS[workflow].routable:
         status, document = post(workflow, {**payload, field: str(path)})
         assert status == 400
         assert document["exit_code"] == 2
-        assert str(path) in document["error"]
+        assert expected in document["error"]
+

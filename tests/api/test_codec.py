@@ -1,8 +1,9 @@
 """The annotation-driven envelope codec: type checks, registry, fuzzing.
 
-Every request type of the workflow table decodes through
-:class:`repro.envelope.JsonCodec`; whatever JSON value lands in
-whatever field, decoding either yields the typed request or raises a
+Every request type of the workflow table, and every input document
+(population specs, behavior parameters, scenario overrides), decodes
+through :class:`repro.envelope.JsonCodec`; whatever JSON value lands in
+whatever field, decoding either yields the typed value or raises a
 :class:`ValidationError` — never a bare ``TypeError`` that a server
 would turn into a 500.
 """
@@ -27,9 +28,11 @@ from repro.api import (
     SimulateResult,
     ValidationError,
 )
+from repro.agents import BEHAVIORS, GroupMatch, PopulationGroup, PopulationSpec
 from repro.api.requests import decode_request
 from repro.api.validate import REQUIRED_KEYS, validate_envelope
 from repro.envelope import KINDS, SCHEMA_VERSION, required_keys
+from repro.simulation.scenarios import SCENARIOS
 
 #: Every JSON value a client can send (json.loads also accepts the
 #: NaN/Infinity literals, so non-finite floats are in scope too).
@@ -53,6 +56,29 @@ FIELDS = [
     for workflow in WORKFLOWS.values()
     for field in dataclasses.fields(workflow.request_type)
 ]
+
+#: The input-document decoders: population specs, behaviors, scenarios.
+DOCUMENT_TYPES = [PopulationSpec, *BEHAVIORS.values(), *SCENARIOS.values()]
+DOCUMENT_FIELDS = [
+    (cls, field.name)
+    for cls in (*DOCUMENT_TYPES, PopulationGroup, GroupMatch)
+    for field in dataclasses.fields(cls)
+]
+
+
+def _in_population(cls, field, value):
+    """A population document with ``value`` in a field of ``cls`` (or None)."""
+    if cls is PopulationSpec:
+        return {field: value}
+    if cls is PopulationGroup:
+        group = {"profile": "honest", field: value}
+    elif cls is GroupMatch:
+        group = {"profile": "honest", "match": {field: value}}
+    elif cls in BEHAVIORS.values():
+        group = {"profile": cls.profile, "params": {field: value}}
+    else:
+        return None
+    return {"groups": [group]}
 
 
 def decodes_or_rejects(decode, *args):
@@ -81,6 +107,17 @@ class TestRequestFuzz:
         for workflow in WORKFLOWS.values():
             decodes_or_rejects(decode_request, workflow.request_type, document)
         decodes_or_rejects(decode_request, JobRequest, document)
+        for document_type in DOCUMENT_TYPES:
+            decodes_or_rejects(document_type.from_json_dict, document)
+
+    @settings(max_examples=300, deadline=None)
+    @given(target=st.sampled_from(DOCUMENT_FIELDS), value=JSON_VALUES)
+    def test_any_json_value_in_any_document_field_decodes_or_is_rejected(self, target, value):
+        cls, field = target
+        decodes_or_rejects(cls.from_json_dict, {field: value})
+        document = _in_population(cls, field, value)
+        if document is not None:
+            decodes_or_rejects(PopulationSpec.from_json_dict, document)
 
 
 class TestTypeChecks:

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.errors import ValidationError
+from repro.simulation.scenarios import scenario_field_names
 from repro.sweep import (
     FIGURES,
     NAMED_SCALES,
     SweepSpec,
-    SweepSpecError,
     smoke_spec,
 )
 
@@ -41,17 +42,17 @@ class TestParsing:
         assert custom.sample_size == NAMED_SCALES["tiny"].sample_size
 
     def test_unknown_named_scale_rejected(self):
-        with pytest.raises(SweepSpecError, match="unknown named scale"):
+        with pytest.raises(ValidationError, match="unknown named scale"):
             SweepSpec.from_mapping(minimal_mapping(scales=["galactic"]))
 
     def test_unknown_scale_field_rejected(self):
-        with pytest.raises(SweepSpecError, match="unknown scale field"):
+        with pytest.raises(ValidationError, match="unknown scale field"):
             SweepSpec.from_mapping(
                 minimal_mapping(scales=[{"name": "x", "num_planets": 9}])
             )
 
     def test_unknown_figure_rejected(self):
-        with pytest.raises(SweepSpecError, match="unknown figure"):
+        with pytest.raises(ValidationError, match="unknown figure"):
             SweepSpec.from_mapping(minimal_mapping(figures=["fig9"]))
 
     def test_figures_normalized_to_canonical_order(self):
@@ -60,13 +61,17 @@ class TestParsing:
         assert all(figure in FIGURES for figure in spec.figures)
 
     def test_scenario_unknown_field_rejected(self):
-        with pytest.raises(SweepSpecError, match="no sweepable field"):
+        with pytest.raises(ValidationError) as excinfo:
             SweepSpec.from_mapping(
                 minimal_mapping(
                     figures=[],
                     scenarios=[{"scenario": "failure-churn", "warp_factor": 9}],
                 )
             )
+        assert str(excinfo.value) == (
+            "unknown FailureChurnScenario field(s) 'warp_factor'; available: "
+            + ", ".join(sorted(scenario_field_names("failure-churn")))
+        )
 
     def test_scenario_string_override_accepted(self):
         # Population spec paths are legal sweep-axis values.
@@ -85,7 +90,10 @@ class TestParsing:
         assert dict(scenario.overrides)["population"] == "pops/mixed.json"
 
     def test_scenario_non_scalar_override_rejected(self):
-        with pytest.raises(SweepSpecError, match="must be a number, bool, or string"):
+        with pytest.raises(
+            ValidationError,
+            match=r"HeterogeneousMarketplaceScenario\.population must be a string, got array",
+        ):
             SweepSpec.from_mapping(
                 minimal_mapping(
                     figures=[],
@@ -96,7 +104,7 @@ class TestParsing:
             )
 
     def test_scenario_seed_override_rejected(self):
-        with pytest.raises(SweepSpecError, match="cannot set 'seed'"):
+        with pytest.raises(ValidationError, match="cannot set 'seed'"):
             SweepSpec.from_mapping(
                 minimal_mapping(
                     figures=[],
@@ -105,21 +113,21 @@ class TestParsing:
             )
 
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(SweepSpecError, match="unknown scenario"):
+        with pytest.raises(ValidationError, match="unknown scenario"):
             SweepSpec.from_mapping(
                 minimal_mapping(figures=[], scenarios=[{"scenario": "apocalypse"}])
             )
 
     def test_empty_axes_rejected(self):
-        with pytest.raises(SweepSpecError, match="at least one scale"):
+        with pytest.raises(ValidationError, match="at least one scale"):
             SweepSpec.from_mapping(minimal_mapping(scales=[]))
-        with pytest.raises(SweepSpecError, match="at least one seed"):
+        with pytest.raises(ValidationError, match="at least one seed"):
             SweepSpec.from_mapping(minimal_mapping(seeds=[]))
-        with pytest.raises(SweepSpecError, match="'figures' and/or 'scenarios'"):
+        with pytest.raises(ValidationError, match="'figures' and/or 'scenarios'"):
             SweepSpec.from_mapping(minimal_mapping(figures=[]))
 
     def test_unknown_top_level_field_rejected(self):
-        with pytest.raises(SweepSpecError, match="unknown spec field"):
+        with pytest.raises(ValidationError, match="unknown spec field"):
             SweepSpec.from_mapping(minimal_mapping(shards=3))
 
     def test_from_json_file(self, tmp_path):
@@ -132,9 +140,9 @@ class TestParsing:
     def test_from_json_file_invalid(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
-        with pytest.raises(SweepSpecError, match="not valid JSON"):
+        with pytest.raises(ValidationError, match="not valid JSON"):
             SweepSpec.from_json_file(path)
-        with pytest.raises(SweepSpecError, match="cannot read"):
+        with pytest.raises(ValidationError, match="cannot read"):
             SweepSpec.from_json_file(tmp_path / "missing.json")
 
 
@@ -217,9 +225,33 @@ class TestWrongTypedFields:
             ("figures", "fig3"),
             ("scenarios", {"scenario": "failure-churn"}),
         ):
-            with pytest.raises(SweepSpecError, match="must be a list"):
+            with pytest.raises(ValidationError, match="must be a list"):
                 SweepSpec.from_mapping(minimal_mapping(**{field: value}))
 
+    @pytest.mark.parametrize(
+        ("override", "message"),
+        [
+            ({"duration": "abc"}, r"FailureChurnScenario\.duration must be a number, got string"),
+            ({"num_pairs": 2.5}, r"FailureChurnScenario\.num_pairs must be an integer, got number"),
+            (
+                {"mean_time_to_failure": True},
+                r"FailureChurnScenario\.mean_time_to_failure must be a number, got boolean",
+            ),
+        ],
+    )
+    def test_ill_typed_scenario_override_is_named(self, override, message):
+        # These used to pass validation and fail (or run) inside the shard.
+        with pytest.raises(ValidationError, match=message):
+            SweepSpec.from_mapping(
+                minimal_mapping(figures=[], scenarios=[{"scenario": "failure-churn", **override}])
+            )
+
+    def test_non_integer_seed_entry_is_named(self):
+        # Regression: an unhashable entry used to reach set() first (TypeError).
+        for seeds in ([[1]], [1, [1]], ["1"], [True]):
+            with pytest.raises(ValidationError, match="seeds must be non-negative integers"):
+                SweepSpec.from_mapping(minimal_mapping(seeds=seeds))
+
     def test_non_string_figure_entry_rejected(self):
-        with pytest.raises(SweepSpecError, match="figures entries must be names"):
+        with pytest.raises(ValidationError, match="figures entries must be names"):
             SweepSpec.from_mapping(minimal_mapping(figures=[3]))
