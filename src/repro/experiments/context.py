@@ -10,7 +10,8 @@ times for identical work.  :class:`DiversityContext` builds them once
 and is threaded through ``run_fig3``/``run_fig4``/``run_fig5``/
 ``run_fig6`` by the combined runner (each ``run_figN`` still builds its
 own context when called standalone, so the public entry points keep
-their one-argument signatures).  Figs. 5 and 6 run the same
+their one-argument signatures).  Figs. 3 and 4 read the same diversity
+analysis, which the context computes once; Figs. 5 and 6 run the same
 pair-metric analysis (:mod:`repro.paths.pair_metrics`) on this context;
 only their per-path metric — geodistance or bandwidth — differs.
 """
@@ -23,6 +24,7 @@ from typing import TYPE_CHECKING
 from repro.agreements.agreement import Agreement
 from repro.agreements.mutuality import enumerate_mutuality_agreements
 from repro.core import CompiledTopology, PathEngine, compile_topology, path_engine_for
+from repro.paths.diversity import DiversityResult
 from repro.paths.ma_paths import MAPathIndex, build_ma_path_index
 from repro.topology.generator import GeneratedTopology, generate_topology
 
@@ -40,6 +42,9 @@ class DiversityContext:
     engine: PathEngine
     agreements: list[Agreement] = field(default_factory=list)
     index: MAPathIndex = field(default_factory=MAPathIndex)
+    #: The Figs. 3/4 analysis, filled by its first use
+    #: (:func:`repro.experiments.fig3_paths.shared_diversity`).
+    diversity: DiversityResult | None = None
 
     @classmethod
     def build(cls, config: "PathDiversityConfig") -> "DiversityContext":

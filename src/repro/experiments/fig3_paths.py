@@ -141,13 +141,21 @@ def run_fig3(
 
     config = config or PathDiversityConfig()
     ctx = context_for(config, context)
-    diversity = analyze_path_diversity(
-        ctx.topology.graph,
-        sample_size=config.sample_size,
-        seed=config.seed,
-        engine=ctx.engine,
-        index=ctx.index,
-    )
     return Fig3Result(
-        diversity=diversity, topology=ctx.topology, num_agreements=len(ctx.agreements)
+        diversity=shared_diversity(ctx),
+        topology=ctx.topology,
+        num_agreements=len(ctx.agreements),
     )
+
+
+def shared_diversity(ctx: "DiversityContext") -> DiversityResult:
+    """The Figs. 3/4 analysis of a context, computed once and then shared."""
+    if ctx.diversity is None:
+        ctx.diversity = analyze_path_diversity(
+            ctx.topology.graph,
+            sample_size=ctx.config.sample_size,
+            seed=ctx.config.seed,
+            engine=ctx.engine,
+            index=ctx.index,
+        )
+    return ctx.diversity

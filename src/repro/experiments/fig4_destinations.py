@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.experiments.fig3_paths import PathDiversityConfig
+from repro.experiments.fig3_paths import PathDiversityConfig, shared_diversity
 from repro.experiments.reporting import (
     PaperComparison,
     SectionSeries,
@@ -20,7 +20,11 @@ from repro.experiments.reporting import (
     metric_value,
     render_figure_body,
 )
-from repro.paths.diversity import DEFAULT_SCENARIOS, DiversityResult, analyze_path_diversity
+from repro.paths.diversity import DEFAULT_SCENARIOS, DiversityResult
+
+# Fig. 4 reads Fig. 3's analysis (``shared_diversity``); the name stays
+# here because perfbench's traced run wraps it in both figure modules.
+from repro.paths.diversity import analyze_path_diversity  # noqa: F401
 from repro.topology.generator import GeneratedTopology
 
 if TYPE_CHECKING:
@@ -140,19 +144,15 @@ def run_fig4(
     """Run the Fig. 4 experiment.
 
     Shares the topology, compiled path engine, and MA enumeration with
-    the other figures when the combined runner passes a ``context``.
+    the other figures when the combined runner passes a ``context``,
+    and the diversity analysis itself with Fig. 3.
     """
     from repro.experiments.context import context_for
 
     config = config or PathDiversityConfig()
     ctx = context_for(config, context)
-    diversity = analyze_path_diversity(
-        ctx.topology.graph,
-        sample_size=config.sample_size,
-        seed=config.seed,
-        engine=ctx.engine,
-        index=ctx.index,
-    )
     return Fig4Result(
-        diversity=diversity, topology=ctx.topology, num_agreements=len(ctx.agreements)
+        diversity=shared_diversity(ctx),
+        topology=ctx.topology,
+        num_agreements=len(ctx.agreements),
     )

@@ -101,32 +101,29 @@ def analyze_as(
     """Compute path/destination counts for one AS under every scenario.
 
     ``engine`` is the compiled path engine to read GRC paths from; it
-    defaults to the shared per-graph engine, so the GRC path set is
-    computed once per AS no matter how many scenarios consume it.
+    defaults to the shared per-graph engine.  The MA scenarios read the
+    AS's row slices of ``index`` as packed keys (see
+    :mod:`repro.paths.ma_paths`); no path tuple is built.
     """
     if engine is None:
         engine = path_engine_for(graph)
     grc_paths = engine.paths(asn)
     grc_destinations = engine.destinations(asn)
+    new = index.new_paths(asn, grc_paths)
 
-    direct = index.direct_paths(asn) - grc_paths
-    all_ma = index.all_paths(asn) - grc_paths
+    def with_grc(keys: np.ndarray) -> tuple[int, int]:
+        return (
+            len(grc_paths) + len(keys),
+            len(grc_destinations.union(index.targets(keys))),
+        )
 
     path_counts: dict[str, int] = {"GRC": len(grc_paths)}
     destination_counts: dict[str, int] = {"GRC": len(grc_destinations)}
-
     for n in top_n_values:
-        top_paths = index.top_n_paths(asn, n, grc=grc_paths)
         scenario = f"MA* (Top {n})"
-        path_counts[scenario] = len(grc_paths) + len(top_paths)
-        destination_counts[scenario] = len(
-            grc_destinations | {path[2] for path in top_paths}
-        )
-
-    path_counts["MA*"] = len(grc_paths) + len(direct)
-    destination_counts["MA*"] = len(grc_destinations | {p[2] for p in direct})
-    path_counts["MA"] = len(grc_paths) + len(all_ma)
-    destination_counts["MA"] = len(grc_destinations | {p[2] for p in all_ma})
+        path_counts[scenario], destination_counts[scenario] = with_grc(new.top_n(n))
+    path_counts["MA*"], destination_counts["MA*"] = with_grc(new.direct)
+    path_counts["MA"], destination_counts["MA"] = with_grc(new.all)
 
     return ASDiversityRecord(
         asn=asn, path_counts=path_counts, destination_counts=destination_counts

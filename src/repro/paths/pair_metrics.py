@@ -153,7 +153,8 @@ def _analyze_pairs(
         if not grc_paths:
             continue
         grc_by_pair = group_by_pair(grc_paths, value_of_path)
-        ma_by_pair = group_by_pair(index.all_paths(source) - grc_paths, value_of_path)
+        new = index.new_paths(source, grc_paths).all
+        ma_by_pair = group_by_pair(index.paths(source, new), value_of_path)
         for (src, dst), grc_values in grc_by_pair.items():
             values = np.array(grc_values)
             result.records.append(

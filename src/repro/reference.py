@@ -4,17 +4,21 @@ Only tests and ``benchmarks/`` import this module (an AST test keeps it
 that way), so no production class carries a testing fallback.  The
 BOSCO oracles draw X's choice set, then Y's, per trial from the ``rng``
 they are given: calls in sequence on one ``default_rng(seed)`` reproduce
-a ``BoscoService(distribution, seed=seed)`` making the same calls.
+a ``BoscoService(distribution, seed=seed)`` making the same calls.  The
+MA path index oracle keeps one tuple per path in per-AS dicts and sets,
+with the per-AS diversity and pair-metric loops that read it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from collections import defaultdict
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.agents.negotiator import CohortEntry, _check_keys
+from repro.agreements.agreement import Agreement
 from repro.bargaining.choices import random_choice_set
 from repro.bargaining.distributions import JointUtilityDistribution
 from repro.bargaining.efficiency import (
@@ -28,6 +32,10 @@ from repro.bargaining.mechanism import (
     MechanismInformation,
     NegotiationOutcome,
 )
+from repro.core import PathEngine, path_engine_for
+from repro.paths.diversity import ASDiversityRecord, sample_ases
+from repro.paths.grc import grc_length3_paths
+from repro.paths.pair_metrics import PairMetric, PairMetricRecord, PairMetricResult, group_by_pair
 from repro.topology.graph import ASGraph
 
 
@@ -171,3 +179,143 @@ def iter_grc_length3_paths(graph: ASGraph, source: int) -> Iterator[tuple[int, i
                 continue
             if source_is_customer or destination in transit_customers:
                 yield (source, transit, destination)
+
+
+# ----------------------------------------------------------------------
+# MA path index (§VI): dict/set per AS, one tuple per path
+# ----------------------------------------------------------------------
+@dataclass
+class MAPathIndex:
+    """Per-AS dict/set index of the length-3 paths created by a set of MAs.
+
+    ``direct[asn]`` maps each path gained as an agreement party to the
+    agreement that provides it (the last one, when several do);
+    ``indirect[asn]`` holds the paths gained as the subject of other
+    ASes' agreements.
+    """
+
+    direct: dict[int, dict[tuple[int, int, int], Agreement]] = field(
+        default_factory=lambda: defaultdict(dict)
+    )
+    indirect: dict[int, set[tuple[int, int, int]]] = field(
+        default_factory=lambda: defaultdict(set)
+    )
+
+    def direct_paths(self, asn: int) -> frozenset[tuple[int, int, int]]:
+        return frozenset(self.direct.get(asn, {}))
+
+    def indirect_paths(self, asn: int) -> frozenset[tuple[int, int, int]]:
+        return frozenset(self.indirect.get(asn, set()))
+
+    def all_paths(self, asn: int) -> frozenset[tuple[int, int, int]]:
+        return self.direct_paths(asn) | self.indirect_paths(asn)
+
+    def top_n_paths(
+        self,
+        asn: int,
+        n: int,
+        graph: ASGraph | None = None,
+        *,
+        grc: frozenset[tuple[int, int, int]] | None = None,
+    ) -> frozenset[tuple[int, int, int]]:
+        """Directly gained new paths of the AS's ``n`` most productive MAs."""
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        if grc is None:
+            grc = grc_length3_paths(graph, asn) if graph is not None else frozenset()
+        per_agreement: dict[int, set[tuple[int, int, int]]] = defaultdict(set)
+        for path, agreement in self.direct.get(asn, {}).items():
+            if path in grc:
+                continue
+            per_agreement[id(agreement)].add(path)
+        ranked = sorted(per_agreement.values(), key=len, reverse=True)
+        selected: set[tuple[int, int, int]] = set()
+        for paths in ranked[:n]:
+            selected.update(paths)
+        return frozenset(selected)
+
+
+def build_ma_path_index(agreements: list[Agreement]) -> MAPathIndex:
+    """Index the paths of every agreement segment, one tuple each."""
+    index = MAPathIndex()
+    for agreement in agreements:
+        for segment in agreement.all_segments():
+            index.direct[segment.beneficiary][segment.path] = agreement
+            index.indirect[segment.target].add(segment.reverse_path)
+    return index
+
+
+def new_ma_paths(
+    graph: ASGraph, index: MAPathIndex, asn: int, *, directly_gained_only: bool = False
+) -> frozenset[tuple[int, int, int]]:
+    """MA paths of an AS that are not already available under the GRC."""
+    grc = grc_length3_paths(graph, asn)
+    paths = index.direct_paths(asn) if directly_gained_only else index.all_paths(asn)
+    return frozenset(path for path in paths if path not in grc)
+
+
+def analyze_as(
+    graph: ASGraph,
+    index: MAPathIndex,
+    asn: int,
+    *,
+    top_n_values: tuple[int, ...] = (1, 5, 50),
+    engine: PathEngine | None = None,
+) -> ASDiversityRecord:
+    """Path/destination counts of one AS under every scenario, from path sets."""
+    if engine is None:
+        engine = path_engine_for(graph)
+    grc_paths = engine.paths(asn)
+    grc_destinations = engine.destinations(asn)
+    direct = index.direct_paths(asn) - grc_paths
+    all_ma = index.all_paths(asn) - grc_paths
+    path_counts: dict[str, int] = {"GRC": len(grc_paths)}
+    destination_counts: dict[str, int] = {"GRC": len(grc_destinations)}
+    for n in top_n_values:
+        top_paths = index.top_n_paths(asn, n, grc=grc_paths)
+        scenario = f"MA* (Top {n})"
+        path_counts[scenario] = len(grc_paths) + len(top_paths)
+        destination_counts[scenario] = len(grc_destinations | {path[2] for path in top_paths})
+    path_counts["MA*"] = len(grc_paths) + len(direct)
+    destination_counts["MA*"] = len(grc_destinations | {p[2] for p in direct})
+    path_counts["MA"] = len(grc_paths) + len(all_ma)
+    destination_counts["MA"] = len(grc_destinations | {p[2] for p in all_ma})
+    return ASDiversityRecord(
+        asn=asn, path_counts=path_counts, destination_counts=destination_counts
+    )
+
+
+def analyze_pairs(
+    graph: ASGraph,
+    metric: PairMetric,
+    value_of_path: Callable[[tuple[int, int, int]], float],
+    *,
+    index: MAPathIndex,
+    sample_size: int,
+    seed: int,
+    engine: PathEngine | None = None,
+) -> PairMetricResult:
+    """One pair-metric record per AS pair, from path sets."""
+    if engine is None:
+        engine = path_engine_for(graph)
+    result = PairMetricResult(metric)
+    for source in sample_ases(graph, sample_size, seed=seed):
+        grc_paths = engine.paths(source)
+        if not grc_paths:
+            continue
+        grc_by_pair = group_by_pair(grc_paths, value_of_path)
+        ma_by_pair = group_by_pair(index.all_paths(source) - grc_paths, value_of_path)
+        for (src, dst), grc_values in grc_by_pair.items():
+            values = np.array(grc_values)
+            result.records.append(
+                PairMetricRecord(
+                    source=src,
+                    destination=dst,
+                    grc_min=float(np.min(values)),
+                    grc_median=float(np.median(values)),
+                    grc_max=float(np.max(values)),
+                    ma_values=tuple(ma_by_pair.get((src, dst), ())),
+                    metric=metric,
+                )
+            )
+    return result

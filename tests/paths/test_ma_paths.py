@@ -1,15 +1,26 @@
 """Unit tests for MA-created paths and the per-AS path index."""
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+from repro import reference
 from repro.agreements import enumerate_mutuality_agreements, figure1_mutuality_agreement
+from repro.agreements.agreement import AccessOffer, Agreement
 from repro.paths.grc import grc_length3_paths
 from repro.paths.ma_paths import (
+    MAPathIndex,
     agreement_paths,
     build_ma_path_index,
     new_ma_paths,
 )
+from repro.paths.pair_metrics import BANDWIDTH, analyze_bandwidth
 from repro.topology import AS_A, AS_B, AS_C, AS_D, AS_E, AS_F, AS_G, figure1_topology
+from repro.topology.bandwidth import degree_gravity_capacities
+from repro.topology.caida import load_as_rel
+
+GOLDEN_DIR = Path(__file__).parents[1] / "golden"
 
 
 @pytest.fixture()
@@ -93,3 +104,57 @@ class TestMAPathIndex:
         from repro.topology import AS_H
 
         assert index.direct_paths(AS_H) == frozenset()
+
+
+class TestColumnLayout:
+    def test_empty_index(self):
+        index = MAPathIndex()
+        assert dict(index.direct) == {} and dict(index.indirect) == {}
+        assert index.all_paths(AS_D) == frozenset()
+        assert index.top_n_paths(AS_D, 5) == frozenset()
+        assert build_ma_path_index([]).direct_paths(AS_D) == frozenset()
+
+    def test_rows_are_per_as_ranges(self, index):
+        for asn, rows in index.direct.items():
+            assert isinstance(rows, range)
+            assert len(rows) == len(index.direct_paths(asn))
+        assert sum(map(len, index.indirect.values())) == sum(map(len, index.direct.values()))
+
+    def test_repeated_path_belongs_to_its_last_agreement(self):
+        """A1 offers {10}, A2 {11}, A3 {10}, all from party 2 to party 1.
+
+        Path (1, 2, 10) is credited to A3, but its row stays where A1
+        put it, ahead of A2's (1, 2, 11): the tied A3 ranks first.
+        """
+        agreements = [
+            Agreement(1, 2, offer_y=AccessOffer.of(providers={target}))
+            for target in (10, 11, 10)
+        ]
+        index = build_ma_path_index(agreements)
+        assert index.top_n_paths(1, 1) == {(1, 2, 10)}
+        assert index.top_n_paths(1, 1) == reference.build_ma_path_index(agreements).top_n_paths(
+            1, 1
+        )
+        assert index.top_n_paths(1, 2) == {(1, 2, 10), (1, 2, 11)}
+
+    def test_pair_metrics_on_32_bit_asns_match_the_oracle(self):
+        graph = load_as_rel(GOLDEN_DIR / "asn32.as-rel.txt")
+        agreements = list(enumerate_mutuality_agreements(graph))
+        index = build_ma_path_index(agreements)
+        assert index.direct_paths(4_200_000_004) == {(4_200_000_004, 4_200_000_003, 4_200_000_001)}
+        capacities = degree_gravity_capacities(graph)
+        records = analyze_bandwidth(graph, capacities, index=index, sample_size=5).records
+        expected = reference.analyze_pairs(
+            graph,
+            BANDWIDTH,
+            capacities.path_bandwidth,
+            index=reference.build_ma_path_index(agreements),
+            sample_size=5,
+            seed=0,
+        ).records
+        assert any(record.ma_values for record in records)
+
+        def sorted_values(record):
+            return dataclasses.replace(record, ma_values=tuple(sorted(record.ma_values)))
+
+        assert list(map(sorted_values, records)) == list(map(sorted_values, expected))

@@ -7,6 +7,10 @@ invocations below.  Every assertion here is a byte comparison of the
 full stdout, so any formatting drift — a stray space, a reordered line,
 a float formatted differently — fails loudly.
 
+The two diversity edge-case goldens (32-bit ASNs; no peering links, so
+no MAs) were captured before the MA path index became int columns, with
+their input topologies stored beside them.
+
 The experiments goldens run the real harness at the default reduced
 scale (~40 s each); they are the contract that the structured-section
 refactor and the ``--jobs`` merge order preserve the historical report
@@ -15,6 +19,7 @@ exactly, so they are worth the time.
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -88,6 +93,22 @@ class TestFastGoldens:
             "1",
         )
         assert out == golden("diversity_sample15_seed1.txt")
+
+    @pytest.mark.parametrize(
+        "topology, expected",
+        [
+            # 32-bit ASNs 4,200,000,001-5: ids above 2**31 must decode exactly.
+            ("asn32.as-rel.txt", "diversity_asn32.txt"),
+            # Transit links only: 0 MAs, an empty MA path index.
+            ("no-peering.as-rel.txt", "diversity_no_peering.txt"),
+        ],
+    )
+    def test_diversity_edge_cases_are_byte_identical(
+        self, golden_cwd, capsys, topology, expected
+    ):
+        shutil.copy(GOLDEN_DIR / topology, golden_cwd / topology)
+        out = run_cli(capsys, "diversity", "--topology", topology)
+        assert out == golden(expected)
 
     def test_simulate_flash_crowd_is_byte_identical(self, capsys):
         out = run_cli(
