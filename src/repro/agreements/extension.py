@@ -38,8 +38,11 @@ class SegmentOffer:
                 f"AS {self.owner} cannot offer segment {self.segment.path}: it is not "
                 "the beneficiary of that segment"
             )
-        owned = {s.path for s in self.base_agreement.segments_for(self.owner)}
-        if self.segment.path not in owned:
+        partner = self.segment.partner
+        if (
+            partner != self.base_agreement.counterparty(self.owner)
+            or self.segment.target not in self.base_agreement.offer_by(partner).all_targets
+        ):
             raise AgreementError(
                 f"segment {self.segment.path} is not created for AS {self.owner} by "
                 f"agreement {self.base_agreement}"
@@ -52,11 +55,8 @@ class ExtensionAgreement:
 
     ``party_x`` / ``party_y`` are the parties of the extension;
     ``segment_offers_x`` are segments offered by ``party_x`` to
-    ``party_y`` (and vice versa).  Either side may instead (or
-    additionally) offer plain neighbor access through ``neighbor_offer``
-    fields of a normal :class:`Agreement`; for simplicity the extension
-    type only carries segment offers and is meant to be combined with a
-    plain agreement when needed.
+    ``party_y`` (and vice versa).  The type carries only segment offers;
+    plain neighbor access stays a normal :class:`Agreement`.
     """
 
     party_x: int
@@ -67,18 +67,14 @@ class ExtensionAgreement:
     def __post_init__(self) -> None:
         if self.party_x == self.party_y:
             raise AgreementError("an extension agreement needs two distinct parties")
-        for offer in self.segment_offers_x:
-            if offer.owner != self.party_x:
-                raise AgreementError(
-                    f"segment offer owned by AS {offer.owner} cannot be made by party "
-                    f"{self.party_x}"
-                )
-        for offer in self.segment_offers_y:
-            if offer.owner != self.party_y:
-                raise AgreementError(
-                    f"segment offer owned by AS {offer.owner} cannot be made by party "
-                    f"{self.party_y}"
-                )
+        made = ((self.party_x, self.segment_offers_x), (self.party_y, self.segment_offers_y))
+        for party, offers in made:
+            for offer in offers:
+                if offer.owner != party:
+                    raise AgreementError(
+                        f"segment offer owned by AS {offer.owner} cannot be made by party "
+                        f"{party}"
+                    )
 
     def counterparty(self, party: int) -> int:
         """The other party of the extension agreement."""
@@ -90,11 +86,9 @@ class ExtensionAgreement:
 
     def offers_to(self, party: int) -> tuple[SegmentOffer, ...]:
         """Segment offers the given party receives."""
-        if party == self.party_x:
-            return self.segment_offers_y
-        if party == self.party_y:
+        if self.counterparty(party) == self.party_x:
             return self.segment_offers_x
-        raise AgreementError(f"AS {party} is not a party of this extension agreement")
+        return self.segment_offers_y
 
     def extended_paths_for(self, party: int) -> tuple[tuple[int, ...], ...]:
         """New (length-4) paths the given party gains from the extension.
@@ -102,13 +96,11 @@ class ExtensionAgreement:
         Each offered segment ``O–P–T`` owned by the counterparty ``O``
         becomes the path ``party – O – P – T``.
         """
-        paths = []
-        for offer in self.offers_to(party):
-            segment_path = offer.segment.path
-            if party in segment_path:
-                continue
-            paths.append((party, *segment_path))
-        return tuple(paths)
+        return tuple(
+            (party, *offer.segment.path)
+            for offer in self.offers_to(party)
+            if party not in offer.segment.path
+        )
 
     def depends_on(self) -> frozenset[int]:
         """Hash-identities of the base agreements this extension depends on.
@@ -118,10 +110,8 @@ class ExtensionAgreement:
         still be respected once the extension adds traffic to the shared
         segments (§III-B3).
         """
-        bases = set()
-        for offer in self.segment_offers_x + self.segment_offers_y:
-            bases.add(id(offer.base_agreement))
-        return frozenset(bases)
+        offers = self.segment_offers_x + self.segment_offers_y
+        return frozenset(id(offer.base_agreement) for offer in offers)
 
 
 def figure1_extension_example(base: Agreement) -> ExtensionAgreement:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import fields, replace
@@ -319,12 +320,21 @@ def dispatch(args: argparse.Namespace) -> int:
     The :class:`~repro.errors.ReproError` taxonomy maps to stable exit
     codes here (validation → 2, delivery failures → 1), with the same
     ``repro <command>: error: …`` stderr line the CLI always printed.
+    A closed stdout (``repro … | head``) exits 1 without a traceback.
     """
     try:
-        return _HANDLERS.get(args.command, _run_workflow)(args)
+        code = _HANDLERS.get(args.command, _run_workflow)(args)
+        sys.stdout.flush()
+        return code
     except ReproError as error:
         print(f"repro {args.command}: error: {error}", file=sys.stderr)
         return error.exit_code
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: the flush at exit must not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

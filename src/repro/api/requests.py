@@ -147,16 +147,17 @@ class TopologyRequest(_JsonRequest):
 class DiversityRequest(_JsonRequest):
     """Run the §VI path-diversity analysis (``repro diversity``).
 
-    ``topology`` selects a CAIDA ``as-rel`` file to analyze; when
-    omitted a synthetic topology is generated from the tier knobs.
+    ``topology`` selects the file to analyze, CAIDA ``as-rel`` or
+    ``.gml`` (chosen by suffix); when omitted a synthetic topology is
+    generated from the tier knobs.
     """
 
     kind = "diversity_request"
 
     topology: str | None = _field(
         None,
-        "CAIDA as-rel file to analyze (a synthetic topology is generated "
-        "when omitted)",
+        "topology file to analyze: CAIDA as-rel, or .gml by suffix (a "
+        "synthetic topology is generated when omitted)",
         **INPUT_FILE,
     )
     sample_size: int = _field(200, "number of ASes to sample")

@@ -3,8 +3,8 @@
 GRC-conforming length-3 path enumeration, MA-created paths (directly and
 indirectly gained, Top-n agreement conclusion), the path/destination
 diversity analysis (Figs. 3 and 4), the pair-metric analysis behind the
-geodistance (Fig. 5) and bandwidth (Fig. 6) figures, and CDF/statistics
-helpers.
+geodistance (Fig. 5) and bandwidth (Fig. 6) figures, the §III-B3
+extension-agreement path counts, and CDF/statistics helpers.
 """
 
 from repro.paths.diversity import (
@@ -15,12 +15,7 @@ from repro.paths.diversity import (
     analyze_path_diversity,
     sample_ases,
 )
-from repro.paths.extensions import (
-    ExtensionPathIndex,
-    analyze_extension_diversity,
-    build_extension_path_index,
-    enumerate_extension_agreements,
-)
+from repro.paths.extensions import analyze_extension_diversity
 from repro.paths.grc import (
     count_grc_length3_paths,
     grc_length3_destinations,
@@ -66,8 +61,5 @@ __all__ = [
     "group_by_pair",
     "analyze_geodistance",
     "analyze_bandwidth",
-    "ExtensionPathIndex",
-    "enumerate_extension_agreements",
-    "build_extension_path_index",
     "analyze_extension_diversity",
 ]

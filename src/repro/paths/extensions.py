@@ -4,93 +4,50 @@ Once a mutuality-based agreement is in force, the path segments it
 creates can themselves be offered to further ASes: in the paper's
 example, E gains the segment ``EDA`` from its agreement with D and can
 offer that segment to its peer F, giving F the length-4 path ``FEDA``.
-The paper leaves the quantitative analysis of such extensions open; this
-module provides it as the natural next step of the §VI study:
+The paper leaves this open; the module counts the additional length-4
+paths per AS (analogous to Fig. 3) when every segment's beneficiary
+offers it to each peer not already on it.  The counts have a closed
+form over the MA path index, so no extension agreement is built
+(:mod:`repro.reference` enumerates them as the oracle):
 
-- enumerate the extension agreements available on top of a set of base
-  MAs (every peer of a segment's beneficiary can be offered the segment,
-  unless it already sits on it),
-- count the additional length-4 paths per AS, analogous to Fig. 3.
+- AS ``a`` gains ``(a, O, P, T)`` for each peer ``O`` and each direct
+  row ``(O, P, T)`` of the index with ``a ∉ {P, T}``, so its count is
+  ``Σ_{O ∈ peers(a)} |direct(O)| − |{rows of O with P = a or T = a}|``;
+- each agreement, party ``X`` and segment ``X–Y–T`` it creates is
+  offered to ``|peers(X) ∖ {Y, T}|`` peers.  This sums over the offers,
+  not over the index's deduplicated rows: a segment that a second base
+  agreement repeats is offered again.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+import numpy as np
 
 from repro.agreements.agreement import Agreement
-from repro.agreements.extension import ExtensionAgreement, SegmentOffer
-from repro.paths.metrics import EmpiricalCDF, summarize
+from repro.paths.ma_paths import MAPathIndex, build_ma_path_index
+from repro.paths.metrics import summarize
 from repro.topology.graph import ASGraph
 
 
-@dataclass
-class ExtensionPathIndex:
-    """Per-AS index of the length-4 paths gained from extension agreements."""
-
-    paths: dict[int, set[tuple[int, ...]]] = field(
-        default_factory=lambda: defaultdict(set)
-    )
-
-    def paths_of(self, asn: int) -> frozenset[tuple[int, ...]]:
-        """Length-4 paths starting at an AS."""
-        return frozenset(self.paths.get(asn, set()))
-
-    def count(self, asn: int) -> int:
-        """Number of length-4 extension paths of an AS."""
-        return len(self.paths.get(asn, set()))
-
-    def cdf(self, sample: tuple[int, ...]) -> EmpiricalCDF:
-        """CDF of the per-AS extension-path counts over a sample of ASes."""
-        return EmpiricalCDF(tuple(self.count(asn) for asn in sample))
-
-    def summary(self, sample: tuple[int, ...]) -> dict[str, float]:
-        """Mean / median / max extension paths over a sample of ASes."""
-        return summarize([self.count(asn) for asn in sample])
+def _extension_path_count(graph: ASGraph, index: MAPathIndex, asn: int) -> int:
+    """Length-4 paths ``(asn, O, P, T)`` over the direct rows of ``asn``'s peers."""
+    count = 0
+    for peer in graph.peers(asn):
+        rows = index.direct.ranges.get(peer, range(0))
+        partner = index.asns[index.direct.partner[rows.start : rows.stop]]
+        target = index.asns[index.direct.far[rows.start : rows.stop]]
+        count += len(rows) - int(np.count_nonzero((partner == asn) | (target == asn)))
+    return count
 
 
-def enumerate_extension_agreements(
-    graph: ASGraph,
-    base_agreements: list[Agreement],
-) -> list[ExtensionAgreement]:
-    """All single-segment extension agreements enabled by the base MAs.
-
-    For every segment a base agreement creates for a beneficiary, the
-    beneficiary can offer that segment to each of its peers that is not
-    already on the segment.  (In practice the peer would offer something
-    in return; for the diversity analysis only the offered side matters,
-    mirroring how §VI treats the base MAs.)
-    """
-    extensions: list[ExtensionAgreement] = []
-    for agreement in base_agreements:
-        for party in agreement.parties:
-            for segment in agreement.segments_for(party):
-                for peer in sorted(graph.peers(party)):
-                    if peer in segment.path:
-                        continue
-                    offer = SegmentOffer(
-                        owner=party, segment=segment, base_agreement=agreement
-                    )
-                    extensions.append(
-                        ExtensionAgreement(
-                            party_x=party,
-                            party_y=peer,
-                            segment_offers_x=(offer,),
-                        )
-                    )
-    return extensions
-
-
-def build_extension_path_index(
-    extensions: list[ExtensionAgreement],
-) -> ExtensionPathIndex:
-    """Index the length-4 paths created by extension agreements."""
-    index = ExtensionPathIndex()
-    for extension in extensions:
-        for party in (extension.party_x, extension.party_y):
-            for path in extension.extended_paths_for(party):
-                index.paths[party].add(path)
-    return index
+def _segment_offer_count(graph: ASGraph, agreement: Agreement) -> int:
+    """``Σ |peers(X) ∖ {Y, T}|`` over the segments ``X–Y–T`` of one agreement."""
+    count = 0
+    for party, partner in (agreement.parties, agreement.parties[::-1]):
+        targets = agreement.offer_by(partner).all_targets
+        peers = graph.peers(party)
+        count += len(targets) * (len(peers) - (partner in peers)) - len(targets & peers)
+    return count
 
 
 def analyze_extension_diversity(
@@ -104,8 +61,9 @@ def analyze_extension_diversity(
     of extension agreements considered, which is what the extension
     benchmark reports.
     """
-    extensions = enumerate_extension_agreements(graph, base_agreements)
-    index = build_extension_path_index(extensions)
-    summary = index.summary(sample)
-    summary["num_extension_agreements"] = float(len(extensions))
+    index = build_ma_path_index(base_agreements)
+    summary = summarize([_extension_path_count(graph, index, asn) for asn in sample])
+    summary["num_extension_agreements"] = float(
+        sum(_segment_offer_count(graph, agreement) for agreement in base_agreements)
+    )
     return summary

@@ -6,7 +6,9 @@ BOSCO oracles draw X's choice set, then Y's, per trial from the ``rng``
 they are given: calls in sequence on one ``default_rng(seed)`` reproduce
 a ``BoscoService(distribution, seed=seed)`` making the same calls.  The
 MA path index oracle keeps one tuple per path in per-AS dicts and sets,
-with the per-AS diversity and pair-metric loops that read it.
+with the per-AS diversity and pair-metric loops that read it.  The
+§III-B3 extension oracle builds one :class:`ExtensionAgreement` per
+(segment, peer) pair and indexes the length-4 paths they create.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from repro.agents.negotiator import CohortEntry, _check_keys
 from repro.agreements.agreement import Agreement
+from repro.agreements.extension import ExtensionAgreement, SegmentOffer
 from repro.bargaining.choices import random_choice_set
 from repro.bargaining.distributions import JointUtilityDistribution
 from repro.bargaining.efficiency import (
@@ -319,3 +322,46 @@ def analyze_pairs(
                 )
             )
     return result
+
+
+# ----------------------------------------------------------------------
+# Extension agreements (§III-B3): one object per (segment, peer) pair
+# ----------------------------------------------------------------------
+@dataclass
+class ExtensionPathIndex:
+    """Per-AS sets of the length-4 paths gained from extension agreements."""
+
+    paths: dict[int, set[tuple[int, ...]]] = field(default_factory=lambda: defaultdict(set))
+
+    def paths_of(self, asn: int) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.paths.get(asn, set()))
+
+    def count(self, asn: int) -> int:
+        return len(self.paths.get(asn, set()))
+
+
+def enumerate_extension_agreements(
+    graph: ASGraph, base_agreements: list[Agreement]
+) -> list[ExtensionAgreement]:
+    """Every segment's beneficiary offers it to each peer not already on it."""
+    return [
+        ExtensionAgreement(
+            party_x=party,
+            party_y=peer,
+            segment_offers_x=(SegmentOffer(owner=party, segment=segment, base_agreement=agreement),),
+        )
+        for agreement in base_agreements
+        for party in agreement.parties
+        for segment in agreement.segments_for(party)
+        for peer in sorted(graph.peers(party))
+        if peer not in segment.path
+    ]
+
+
+def build_extension_path_index(extensions: list[ExtensionAgreement]) -> ExtensionPathIndex:
+    """Index the length-4 paths created by extension agreements."""
+    index = ExtensionPathIndex()
+    for extension in extensions:
+        for party in (extension.party_x, extension.party_y):
+            index.paths[party].update(extension.extended_paths_for(party))
+    return index

@@ -1,13 +1,15 @@
-"""Unit tests for extension-agreement path diversity (§III-B3)."""
+"""Unit tests for extension-agreement path diversity (§III-B3).
+
+``TestEnumeration`` and ``TestPathIndex`` check the object oracle in
+:mod:`repro.reference`; ``TestAnalysis`` pins the closed-form counts of
+:mod:`repro.paths.extensions` to the values that oracle gives.
+"""
 
 import pytest
 
 from repro.agreements import enumerate_mutuality_agreements, figure1_mutuality_agreement
-from repro.paths.extensions import (
-    analyze_extension_diversity,
-    build_extension_path_index,
-    enumerate_extension_agreements,
-)
+from repro.paths.extensions import analyze_extension_diversity
+from repro.reference import build_extension_path_index, enumerate_extension_agreements
 from repro.topology import AS_A, AS_C, AS_D, AS_E, AS_F, figure1_topology
 
 
@@ -77,6 +79,14 @@ class TestAnalysis:
         summary = analyze_extension_diversity(graph, base, sample)
         assert summary["num_extension_agreements"] > 0
         assert summary["max"] >= summary["mean"] >= 0.0
+        assert summary == {
+            "count": 9.0,
+            "mean": 0.6666666666666666,
+            "median": 0.0,
+            "min": 0.0,
+            "max": 2.0,
+            "num_extension_agreements": 6.0,
+        }
 
     def test_extensions_add_paths_on_generated_topology(self, small_topology):
         graph = small_topology.graph
@@ -84,12 +94,17 @@ class TestAnalysis:
         sample = tuple(sorted(graph.ases))[:40]
         summary = analyze_extension_diversity(graph, base, sample)
         assert summary["mean"] > 0.0
+        assert summary == {
+            "count": 40.0,
+            "mean": 7309.475,
+            "median": 7183.0,
+            "min": 6.0,
+            "max": 20688.0,
+            "num_extension_agreements": 905273.0,
+        }
 
     def test_cdf_is_over_the_sample(self, graph):
         base = list(enumerate_mutuality_agreements(graph))
-        index = build_extension_path_index(
-            enumerate_extension_agreements(graph, base)
-        )
         sample = (AS_C, AS_D, AS_E, AS_F)
-        cdf = index.cdf(sample)
-        assert cdf.count == len(sample)
+        summary = analyze_extension_diversity(graph, base, sample)
+        assert summary["count"] == len(sample)

@@ -7,7 +7,9 @@ the per-AS diversity records and the pair-metric records.  The inputs
 cover what enumerated MAs never produce: repeated and overlapping
 agreements between the same parties, offers of customers (whose
 segments are GRC-conforming), ASNs at or above 2**31, empty agreement
-lists and ASes without rows.
+lists and ASes without rows.  The §III-B3 extension counts, a closed
+form over the column index, are compared with the oracle that builds
+one extension agreement per (segment, peer) pair on the same inputs.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import reference
-from repro.agreements import enumerate_mutuality_agreements
+from repro.agreements import enumerate_mutuality_agreements, figure1_mutuality_agreement
 from repro.agreements.agreement import AccessOffer, Agreement
 from repro.core import path_engine_for
 from repro.paths.diversity import analyze_as
+from repro.paths.extensions import analyze_extension_diversity
 from repro.paths.ma_paths import build_ma_path_index, new_ma_paths
+from repro.paths.metrics import summarize
 from repro.paths.pair_metrics import BANDWIDTH, analyze_bandwidth
-from repro.topology import degree_gravity_capacities, generate_topology
+from repro.topology import degree_gravity_capacities, figure1_topology, generate_topology
 from repro.topology.caida import dump_as_rel_lines, parse_as_rel_lines
 
 TOP_N = (0, 1, 2, 5, 50)
@@ -149,3 +153,48 @@ class TestColumnIndexMatchesOracle:
     @settings(max_examples=5, deadline=None)
     def test_no_agreements(self, graph):
         assert_matches_oracle(graph, [])
+
+
+def assert_extensions_match_oracle(graph, agreements, samples):
+    extensions = reference.enumerate_extension_agreements(graph, agreements)
+    oracle = reference.build_extension_path_index(extensions)
+    for sample in samples:
+        expected = summarize([oracle.count(asn) for asn in sample])
+        expected["num_extension_agreements"] = float(len(extensions))
+        assert analyze_extension_diversity(graph, agreements, sample) == expected
+
+
+def drawn_samples(data, graph):
+    """Every AS, each AS alone (no peers, no rows), and a drawn sample."""
+    ases = sorted(graph)
+    drawn = data.draw(st.lists(st.sampled_from(ases), min_size=1, max_size=12))
+    return [tuple(ases), *((asn,) for asn in ases), tuple(drawn)]
+
+
+class TestExtensionCountsMatchOracle:
+    def test_figure1_fixture(self):
+        graph = figure1_topology()
+        samples = [tuple(sorted(graph)), *((asn,) for asn in graph)]
+        for agreements in (
+            list(enumerate_mutuality_agreements(graph)),
+            [figure1_mutuality_agreement(graph)] * 2,
+            [],
+        ):
+            assert_extensions_match_oracle(graph, agreements, samples)
+
+    @given(graphs(), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_enumerated_agreements(self, graph, data):
+        agreements = list(enumerate_mutuality_agreements(graph))
+        assert_extensions_match_oracle(graph, agreements, drawn_samples(data, graph))
+
+    @given(arbitrary_agreements(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_overlapping_and_customer_offers(self, drawn, data):
+        graph, agreements = drawn
+        assert_extensions_match_oracle(graph, agreements, drawn_samples(data, graph))
+
+    @given(graphs(), st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_no_agreements(self, graph, data):
+        assert_extensions_match_oracle(graph, [], drawn_samples(data, graph))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.topology import load_as_rel
+from repro.topology import generate_topology, load_as_rel, save_as_rel, save_gml
 
 
 class TestParser:
@@ -206,6 +206,42 @@ class TestDiversityCommand:
         out = capsys.readouterr().out
         assert "GRC" in out
         assert "additional paths per AS" in out
+
+    def test_gml_and_as_rel_files_print_the_same_rows(self, tmp_path, capsys):
+        graph = generate_topology(
+            num_tier1=3, num_tier2=6, num_tier3=15, num_stubs=40, seed=3
+        ).graph
+        save_as_rel(graph, tmp_path / "topo.as-rel.txt")
+        save_gml(graph, tmp_path / "topo.gml")
+        rows = []
+        for name in ("topo.as-rel.txt", "topo.gml"):
+            argv = ["diversity", "--topology", str(tmp_path / name), "--sample-size", "15"]
+            assert main(argv) == 0
+            loaded, *scenario_rows = capsys.readouterr().out.splitlines()
+            assert loaded.endswith(f"from {tmp_path / name}")
+            rows.append(scenario_rows)
+        assert rows[0] == rows[1]
+        assert any(row.startswith("MA ") for row in rows[0])
+
+    def test_closed_stdout_pipe_is_exit_1_without_traceback(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        argv = ["diversity", "--tier1", "2", "--tier2", "3", "--tier3", "5", "--stubs", "8"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv],
+                env=env,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
 
 
 class TestNegotiateCommand:
