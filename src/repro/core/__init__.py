@@ -4,9 +4,10 @@ This package is the performance substrate of the reproduction:
 
 - :class:`~repro.core.compiled.CompiledTopology` freezes an
   :class:`~repro.topology.graph.ASGraph` (the mixed §III-A graph
-  ``G = (A, L_peer, L_pc)``) into contiguous index-based adjacency
-  arrays with O(1) role tests and an explicit staleness/rebuild
-  contract.
+  ``G = (A, L_peer, L_pc)``) into contiguous index-based CSR arrays
+  built by one builder, :func:`~repro.core.compiled.compile_links`;
+  the view is just those arrays, and its content fingerprint is a
+  digest of them.
 - :class:`~repro.core.path_engine.PathEngine` computes the GRC
   length-3 paths of *all* sources in one batched sweep over the
   compiled arrays, memoizes per-source results, and supports
@@ -16,8 +17,9 @@ This package is the performance substrate of the reproduction:
   bargaining :class:`~repro.bargaining.engine.NegotiationEngine`)
   bit-identical to their naive per-instance reference paths.
 - :mod:`~repro.core.streaming` compiles CAIDA ``as-rel`` lines straight
-  into the array form without materializing the dict-of-sets graph —
-  the internet-scale ingestion path.
+  into the array form, through the same builder, without
+  materializing the dict-of-sets graph — the internet-scale ingestion
+  path.
 - :mod:`~repro.core.artifacts` persists compiled views as
   content-addressed ``.npy`` artifacts opened zero-copy via
   ``np.load(mmap_mode="r")``, so worker processes share pages instead

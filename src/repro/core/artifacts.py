@@ -22,17 +22,17 @@ Layout::
 Contract:
 
 - **Addressing** — an artifact is a :class:`~repro.core.store.Store`
-  entry whose key covers the topology's ``source_fingerprint``
-  (``ASGraph.content_fingerprint()``; the streaming compiler produces
-  the identical digest), :data:`ARTIFACT_FORMAT` and the code version.
+  entry whose key covers the topology's ``source_fingerprint`` (a
+  digest of the compiled arrays, the same however they were built),
+  :data:`ARTIFACT_FORMAT` and the code version.
   Identical content under the same code → identical artifact; a format
   bump or a code change moves every address, so old artifacts are
   simply never hit again.
-- **Staleness** — mmap-loaded views are *detached*: there is no source
-  graph to mutate under them, so the fingerprint IS the staleness
-  contract.  An artifact is valid for exactly the byte-identical
-  topology content it was compiled from; callers holding a mutated
-  graph get a different fingerprint and miss.
+- **Staleness** — the fingerprint IS the staleness contract.  An
+  artifact is valid for exactly the topology content it was compiled
+  from; callers holding a mutated graph get a different fingerprint and
+  miss.  A load adopts the fingerprint recorded in ``meta.json`` rather
+  than re-hashing the arrays, so the warm start stays zero-copy.
 - **Atomicity** — artifacts are published as one directory through
   :func:`~repro.core.store.publish`; a concurrent writer losing the
   race discards its copy.  Readers never observe a partial artifact.
@@ -72,7 +72,7 @@ def default_store_root() -> Path:
 
 
 def load_artifact(path: str | Path) -> CompiledTopology:
-    """Open one artifact directory as a memory-mapped detached view.
+    """Open one artifact directory as a memory-mapped compiled view.
 
     This is the worker-process entry point: parents pass the artifact
     *path* (a short string) across the process boundary instead of a
@@ -99,7 +99,7 @@ def load_artifact(path: str | Path) -> CompiledTopology:
             raise ArtifactError(
                 f"unreadable array {name!r} in topology artifact at {path}: {exc}"
             ) from exc
-    return CompiledTopology.from_arrays(source_fingerprint=fingerprint, **arrays)
+    return CompiledTopology(source_fingerprint=fingerprint, **arrays)
 
 
 class ArtifactStore(Store):

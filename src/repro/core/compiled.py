@@ -22,38 +22,30 @@ state of an ``ASGraph`` into contiguous arrays:
   loadable zero-copy from memory-mapped array files
   (:mod:`repro.core.artifacts`).
 
-A compiled view is immutable, and every array is either built in memory
-or memory-mapped read-only from an on-disk artifact — consumers cannot
-tell the difference (the property tests assert exactly that).
-
-There are two provenance modes:
-
-- **Graph-backed** views (built by :meth:`CompiledTopology.compile` /
-  :func:`compile_topology`) remember the source graph's
-  :attr:`ASGraph.mutation_count` and report staleness via
-  :meth:`CompiledTopology.is_stale`; callers obtain a fresh (or cached)
-  view through :func:`compile_topology`, which rebuilds exactly when
-  the graph has mutated.  The dynamic-network layer
-  (:mod:`repro.simulation.network`) builds on this contract to
-  recompile on link churn while preserving work for the unaffected
-  region.
-- **Detached** views (streamed from as-rel lines by
-  :mod:`repro.core.streaming`, or loaded from an artifact by
-  :mod:`repro.core.artifacts`) have no live source graph.  They are
-  never stale — their identity *is* their content fingerprint, and the
-  cross-process staleness contract is fingerprint equality: an artifact
-  is valid for exactly the byte-identical topology content it was
-  compiled from.
+A compiled view is nothing but these arrays.  One CSR builder,
+:func:`compile_links`, makes them from interned link endpoints, whether
+the links come from an ``ASGraph`` (:func:`compile_topology`) or straight
+from as-rel lines (:mod:`repro.core.streaming`); artifact loads
+(:mod:`repro.core.artifacts`) memory-map them read-only.  Consumers
+cannot tell the three apart (the property tests assert exactly that).
+The view's :attr:`~CompiledTopology.source_fingerprint` is a digest of
+the arrays themselves, so it needs no source graph and cannot fail.
+Whether a view still describes a mutable graph is
+``compile_topology(graph) is view``: the compile cache rebuilds exactly
+when the graph's :attr:`~repro.topology.graph.ASGraph.mutation_count`
+has moved, which is what the dynamic-network layer
+(:mod:`repro.simulation.network`) relies on to recompile on link churn.
 """
 
 from __future__ import annotations
 
+import hashlib
 import weakref
 
 import numpy as np
 
 from repro.topology.graph import ASGraph, TopologyError
-from repro.topology.relationships import Role
+from repro.topology.relationships import Relationship, Role
 
 #: ``nbr_roles`` codes: the role the neighbor plays for the row AS.
 ROLE_PROVIDER = np.int8(1)
@@ -82,17 +74,6 @@ ARRAY_FIELDS = (
 )
 
 
-def _csr(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack per-index adjacency rows into (indptr, indices) CSR arrays."""
-    lengths = np.fromiter((len(row) for row in rows), dtype=np.int64, count=len(rows))
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    if indptr[-1] == 0:
-        return indptr, np.empty(0, dtype=np.int32)
-    indices = np.concatenate([np.asarray(row, dtype=np.int32) for row in rows if row])
-    return indptr, indices
-
-
 def _row_contains(indptr: np.ndarray, indices: np.ndarray, row: int, value: int) -> bool:
     """Whether a sorted CSR row contains ``value`` (binary search)."""
     lo = int(indptr[row])
@@ -102,75 +83,29 @@ def _row_contains(indptr: np.ndarray, indices: np.ndarray, row: int, value: int)
 
 
 class CompiledTopology:
-    """An immutable array-compiled snapshot of one :class:`ASGraph` state.
+    """An immutable array-compiled snapshot of one topology state.
 
-    Build via :meth:`compile` (or the cached :func:`compile_topology`)
-    from a graph, via :meth:`from_arrays` from pre-built CSR arrays
-    (the streaming and memory-mapped artifact paths).  All index-level
+    Build via :func:`compile_topology` from a graph, via
+    :func:`compile_links` from link endpoints, or directly from the
+    :data:`ARRAY_FIELDS` arrays (the artifact path).  All index-level
     accessors return read-only numpy slices; the ``*_set`` accessors
     return cached frozensets of ASNs for call sites that need Python
     set algebra without re-allocating per call.
     """
 
-    def __init__(self, graph: ASGraph) -> None:
-        asns = sorted(graph.ases)
-        index = {asn: i for i, asn in enumerate(asns)}
+    def __init__(
+        self, *, source_fingerprint: str | None = None, **arrays: np.ndarray
+    ) -> None:
+        """Adopt one array per name in :data:`ARRAY_FIELDS` as-is.
 
-        prov_rows: list[list[int]] = []
-        peer_rows: list[list[int]] = []
-        cust_rows: list[list[int]] = []
-        nbr_rows: list[list[int]] = []
-        role_rows: list[np.ndarray] = []
-        for asn in asns:
-            providers = sorted(index[p] for p in graph.providers(asn))
-            peers = sorted(index[p] for p in graph.peers(asn))
-            customers = sorted(index[c] for c in graph.customers(asn))
-            prov_rows.append(providers)
-            peer_rows.append(peers)
-            cust_rows.append(customers)
-            merged = providers + peers + customers
-            codes = np.empty(len(merged), dtype=np.int8)
-            codes[: len(providers)] = ROLE_PROVIDER
-            codes[len(providers):len(providers) + len(peers)] = ROLE_PEER
-            codes[len(providers) + len(peers):] = ROLE_CUSTOMER
-            merged_array = np.asarray(merged, dtype=np.int32)
-            # The three role groups are disjoint, so a stable sort of
-            # the concatenation yields the ascending neighbor row with
-            # its role codes carried along.
-            order = np.argsort(merged_array, kind="stable")
-            nbr_rows.append([int(v) for v in merged_array[order]])
-            role_rows.append(codes[order])
-
-        prov_indptr, prov_indices = _csr(prov_rows)
-        peer_indptr, peer_indices = _csr(peer_rows)
-        cust_indptr, cust_indices = _csr(cust_rows)
-        nbr_indptr, nbr_indices = _csr(nbr_rows)
-        nbr_roles = (
-            np.concatenate(role_rows)
-            if role_rows and nbr_indices.size
-            else np.empty(0, dtype=np.int8)
-        )
-        self._init_from_arrays(
-            asn_array=np.asarray(asns, dtype=np.int64),
-            prov_indptr=prov_indptr,
-            prov_indices=prov_indices,
-            peer_indptr=peer_indptr,
-            peer_indices=peer_indices,
-            cust_indptr=cust_indptr,
-            cust_indices=cust_indices,
-            nbr_indptr=nbr_indptr,
-            nbr_indices=nbr_indices,
-            nbr_roles=nbr_roles,
-        )
-        self.source_mutation_count = graph.mutation_count
-        self._source_ref = weakref.ref(graph)
-        self._detached = False
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _init_from_arrays(self, **arrays: np.ndarray) -> None:
-        """Bind the content arrays and derived state (shared by all paths)."""
+        Arrays are taken zero-copy, so ``np.load(..., mmap_mode="r")``
+        results stay memory-mapped.  ``source_fingerprint`` lets an
+        artifact load adopt the digest recorded beside its arrays;
+        otherwise it is derived from the arrays on first access.
+        """
+        missing = [name for name in ARRAY_FIELDS if name not in arrays]
+        if missing:
+            raise ValueError(f"missing compiled arrays: {', '.join(missing)}")
         for name in ARRAY_FIELDS:
             array = arrays[name]
             if array.flags.writeable:
@@ -184,97 +119,46 @@ class CompiledTopology:
         self.customer_counts = np.diff(self.cust_indptr)
         # Every link contributes two directed adjacency slots.
         self.num_links = int(self.nbr_indptr[-1]) // 2
-        self._source_fingerprint: str | None = None
-        self._source_ref: weakref.ref[ASGraph] | None = None
-        self._detached = True
-        self.source_mutation_count = 0
+        self._source_fingerprint = source_fingerprint
         # Lazily filled frozenset views (ASN-level), one slot per index.
         self._nbr_sets: list[frozenset[int] | None] = [None] * n
         self._cust_sets: list[frozenset[int] | None] = [None] * n
         self._peer_sets: list[frozenset[int] | None] = [None] * n
         self._prov_sets: list[frozenset[int] | None] = [None] * n
 
-    @classmethod
-    def compile(cls, graph: ASGraph) -> "CompiledTopology":
-        """Compile a fresh immutable view of the graph's current state."""
-        return cls(graph)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        *,
-        source_fingerprint: str,
-        **arrays: np.ndarray,
-    ) -> "CompiledTopology":
-        """Build a *detached* view directly from CSR arrays.
-
-        This is the constructor of the streaming-ingestion and
-        memory-mapped artifact paths: the arrays (one per name in
-        :data:`ARRAY_FIELDS`) are adopted as-is — zero-copy, so
-        ``np.load(..., mmap_mode="r")`` results stay memory-mapped —
-        and ``source_fingerprint`` records the content digest of the
-        topology they describe.  Detached views have no source graph
-        and are never stale; cache validity is fingerprint equality.
-        """
-        missing = [name for name in ARRAY_FIELDS if name not in arrays]
-        if missing:
-            raise ValueError(f"missing compiled arrays: {', '.join(missing)}")
-        self = cls.__new__(cls)
-        self._init_from_arrays(**{name: arrays[name] for name in ARRAY_FIELDS})
-        self._source_fingerprint = source_fingerprint
-        return self
-
-    # ------------------------------------------------------------------
-    # Invalidation contract
-    # ------------------------------------------------------------------
-    @property
-    def detached(self) -> bool:
-        """Whether this view was built without a live source graph."""
-        return self._detached
-
     @property
     def source_fingerprint(self) -> str:
-        """Content digest of the source topology at compile time.
+        """SHA-256 hex digest of the topology content the arrays describe.
 
-        Together with :attr:`source_mutation_count` this extends the
-        staleness contract across process boundaries: on-disk caches
-        (sweep shards, topology artifacts) stamp results with the
-        fingerprint, so a cache hit is guaranteed to describe
-        byte-identical topology content.
-
-        For graph-backed views the digest is computed lazily on first
-        access — churn-driven recompiles (the simulation hot path)
-        never pay for the hash — and only while the source graph is
-        alive and unmutated, so the digest can never describe different
-        content than the compiled arrays.  Detached views (streamed or
-        artifact-loaded) carry their fingerprint from birth.
+        The digest hashes ``A {asn}`` per AS in ascending ASN order, then
+        ``L {first} {second} {rel}`` per link in ascending (lower ASN,
+        higher ASN) order, with the provider first and ``rel = -1`` on
+        transit links and the lower ASN first and ``rel = 0`` on peering
+        links.  It is a function of the arrays alone, so views with
+        element-identical arrays — compiled from a graph, streamed from
+        as-rel lines, or loaded from an artifact — share one
+        fingerprint, and on-disk caches (sweep shards, topology
+        artifacts, grc-all output) keyed by it describe exactly this
+        content.  Computed on first access, so churn-driven recompiles
+        never pay for the hash.
         """
         if self._source_fingerprint is None:
-            graph = self._source_ref() if self._source_ref is not None else None
-            if graph is None or graph.mutation_count != self.source_mutation_count:
-                raise RuntimeError(
-                    "source graph is gone or has mutated since compilation; "
-                    "its fingerprint can no longer be derived"
-                )
-            self._source_fingerprint = graph.content_fingerprint()
+            rows = np.repeat(np.arange(self.n), self.degrees)
+            upper = self.nbr_indices > rows
+            lower, higher = rows[upper], self.nbr_indices[upper]
+            roles = self.nbr_roles[upper]
+            provider_higher = roles == ROLE_PROVIDER
+            firsts = self.asn_array[np.where(provider_higher, higher, lower)]
+            seconds = self.asn_array[np.where(provider_higher, lower, higher)]
+            rels = np.where(roles == ROLE_PEER, 0, -1)
+            lines = [f"A {asn}\n" for asn in self.asn_array.tolist()]
+            lines += [
+                f"L {first} {second} {rel}\n"
+                for first, second, rel in zip(firsts.tolist(), seconds.tolist(), rels.tolist())
+            ]
+            digest = hashlib.sha256("".join(lines).encode())
+            self._source_fingerprint = digest.hexdigest()
         return self._source_fingerprint
-
-    def is_stale(self, graph: ASGraph | None = None) -> bool:
-        """Whether the source graph has mutated since compilation.
-
-        With no argument, checks against the original source graph (a
-        garbage-collected source counts as stale); pass a graph to check
-        against it explicitly.  Detached views are never stale — they
-        have no mutable source; their validity is governed by the
-        fingerprint contract instead.
-        """
-        if graph is None:
-            if self._detached:
-                return False
-            graph = self._source_ref() if self._source_ref is not None else None
-            if graph is None:
-                return True
-        return graph.mutation_count != self.source_mutation_count
 
     # ------------------------------------------------------------------
     # Interning
@@ -380,40 +264,115 @@ class CompiledTopology:
         return self._set_view(self._prov_sets, self.prov_indptr, self.prov_indices, asn)
 
     def same_arrays(self, other: "CompiledTopology") -> bool:
-        """Whether two views have element-identical content arrays.
+        """Whether two views have element- and dtype-identical arrays.
 
         This is the equivalence the streaming and artifact paths are
         contracted to: a streamed/loaded view is *indistinguishable*
         from a graph compile of the same content.
         """
         return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
+            getattr(self, name).dtype == getattr(other, name).dtype
+            and np.array_equal(getattr(self, name), getattr(other, name))
             for name in ARRAY_FIELDS
         )
 
     def __repr__(self) -> str:
-        return (
-            f"CompiledTopology(ases={self.n}, links={self.num_links}, "
-            f"source_mutation_count={self.source_mutation_count})"
+        return f"CompiledTopology(ases={self.n}, links={self.num_links})"
+
+
+def _csr_from_edges(
+    owners: np.ndarray,
+    neighbors: np.ndarray,
+    n: int,
+    roles: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Build (indptr, sorted indices[, aligned roles]) from directed edges."""
+    order = np.lexsort((neighbors, owners))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
+    indices = neighbors[order].astype(np.int32, copy=False)
+    if roles is None:
+        return indptr, indices
+    return indptr, indices, roles[order]
+
+
+def compile_links(
+    asn_array: np.ndarray,
+    providers: np.ndarray,
+    customers: np.ndarray,
+    peer_lo: np.ndarray,
+    peer_hi: np.ndarray,
+) -> CompiledTopology:
+    """The one CSR builder: a compiled view from interned link endpoints.
+
+    ``asn_array`` holds every ASN once, ascending (``int64``); the link
+    arrays hold dense indices into it, one entry per link and in any
+    order: ``providers[k]`` sells transit to ``customers[k]``, and
+    ``peer_lo[k]`` peers with ``peer_hi[k]``.  Each CSR row comes out
+    sorted, so the arrays depend only on the link set.
+    """
+    n = int(asn_array.size)
+    prov_indptr, prov_indices = _csr_from_edges(customers, providers, n)
+    peer_indptr, peer_indices = _csr_from_edges(
+        np.concatenate((peer_lo, peer_hi)), np.concatenate((peer_hi, peer_lo)), n
+    )
+    cust_indptr, cust_indices = _csr_from_edges(providers, customers, n)
+    nbr_owners = np.concatenate((customers, providers, peer_lo, peer_hi))
+    nbr_targets = np.concatenate((providers, customers, peer_hi, peer_lo))
+    nbr_role_codes = np.concatenate(
+        (
+            np.full(customers.size, ROLE_PROVIDER, dtype=np.int8),
+            np.full(providers.size, ROLE_CUSTOMER, dtype=np.int8),
+            np.full(peer_lo.size + peer_hi.size, ROLE_PEER, dtype=np.int8),
         )
+    )
+    nbr_indptr, nbr_indices, nbr_roles = _csr_from_edges(
+        nbr_owners, nbr_targets, n, roles=nbr_role_codes
+    )
+    return CompiledTopology(
+        asn_array=asn_array,
+        prov_indptr=prov_indptr,
+        prov_indices=prov_indices,
+        peer_indptr=peer_indptr,
+        peer_indices=peer_indices,
+        cust_indptr=cust_indptr,
+        cust_indices=cust_indices,
+        nbr_indptr=nbr_indptr,
+        nbr_indices=nbr_indices,
+        nbr_roles=nbr_roles,
+    )
 
 
-#: Per-graph compile cache.  Weakly keyed so snapshots (e.g. the rolling
-#: active graphs of a DynamicNetwork) do not accumulate.
-_COMPILE_CACHE: "weakref.WeakKeyDictionary[ASGraph, CompiledTopology]" = (
+#: Per-graph compile cache of ``(mutation_count, view)``.  Weakly keyed
+#: so snapshots (e.g. the rolling active graphs of a DynamicNetwork) do
+#: not accumulate.
+_COMPILE_CACHE: "weakref.WeakKeyDictionary[ASGraph, tuple[int, CompiledTopology]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def compile_topology(graph: ASGraph) -> CompiledTopology:
-    """Return a compiled view of the graph, rebuilding only when stale.
+    """Return the compiled view of the graph's current state.
 
-    This is the canonical entry point of the invalidation contract:
-    repeated calls on an unmutated graph return the same object, and the
-    first call after any mutation compiles a fresh view.
+    Repeated calls on an unmutated graph return the same object, and the
+    first call after any mutation compiles a fresh view, so
+    ``compile_topology(graph) is view`` tells whether ``view`` still
+    describes ``graph``.
     """
-    compiled = _COMPILE_CACHE.get(graph)
-    if compiled is None or compiled.is_stale(graph):
-        compiled = CompiledTopology.compile(graph)
-        _COMPILE_CACHE[graph] = compiled
-    return compiled
+    cached = _COMPILE_CACHE.get(graph)
+    if cached is None or cached[0] != graph.mutation_count:
+        asn_array = np.array(sorted(graph.ases), dtype=np.int64)
+        links = graph.links
+        firsts = np.searchsorted(asn_array, [link.first for link in links])
+        seconds = np.searchsorted(asn_array, [link.second for link in links])
+        peer = np.array(
+            [link.relationship is Relationship.PEER_TO_PEER for link in links],
+            dtype=bool,
+        )
+        transit = ~peer
+        compiled = compile_links(
+            asn_array, firsts[transit], seconds[transit], firsts[peer], seconds[peer]
+        )
+        cached = (graph.mutation_count, compiled)
+        _COMPILE_CACHE[graph] = cached
+    return cached[1]

@@ -10,16 +10,15 @@ arrays and never touched again.
 
 :func:`compile_as_rel_lines` skips the middleman.  It consumes the same
 validated records (:func:`repro.topology.caida.iter_as_rel_records`),
-accumulates flat endpoint/relationship arrays, and builds the CSR
-adjacency of every role with vectorized numpy passes — sorting,
-``bincount`` row pointers, one ``lexsort`` per role family — in one
-pass over the file.  The result is a *detached*
-:class:`CompiledTopology` whose arrays are element-identical to
-``CompiledTopology.compile(parse_as_rel_lines(lines))`` and whose
-``source_fingerprint`` equals ``ASGraph.content_fingerprint()`` of that
-graph (both equalities are pinned by the property tests), so streamed
-views interoperate with every fingerprint-keyed cache — sweep shards
-and the :mod:`repro.core.artifacts` store alike.
+accumulates flat endpoint/relationship arrays, interns the ASNs,
+rejects conflicting duplicates and drops identical ones, then hands
+the unique links to :func:`repro.core.compiled.compile_links` — the
+same CSR builder a graph compile uses.  The result's arrays are
+element-identical to ``compile_topology(parse_as_rel_lines(lines))``,
+and since the fingerprint is a function of the arrays, so is its
+``source_fingerprint`` (both are pinned by the property tests);
+streamed views therefore share every fingerprint-keyed cache — sweep
+shards and the :mod:`repro.core.artifacts` store alike.
 
 Validation is not relaxed: field-level problems raise line-numbered
 :class:`~repro.topology.caida.CaidaFormatError`\\ s from the shared
@@ -31,18 +30,12 @@ occurrence wins, which is also what ``ASGraph`` does).
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.compiled import (
-    ROLE_CUSTOMER,
-    ROLE_PEER,
-    ROLE_PROVIDER,
-    CompiledTopology,
-)
+from repro.core.compiled import CompiledTopology, compile_links
 from repro.topology.caida import CaidaFormatError, iter_as_rel_records
 
 #: Link signature codes on (lo, hi)-normalized endpoint pairs.  Two
@@ -80,30 +73,13 @@ def _raise_conflict(
     )
 
 
-def _csr_from_edges(
-    owners: np.ndarray,
-    neighbors: np.ndarray,
-    n: int,
-    roles: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build (indptr, sorted indices[, aligned roles]) from directed edges."""
-    order = np.lexsort((neighbors, owners))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
-    indices = neighbors[order].astype(np.int32, copy=False)
-    if roles is None:
-        return indptr, indices
-    return indptr, indices, roles[order]
-
-
 def compile_as_rel_lines(lines: Iterable[str]) -> CompiledTopology:
-    """Compile CAIDA ``as-rel`` lines directly into a detached view.
+    """Compile CAIDA ``as-rel`` lines directly into a compiled view.
 
     Returns a :class:`CompiledTopology` with arrays element-identical
-    to compiling ``parse_as_rel_lines(lines)`` and the matching
-    ``source_fingerprint``, without materializing the dict-of-sets
-    graph.  Raises :class:`CaidaFormatError` on exactly the inputs the
-    graph path rejects.
+    to compiling ``parse_as_rel_lines(lines)``, without materializing
+    the dict-of-sets graph.  Raises :class:`CaidaFormatError` on
+    exactly the inputs the graph path rejects.
     """
     firsts_list: list[int] = []
     seconds_list: list[int] = []
@@ -120,21 +96,6 @@ def compile_as_rel_lines(lines: Iterable[str]) -> CompiledTopology:
     codes = np.asarray(codes_list, dtype=np.int64)
     linenos = np.asarray(linenos_list, dtype=np.int64)
     del firsts_list, seconds_list, codes_list, linenos_list
-
-    if firsts.size == 0:
-        return CompiledTopology.from_arrays(
-            source_fingerprint=hashlib.sha256().hexdigest(),
-            asn_array=np.empty(0, dtype=np.int64),
-            prov_indptr=np.zeros(1, dtype=np.int64),
-            prov_indices=np.empty(0, dtype=np.int32),
-            peer_indptr=np.zeros(1, dtype=np.int64),
-            peer_indices=np.empty(0, dtype=np.int32),
-            cust_indptr=np.zeros(1, dtype=np.int64),
-            cust_indices=np.empty(0, dtype=np.int32),
-            nbr_indptr=np.zeros(1, dtype=np.int64),
-            nbr_indices=np.empty(0, dtype=np.int32),
-            nbr_roles=np.empty(0, dtype=np.int8),
-        )
 
     # Intern ASNs into dense indices (sorted ASN order, like the graph
     # compile) and normalize every record to its (lo, hi) index pair
@@ -166,50 +127,20 @@ def compile_as_rel_lines(lines: Iterable[str]) -> CompiledTopology:
             keys_s, sigs_s, linenos[order], firsts[order], seconds[order],
             codes[order], pos,
         )
-    keep = np.concatenate(([True], ~same_key))
+    keep = np.ones(keys_s.size, dtype=bool)
+    keep[1:] = ~same_key
     lo_u = lo[order][keep]
     hi_u = hi[order][keep]
     sig_u = sigs_s[keep]
 
-    # Unique links → directed role edges.  Provider/customer direction
-    # is encoded by the signature; peering contributes both directions.
+    # Unique links → endpoint arrays for the shared CSR builder; the
+    # signature encodes the provider/customer direction.
     peer_mask = sig_u == _SIG_PEER
     prov_is_lo = sig_u == _SIG_PROVIDER_IS_LO
     providers = np.where(prov_is_lo, lo_u, hi_u)[~peer_mask]
     customers = np.where(prov_is_lo, hi_u, lo_u)[~peer_mask]
-    peer_lo = lo_u[peer_mask]
-    peer_hi = hi_u[peer_mask]
-
-    prov_indptr, prov_indices = _csr_from_edges(customers, providers, n)
-    peer_indptr, peer_indices = _csr_from_edges(
-        np.concatenate((peer_lo, peer_hi)), np.concatenate((peer_hi, peer_lo)), n
-    )
-    cust_indptr, cust_indices = _csr_from_edges(providers, customers, n)
-    nbr_owners = np.concatenate((customers, providers, peer_lo, peer_hi))
-    nbr_targets = np.concatenate((providers, customers, peer_hi, peer_lo))
-    nbr_role_codes = np.concatenate(
-        (
-            np.full(customers.size, ROLE_PROVIDER, dtype=np.int8),
-            np.full(providers.size, ROLE_CUSTOMER, dtype=np.int8),
-            np.full(peer_lo.size + peer_hi.size, ROLE_PEER, dtype=np.int8),
-        )
-    )
-    nbr_indptr, nbr_indices, nbr_roles = _csr_from_edges(
-        nbr_owners, nbr_targets, n, roles=nbr_role_codes
-    )
-
-    return CompiledTopology.from_arrays(
-        source_fingerprint=_fingerprint(asn_array, lo_u, hi_u, sig_u),
-        asn_array=asn_array,
-        prov_indptr=prov_indptr,
-        prov_indices=prov_indices,
-        peer_indptr=peer_indptr,
-        peer_indices=peer_indices,
-        cust_indptr=cust_indptr,
-        cust_indices=cust_indices,
-        nbr_indptr=nbr_indptr,
-        nbr_indices=nbr_indices,
-        nbr_roles=nbr_roles,
+    return compile_links(
+        asn_array, providers, customers, lo_u[peer_mask], hi_u[peer_mask]
     )
 
 
@@ -217,32 +148,3 @@ def compile_as_rel_file(path: str | Path) -> CompiledTopology:
     """Stream-compile a CAIDA ``as-rel`` file (see :func:`compile_as_rel_lines`)."""
     with open(path, encoding="utf-8") as handle:
         return compile_as_rel_lines(handle)
-
-
-def _fingerprint(
-    asn_array: np.ndarray,
-    lo_u: np.ndarray,
-    hi_u: np.ndarray,
-    sig_u: np.ndarray,
-) -> str:
-    """Reproduce :meth:`ASGraph.content_fingerprint` from link arrays.
-
-    The graph hashes ``A {asn}`` per sorted ASN, then ``L {first}
-    {second} {rel}`` per link in (lo, hi)-sorted endpoint order, with
-    provider first on transit links and the lower ASN first on peering
-    links.  The unique link arrays are already in exactly that order
-    (keys were sorted by ``lo * n + hi``), so this is one formatting
-    pass — byte-for-byte the digest the graph path would produce.
-    """
-    digest = hashlib.sha256()
-    for asn in asn_array:
-        digest.update(f"A {int(asn)}\n".encode())
-    peer = sig_u == _SIG_PEER
-    first_idx = np.where(peer | (sig_u == _SIG_PROVIDER_IS_LO), lo_u, hi_u)
-    second_idx = np.where(peer | (sig_u == _SIG_PROVIDER_IS_LO), hi_u, lo_u)
-    first_asn = asn_array[first_idx]
-    second_asn = asn_array[second_idx]
-    rels = np.where(peer, 0, -1)
-    for a, b, rel in zip(first_asn, second_asn, rels):
-        digest.update(f"L {int(a)} {int(b)} {int(rel)}\n".encode())
-    return digest.hexdigest()

@@ -101,7 +101,7 @@ def context_for(
     if (
         memo is not None
         and memo.matches(config)
-        and not memo.compiled.is_stale(memo.topology.graph)
+        and compile_topology(memo.topology.graph) is memo.compiled
     ):
         return memo
     built = DiversityContext.build(config)

@@ -133,10 +133,17 @@ def optimize_flow_volume_targets(
             concluded=False,
         )
 
+    # SLSQP evaluates the objective and both constraints at the same
+    # points; one scenario build per distinct factor vector serves all three.
+    evaluated: dict[bytes, tuple[float, float]] = {}
+
     def utilities_at(factors: np.ndarray) -> tuple[float, float]:
-        candidate = _scenario_from_factors(scenario, factors)
-        utilities = joint_utilities(candidate, businesses)
-        return utilities[party_x], utilities[party_y]
+        key = factors.tobytes()
+        if key not in evaluated:
+            candidate = _scenario_from_factors(scenario, factors)
+            utilities = joint_utilities(candidate, businesses)
+            evaluated[key] = (utilities[party_x], utilities[party_y])
+        return evaluated[key]
 
     def negative_nash_product(factors: np.ndarray) -> float:
         ux, uy = utilities_at(factors)

@@ -348,7 +348,9 @@ def enumerate_extension_agreements(
         ExtensionAgreement(
             party_x=party,
             party_y=peer,
-            segment_offers_x=(SegmentOffer(owner=party, segment=segment, base_agreement=agreement),),
+            segment_offers_x=(
+                SegmentOffer(owner=party, segment=segment, base_agreement=agreement),
+            ),
         )
         for agreement in base_agreements
         for party in agreement.parties

@@ -59,7 +59,7 @@ from repro.api.requests import (
     Workflow,
     decode_request,
 )
-from repro.api.results import NegotiateResult
+from repro.api.results import JobStatusResult, NegotiateResult
 from repro.api.session import Session
 from repro.core.store import Store, input_files, store_key
 from repro.envelope import envelope
@@ -312,10 +312,13 @@ class ServeService:
                 )
             typed = _build_request(JobRequest, request.body)
             job_id = self.jobs.submit(typed)
+            # The reply describes the submission itself: by now any
+            # worker may have claimed the job, which a poll reports.
+            submitted = JobStatusResult(
+                job_id=job_id, workflow=typed.workflow, state="queued", progress={}
+            )
             self.job_runner.wake()
-            status = self.jobs.status(job_id)
-            assert status is not None
-            body = serialize_envelope(status.to_json_dict())
+            body = serialize_envelope(submitted.to_json_dict())
             return 202, body, "job_request", None, None
         job_id = path[len("/jobs/") :]
         if request.method == "GET":

@@ -19,7 +19,8 @@ validator:
   records straight into :class:`~repro.core.compiled.CompiledTopology`
   CSR arrays without materializing the dict-of-sets graph — the
   internet-scale path for full CAIDA snapshots (~75k ASes, ~400k
-  links).
+  links).  It feeds the CSR builder a graph compile uses, so both
+  paths yield identical arrays and one content fingerprint.
 
 Both reject malformed input with line-numbered
 :class:`CaidaFormatError`\\ s: non-integer fields, unknown relationship

@@ -10,7 +10,6 @@ the provider set ``π(X)``, the peer set ``ε(X)``, and the customer set
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterable, Iterator
 
 from repro.topology.relationships import Link, Relationship, Role
@@ -43,16 +42,15 @@ class ASGraph:
         self._customers: dict[int, set[int]] = {}
         self._links: dict[frozenset[int], Link] = {}
         self._mutations = 0
-        self._fingerprint: tuple[int, str] | None = None
 
     @property
     def mutation_count(self) -> int:
         """Monotonic counter bumped on every structural change.
 
-        :mod:`repro.core` compiles this graph into immutable array form
-        and uses the counter to detect staleness: a compiled view built
-        at mutation count ``m`` is valid exactly while the graph's
-        counter still reads ``m``.
+        :func:`repro.core.compile_topology` caches one immutable array
+        form of this graph per counter value: a compiled view built at
+        mutation count ``m`` is served exactly while the graph's counter
+        still reads ``m``.
         """
         return self._mutations
 
@@ -113,31 +111,6 @@ class ASGraph:
         else:
             self._peers[link.first].discard(link.second)
             self._peers[link.second].discard(link.first)
-
-    def content_fingerprint(self) -> str:
-        """Stable hex digest of the graph's structural content.
-
-        Two graphs with the same ASes, links, and relationships have the
-        same fingerprint regardless of insertion order.  The digest is
-        memoized under the same contract :mod:`repro.core` uses for its
-        compiled views: the cached value is valid exactly while
-        :attr:`mutation_count` is unchanged, and the first call after any
-        mutation re-hashes.  Sweep caches use it to stamp results with
-        the exact topology they were computed from.
-        """
-        if self._fingerprint is not None and self._fingerprint[0] == self._mutations:
-            return self._fingerprint[1]
-        digest = hashlib.sha256()
-        for asn in sorted(self._providers):
-            digest.update(f"A {asn}\n".encode())
-        for key in sorted(self._links, key=sorted):
-            link = self._links[key]
-            digest.update(
-                f"L {link.first} {link.second} {link.relationship.value}\n".encode()
-            )
-        value = digest.hexdigest()
-        self._fingerprint = (self._mutations, value)
-        return value
 
     # ------------------------------------------------------------------
     # Queries

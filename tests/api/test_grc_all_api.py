@@ -100,6 +100,19 @@ class TestSessionRuns:
         assert lines[0] == "asn,paths,destinations"
         assert len(lines) == result.num_ases + 1
 
+    def test_zero_cache_session_matches_the_caching_one(self, tmp_path):
+        """A session that caches no topology drops the generated graph
+        before the fingerprint is read; the fingerprint comes from the
+        compiled arrays, so the run must not notice."""
+        request = dict(tier1=3, tier2=5, tier3=8, stubs=10, seed=1)
+        cached_csv, uncached_csv = tmp_path / "cached.csv", tmp_path / "uncached.csv"
+        cached = Session().grc_all(GrcAllRequest(output=str(cached_csv), **request))
+        uncached = Session(cache_limit=0).grc_all(
+            GrcAllRequest(output=str(uncached_csv), **request)
+        )
+        assert uncached.fingerprint == cached.fingerprint
+        assert uncached_csv.read_bytes() == cached_csv.read_bytes()
+
     def test_topology_file_input(self, tmp_path):
         from repro.api import TopologyRequest
 

@@ -39,8 +39,6 @@ class TestRoundTrip:
         fresh = compile_topology(graph)
         assert view.same_arrays(fresh)
         assert view.source_fingerprint == fresh.source_fingerprint
-        assert view.detached
-        assert not view.is_stale()
 
     def test_path_engine_outputs_identical_on_mmap_view(self, tmp_path, graph):
         _, path = saved(ArtifactStore(tmp_path), graph)
@@ -79,10 +77,12 @@ class TestPublishSemantics:
         _, second = saved(store, figure1_topology())
         assert first != second
 
-    def test_save_accepts_detached_views(self, tmp_path, graph):
+    def test_save_accepts_streamed_views(self, tmp_path, graph):
         streamed = compile_as_rel_lines(dump_as_rel_lines(graph))
-        assert streamed.detached
         path = ArtifactStore(tmp_path).save(streamed)
+        assert path == ArtifactStore(tmp_path).path_for(
+            compile_topology(graph).source_fingerprint
+        )
         assert load_artifact(path).same_arrays(compile_topology(graph))
 
 

@@ -1,12 +1,23 @@
 """Tests for the array-compiled topology view."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core import CompiledTopology, compile_topology
-from repro.topology import TopologyError, figure1_topology
+from repro.core import (
+    CompiledTopology,
+    compile_as_rel_file,
+    compile_as_rel_lines,
+    compile_topology,
+)
+from repro.core.compiled import ARRAY_FIELDS
+from repro.topology import ASGraph, TopologyError, figure1_topology
+from repro.topology.caida import dump_as_rel_lines, load_as_rel
 from repro.topology.fixtures import AS_A, AS_B, AS_C, AS_D, AS_E, AS_H
 from repro.topology.generator import generate_topology
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden"
 
 
 @pytest.fixture()
@@ -16,7 +27,7 @@ def graph():
 
 @pytest.fixture()
 def compiled(graph):
-    return CompiledTopology.compile(graph)
+    return compile_topology(graph)
 
 
 class TestInterning:
@@ -94,16 +105,6 @@ class TestMembershipTables:
 
 
 class TestInvalidationContract:
-    def test_fresh_compile_is_not_stale(self, graph):
-        compiled = compile_topology(graph)
-        assert not compiled.is_stale(graph)
-        assert not compiled.is_stale()
-
-    def test_mutation_marks_the_view_stale(self, graph):
-        compiled = compile_topology(graph)
-        graph.remove_link(AS_D, AS_E)
-        assert compiled.is_stale(graph)
-
     def test_compile_cache_returns_same_object_until_mutation(self, graph):
         first = compile_topology(graph)
         assert compile_topology(graph) is first
@@ -111,6 +112,16 @@ class TestInvalidationContract:
         second = compile_topology(graph)
         assert second is not first
         assert AS_B in second.peers(AS_C)
+
+    def test_fresh_compile_is_not_stale(self, graph):
+        compiled = compile_topology(graph)
+        assert compile_topology(graph) is compiled
+
+    def test_mutation_marks_the_view_stale(self, graph):
+        compiled = compile_topology(graph)
+        graph.remove_link(AS_D, AS_E)
+        assert compile_topology(graph) is not compiled
+        assert not compile_topology(graph).has_link(AS_D, AS_E)
 
     def test_every_mutation_kind_bumps_the_counter(self, graph):
         before = graph.mutation_count
@@ -129,49 +140,70 @@ class TestInvalidationContract:
         graph.add_as(AS_D)
         graph.add_peering(AS_D, AS_E)  # identical existing link
         assert graph.mutation_count == before
+        assert compile_topology(graph) is compile_topology(graph)
 
-    def test_stale_after_source_is_garbage_collected(self):
-        compiled = compile_topology(figure1_topology())
-        assert compiled.is_stale()  # source graph dropped immediately
+    def test_view_is_only_its_arrays(self, compiled):
+        arrays = {name: getattr(compiled, name) for name in ARRAY_FIELDS}
+        rebuilt = CompiledTopology(**arrays)
+        assert rebuilt.same_arrays(compiled)
+        assert rebuilt.source_fingerprint == compiled.source_fingerprint
+        with pytest.raises(ValueError, match="missing compiled arrays: nbr_roles"):
+            CompiledTopology(**{k: v for k, v in arrays.items() if k != "nbr_roles"})
+
+
+#: Fingerprints of fixed topologies, pinned so that a change to how the
+#: digest is derived (which would silently orphan every fingerprint-keyed
+#: cache entry) fails here.
+FIGURE1_FINGERPRINT = "ddbb5ff57841ad3776bf9aeb13217ac2f2de13c63ec695d8aa0f1138b73a6e8d"
+SEED7_FINGERPRINT = "db64e6888294da063bec1fed9632de6fb42807cfc82ac3862d5630f816c84d60"
+ASN32_FINGERPRINT = "1e384feffdbae5dad993852de8c0c1e65cdb02b344b305982d658b89f57efc49"
+
+
+def fingerprint(graph: ASGraph) -> str:
+    return compile_topology(graph).source_fingerprint
 
 
 class TestSourceFingerprint:
+    def test_pinned_fingerprints(self):
+        assert fingerprint(figure1_topology()) == FIGURE1_FINGERPRINT
+        assert fingerprint(generate_topology(seed=7).graph) == SEED7_FINGERPRINT
+        asn32 = GOLDEN / "asn32.as-rel.txt"
+        assert compile_as_rel_file(asn32).source_fingerprint == ASN32_FINGERPRINT
+        assert fingerprint(load_as_rel(asn32)) == ASN32_FINGERPRINT
+
     def test_captured_at_compile_time(self):
         graph = figure1_topology()
-        compiled = CompiledTopology(graph)
-        assert compiled.source_fingerprint == graph.content_fingerprint()
+        streamed = compile_as_rel_lines(dump_as_rel_lines(graph))
+        assert streamed.source_fingerprint == fingerprint(graph) == FIGURE1_FINGERPRINT
+
+    def test_collected_source_refuses_fingerprint(self):
+        """Nothing is refused: the digest is read from the view's arrays,
+        so the view of a garbage-collected source still reports it."""
+        dropped = compile_topology(figure1_topology())  # source collected
+        assert dropped.source_fingerprint == FIGURE1_FINGERPRINT
+
+    def test_lazy_fingerprint_refuses_stale_or_collected_source(self):
+        """Nothing is refused: a view whose source mutates after
+        compilation still reports the fingerprint of its own arrays."""
+        graph = figure1_topology()
+        mutated = compile_topology(graph)
+        graph.remove_link(AS_D, AS_E)
+        graph.add_as(424242)
+        assert mutated.source_fingerprint == FIGURE1_FINGERPRINT
+        assert fingerprint(graph) != FIGURE1_FINGERPRINT
 
     def test_identical_content_same_fingerprint_across_instances(self):
-        # The source graphs must stay alive: the fingerprint is derived
-        # lazily through the compiled view's weak source reference.
-        first_graph, second_graph = figure1_topology(), figure1_topology()
-        first = CompiledTopology(first_graph)
-        second = CompiledTopology(second_graph)
+        first = compile_topology(figure1_topology())
+        second = compile_topology(figure1_topology())
+        assert first is not second
         assert first.source_fingerprint == second.source_fingerprint
 
     def test_distinguishes_topologies(self):
-        fig1_graph = figure1_topology()
-        synthetic_topology = generate_topology(
+        synthetic = generate_topology(
             num_tier1=2, num_tier2=3, num_tier3=4, num_stubs=5, seed=1
-        )
-        fig1 = CompiledTopology(fig1_graph)
-        synthetic = CompiledTopology(synthetic_topology.graph)
-        assert fig1.source_fingerprint != synthetic.source_fingerprint
+        ).graph
+        assert fingerprint(synthetic) != FIGURE1_FINGERPRINT
 
-    def test_collected_source_refuses_fingerprint(self):
-        compiled = CompiledTopology(figure1_topology())  # source dropped
-        with pytest.raises(RuntimeError, match="gone or has mutated"):
-            _ = compiled.source_fingerprint
-
-    def test_lazy_fingerprint_refuses_stale_or_collected_source(self):
-        graph = figure1_topology()
-        compiled = CompiledTopology(graph)
-        graph.add_peering(424242, AS_H)
-        with pytest.raises(RuntimeError, match="mutated since compilation"):
-            _ = compiled.source_fingerprint
-
-    def test_lazy_fingerprint_memoized_while_source_alive(self):
-        graph = figure1_topology()
-        compiled = CompiledTopology(graph)
+    def test_lazy_fingerprint_memoized_while_source_alive(self, compiled):
         first = compiled.source_fingerprint
         assert compiled.source_fingerprint is first

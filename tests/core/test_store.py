@@ -296,8 +296,9 @@ class TestStaleHits:
             num_tier1=2, num_tier2=3, num_tier3=4, num_stubs=8, seed=1
         ).graph
         store = ArtifactStore(tmp_path)
-        path = store.save(compile_topology(graph))
-        fingerprint = graph.content_fingerprint()
+        compiled = compile_topology(graph)
+        path = store.save(compiled)
+        fingerprint = compiled.source_fingerprint
         assert store.contains(fingerprint)
         other_code_version(monkeypatch)
         assert store.path_for(fingerprint) != path

@@ -9,11 +9,27 @@ from repro.agreements import (
 )
 from repro.agreements.agreement import PathSegment
 from repro.economics import FlowVector
-from repro.optimization.flow_volume import optimize_flow_volume_targets
+from repro.optimization.flow_volume import SegmentTargets, optimize_flow_volume_targets
 from repro.topology import AS_A, AS_B, AS_D, AS_E
 
 
 class TestFlowVolumeOptimization:
+    def test_figure1_optimum_is_pinned(self, figure1_scenario, figure1_businesses):
+        """The optimum, pinned bit for bit: caching utility evaluations must not move it."""
+        result = optimize_flow_volume_targets(
+            figure1_scenario, figure1_businesses, restarts=3, seed=1
+        )
+        assert (result.utility_x, result.utility_y, result.concluded) == (
+            4.448251579050357,
+            4.051592510801271,
+            True,
+        )
+        assert result.targets == (
+            SegmentTargets(path=(4, 5, 2), rerouted_volume=0.0, attracted_volume=6.498552262907939),
+            SegmentTargets(path=(4, 5, 6), rerouted_volume=4.0, attracted_volume=4.0),
+            SegmentTargets(path=(5, 4, 1), rerouted_volume=0.0, attracted_volume=10.0),
+        )
+
     def test_both_parties_end_up_nonnegative(self, figure1_scenario, figure1_businesses):
         result = optimize_flow_volume_targets(
             figure1_scenario, figure1_businesses, restarts=3, seed=1

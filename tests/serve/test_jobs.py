@@ -38,7 +38,10 @@ class TestJobStore:
         store = JobStore(tmp_path)
         job_id = store.submit(negotiate_job())
         (tmp_path / "stray").mkdir()
-        for other in ("stray", f"{job_id}x", f"x{job_id}", job_id.upper(), "."):
+        # An uppercase hex suffix; ``job_id.upper()`` equals ``job_id``
+        # whenever the random suffix happens to be all digits.
+        upper = f"{job_id[:-6]}ABCDEF"
+        for other in ("stray", f"{job_id}x", f"x{job_id}", upper, "."):
             assert store.status(other) is None
             assert store.cancel(other) is None
         assert store.status(job_id).state == "queued"
@@ -282,6 +285,26 @@ class TestJobRoutesAndRunner:
         assert status == 200
         assert document["state"] == "cancelled"
         assert validate_envelope(document) == []
+
+    def test_submit_reply_is_queued_even_if_claimed_before_it_is_built(self, service):
+        """A worker may claim the job between the submit and the reply;
+        the 202 still describes the submission, and a poll sees the claim."""
+        service.job_runner.wake = service.jobs.claim_next
+
+        async def scenario():
+            _, body, _ = await self._handle(
+                service, "POST", "/v1/jobs", {"workflow": "negotiate", "request": {}}
+            )
+            submitted = json.loads(body)
+            _, poll_body, _ = await self._handle(
+                service, "GET", f"/v1/jobs/{submitted['job_id']}"
+            )
+            return submitted, json.loads(poll_body)
+
+        submitted, polled = asyncio.run(scenario())
+        assert submitted["state"] == "queued"
+        assert validate_envelope(submitted) == []
+        assert polled["state"] == "running"
 
     def test_draining_service_rejects_submissions(self, service):
         service.draining = True

@@ -1,7 +1,10 @@
 """Unit tests for the mixed AS graph."""
 
+import hashlib
+
 import pytest
 
+from repro.core import compile_topology
 from repro.topology import ASGraph, Relationship, Role, TopologyError
 from repro.topology.relationships import Link
 
@@ -168,7 +171,13 @@ class TestValidationAndExport:
         assert "ases=4" in text
 
 
+def fingerprint(graph: ASGraph) -> str:
+    return compile_topology(graph).source_fingerprint
+
+
 class TestContentFingerprint:
+    """The content digest of a graph is its compiled view's fingerprint."""
+
     def test_insertion_order_independent(self):
         a = ASGraph()
         a.add_provider_customer(1, 2)
@@ -176,14 +185,14 @@ class TestContentFingerprint:
         b = ASGraph()
         b.add_peering(2, 3)
         b.add_provider_customer(1, 2)
-        assert a.content_fingerprint() == b.content_fingerprint()
+        assert fingerprint(a) == fingerprint(b)
 
     def test_changes_on_mutation(self):
         graph = ASGraph()
         graph.add_provider_customer(1, 2)
-        before = graph.content_fingerprint()
+        before = fingerprint(graph)
         graph.add_peering(2, 3)
-        with_link = graph.content_fingerprint()
+        with_link = fingerprint(graph)
         assert with_link != before
         # Removing the link keeps AS 3 in the graph: same content as a
         # fresh graph built that way, distinct from both earlier states.
@@ -191,27 +200,33 @@ class TestContentFingerprint:
         reference = ASGraph()
         reference.add_provider_customer(1, 2)
         reference.add_as(3)
-        assert graph.content_fingerprint() == reference.content_fingerprint()
-        assert graph.content_fingerprint() != with_link
+        assert fingerprint(graph) == fingerprint(reference)
+        assert fingerprint(graph) != with_link
 
     def test_direction_matters(self):
         a = ASGraph()
         a.add_provider_customer(1, 2)
         b = ASGraph()
         b.add_provider_customer(2, 1)
-        assert a.content_fingerprint() != b.content_fingerprint()
+        assert fingerprint(a) != fingerprint(b)
 
     def test_relationship_matters(self):
         a = ASGraph()
         a.add_provider_customer(1, 2)
         b = ASGraph()
         b.add_peering(1, 2)
-        assert a.content_fingerprint() != b.content_fingerprint()
+        assert fingerprint(a) != fingerprint(b)
 
     def test_memo_is_invalidated_by_mutation_count(self):
         graph = ASGraph()
         graph.add_peering(1, 2)
-        first = graph.content_fingerprint()
-        assert graph.content_fingerprint() is first  # served from the memo
+        view = compile_topology(graph)
+        first = view.source_fingerprint
+        assert compile_topology(graph) is view  # served from the compile cache
+        assert view.source_fingerprint is first
         graph.add_peering(1, 3)
-        assert graph.content_fingerprint() != first
+        assert compile_topology(graph) is not view
+        assert fingerprint(graph) != first
+
+    def test_empty_graph_hashes_no_content(self):
+        assert fingerprint(ASGraph()) == hashlib.sha256().hexdigest()
