@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Literal
 
 from repro.envelope import JsonCodec
+from repro.paths.diversity import DEFAULT_SCENARIOS
 
 if TYPE_CHECKING:
+    from repro.paths.diversity import DiversityResult
+    from repro.paths.metrics import EmpiricalCDF
     from repro.paths.pair_metrics import PairMetricResult
 
 
@@ -130,6 +133,83 @@ def metric_value(value: float) -> float | None:
     """A metrics-dict value: NaN/inf become ``None`` (strict-JSON safe)."""
     number = float(value)
     return number if math.isfinite(number) else None
+
+
+@dataclass
+class PathCountFigure:
+    """Full result of a path-count figure: Fig. 3 or Fig. 4.
+
+    Both figures read one diversity analysis per AS: Fig. 3 counts its
+    length-3 paths (``count="paths"``), Fig. 4 the destinations those
+    paths reach (``count="destinations"``).  The figure module supplies
+    its paper comparisons as a function of the analysis, its table
+    headers and series caption, and the scenarios whose means go into
+    :meth:`metrics`.
+    """
+
+    diversity: "DiversityResult"
+    num_agreements: int
+    count: Literal["paths", "destinations"]
+    paper: Callable[["DiversityResult"], list[PaperComparison]]
+    headers: tuple[str, ...]
+    series_caption: str
+    mean_scenarios: tuple[str, ...]
+
+    def cdf(self, scenario: str) -> "EmpiricalCDF":
+        """The per-AS CDF of the counted quantity under one scenario."""
+        if self.count == "paths":
+            return self.diversity.path_cdf(scenario)
+        return self.diversity.destination_cdf(scenario)
+
+    def additional_summary(self) -> dict[str, float]:
+        """Mean / maximum of the per-AS count gained once all MAs concluded."""
+        if self.count == "paths":
+            return self.diversity.additional_path_summary()
+        return self.diversity.additional_destination_summary()
+
+    def comparisons(self) -> list[PaperComparison]:
+        """Headline paper-vs-measured comparisons."""
+        return self.paper(self.diversity)
+
+    def table(self) -> SectionTable:
+        """The per-scenario distribution as a structured table."""
+        rows = []
+        for scenario in DEFAULT_SCENARIOS:
+            cdf = self.cdf(scenario)
+            rows.append(
+                (scenario, f"{cdf.mean:.0f}", f"{cdf.median:.0f}", f"{cdf.maximum:.0f}")
+            )
+        return SectionTable(headers=self.headers, rows=tuple(rows))
+
+    def series(self) -> tuple[SectionSeries, ...]:
+        """The per-scenario CDF series with their raw values."""
+        return tuple(
+            SectionSeries(scenario, *self.cdf(scenario).series())
+            for scenario in DEFAULT_SCENARIOS
+        )
+
+    def metrics(self) -> dict[str, float | int | None]:
+        """Headline numbers of the figure, JSON-safe.
+
+        A mean's key names its scenario in lower case, ``*`` spelled
+        ``_star`` (``MA*`` → ``ma_star_mean_paths``).
+        """
+        extra = self.additional_summary()
+        return {
+            "num_agreements": self.num_agreements,
+            **{
+                f"{scenario.lower().replace('*', '_star')}_mean_{self.count}": (
+                    metric_value(self.cdf(scenario).mean)
+                )
+                for scenario in self.mean_scenarios
+            },
+            f"additional_{self.count}_mean": metric_value(extra["mean"]),
+            f"additional_{self.count}_max": metric_value(extra["max"]),
+        }
+
+    def report(self) -> str:
+        """Text report with the per-scenario distribution and the CDF series."""
+        return render_figure_body(self.table(), self.series_caption, self.series())
 
 
 #: The median relative gain among benefiting pairs, as a figure quantity.

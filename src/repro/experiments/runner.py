@@ -7,11 +7,17 @@ content that EXPERIMENTS.md records.  The entry point is a thin alias
 of ``repro experiments`` — both route through the one CLI adapter in
 :mod:`repro.api.adapter`.
 
-Sections return structured :class:`~repro.experiments.reporting.SectionResult`
-values (comparisons, tables, CDF series, headline metrics); the text
-report is a pure rendering of them (:func:`run_all` keeps returning the
-combined text for backward compatibility, :func:`run_sections` is the
-structured form the API session consumes).
+The report is the §II stability section followed by one section per
+entry of :data:`FIGURES`, the ordered table of figures: each
+:class:`FigureEntry` holds a figure's key, title and series caption,
+whether it reads the shared :class:`DiversityContext`, and how to run
+it from a :class:`RunnerConfig`.  The sweep's figure shards run the
+same entries (:mod:`repro.sweep.shard`).  Sections return structured
+:class:`~repro.experiments.reporting.SectionResult` values
+(comparisons, tables, CDF series, headline metrics); the text report is
+a pure rendering of them (:func:`run_all` keeps returning the combined
+text for backward compatibility, :func:`run_sections` is the structured
+form the API session consumes).
 
 A sequential run shares one :class:`DiversityContext` (topology,
 compiled path engine, MA enumeration and path index) across Figs. 3–6
@@ -28,7 +34,9 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable
 
+from repro.experiments import fig3_paths, fig4_destinations
 from repro.experiments.fig2_pod import Fig2Config, run_fig2
 from repro.experiments.fig3_paths import PathDiversityConfig, run_fig3
 from repro.experiments.fig4_destinations import run_fig4
@@ -37,6 +45,9 @@ from repro.experiments.fig6_bandwidth import Fig6Config, run_fig6
 from repro.experiments.reporting import SectionResult, render_report
 from repro.routing.convergence import analyze_gadget
 from repro.topology.fixtures import bad_gadget_topology, disagree_topology
+
+if TYPE_CHECKING:
+    from repro.experiments.context import DiversityContext
 
 
 @dataclass(frozen=True)
@@ -94,12 +105,11 @@ class RunnerConfig:
 
 
 # ----------------------------------------------------------------------
-# Sections.  Each is a module-level function of (config, context)
-# returning a SectionResult, so the parallel path can pickle and
-# dispatch them; the tuple fixes the merge order, which is what keeps
-# seeded output byte-identical under --jobs.
+# Sections.  A section's index fixes its place in the merged report,
+# which is what keeps seeded output byte-identical under --jobs; a
+# worker receives the index, never the section itself.
 # ----------------------------------------------------------------------
-def _section_stability(config: RunnerConfig, context=None) -> SectionResult:
+def _section_stability(config: RunnerConfig) -> SectionResult:
     """§II stability comparison: DISAGREE and BAD GADGET under BGP."""
     disagree = analyze_gadget(disagree_topology())
     bad = analyze_gadget(bad_gadget_topology())
@@ -129,76 +139,88 @@ def _section_stability(config: RunnerConfig, context=None) -> SectionResult:
     )
 
 
-def _section_fig2(config: RunnerConfig, context=None) -> SectionResult:
-    fig2 = run_fig2(config.fig2())
-    return SectionResult(
-        key="fig2",
-        title="Fig. 2 — Price of Dishonesty",
-        comparisons=tuple(fig2.comparisons()),
-        table=fig2.table(),
-        metrics=fig2.metrics(),
-    )
+@dataclass(frozen=True)
+class FigureEntry:
+    """One figure of the evaluation: its report section and how to run it.
+
+    ``run`` maps a :class:`RunnerConfig` and the shared
+    :class:`~repro.experiments.context.DiversityContext` (``None`` when
+    ``uses_context`` is false) to the figure result.  The sweep runs the
+    same entries (:mod:`repro.sweep.shard`).
+    """
+
+    key: str
+    title: str
+    run: Callable[[RunnerConfig, "DiversityContext | None"], Any]
+    uses_context: bool = True
+    series_caption: str = ""
 
 
-def _figure_section(key: str, title: str, figure, series_caption: str = "") -> SectionResult:
-    """The section of a path-diversity figure result (Figs. 3–6)."""
-    return SectionResult(
-        key=key,
-        title=title,
-        comparisons=tuple(figure.comparisons()),
-        table=figure.table(),
-        series_caption=series_caption,
-        series=figure.series(),
-        metrics=figure.metrics(),
-    )
-
-
-def _section_fig3(config: RunnerConfig, context=None) -> SectionResult:
-    fig3 = run_fig3(config.diversity(), context=context)
-    return _figure_section(
-        "fig3", "Fig. 3 — length-3 paths per AS", fig3, fig3.SERIES_CAPTION
-    )
-
-
-def _section_fig4(config: RunnerConfig, context=None) -> SectionResult:
-    fig4 = run_fig4(config.diversity(), context=context)
-    return _figure_section(
-        "fig4", "Fig. 4 — nearby destinations per AS", fig4, fig4.SERIES_CAPTION
-    )
-
-
-def _section_fig5(config: RunnerConfig, context=None) -> SectionResult:
-    fig5 = run_fig5(config.fig5(), context=context)
-    return _figure_section("fig5", "Fig. 5 — geodistance of MA paths", fig5)
-
-
-def _section_fig6(config: RunnerConfig, context=None) -> SectionResult:
-    fig6 = run_fig6(config.fig6(), context=context)
-    return _figure_section("fig6", "Fig. 6 — bandwidth of MA paths", fig6)
-
-
-#: The report sections in output order.
-_SECTIONS = (
-    _section_stability,
-    _section_fig2,
-    _section_fig3,
-    _section_fig4,
-    _section_fig5,
-    _section_fig6,
+# Each ``run`` looks its ``run_figN`` up as a module global at call time,
+# so a wrapper installed on this module (perfbench's traced run) sees the
+# call; the config stays the first positional argument.
+#: The figures in report order.
+FIGURES = (
+    FigureEntry(
+        "fig2",
+        "Fig. 2 — Price of Dishonesty",
+        lambda config, context: run_fig2(config.fig2()),
+        uses_context=False,
+    ),
+    FigureEntry(
+        "fig3",
+        "Fig. 3 — length-3 paths per AS",
+        lambda config, context: run_fig3(config.diversity(), context=context),
+        series_caption=fig3_paths.SERIES_CAPTION,
+    ),
+    FigureEntry(
+        "fig4",
+        "Fig. 4 — nearby destinations per AS",
+        lambda config, context: run_fig4(config.diversity(), context=context),
+        series_caption=fig4_destinations.SERIES_CAPTION,
+    ),
+    FigureEntry(
+        "fig5",
+        "Fig. 5 — geodistance of MA paths",
+        lambda config, context: run_fig5(config.fig5(), context=context),
+    ),
+    FigureEntry(
+        "fig6",
+        "Fig. 6 — bandwidth of MA paths",
+        lambda config, context: run_fig6(config.fig6(), context=context),
+    ),
 )
 
-#: Sections that consume the shared diversity context.
-_CONTEXT_SECTIONS = frozenset({_section_fig3, _section_fig4, _section_fig5, _section_fig6})
+#: Sections in report order: §II (index 0), then one per figure.
+_SECTION_COUNT = 1 + len(FIGURES)
 
 
-def _run_section(index: int, config: RunnerConfig) -> SectionResult:
-    """Worker entry point for process-parallel execution."""
-    section = _SECTIONS[index]
-    if section not in _CONTEXT_SECTIONS:
-        return section(config)
-    from repro.experiments.context import context_for
+def _run_section(index: int, config: RunnerConfig, context=None) -> SectionResult:
+    """Run one section; also the worker entry point under ``--jobs``.
 
-    return section(config, context_for(config.diversity(), None))
+    A figure that reads the diversity context gets ``context`` when it
+    matches, else its process's own
+    (:func:`~repro.experiments.context.context_for` memoizes one).
+    """
+    if index == 0:
+        return _section_stability(config)
+    entry = FIGURES[index - 1]
+    if entry.uses_context:
+        from repro.experiments.context import context_for
+
+        context = context_for(config.diversity(), context)
+    figure = entry.run(config, context)
+    return SectionResult(
+        key=entry.key,
+        title=entry.title,
+        comparisons=tuple(figure.comparisons()),
+        table=figure.table(),
+        series_caption=entry.series_caption,
+        # The path-diversity figures plot CDFs; Fig. 2's ``series``
+        # reads one PoD curve and is not part of its section.
+        series=figure.series() if entry.uses_context else (),
+        metrics=figure.metrics(),
+    )
 
 
 def run_sections(
@@ -224,18 +246,14 @@ def run_sections(
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
 
     if jobs == 1:
-        from repro.experiments.context import context_for
-
-        ctx = context_for(config.diversity(), context)
         return tuple(
-            section(config, ctx) if section in _CONTEXT_SECTIONS else section(config)
-            for section in _SECTIONS
+            _run_section(index, config, context) for index in range(_SECTION_COUNT)
         )
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(_SECTIONS))) as executor:
+    with ProcessPoolExecutor(max_workers=min(jobs, _SECTION_COUNT)) as executor:
         futures = [
             executor.submit(_run_section, index, config)
-            for index in range(len(_SECTIONS))
+            for index in range(_SECTION_COUNT)
         ]
         return tuple(future.result() for future in futures)
 

@@ -51,10 +51,12 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list[Event] = []
         self._sequence = itertools.count()
-        self._cancelled: set[int] = set()
+        #: Sequences of the events that are scheduled and neither fired
+        #: nor cancelled; the heap may still hold cancelled ones.
+        self._pending: set[int] = set()
 
     def __len__(self) -> int:
-        return len(self._heap) - len(self._cancelled)
+        return len(self._pending)
 
     def __bool__(self) -> bool:
         return len(self) > 0
@@ -78,26 +80,30 @@ class EventQueue:
             name=name,
         )
         heapq.heappush(self._heap, event)
+        self._pending.add(event.sequence)
         return event
 
     def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event (it will be skipped when popped)."""
-        self._cancelled.add(event.sequence)
+        """Cancel a pending event (it will be skipped when popped).
+
+        Cancelling an event that already fired or was cancelled is a
+        no-op.
+        """
+        self._pending.discard(event.sequence)
 
     def pop(self) -> Event:
         """Remove and return the next event in deterministic order."""
         while self._heap:
             event = heapq.heappop(self._heap)
-            if event.sequence in self._cancelled:
-                self._cancelled.discard(event.sequence)
-                continue
-            return event
+            if event.sequence in self._pending:
+                self._pending.remove(event.sequence)
+                return event
         raise SimulationError("pop from an empty event queue")
 
     def peek_time(self) -> float | None:
         """Virtual time of the next event, or ``None`` when empty."""
-        while self._heap and self._heap[0].sequence in self._cancelled:
-            self._cancelled.discard(heapq.heappop(self._heap).sequence)
+        while self._heap and self._heap[0].sequence not in self._pending:
+            heapq.heappop(self._heap)
         return self._heap[0].time if self._heap else None
 
 

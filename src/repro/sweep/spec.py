@@ -77,7 +77,9 @@ class ScaleSpec:
 
 
 #: Named scales a spec can reference by string.  ``tiny`` is the CI
-#: smoke scale; ``full`` matches ``repro experiments --full``.
+#: smoke scale.  ``full`` shares its sample sizes (500 ASes, 80 pairs)
+#: with ``repro experiments --full`` but not its topology, which there
+#: has 8/30/100/350 ASes per tier.
 NAMED_SCALES: dict[str, ScaleSpec] = {
     "tiny": ScaleSpec("tiny", 3, 8, 25, 70, 40, 12),
     "small": ScaleSpec("small", 4, 15, 40, 120, 80, 20),

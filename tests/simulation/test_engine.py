@@ -54,6 +54,21 @@ class TestScheduling:
         engine.run(until=5.0)
         assert fired == ["kept"]
 
+    def test_cancelling_a_fired_event_keeps_later_events(self):
+        # Cancelling an event that already fired (twice) must not hide
+        # an event scheduled afterwards from the run loop.
+        engine = SimulationEngine()
+        fired = []
+        event = engine.schedule(1.0, lambda: fired.append("a"))
+        engine.run(until=2.0)
+        engine.cancel(event)
+        engine.cancel(event)
+        engine.schedule(1.0, lambda: fired.append("b"))
+        assert len(engine.queue) == 1
+        engine.run(until=5.0)
+        assert fired == ["a", "b"]
+        assert len(engine.queue) == 0
+
 
 class TestRunLoop:
     def test_events_at_the_horizon_still_fire(self):

@@ -56,6 +56,34 @@ def test_fig5_fig6_shard_metrics_are_pinned():
     }
 
 
+def test_all_figure_shard_metrics_are_pinned():
+    # Exact values (``==`` on floats) of every figure's sweep keys.
+    (shard,) = spec_for(figures=["fig2", "fig3", "fig4", "fig5", "fig6"]).expand()
+    record = run_shard(shard)
+    assert record["metrics"] == {
+        "fig2.best_pod_u1": 0.13281869811763858,
+        "fig2.best_pod_u2": 0.11569361223927577,
+        "fig3.num_agreements": 94,
+        "fig3.grc_mean_paths": 29.95,
+        "fig3.ma_star_mean_paths": 51.8,
+        "fig3.ma_mean_paths": 60.2,
+        "fig3.additional_paths_mean": 30.25,
+        "fig3.additional_paths_max": 105.0,
+        "fig4.grc_mean_destinations": 24.5,
+        "fig4.ma_mean_destinations": 30.5,
+        "fig4.additional_destinations_mean": 6.0,
+        "fig5.pairs_below_grc_min": 0.20895522388059706,
+        "fig5.pairs_below_grc_median": 0.21890547263681592,
+        "fig5.median_reduction": 0.2508164346294475,
+        "fig6.pairs_above_grc_max": 0.03980099502487566,
+        "fig6.pairs_above_grc_min": 0.04477611940298509,
+        "fig6.median_increase": 0.5861244019138756,
+    }
+    assert record["topology_fingerprint"] == (
+        "9e805b358968e23adae077e69b6a664ea64778185613b5703cba7f0ea965730c"
+    )
+
+
 def test_fig2_only_shard_skips_topology_work():
     spec = spec_for(figures=["fig2"])
     (shard,) = spec.expand()
