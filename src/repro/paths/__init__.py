@@ -35,7 +35,6 @@ from repro.paths.pair_metrics import (
     PairMetricResult,
     analyze_bandwidth,
     analyze_geodistance,
-    group_by_pair,
 )
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "sample_ases",
     "PairMetricRecord",
     "PairMetricResult",
-    "group_by_pair",
     "analyze_geodistance",
     "analyze_bandwidth",
     "analyze_extension_diversity",

@@ -10,14 +10,31 @@ Fig. 5 runs it on geodistance (:func:`analyze_geodistance`, shorter is
 better) and Fig. 6 on bottleneck bandwidth under the degree-gravity
 capacity model (:func:`analyze_bandwidth`, wider is better); the two
 differ only in the per-path metric and its direction.
+
+**Arrays, exactly.**  Each sampled source's GRC paths and new MA paths
+(straight from the index's packed keys) become ASN columns, and one
+batch metric call values the columns of a block of sources
+(:meth:`~repro.topology.geography.GeographicEmbedding.path_geodistances`
+or :meth:`~repro.topology.bandwidth.LinkCapacityModel.path_bandwidths`,
+bit-identical to the per-path methods; their modules say which
+operations run as arrays and which libm calls stay scalar).  A sort by
+destination then groups each source's values.  Min and max are the
+ends of each sorted run and the median is its middle element, or
+``(a + b) / 2`` of the two middle elements, which is what ``np.median``
+computes.  The figure-side counts and gains compare one concatenated
+array of MA values with per-record thresholds.  Comparisons, and the
+gain's one subtraction and one division, round the same in NumPy as in
+Python, so the results equal :meth:`PairMetricRecord.paths_beating` and
+:attr:`PairMetricRecord.relative_gain`, which remain the definition.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,9 +46,6 @@ from repro.paths.metrics import EmpiricalCDF
 from repro.topology.bandwidth import LinkCapacityModel
 from repro.topology.geography import GeographicEmbedding
 from repro.topology.graph import ASGraph
-
-Path3 = tuple[int, int, int]
-
 
 @dataclass(frozen=True)
 class PairMetric:
@@ -102,18 +116,53 @@ class PairMetricResult:
     metric: PairMetric
     records: list[PairMetricRecord] = field(default_factory=list)
 
+    def _ma_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every record's MA values, concatenated, and each record's value count."""
+        groups = list(map(attrgetter("ma_values"), self.records))
+        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+        values = np.fromiter(
+            chain.from_iterable(groups), dtype=np.float64, count=int(sizes.sum())
+        )
+        return values, sizes
+
+    def _thresholds(self, condition: str) -> np.ndarray:
+        return np.fromiter(
+            map(attrgetter(f"grc_{condition}"), self.records),
+            dtype=np.float64,
+            count=len(self.records),
+        )
+
     def count_cdf(self, condition: str) -> EmpiricalCDF:
         """CDF over AS pairs of the MA paths beating the GRC ``condition`` value.
 
         ``condition`` is ``"min"``, ``"median"``, or ``"max"`` (the
         three series of Figs. 5a/6a).
         """
-        return EmpiricalCDF(tuple(r.paths_beating(condition) for r in self.records))
+        values, sizes = self._ma_columns()
+        thresholds = np.repeat(self._thresholds(condition), sizes)
+        beating = values < thresholds if self.metric.lower_is_better else values > thresholds
+        running = np.concatenate([[0], np.cumsum(beating)])
+        ends = np.cumsum(sizes)
+        return EmpiricalCDF(tuple((running[ends] - running[ends - sizes]).tolist()))
 
     def gain_cdf(self) -> EmpiricalCDF:
         """CDF of the relative gain among benefiting pairs (Figs. 5b/6b)."""
-        gains = (r.relative_gain for r in self.records)
-        return EmpiricalCDF(tuple(gain for gain in gains if gain is not None))
+        values, sizes = self._ma_columns()
+        some = sizes > 0
+        starts = (np.cumsum(sizes) - sizes)[some]
+        if not len(starts):
+            return EmpiricalCDF(())
+        if self.metric.lower_is_better:
+            grc = self._thresholds("min")[some]
+            best = np.minimum.reduceat(values, starts)
+            keep = (best < grc) & (grc > 0.0)
+            gains = (grc[keep] - best[keep]) / grc[keep]
+        else:
+            grc = self._thresholds("max")[some]
+            best = np.maximum.reduceat(values, starts)
+            keep = (best > grc) & (grc > 0.0)
+            gains = (best[keep] - grc[keep]) / grc[keep]
+        return EmpiricalCDF(tuple(gains.tolist()))
 
     def fraction_of_pairs_improving(self, condition: str, at_least: int = 1) -> float:
         """Fraction of AS pairs gaining ``at_least`` paths beating the condition."""
@@ -122,52 +171,127 @@ class PairMetricResult:
         return self.count_cdf(condition).fraction_at_least(at_least)
 
 
-def group_by_pair(
-    paths: Iterable[Path3], value_of_path: Callable[[Path3], float]
-) -> dict[tuple[int, int], list[float]]:
-    """Group length-3 paths by (source, destination) with their metric values."""
-    grouped: dict[tuple[int, int], list[float]] = defaultdict(list)
-    for path in paths:
-        grouped[(path[0], path[2])].append(value_of_path(path))
-    return grouped
+#: Paths per batch metric call.  Sources join a block until it holds
+#: this many paths: the working arrays stay at a few MB, and a link
+#: shared by several sources' paths is looked up once per block.
+BLOCK_PATHS = 1 << 15
+
+
+@dataclass(frozen=True)
+class _SourcePaths:
+    """One sampled source's GRC paths, then its new MA paths, as columns."""
+
+    source: int
+    grc_count: int
+    transits: np.ndarray
+    destinations: np.ndarray
+
+
+def _source_paths(engine: PathEngine, index: MAPathIndex, source: int) -> _SourcePaths:
+    grc_paths = engine.paths(source)
+    grc = np.fromiter(
+        chain.from_iterable(grc_paths), dtype=np.int64, count=3 * len(grc_paths)
+    ).reshape(-1, 3)
+    keys = index.new_paths(source, grc_paths).all
+    partners, targets = np.divmod(keys, max(len(index.asns), 1))
+    return _SourcePaths(
+        source,
+        len(grc),
+        np.concatenate([grc[:, 1], index.asns[partners]]),
+        np.concatenate([grc[:, 2], index.asns[targets]]),
+    )
+
+
+def _blocks(sources: Iterable[_SourcePaths]) -> Iterator[list[_SourcePaths]]:
+    """Consecutive sources, grouped until a group holds ``BLOCK_PATHS`` paths."""
+    block: list[_SourcePaths] = []
+    pending = 0
+    for paths in sources:
+        block.append(paths)
+        pending += len(paths.transits)
+        if pending >= BLOCK_PATHS:
+            yield block
+            block, pending = [], 0
+    if block:
+        yield block
+
+
+def _pair_records(
+    paths: _SourcePaths, values: np.ndarray, metric: PairMetric
+) -> list[PairMetricRecord]:
+    """One record per GRC destination of a source, in order of its first GRC path."""
+    split = paths.grc_count
+    order = np.lexsort((values[:split], paths.destinations[:split]))
+    destinations, grc_values = paths.destinations[order], values[order]
+    starts = np.flatnonzero(np.diff(destinations, prepend=destinations[0] - 1))
+    sizes = np.diff(np.append(starts, split))
+    lowest, highest = grc_values[starts], grc_values[starts + sizes - 1]
+    median = grc_values[starts + sizes // 2]
+    even = sizes % 2 == 0
+    median[even] = (grc_values[(starts + sizes // 2 - 1)[even]] + median[even]) / 2.0
+    targets = destinations[starts]
+    # A stable sort keeps each destination's MA values in index key order.
+    ma_order = np.argsort(paths.destinations[split:], kind="stable")
+    ma_destinations = paths.destinations[split:][ma_order]
+    ma_values = values[split:][ma_order].tolist()
+    rows = zip(
+        targets.tolist(),
+        lowest.tolist(),
+        median.tolist(),
+        highest.tolist(),
+        np.searchsorted(ma_destinations, targets, side="left").tolist(),
+        np.searchsorted(ma_destinations, targets, side="right").tolist(),
+    )
+    records = [
+        PairMetricRecord(
+            source=paths.source,
+            destination=destination,
+            grc_min=low,
+            grc_median=middle,
+            grc_max=high,
+            ma_values=tuple(ma_values[lo:hi]),
+            metric=metric,
+        )
+        for destination, low, middle, high, lo, hi in rows
+    ]
+    first_path = np.minimum.reduceat(order, starts)
+    return [records[k] for k in np.argsort(first_path).tolist()]
 
 
 def _analyze_pairs(
     graph: ASGraph,
     metric: PairMetric,
-    value_of_path: Callable[[Path3], float],
+    path_values: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     *,
     index: MAPathIndex | None,
     sample_size: int,
     seed: int,
     engine: PathEngine | None,
 ) -> PairMetricResult:
-    """Build one record per AS pair reachable over GRC from a sampled source."""
+    """Build one record per AS pair reachable over GRC from a sampled source.
+
+    ``path_values`` is a batch metric over ``(sources, transits,
+    destinations)`` ASN columns, called once per block of sources.
+    """
     if index is None:
         index = build_ma_path_index(list(enumerate_mutuality_agreements(graph)))
     if engine is None:
         engine = path_engine_for(graph)
     result = PairMetricResult(metric)
-    for source in sample_ases(graph, sample_size, seed=seed):
-        grc_paths = engine.paths(source)
-        if not grc_paths:
-            continue
-        grc_by_pair = group_by_pair(grc_paths, value_of_path)
-        new = index.new_paths(source, grc_paths).all
-        ma_by_pair = group_by_pair(index.paths(source, new), value_of_path)
-        for (src, dst), grc_values in grc_by_pair.items():
-            values = np.array(grc_values)
-            result.records.append(
-                PairMetricRecord(
-                    source=src,
-                    destination=dst,
-                    grc_min=float(np.min(values)),
-                    grc_median=float(np.median(values)),
-                    grc_max=float(np.max(values)),
-                    ma_values=tuple(ma_by_pair.get((src, dst), ())),
-                    metric=metric,
-                )
-            )
+    sampled = (
+        _source_paths(engine, index, source)
+        for source in sample_ases(graph, sample_size, seed=seed)
+        if engine.paths(source)
+    )
+    for block in _blocks(sampled):
+        sizes = [len(paths.transits) for paths in block]
+        values = path_values(
+            np.repeat([paths.source for paths in block], sizes),
+            np.concatenate([paths.transits for paths in block]),
+            np.concatenate([paths.destinations for paths in block]),
+        )
+        for paths, source_values in zip(block, np.split(values, np.cumsum(sizes)[:-1])):
+            result.records.extend(_pair_records(paths, source_values, metric))
     return result
 
 
@@ -189,7 +313,7 @@ def analyze_geodistance(
     return _analyze_pairs(
         graph,
         GEODISTANCE,
-        embedding.path_geodistance,
+        embedding.path_geodistances,
         index=index,
         sample_size=sample_size,
         seed=seed,
@@ -213,7 +337,7 @@ def analyze_bandwidth(
     return _analyze_pairs(
         graph,
         BANDWIDTH,
-        capacities.path_bandwidth,
+        capacities.path_bandwidths,
         index=index,
         sample_size=sample_size,
         seed=seed,

@@ -14,7 +14,7 @@ with the per-AS diversity and pair-metric loops that read it.  The
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +38,7 @@ from repro.bargaining.mechanism import (
 from repro.core import PathEngine, path_engine_for
 from repro.paths.diversity import ASDiversityRecord, sample_ases
 from repro.paths.grc import grc_length3_paths
-from repro.paths.pair_metrics import PairMetric, PairMetricRecord, PairMetricResult, group_by_pair
+from repro.paths.pair_metrics import PairMetric, PairMetricRecord, PairMetricResult
 from repro.topology.graph import ASGraph
 
 
@@ -288,6 +288,16 @@ def analyze_as(
     )
 
 
+def group_by_pair(
+    paths: Iterable[tuple[int, int, int]], value_of_path: Callable[[tuple[int, int, int]], float]
+) -> dict[tuple[int, int], list[float]]:
+    """Group length-3 paths by (source, destination) with their metric values."""
+    grouped: dict[tuple[int, int], list[float]] = defaultdict(list)
+    for path in paths:
+        grouped[(path[0], path[2])].append(value_of_path(path))
+    return grouped
+
+
 def analyze_pairs(
     graph: ASGraph,
     metric: PairMetric,
@@ -298,7 +308,7 @@ def analyze_pairs(
     seed: int,
     engine: PathEngine | None = None,
 ) -> PairMetricResult:
-    """One pair-metric record per AS pair, from path sets."""
+    """One pair-metric record per AS pair, from path sets and a per-path metric."""
     if engine is None:
         engine = path_engine_for(graph)
     result = PairMetricResult(metric)

@@ -6,13 +6,28 @@ proportional to the product of the node degrees of its end-points.  The
 bandwidth of a path is then the minimum capacity of its links.  This
 module implements exactly that model (the same one the paper uses, so no
 substitution is needed here).
+
+**Exactness of the batch form.**  :meth:`LinkCapacityModel.path_bandwidths`
+reads each distinct link's capacity once into a float64 table and takes
+``np.where(second < first, second, first)`` per path: the selection
+Python's ``min`` makes, with no arithmetic, so it returns the same bits
+as :meth:`LinkCapacityModel.path_bandwidth`.
+The model rejects NaN capacities, which have no place in an order: the
+pair analysis sorts bandwidths to take their medians.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.topology.graph import ASGraph
+import numpy as np
+
+from repro.topology.graph import ASGraph, path_links
+
+
+def _check_capacity(value: float) -> None:
+    if not value >= 0.0:  # also rejects NaN
+        raise ValueError(f"capacity must be a non-negative number, got {value}")
 
 
 @dataclass
@@ -20,6 +35,10 @@ class LinkCapacityModel:
     """Capacities of inter-AS links, indexed by unordered endpoint pair."""
 
     capacities: dict[frozenset[int], float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for value in self.capacities.values():
+            _check_capacity(value)
 
     def capacity(self, left: int, right: int) -> float:
         """Capacity of the link between two ASes (in arbitrary bandwidth units)."""
@@ -30,8 +49,7 @@ class LinkCapacityModel:
 
     def set_capacity(self, left: int, right: int, value: float) -> None:
         """Assign a capacity to a link."""
-        if value < 0.0:
-            raise ValueError(f"capacity must be non-negative, got {value}")
+        _check_capacity(value)
         self.capacities[frozenset((left, right))] = value
 
     def path_bandwidth(self, path: tuple[int, ...]) -> float:
@@ -41,6 +59,17 @@ class LinkCapacityModel:
         return min(
             self.capacity(path[i], path[i + 1]) for i in range(len(path) - 1)
         )
+
+    def path_bandwidths(
+        self, sources: np.ndarray, transits: np.ndarray, destinations: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`path_bandwidth` of every length-3 path of the ASN columns."""
+        lefts, rights, first, second = path_links(sources, transits, destinations)
+        table = np.array(
+            [self.capacity(left, right) for left, right in zip(lefts, rights)], dtype=np.float64
+        )
+        source_side, destination_side = table[first], table[second]
+        return np.where(destination_side < source_side, destination_side, source_side)
 
 
 def degree_gravity_capacities(

@@ -16,16 +16,31 @@ dataset.  None of these are available offline, so this module provides
 The geodistance of a length-3 path ``(A1, l12, A2, l23, A3)`` follows the
 paper exactly: ``d(A1, l12) + d(l12, l23) + d(l23, A3)``, minimized over
 the known interconnection points of the two links.
+
+**Exactness of the batch form.**
+:meth:`GeographicEmbedding.path_geodistances` returns the same bits as
+:meth:`GeographicEmbedding.path_geodistance` on every path.  Its array
+operations are the ones IEEE 754 rounds exactly, whatever the
+implementation: per point, the ``math.radians``/``math.cos`` values are
+computed once and stored; per pair, the subtractions, ``/ 2.0``,
+products, sums, ``np.sqrt`` and ``np.minimum(1.0, ·)`` run as arrays,
+in the order :func:`haversine_km` evaluates them, and so do the
+additions and minima of the path DP.  The transcendental calls stay
+scalar libm calls through ``map``: ``math.sin``, ``pow(·, 2.0)`` (what
+``** 2`` calls) and ``math.asin``.  NumPy's own ``arcsin`` and ``x * x``
+round differently from those on some inputs, and which ``sin`` kernel
+NumPy dispatches to depends on the host's SIMD support.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from repro.topology.graph import ASGraph
+from repro.topology.graph import ASGraph, path_links
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -65,6 +80,47 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     dlon = lon2 - lon1
     inner = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(inner)))
+
+
+#: Point pairs per pass of the scalar libm calls, which bounds the
+#: Python float lists they go through.
+HAVERSINE_CHUNK = 4096
+
+
+def _haversines(
+    latitudes: np.ndarray,
+    longitudes: np.ndarray,
+    cosines: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> np.ndarray:
+    """:func:`haversine_km` of the points ``a[k]`` and ``b[k]``, for every ``k``.
+
+    The points are rows of per-point tables: latitude and longitude in
+    radians and the cosine of the latitude.  The result is bit-identical
+    to the scalar function (see the module docstring).
+    """
+    distances = np.empty(len(a))
+    for start in range(0, len(a), HAVERSINE_CHUNK):
+        first, second = a[start : start + HAVERSINE_CHUNK], b[start : start + HAVERSINE_CHUNK]
+        count = len(first)
+        halves = np.concatenate(
+            [
+                (latitudes[second] - latitudes[first]) / 2.0,
+                (longitudes[second] - longitudes[first]) / 2.0,
+            ]
+        )
+        squares = np.fromiter(
+            map(pow, map(math.sin, halves.tolist()), repeat(2.0)),
+            dtype=np.float64,
+            count=2 * count,
+        )
+        inner = squares[:count] + cosines[first] * cosines[second] * squares[count:]
+        roots = np.minimum(1.0, np.sqrt(inner)).tolist()
+        distances[start : start + count] = (2.0 * EARTH_RADIUS_KM) * np.fromiter(
+            map(math.asin, roots), dtype=np.float64, count=count
+        )
+    return distances
 
 
 def centroid(points: list[GeoPoint]) -> GeoPoint:
@@ -146,6 +202,66 @@ class GeographicEmbedding:
             value + haversine_km(last_points[index], destination)
             for index, value in best.items()
         )
+
+    def path_geodistances(
+        self, sources: np.ndarray, transits: np.ndarray, destinations: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`path_geodistance` of every length-3 path of the ASN columns.
+
+        Each distinct link's interconnection points are looked up once
+        and padded to ``m`` slots, the most any link of the batch has.
+        The haversine runs once per (source, first-link point) pair, per
+        (last-link point, destination) pair, and per pair of points of
+        each path.  The DP then runs over ``(n, m)`` and ``(n, m, m)``
+        arrays with ``inf`` in empty slots; ``inf`` never wins a minimum.
+        """
+        lefts, rights, first, second = path_links(sources, transits, destinations)
+        ends, end_of = np.unique(np.concatenate([sources, destinations]), return_inverse=True)
+        points = [self.location_of(asn) for asn in ends.tolist()]
+        counts = []
+        for left, right in zip(lefts, rights):
+            link_points = self.interconnection_points(left, right)
+            counts.append(len(link_points))
+            points.extend(link_points)
+        radians = [math.radians(point.latitude) for point in points]
+        latitudes = np.array(radians)
+        longitudes = np.array([math.radians(point.longitude) for point in points])
+        cosines = np.fromiter(map(math.cos, radians), dtype=np.float64, count=len(points))
+
+        # slot[k, i] is the point id of link k's i-th interconnection point.
+        sizes = np.array(counts, dtype=np.int64)
+        width = int(sizes.max(initial=1))
+        filled = np.arange(width) < sizes[:, None]
+        slot = (len(ends) + np.cumsum(sizes) - sizes)[:, None] + np.arange(width)
+
+        def haversines(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
+            """``inf``-padded haversines of the point pairs where ``mask`` is set."""
+            distances = np.full(mask.shape, np.inf)
+            distances[mask] = _haversines(latitudes, longitudes, cosines, a, b)
+            return distances
+
+        def end_hops(end: np.ndarray, link: np.ndarray) -> tuple[np.ndarray, ...]:
+            """The end point id and link point id of every distinct (end AS, link) pair."""
+            keys, row_of = np.unique(end * len(sizes) + link, return_inverse=True)
+            end, link = np.divmod(keys, len(sizes))
+            filled_slots = filled[link]
+            end_ids = np.broadcast_to(end[:, None], filled_slots.shape)[filled_slots]
+            return end_ids, slot[link][filled_slots], filled_slots, row_of
+
+        n = len(first)
+        source, first_point, first_filled, first_row = end_hops(end_of[:n], first)
+        to_first = haversines(source, first_point, first_filled)[first_row]
+        destination, last_point, last_filled, last_row = end_hops(end_of[n:], second)
+        from_last = haversines(last_point, destination, last_filled)[last_row]
+        pair_filled = filled[first][:, :, None] & filled[second][:, None, :]
+        middle = haversines(
+            np.broadcast_to(slot[first][:, :, None], pair_filled.shape)[pair_filled],
+            np.broadcast_to(slot[second][:, None, :], pair_filled.shape)[pair_filled],
+            pair_filled,
+        )
+        # min_q(min_p(h(S, p) + h(p, q)) + h(q, D)), as path_geodistance's DP.
+        best = (to_first[:, :, None] + middle).min(axis=1)
+        return (best + from_last).min(axis=1)
 
 
 class SyntheticGeographyGenerator:

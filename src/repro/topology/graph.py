@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
 from repro.topology.relationships import Link, Relationship, Role
 
 
@@ -313,3 +315,25 @@ class ASGraph:
             f"ASGraph(ases={len(self)}, transit_links={self.num_transit_links()}, "
             f"peering_links={self.num_peering_links()})"
         )
+
+
+def path_links(
+    sources: np.ndarray, transits: np.ndarray, destinations: np.ndarray
+) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+    """The distinct links of length-3 paths given as ASN columns.
+
+    Returns ``(lefts, rights, first, second)``: link ``k`` joins ASes
+    ``lefts[k] <= rights[k]``, and path ``i`` crosses link ``first[i]``
+    (source–transit), then link ``second[i]`` (transit–destination).
+    The batch path metrics look each distinct link up once.
+    """
+    ends = np.concatenate([sources, transits, destinations]).astype(np.int64, copy=False)
+    asns, ids = np.unique(ends, return_inverse=True)
+    width = len(asns)
+    s, t, d = ids.reshape(3, -1)
+    hops = np.concatenate(
+        [np.minimum(s, t) * width + np.maximum(s, t), np.minimum(t, d) * width + np.maximum(t, d)]
+    )
+    links, link_of = np.unique(hops, return_inverse=True)
+    low, high = np.divmod(links, width)
+    return asns[low].tolist(), asns[high].tolist(), link_of[: len(s)], link_of[len(s) :]

@@ -15,10 +15,16 @@ from repro.paths.ma_paths import (
     build_ma_path_index,
     new_ma_paths,
 )
-from repro.paths.pair_metrics import BANDWIDTH, analyze_bandwidth
+from repro.paths.pair_metrics import (
+    BANDWIDTH,
+    GEODISTANCE,
+    analyze_bandwidth,
+    analyze_geodistance,
+)
 from repro.topology import AS_A, AS_B, AS_C, AS_D, AS_E, AS_F, AS_G, figure1_topology
 from repro.topology.bandwidth import degree_gravity_capacities
 from repro.topology.caida import load_as_rel
+from repro.topology.geography import SyntheticGeographyGenerator
 
 GOLDEN_DIR = Path(__file__).parents[1] / "golden"
 
@@ -141,20 +147,21 @@ class TestColumnLayout:
         graph = load_as_rel(GOLDEN_DIR / "asn32.as-rel.txt")
         agreements = list(enumerate_mutuality_agreements(graph))
         index = build_ma_path_index(agreements)
+        oracle = reference.build_ma_path_index(agreements)
         assert index.direct_paths(4_200_000_004) == {(4_200_000_004, 4_200_000_003, 4_200_000_001)}
+        embedding = SyntheticGeographyGenerator(seed=5).embed(graph)
         capacities = degree_gravity_capacities(graph)
-        records = analyze_bandwidth(graph, capacities, index=index, sample_size=5).records
-        expected = reference.analyze_pairs(
-            graph,
-            BANDWIDTH,
-            capacities.path_bandwidth,
-            index=reference.build_ma_path_index(agreements),
-            sample_size=5,
-            seed=0,
-        ).records
-        assert any(record.ma_values for record in records)
 
         def sorted_values(record):
             return dataclasses.replace(record, ma_values=tuple(sorted(record.ma_values)))
 
-        assert list(map(sorted_values, records)) == list(map(sorted_values, expected))
+        for metric, analyze, model, value_of_path in (
+            (GEODISTANCE, analyze_geodistance, embedding, embedding.path_geodistance),
+            (BANDWIDTH, analyze_bandwidth, capacities, capacities.path_bandwidth),
+        ):
+            records = analyze(graph, model, index=index, sample_size=5).records
+            expected = reference.analyze_pairs(
+                graph, metric, value_of_path, index=oracle, sample_size=5, seed=0
+            ).records
+            assert any(record.ma_values for record in records)
+            assert list(map(sorted_values, records)) == list(map(sorted_values, expected))

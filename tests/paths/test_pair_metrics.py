@@ -5,9 +5,14 @@ Fig. 5) and bandwidth (higher is better, Fig. 6).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.agreements import enumerate_mutuality_agreements
+from repro.core import path_engine_for
+from repro.paths.diversity import sample_ases
 from repro.paths.ma_paths import build_ma_path_index
+from repro.paths.metrics import EmpiricalCDF
 from repro.paths.pair_metrics import (
     BANDWIDTH,
     GEODISTANCE,
@@ -15,9 +20,8 @@ from repro.paths.pair_metrics import (
     PairMetricResult,
     analyze_bandwidth,
     analyze_geodistance,
-    group_by_pair,
 )
-from repro.reference import iter_grc_length3_paths
+from repro.reference import group_by_pair, iter_grc_length3_paths
 from repro.topology import degree_gravity_capacities, figure1_topology
 from repro.topology.geography import SyntheticGeographyGenerator
 
@@ -89,6 +93,30 @@ class TestPairRecord:
         assert pair.relative_gain is None
 
 
+#: Few distinct values, so MA values often equal a GRC threshold.
+VALUES = st.sampled_from([-1.0, 0.0, 1.0, 2.0, 2.5, 3.0, 10.0])
+
+
+@st.composite
+def drawn_records(draw, metric):
+    grc = sorted(draw(st.lists(VALUES, min_size=3, max_size=3)))
+    return record(metric, grc, draw(st.lists(VALUES, max_size=6)))
+
+
+class TestResultCounts:
+    @BOTH
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_counts_and_gains_equal_the_per_record_ones(self, metric, data):
+        records = data.draw(st.lists(drawn_records(metric), max_size=12))
+        result = PairMetricResult(metric, records)
+        for condition in ("min", "median", "max"):
+            per_record = tuple(r.paths_beating(condition) for r in records)
+            assert result.count_cdf(condition) == EmpiricalCDF(per_record)
+        gains = (r.relative_gain for r in records)
+        assert result.gain_cdf() == EmpiricalCDF(tuple(g for g in gains if g is not None))
+
+
 class TestGroupByPair:
     @pytest.mark.parametrize("name", IDS)
     def test_grouping_by_pair(self, name):
@@ -103,6 +131,32 @@ class TestGroupByPair:
         assert sum(len(v) for v in grouped.values()) == len(paths)
         for values in grouped.values():
             assert all(v > 0.0 for v in values)
+
+
+class TestRecordOrder:
+    @pytest.mark.parametrize("name", IDS)
+    def test_records_follow_grc_paths_and_ma_values_follow_index_keys(self, name, medium_topology):
+        """Records in order of each destination's first GRC path; MA values in key order."""
+        graph = medium_topology.graph
+        index = build_ma_path_index(list(enumerate_mutuality_agreements(graph)))
+        engine = path_engine_for(graph)
+        if name == "geodistance":
+            model = SyntheticGeographyGenerator(seed=3).embed(graph)
+            result = analyze_geodistance(graph, model, index=index, sample_size=10, seed=4)
+            value_of_path = model.path_geodistance
+        else:
+            model = degree_gravity_capacities(graph)
+            result = analyze_bandwidth(graph, model, index=index, sample_size=10, seed=4)
+            value_of_path = model.path_bandwidth
+        expected = []
+        for source in sample_ases(graph, 10, seed=4):
+            grc = engine.paths(source)
+            ma_paths = index.paths(source, index.new_paths(source, grc).all)
+            ma_by_pair = group_by_pair(ma_paths, value_of_path)
+            for pair in group_by_pair(grc, value_of_path):
+                expected.append((*pair, tuple(ma_by_pair.get(pair, ()))))
+        assert any(values for *_, values in expected)
+        assert [(r.source, r.destination, r.ma_values) for r in result.records] == expected
 
 
 class TestAnalyzePairs:

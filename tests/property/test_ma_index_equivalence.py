@@ -3,7 +3,9 @@
 :mod:`repro.reference` keeps the one-tuple-per-path index the column
 index replaced.  Both are built from the same agreements and compared
 with ``==`` on direct, indirect, all and top-n paths, ``new_ma_paths``,
-the per-AS diversity records and the pair-metric records.  The inputs
+the per-AS diversity records and the pair-metric records of both
+metrics (geodistance over embeddings with 1-3 points per link, where
+some links have none or an empty tuple, and bandwidth).  The inputs
 cover what enumerated MAs never produce: repeated and overlapping
 agreements between the same parties, offers of customers (whose
 segments are GRC-conforming), ASNs at or above 2**31, empty agreement
@@ -27,9 +29,15 @@ from repro.paths.diversity import analyze_as
 from repro.paths.extensions import analyze_extension_diversity
 from repro.paths.ma_paths import build_ma_path_index, new_ma_paths
 from repro.paths.metrics import summarize
-from repro.paths.pair_metrics import BANDWIDTH, analyze_bandwidth
+from repro.paths.pair_metrics import (
+    BANDWIDTH,
+    GEODISTANCE,
+    analyze_bandwidth,
+    analyze_geodistance,
+)
 from repro.topology import degree_gravity_capacities, figure1_topology, generate_topology
 from repro.topology.caida import dump_as_rel_lines, parse_as_rel_lines
+from repro.topology.geography import SyntheticGeographyGenerator
 
 TOP_N = (0, 1, 2, 5, 50)
 #: Shifts generated ASNs to 4,200,000,001 and up (beyond 2**31).
@@ -90,11 +98,33 @@ def arbitrary_agreements(draw):
     return graph, draw(st.permutations(agreements))
 
 
+def embeddings(graph):
+    """Synthetic embeddings (1-3 points per link) where some links lose their points.
+
+    A dropped link has no entry or an empty tuple; both fall back to
+    the midpoint of the two AS centres.
+    """
+
+    @st.composite
+    def embedded(draw):
+        embedding = SyntheticGeographyGenerator(seed=draw(st.integers(0, 1000))).embed(graph)
+        links = sorted(embedding.link_locations, key=sorted)
+        dropped = draw(st.lists(st.sampled_from(links), unique=True)) if links else []
+        for link in dropped:
+            if draw(st.booleans()):
+                del embedding.link_locations[link]
+            else:
+                embedding.link_locations[link] = ()
+        return embedding
+
+    return embedded()
+
+
 def sorted_values(record):
     return dataclasses.replace(record, ma_values=tuple(sorted(record.ma_values)))
 
 
-def assert_matches_oracle(graph, agreements):
+def assert_matches_oracle(graph, agreements, embedding):
     index = build_ma_path_index(agreements)
     oracle = reference.build_ma_path_index(agreements)
     assert {asn: len(rows) for asn, rows in index.direct.items()} == {
@@ -122,37 +152,42 @@ def assert_matches_oracle(graph, agreements):
         ) == reference.analyze_as(graph, oracle, asn, top_n_values=TOP_N, engine=engine)
 
     capacities = degree_gravity_capacities(graph)
-    records = analyze_bandwidth(
-        graph, capacities, index=index, sample_size=len(graph), engine=engine
-    ).records
-    expected = reference.analyze_pairs(
-        graph,
-        BANDWIDTH,
-        capacities.path_bandwidth,
-        index=oracle,
-        sample_size=len(graph),
-        seed=0,
-        engine=engine,
-    ).records
-    assert [sorted_values(r) for r in records] == [sorted_values(r) for r in expected]
+    for metric, analyze, model, value_of_path in (
+        (GEODISTANCE, analyze_geodistance, embedding, embedding.path_geodistance),
+        (BANDWIDTH, analyze_bandwidth, capacities, capacities.path_bandwidth),
+    ):
+        records = analyze(
+            graph, model, index=index, sample_size=len(graph), engine=engine
+        ).records
+        expected = reference.analyze_pairs(
+            graph,
+            metric,
+            value_of_path,
+            index=oracle,
+            sample_size=len(graph),
+            seed=0,
+            engine=engine,
+        ).records
+        assert [sorted_values(r) for r in records] == [sorted_values(r) for r in expected]
 
 
 class TestColumnIndexMatchesOracle:
-    @given(graphs())
+    @given(graphs(), st.data())
     @settings(max_examples=25, deadline=None)
-    def test_enumerated_agreements(self, graph):
-        assert_matches_oracle(graph, list(enumerate_mutuality_agreements(graph)))
+    def test_enumerated_agreements(self, graph, data):
+        agreements = list(enumerate_mutuality_agreements(graph))
+        assert_matches_oracle(graph, agreements, data.draw(embeddings(graph)))
 
-    @given(arbitrary_agreements())
+    @given(arbitrary_agreements(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_repeated_overlapping_and_customer_offers(self, drawn):
+    def test_repeated_overlapping_and_customer_offers(self, drawn, data):
         graph, agreements = drawn
-        assert_matches_oracle(graph, agreements)
+        assert_matches_oracle(graph, agreements, data.draw(embeddings(graph)))
 
-    @given(graphs())
+    @given(graphs(), st.data())
     @settings(max_examples=5, deadline=None)
-    def test_no_agreements(self, graph):
-        assert_matches_oracle(graph, [])
+    def test_no_agreements(self, graph, data):
+        assert_matches_oracle(graph, [], data.draw(embeddings(graph)))
 
 
 def assert_extensions_match_oracle(graph, agreements, samples):

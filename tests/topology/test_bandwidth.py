@@ -19,6 +19,15 @@ class TestLinkCapacityModel:
         with pytest.raises(ValueError):
             model.set_capacity(1, 2, -1.0)
 
+    def test_nan_capacity_rejected(self):
+        """NaN would make the bottleneck depend on the path's direction."""
+        model = LinkCapacityModel()
+        with pytest.raises(ValueError, match="nan"):
+            model.set_capacity(1, 2, float("nan"))
+        assert model.capacities == {}
+        with pytest.raises(ValueError, match="nan"):
+            LinkCapacityModel(capacities={frozenset((1, 2)): float("nan")})
+
     def test_missing_capacity_raises(self):
         model = LinkCapacityModel()
         with pytest.raises(KeyError):
