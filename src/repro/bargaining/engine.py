@@ -13,6 +13,18 @@ instances at once: ``(B, W+1)`` ``float64`` arrays of choices and
 thresholds, batched best-response sweeps with convergence masks, and
 vectorized Nash-product / Price-of-Dishonesty reductions.
 
+Batches are mostly small.  A served request solves one cohort of about
+ten trials, and rows leave the lockstep batch as they converge, so most
+best responses see one to ten rows and about four active envelope
+lines per row; numpy call overhead, not arithmetic, is their cost.  The
+two best-response kernels therefore use one layout for every batch size
+whose number of numpy calls does not grow with the batch:
+:meth:`NegotiationEngine.response_lines` builds its masked terms as
+opponent-major blocks, and :meth:`NegotiationEngine.envelope_thresholds`
+runs Algorithm 1 over each row's active lines only.  Both cut their
+blocks under ``_BLOCK_ELEMENTS`` so large batches (Fig. 2 at paper
+scale: 200 rows, ``W = 100``) stay bounded in memory.
+
 Bit-exactness contract
 ----------------------
 
@@ -25,8 +37,9 @@ Three rules make that possible (see :mod:`repro.core.arrays`):
 1. every elementwise formula mirrors the reference expression tree
    operation for operation (NumPy ufuncs and Python floats share IEEE-754
    ``float64`` semantics, and separate ufunc passes cannot be fused);
-2. every reduction uses :func:`~repro.core.arrays.sequential_sum`
-   (left-to-right scan order), never ``np.sum`` (pairwise order);
+2. every reduction runs in the reference's left-to-right order —
+   :func:`~repro.core.arrays.sequential_sum` or one in-place add per
+   term — never ``np.sum`` (pairwise order);
 3. skipped loop iterations become masked ``0.0`` terms — adding ``+0.0``
    is exact — and tie-breaks reuse the reference comparison directions.
 
@@ -59,6 +72,12 @@ from repro.core.arrays import (
 )
 
 _INF = float("inf")
+
+#: Element budget of one array block in the best-response kernels: the
+#: masked-term block of :meth:`NegotiationEngine.response_lines` and the
+#: crossing table of :meth:`NegotiationEngine.envelope_thresholds` are
+#: cut into pieces of at most this many elements.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 # ----------------------------------------------------------------------
@@ -300,35 +319,36 @@ class NegotiationEngine:
         """
         batch, own_count = own_values.shape
         own_finite = np.isfinite(own_values)
-        opponent_finite = np.isfinite(opponent_values)
         own_safe = np.where(own_finite, own_values, 0.0)
-        opponent_safe = np.where(opponent_finite, opponent_values, 0.0)
         negated_own = -own_safe
-        # The scan runs over the opponent axis with one fused, in-place
-        # vector add per opponent choice: accumulation order per
-        # ``(instance, own choice)`` lane is the reference's
-        # left-to-right loop, the adds vectorize across the batch, and
-        # every intermediate stays in a cache-resident ``(B, C_own)``
-        # slice instead of a ``(B, C_own, C_opp)`` block.  Masked terms
-        # enter as ``±0.0``, which is neutral under IEEE-754
-        # round-to-nearest addition, so the sums are bit-identical to
-        # the reference's skip-the-term loop.
+        # Opponent-major ``(C_opp, B, 1)`` views: the masked terms of a
+        # run of opponent choices form one ``(K, B, C_own)`` block, so
+        # the mask, the masked probabilities and the cash terms cost a
+        # few ufunc calls per block instead of per opponent choice —
+        # at the one-to-ten-row batches of a negotiation that call
+        # overhead is the whole cost.  The block is cut along the
+        # opponent axis to stay under ``_BLOCK_ELEMENTS``.
+        opponent_finite = np.isfinite(opponent_values).T[:, :, None]
+        opponent_safe = np.where(opponent_finite, opponent_values.T[:, :, None], 0.0)
+        probabilities = opponent_probabilities.T[:, :, None]
+        step = max(1, _BLOCK_ELEMENTS // (batch * own_count))
         slopes = np.zeros((batch, own_count))
         intercepts = np.zeros((batch, own_count))
-        mask = np.empty((batch, own_count), dtype=bool)
-        masked_probability = np.empty((batch, own_count))
-        term = np.empty((batch, own_count))
-        for k in range(opponent_values.shape[1]):
-            opponent_column = opponent_safe[:, k, None]
-            np.greater_equal(opponent_column, negated_own, out=mask)
+        for first in range(0, opponent_values.shape[1], step):
+            block = slice(first, first + step)
+            opponent = opponent_safe[block]
+            mask = opponent >= negated_own
             mask &= own_finite
-            mask &= opponent_finite[:, k, None]
-            np.multiply(mask, opponent_probabilities[:, k, None], out=masked_probability)
-            slopes += masked_probability
-            np.subtract(opponent_column, own_safe, out=term)
-            term *= masked_probability
-            term /= 2.0
-            intercepts += term
+            mask &= opponent_finite[block]
+            masked_probability = mask * probabilities[block]
+            terms = (opponent - own_safe) * masked_probability / 2.0
+            # One in-place add per opponent choice, in column order: the
+            # reference's left-to-right loop per ``(instance, own
+            # choice)`` lane.  Masked terms enter as ``±0.0``, which is
+            # neutral under IEEE-754 round-to-nearest addition.
+            for slope_term, intercept_term in zip(masked_probability, terms):
+                slopes += slope_term
+                intercepts += intercept_term
         return slopes, intercepts
 
     # ------------------------------------------------------------------
@@ -339,15 +359,19 @@ class NegotiationEngine:
     ) -> np.ndarray:
         """Batched :func:`~repro.bargaining.strategy.compute_best_response`.
 
-        Vectorizes Algorithm 1 across the batch: one line per distinct
-        slope stays active, the envelope chain advances to the candidate
-        with the minimal crossing (ties to the steeper line, i.e. the
-        *last* minimal candidate since active slopes strictly increase),
-        unassigned thresholds take the minimum over later thresholds,
-        and the monotonic clamp is a running maximum.
+        One line per distinct slope stays active; each row's active
+        lines are compacted to the left (a stable sort keeps their
+        column order).  Over those ``A`` lines a ``(B, A, A)`` table of
+        crossings gives every line its successor on the envelope: the
+        later line with the minimal crossing, ties to the steeper line,
+        i.e. the *last* minimal candidate since active slopes strictly
+        increase.  A line's successor does not depend on how the chain
+        reached it, so each row follows its chain from the first active
+        line in a plain loop over the table's results.  Unassigned thresholds
+        take the minimum over later thresholds, and the monotonic clamp
+        is a running maximum.
         """
         batch_size, count = slopes.shape
-        columns = np.arange(count)
         total = batch_size * count
 
         # One active line per distinct-slope run: the first index with
@@ -357,12 +381,11 @@ class NegotiationEngine:
         # ``reduceat`` pass — comparison-only, hence exact.
         run_starts = np.ones((batch_size, count), dtype=bool)
         run_starts[:, 1:] = slopes[:, 1:] != slopes[:, :-1]
-        flat_starts = np.nonzero(run_starts.reshape(-1))[0]
+        flat_run_starts = run_starts.reshape(-1)
+        flat_starts = np.flatnonzero(flat_run_starts)
         flat_intercepts = intercepts.reshape(-1)
-        run_maxima = np.repeat(
-            np.maximum.reduceat(flat_intercepts, flat_starts),
-            np.diff(np.append(flat_starts, total)),
-        )
+        run_of = np.cumsum(flat_run_starts) - 1
+        run_maxima = np.maximum.reduceat(flat_intercepts, flat_starts)[run_of]
         attains_maximum = np.where(
             flat_intercepts == run_maxima, np.arange(total), total
         )
@@ -370,38 +393,66 @@ class NegotiationEngine:
         active[np.minimum.reduceat(attains_maximum, flat_starts)] = True
         active = active.reshape(batch_size, count)
 
-        # The active line with the smallest slope wins as u → −∞.
-        first_active = np.argmax(active, axis=1)
-        thresholds = np.where(columns[None, :] <= first_active[:, None], -_INF, _INF)
+        # Active lines first, in column order; the rest pad the row.
+        widths = active.sum(axis=1)
+        width = int(widths.max())
+        lines = np.argsort(~active, axis=1, kind="stable")[:, :width]
+        row_index = np.arange(batch_size)[:, None]
+        line_slopes = slopes[row_index, lines]
+        line_intercepts = intercepts[row_index, lines]
 
-        # Envelope chain: repeatedly jump to the candidate whose line
-        # takes over first.  Rows advance in lockstep; finished rows
-        # (no active line after the current one) drop out.
-        current = first_active.copy()
-        alive = (active & (columns[None, :] > current[:, None])).any(axis=1)
-        while alive.any():
-            rows = np.nonzero(alive)[0]
-            current_rows = current[rows]
-            slope_current = slopes[rows, current_rows][:, None]
-            intercept_current = intercepts[rows, current_rows][:, None]
-            candidates = active[rows] & (columns[None, :] > current_rows[:, None])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                crossings = (intercept_current - intercepts[rows]) / (
-                    slopes[rows] - slope_current
-                )
-            crossings = np.where(candidates, crossings, _INF)
-            best_crossing = np.min(crossings, axis=1)
-            takeover = last_argmax(candidates & (crossings == best_crossing[:, None]))
-            thresholds[rows, takeover] = best_crossing
-            current[rows] = takeover
-            alive[rows] = (active[rows] & (columns[None, :] > takeover[:, None])).any(
-                axis=1
+        # The active line with the smallest slope wins as u → −∞.
+        columns = np.arange(count)
+        thresholds = np.where(columns[None, :] <= lines[:, :1], -_INF, _INF)
+
+        # Successor of every line: the crossing table is cut into row
+        # blocks under ``_BLOCK_ELEMENTS`` so a row of ``C`` active
+        # lines (a truthful start) stays bounded at large batches.  A
+        # NaN crossing is skipped like the reference's failed `<` test;
+        # when every crossing is +∞ the chain jumps to the last line at
+        # +∞, which leaves the same thresholds as the reference's stop.
+        nodes = np.arange(width)
+        later = nodes[None, :] > nodes[:, None]
+        real = nodes[None, :] < widths[:, None]
+        successors = np.empty((batch_size, width), dtype=np.intp)
+        takeovers = np.empty((batch_size, width))
+        rows_per_block = max(1, _BLOCK_ELEMENTS // (width * width))
+        for first in range(0, batch_size, rows_per_block):
+            block = slice(first, first + rows_per_block)
+            block_slopes = line_slopes[block]
+            block_intercepts = line_intercepts[block]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                crossings = (
+                    block_intercepts[:, :, None] - block_intercepts[:, None, :]
+                ) / (block_slopes[:, None, :] - block_slopes[:, :, None])
+            candidates = later & real[block, None, :]
+            crossings = np.where(candidates & (crossings < _INF), crossings, _INF)
+            best = crossings.min(axis=2)
+            takeovers[block] = best
+            successors[block] = last_argmax(
+                candidates & (crossings == best[:, :, None])
             )
+
+        chain_rows: list[int] = []
+        chain_from: list[int] = []
+        chain_to: list[int] = []
+        for row, (successor, row_width) in enumerate(
+            zip(successors.tolist(), widths.tolist())
+        ):
+            node = 0
+            while node + 1 < row_width:
+                chain_rows.append(row)
+                chain_from.append(node)
+                node = successor[node]
+                chain_to.append(node)
+        thresholds[chain_rows, lines[chain_rows, chain_to]] = takeovers[
+            chain_rows, chain_from
+        ]
 
         # Choices never on the envelope get an empty interval; enforce
         # monotonicity against floating-point jitter.
         filled = np.where(
-            np.isposinf(thresholds), exclusive_suffix_minimum(thresholds), thresholds
+            thresholds == _INF, exclusive_suffix_minimum(thresholds), thresholds
         )
         return running_maximum(filled, axis=1)
 
@@ -436,7 +487,12 @@ class NegotiationEngine:
         threshold-signature repeat) or exhaust ``max_iterations`` move
         on to the next start.  ``converged`` is ``False`` exactly for
         the instances on which the per-instance search would raise.
+        ``tolerance`` must be finite and non-negative.
         """
+        if not 0.0 <= tolerance < _INF:
+            raise ValueError(
+                f"tolerance must be finite and non-negative, got {tolerance!r}"
+            )
         size = len(batch)
         kernel_x = kernel_for(batch.distribution.marginal_x)
         kernel_y = kernel_for(batch.distribution.marginal_y)
@@ -513,13 +569,15 @@ class NegotiationEngine:
                 break
             next_x = respond_x(rows, thresholds_y[rows])
             next_y = respond_y(rows, next_x)
-            converged = _rows_approximately_equal(
-                next_x, thresholds_x[rows], tolerance
-            ) & _rows_approximately_equal(next_y, thresholds_y[rows], tolerance)
-            deltas[rows] = np.maximum(
+            # ``ThresholdStrategy.approximately_equal`` on both parties:
+            # equal thresholds give a zero delta, an infinity mismatch
+            # or an overflowing difference gives +∞.
+            round_deltas = np.maximum(
                 _rows_delta(next_x, thresholds_x[rows]),
                 _rows_delta(next_y, thresholds_y[rows]),
             )
+            converged = round_deltas <= tolerance
+            deltas[rows] = round_deltas
             thresholds_x[rows] = next_x
             thresholds_y[rows] = next_y
             iterations[rows] += 1
@@ -691,17 +749,6 @@ def _interval_moments(
     low = np.maximum(thresholds, kernel.lower)
     high = np.minimum(upper, kernel.upper)
     return kernel.mass(low, high), kernel.partial_mean(low, high), high > low
-
-
-def _rows_approximately_equal(
-    a: np.ndarray, b: np.ndarray, tolerance: float
-) -> np.ndarray:
-    """Row-wise ``ThresholdStrategy.approximately_equal`` on thresholds."""
-    same = a == b
-    finite = np.isfinite(a) & np.isfinite(b)
-    with np.errstate(invalid="ignore"):
-        close = finite & (np.abs(a - b) <= tolerance)
-    return np.all(same | close, axis=1)
 
 
 def _rows_delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,7 +19,17 @@ class EmpiricalCDF:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(sorted(float(v) for v in self.values)))
+        values = np.asarray(self.values, dtype=float)
+        unordered = np.isnan(values)
+        if unordered.any():
+            position = int(np.argmax(unordered))
+            raise ValueError(
+                f"EmpiricalCDF sample {position} is {float(values[position])!r}; "
+                "NaN cannot be ordered"
+            )
+        object.__setattr__(
+            self, "values", tuple(np.sort(values, kind="stable").tolist())
+        )
 
     @property
     def count(self) -> int:

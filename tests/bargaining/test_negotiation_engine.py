@@ -6,6 +6,8 @@ here the engine's pieces are pinned against the per-instance reference
 functions directly.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,11 @@ from repro.bargaining.game import (
     response_lines,
 )
 from repro.bargaining.mechanism import BoscoService
-from repro.bargaining.strategy import ThresholdStrategy, truthful_like_strategy
+from repro.bargaining.strategy import (
+    ThresholdStrategy,
+    compute_best_response,
+    truthful_like_strategy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -152,8 +158,27 @@ class TestBatchedPrimitives:
             reference = game.best_response("x", strategies[row])
             assert tuple(batched[row]) == reference.thresholds
 
+    def test_overflowing_crossing_is_silent_like_the_scalar_path(self, engine):
+        # A subnormal slope gap overflows the crossing to +inf; the
+        # scalar Algorithm 1 returns that silently, so must the batch.
+        slopes, intercepts = [0.0, 5e-324], [1.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched = engine.envelope_thresholds(
+                np.array([slopes]), np.array([intercepts])
+            )
+            reference = compute_best_response(
+                ChoiceSet((float("-inf"), 0.5)), slopes, intercepts
+            )
+        assert tuple(batched[0]) == reference.thresholds == (float("-inf"), float("inf"))
+
 
 class TestSolve:
+    @pytest.mark.parametrize("tolerance", [-1e-12, float("nan"), float("inf")])
+    def test_rejects_tolerances_delta_cannot_test(self, engine, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            engine.solve(make_batch(size=2, num_choices=4), tolerance=tolerance)
+
     def test_solves_a_batch_and_profiles_verify(self, engine):
         batch = make_batch(size=10, num_choices=6, seed=6)
         equilibria = engine.solve(batch)

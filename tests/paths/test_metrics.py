@@ -1,6 +1,10 @@
 """Unit tests for the CDF / statistics helpers."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.paths.metrics import EmpiricalCDF, summarize
 
@@ -33,6 +37,31 @@ class TestEmpiricalCDF:
         assert cdf.median == pytest.approx(2.5)
         assert cdf.quantile(0.0) == 1.0
         assert cdf.quantile(1.0) == 4.0
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.integers(min_value=-(2**63), max_value=2**63),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, 0, 1, -1]),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_values_are_python_sorted_floats(self, values):
+        expected = tuple(sorted(float(v) for v in values))
+        cdf = EmpiricalCDF(tuple(values))
+        assert cdf.values == expected
+        assert all(type(v) is float for v in cdf.values)
+        # The sort is stable: tied ±0.0 samples keep their input order.
+        assert [math.copysign(1.0, v) for v in cdf.values] == [
+            math.copysign(1.0, v) for v in expected
+        ]
+
+    def test_nan_samples_are_rejected(self):
+        with pytest.raises(ValueError, match="sample 1 is nan"):
+            EmpiricalCDF((1.0, float("nan"), 0.5))
 
     def test_quantile_out_of_range(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,9 @@ core-vs-reference pattern of ``test_core_equivalence.py`` to the
 bargaining layer).
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,8 @@ from hypothesis import strategies as st
 
 from repro import reference
 from repro.api import NegotiateRequest, Session
-from repro.bargaining.choices import random_choice_set
+from repro.bargaining import engine as engine_module
+from repro.bargaining.choices import ChoiceSet, random_choice_set
 from repro.bargaining.distributions import (
     JointUtilityDistribution,
     TruncatedNormalUtilityDistribution,
@@ -25,9 +29,15 @@ from repro.bargaining.distributions import (
     paper_distribution_u1,
     paper_distribution_u2,
 )
-from repro.bargaining.engine import GameBatch, NegotiationEngine
-from repro.bargaining.game import BargainingGame, EquilibriumError
+from repro.bargaining.engine import GameBatch, NegotiationEngine, kernel_for
+from repro.bargaining.game import (
+    BargainingGame,
+    EquilibriumError,
+    choice_probabilities,
+    response_lines,
+)
 from repro.bargaining.mechanism import BoscoService
+from repro.bargaining.strategy import ThresholdStrategy, compute_best_response
 from repro.experiments.fig2_pod import Fig2Config, Fig2Row, run_fig2
 
 
@@ -41,6 +51,167 @@ def joint_distributions(draw):
         marginal_x=UniformUtilityDistribution(low_x, high_x),
         marginal_y=UniformUtilityDistribution(low_y, high_y),
     )
+
+
+_BIG = 1e300
+#: Exact dyadic values (concurrent lines, ``v_Y = −v_X`` ties), the
+#: signed zeros, subnormals and magnitudes next to ±1e300.
+_EDGE_VALUES = (
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    1e-320,
+    2e-320,
+    0.125,
+    -0.125,
+    0.25,
+    -0.25,
+    0.5,
+    -0.5,
+    0.75,
+    -0.75,
+    1.0,
+    -1.0,
+    _BIG,
+    -_BIG,
+    math.nextafter(_BIG, math.inf),
+    math.nextafter(-_BIG, -math.inf),
+)
+_edge_floats = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+@st.composite
+def edge_choice_sets(draw, cardinality):
+    """A choice set of ``cardinality`` finite values from the edge pool."""
+    values = draw(
+        st.lists(
+            _edge_floats,
+            min_size=cardinality,
+            max_size=cardinality,
+            unique_by=lambda v: v + 0.0,
+        )
+    )
+    return ChoiceSet((float("-inf"), *sorted(values)))
+
+
+@st.composite
+def edge_strategies(draw, choices):
+    """Non-decreasing thresholds with duplicates, subnormal gaps and +∞."""
+    finite = draw(
+        st.lists(
+            st.one_of(_edge_floats, st.just(math.inf)),
+            min_size=len(choices) - 1,
+            max_size=len(choices) - 1,
+        )
+    )
+    return ThresholdStrategy(
+        choices=choices, thresholds=(float("-inf"), *sorted(finite))
+    )
+
+
+@st.composite
+def edge_response_batches(draw):
+    """``B ∈ 1..12`` best-response problems at one ``W ∈ 1..25``."""
+    num_choices = draw(st.integers(min_value=1, max_value=25))
+    size = draw(st.integers(min_value=1, max_value=12))
+    distribution = draw(
+        st.sampled_from(
+            [
+                UniformUtilityDistribution(-1.0, 1.0),
+                UniformUtilityDistribution(-0.5, 1.5),
+                UniformUtilityDistribution(-_BIG, _BIG),
+            ]
+        )
+    )
+    rows = []
+    for _ in range(size):
+        own = draw(edge_choice_sets(num_choices))
+        opponent = draw(
+            st.one_of(
+                edge_choice_sets(num_choices),
+                # The mirror image of the own set: every claim pair sits
+                # exactly on the ``v_Y ≥ −v_X`` boundary.
+                st.just(ChoiceSet((float("-inf"), *sorted(-v for v in own.values[1:])))),
+            )
+        )
+        rows.append((own, opponent, draw(edge_strategies(opponent))))
+    return distribution, rows
+
+
+@st.composite
+def concurrent_line_batches(draw):
+    """``B ∈ 1..12`` rows of ``C ∈ 1..26`` lines, many through one point.
+
+    Lines through a shared point cross their predecessors at exactly
+    the same computed value or at a neighbouring float, which is where
+    the envelope's tie rule and the order of its active lines show.
+    """
+    count = draw(st.integers(min_value=1, max_value=26))
+    size = draw(st.integers(min_value=1, max_value=12))
+    slope_pool = st.sampled_from(
+        [0.0, 5e-324, 1e-320, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.7, 0.75, 1.0]
+    )
+    slopes, intercepts = [], []
+    for _ in range(size):
+        row = sorted(draw(st.lists(slope_pool, min_size=count, max_size=count)))
+        x = draw(st.sampled_from([0.1, 0.3, -0.7, 1 / 3, 0.0, -_BIG]))
+        y = draw(st.sampled_from([0.1, 0.3, -0.7, _BIG]))
+        offsets = draw(
+            st.lists(
+                st.sampled_from([0.0, 0.0, 0.0, -0.1, -1.0, -_BIG]),
+                min_size=count,
+                max_size=count,
+            )
+        )
+        slopes.append(row)
+        intercepts.append([y - s * x + offset for s, offset in zip(row, offsets)])
+    return slopes, intercepts
+
+
+class TestSmallBatchBestResponses:
+    """Batched best responses at negotiation-sized batches, float edges.
+
+    Each row must equal the scalar pipeline ``choice_probabilities`` →
+    ``response_lines`` → ``compute_best_response`` (Algorithm 1).  The
+    second block size cuts every kernel block down to one element, so
+    the multi-chunk and multi-row-block paths run at these small sizes.
+    """
+
+    @pytest.mark.parametrize("block_elements", [engine_module._BLOCK_ELEMENTS, 1])
+    @given(problem=edge_response_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_the_scalar_pipeline(self, block_elements, problem):
+        distribution, rows = problem
+        with mock.patch.object(engine_module, "_BLOCK_ELEMENTS", block_elements):
+            batched = NegotiationEngine().best_responses(
+                np.array([own.values for own, _, _ in rows]),
+                np.array([opponent.values for _, opponent, _ in rows]),
+                np.array([strategy.thresholds for _, _, strategy in rows]),
+                kernel_for(distribution),
+            )
+        for row, (own, opponent, strategy) in enumerate(rows):
+            probabilities = choice_probabilities(strategy, distribution)
+            slopes, intercepts = response_lines(own, opponent, probabilities)
+            expected = compute_best_response(own, slopes, intercepts)
+            assert tuple(batched[row].tolist()) == expected.thresholds
+
+    @pytest.mark.parametrize("block_elements", [engine_module._BLOCK_ELEMENTS, 1])
+    @given(lines=concurrent_line_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_envelope_rows_equal_algorithm_1(self, block_elements, lines):
+        slopes, intercepts = lines
+        with mock.patch.object(engine_module, "_BLOCK_ELEMENTS", block_elements):
+            batched = NegotiationEngine().envelope_thresholds(
+                np.array(slopes), np.array(intercepts)
+            )
+        choices = ChoiceSet((float("-inf"), *map(float, range(len(slopes[0]) - 1))))
+        for row, (row_slopes, row_intercepts) in enumerate(zip(slopes, intercepts)):
+            expected = compute_best_response(choices, row_slopes, row_intercepts)
+            assert tuple(batched[row].tolist()) == expected.thresholds
 
 
 class TestEquilibriumEquivalence:
