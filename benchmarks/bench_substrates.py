@@ -17,8 +17,14 @@ import pytest
 from _emit import emit_from_benchmark
 
 from repro.agreements import enumerate_mutuality_agreements
-from repro.bargaining import BargainingGame, paper_distribution_u1, random_choice_set
+from repro.bargaining import (
+    GameBatch,
+    NegotiationEngine,
+    paper_distribution_u1,
+    random_choice_set,
+)
 from repro.paths import build_ma_path_index, grc_length3_paths
+from repro.reference import BargainingGame
 from repro.routing import BGPSimulator
 from repro.routing.policies import gao_rexford_policies
 from repro.topology import generate_topology
@@ -123,15 +129,15 @@ def test_bosco_equilibrium_computation(benchmark):
     rng = np.random.default_rng(13)
     choices_x = random_choice_set(distribution.marginal_x, num_choices, rng)
     choices_y = random_choice_set(distribution.marginal_y, num_choices, rng)
-    game = BargainingGame(
+    batch = GameBatch.from_choice_sets(distribution, [(choices_x, choices_y)])
+
+    equilibria = benchmark(NegotiationEngine().solve, batch)
+    assert equilibria.profile(batch, 0) == BargainingGame(
         distribution_x=distribution.marginal_x,
         distribution_y=distribution.marginal_y,
         choices_x=choices_x,
         choices_y=choices_y,
-    )
-
-    profile = benchmark(game.find_equilibrium)
-    assert game.is_equilibrium(profile)
+    ).find_equilibrium()
     emit_from_benchmark(
         benchmark,
         "substrates_bosco_equilibrium",

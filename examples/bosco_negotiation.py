@@ -39,7 +39,7 @@ def main() -> None:
     print()
 
     print("One negotiation with private true utilities u_X = 0.62, u_Y = -0.18:")
-    outcome = BoscoService.negotiate(information, 0.62, -0.18)
+    (outcome,) = BoscoService.negotiate_many(information, [0.62], [-0.18])
     print(f"  claims committed: v_X = {outcome.claim_x:+.3f}, v_Y = {outcome.claim_y:+.3f}")
     print(f"  concluded: {outcome.concluded}")
     if outcome.concluded:
@@ -53,10 +53,10 @@ def main() -> None:
     print("Monte-Carlo check of the §V-D properties over 2,000 negotiations:")
     rng = np.random.default_rng(7)
     samples = distribution.sample(rng, size=2000)
+    results = BoscoService.negotiate_many(information, samples[:, 0], samples[:, 1])
     concluded = 0
     violations = 0
-    for true_x, true_y in samples:
-        result = BoscoService.negotiate(information, float(true_x), float(true_y))
+    for (true_x, true_y), result in zip(samples, results):
         if result.post_utility_x < -1e-9 or result.post_utility_y < -1e-9:
             violations += 1
         if result.concluded:

@@ -1,10 +1,12 @@
 """The BOSCO bargaining mechanism (§V).
 
-Utility distributions, choice sets, threshold strategies and the
-best-response computation of Algorithm 1, Nash equilibria of the
-bargaining game, bargaining-efficiency metrics (expected Nash product,
-Price of Dishonesty), and the BOSCO service that configures and
-supervises automated inter-AS negotiations.
+Utility distributions, choice sets, threshold strategies and
+equilibrium profiles, the batched :class:`NegotiationEngine` (Eqs.
+14–17, Algorithm 1, best-response dynamics and Eqs. 19–20 — the one
+BOSCO solver), the truthful baseline ``E[N | σ⊤]``, and the BOSCO
+service that configures and supervises automated inter-AS
+negotiations.  The scalar per-trial solver the engine is pinned to
+lives in :mod:`repro.reference`.
 """
 
 from repro.bargaining.baselines import (
@@ -26,12 +28,7 @@ from repro.bargaining.distributions import (
     paper_distribution_u1,
     paper_distribution_u2,
 )
-from repro.bargaining.efficiency import (
-    expected_nash_product,
-    expected_truthful_nash_product,
-    nash_product_value,
-    price_of_dishonesty,
-)
+from repro.bargaining.efficiency import expected_truthful_nash_product
 from repro.bargaining.engine import (
     BatchedEquilibria,
     DistributionKernel,
@@ -40,23 +37,15 @@ from repro.bargaining.engine import (
     batched_claims,
     kernel_for,
 )
-from repro.bargaining.game import (
-    BargainingGame,
-    EquilibriumError,
-    StrategyProfile,
-    choice_probabilities,
-    profile_delta,
-    response_lines,
-)
 from repro.bargaining.mechanism import (
     BoscoService,
     MechanismInformation,
     NegotiationOutcome,
 )
 from repro.bargaining.strategy import (
+    EquilibriumError,
+    StrategyProfile,
     ThresholdStrategy,
-    compute_best_response,
-    truthful_like_strategy,
 )
 
 __all__ = [
@@ -71,24 +60,15 @@ __all__ = [
     "random_choice_set",
     "quantile_choice_set",
     "ThresholdStrategy",
-    "truthful_like_strategy",
-    "compute_best_response",
-    "BargainingGame",
     "StrategyProfile",
     "EquilibriumError",
-    "choice_probabilities",
-    "profile_delta",
-    "response_lines",
     "NegotiationEngine",
     "GameBatch",
     "BatchedEquilibria",
     "DistributionKernel",
     "batched_claims",
     "kernel_for",
-    "nash_product_value",
-    "expected_nash_product",
     "expected_truthful_nash_product",
-    "price_of_dishonesty",
     "BoscoService",
     "MechanismInformation",
     "NegotiationOutcome",

@@ -1,4 +1,4 @@
-"""Bargaining efficiency: expected Nash product and Price of Dishonesty (§V-C6).
+"""Bargaining efficiency under universal truthfulness (§V-C6).
 
 The BOSCO service rates an equilibrium by the expected Nash bargaining
 product it induces under the joint utility distribution (Eq. 19) and
@@ -8,89 +8,17 @@ The *Price of Dishonesty*
 ``PoD(σ*) = 1 − E[N | σ*] / E[N | σ⊤]``                         (Eq. 20)
 
 is always in ``[0, 1]`` (Theorem 3) and quantifies the efficiency loss
-caused by strategic (non-truthful) claiming.
+caused by strategic (non-truthful) claiming.  The batched
+:class:`~repro.bargaining.engine.NegotiationEngine` computes ``E[N | σ*]``
+and the PoD; this module holds the truthful baseline ``E[N | σ⊤]`` they
+are measured against.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.bargaining.distributions import JointUtilityDistribution, UtilityDistribution
-from repro.bargaining.game import StrategyProfile
-from repro.bargaining.strategy import ThresholdStrategy
-
-
-def nash_product_value(
-    utility_x: float, utility_y: float, claim_x: float, claim_y: float
-) -> float:
-    """The Nash bargaining product ``N(u_X, u_Y, v_X, v_Y)`` (Eq. 13).
-
-    Zero when the apparent surplus ``v_X + v_Y`` is negative (the
-    negotiation is cancelled); otherwise the product of the two parties'
-    after-negotiation utilities given the transfer ``(v_X − v_Y)/2``.
-    """
-    if math.isinf(claim_x) or math.isinf(claim_y) or claim_x + claim_y < 0.0:
-        return 0.0
-    transfer = (claim_x - claim_y) / 2.0
-    return (utility_x - transfer) * (utility_y + transfer)
-
-
-def expected_nash_product(
-    profile: StrategyProfile,
-    distribution: JointUtilityDistribution,
-) -> float:
-    """Expected Nash product ``E[N | σ]`` for a strategy profile (Eq. 19).
-
-    For independent marginals and threshold strategies, the integral
-    decomposes over the rectangles formed by the two strategies'
-    intervals: on each rectangle the claims are constant, so the double
-    integral factorizes into products of interval masses and partial
-    means of the marginal distributions.
-    """
-    return _expected_nash_product_rectangles(
-        profile.strategy_x,
-        profile.strategy_y,
-        distribution.marginal_x,
-        distribution.marginal_y,
-    )
-
-
-def _expected_nash_product_rectangles(
-    strategy_x: ThresholdStrategy,
-    strategy_y: ThresholdStrategy,
-    marginal_x: UtilityDistribution,
-    marginal_y: UtilityDistribution,
-) -> float:
-    total = 0.0
-    for index_x in range(len(strategy_x.choices)):
-        claim_x = strategy_x.choices[index_x]
-        if math.isinf(claim_x):
-            continue
-        low_x, high_x = strategy_x.interval(index_x)
-        low_x = max(low_x, marginal_x.lower)
-        high_x = min(high_x, marginal_x.upper)
-        if high_x <= low_x:
-            continue
-        mass_x = marginal_x.mass(low_x, high_x)
-        mean_x = marginal_x.partial_mean(low_x, high_x)
-        for index_y in range(len(strategy_y.choices)):
-            claim_y = strategy_y.choices[index_y]
-            if math.isinf(claim_y) or claim_x + claim_y < 0.0:
-                continue
-            low_y, high_y = strategy_y.interval(index_y)
-            low_y = max(low_y, marginal_y.lower)
-            high_y = min(high_y, marginal_y.upper)
-            if high_y <= low_y:
-                continue
-            mass_y = marginal_y.mass(low_y, high_y)
-            mean_y = marginal_y.partial_mean(low_y, high_y)
-            transfer = (claim_x - claim_y) / 2.0
-            # ∫∫ (u_X − Π)(u_Y + Π) f_X f_Y factorizes because Π is constant
-            # on the rectangle.
-            total += (mean_x - transfer * mass_x) * (mean_y + transfer * mass_y)
-    return total
+from repro.bargaining.distributions import JointUtilityDistribution
 
 
 def expected_truthful_nash_product(
@@ -120,31 +48,3 @@ def expected_truthful_nash_product(
     payoff = np.where(grid_sum >= 0.0, (grid_sum / 2.0) ** 2, 0.0)
     weights = np.outer(density_x, density_y)
     return float(np.sum(payoff * weights) * dx * dy)
-
-
-def price_of_dishonesty(
-    profile: StrategyProfile,
-    distribution: JointUtilityDistribution,
-    *,
-    truthful_value: float | None = None,
-) -> float:
-    """Price of Dishonesty ``PoD(σ*)`` of an equilibrium (Eq. 20).
-
-    ``truthful_value`` can be supplied to avoid recomputing
-    ``E[N | σ⊤]`` when evaluating many equilibria under the same
-    distribution (as Fig. 2 does).  Raises :class:`ValueError` when the
-    truthful expectation is zero (the agreement would be consistently
-    unviable even under honesty), matching the paper's "undefined"
-    clause.
-    """
-    if truthful_value is None:
-        truthful_value = expected_truthful_nash_product(distribution)
-    if truthful_value <= 0.0:
-        raise ValueError(
-            "the Price of Dishonesty is undefined when the truthful expected Nash "
-            "product is zero"
-        )
-    value = expected_nash_product(profile, distribution)
-    pod = 1.0 - value / truthful_value
-    # Clamp tiny numerical overshoot; Theorem 3 guarantees PoD ∈ [0, 1].
-    return min(1.0, max(0.0, pod))

@@ -1,10 +1,14 @@
 """Batched evaluation of BOSCO bargaining games (§V) with array kernels.
 
-The per-instance stack — :func:`~repro.bargaining.game.choice_probabilities`,
-:func:`~repro.bargaining.game.response_lines` (Eqs. 14–17),
-:func:`~repro.bargaining.strategy.compute_best_response` (Algorithm 1),
-:meth:`~repro.bargaining.game.BargainingGame.find_equilibrium`, and the
-Nash-product integrals of :mod:`~repro.bargaining.efficiency` — runs one
+This is the one BOSCO solver every workflow runs (``negotiate``, Fig. 2,
+the sweep, the marketplace and ``repro serve``).  Its oracle is the
+scalar solver in :mod:`repro.reference` —
+:func:`~repro.reference.choice_probabilities`,
+:func:`~repro.reference.response_lines` (Eqs. 14–17),
+:func:`~repro.reference.compute_best_response` (Algorithm 1),
+:meth:`~repro.reference.BargainingGame.find_equilibrium`, and
+:func:`~repro.reference.expected_nash_product` /
+:func:`~repro.reference.price_of_dishonesty` (Eqs. 19–20) — which runs one
 trial at a time in pure Python.  Fig. 2 evaluates hundreds of random
 choice-set trials per cardinality and the marketplace simulation
 negotiates batches of agreements per billing epoch, so the
@@ -62,8 +66,7 @@ from repro.bargaining.distributions import (
     UniformUtilityDistribution,
     UtilityDistribution,
 )
-from repro.bargaining.game import StrategyProfile
-from repro.bargaining.strategy import ThresholdStrategy
+from repro.bargaining.strategy import StrategyProfile, ThresholdStrategy
 from repro.core.arrays import (
     exclusive_suffix_minimum,
     last_argmax,
@@ -239,7 +242,7 @@ class BatchedEquilibria:
     means alternating best-response dynamics cycled (or ran out of
     iterations) from every starting profile, exactly the condition under
     which the per-instance path raises
-    :class:`~repro.bargaining.game.EquilibriumError`.  ``iterations``
+    :class:`~repro.bargaining.strategy.EquilibriumError`.  ``iterations``
     and ``last_delta`` carry the diagnostics of the (last) dynamics run.
     """
 
@@ -295,7 +298,7 @@ class NegotiationEngine:
     def choice_probabilities(
         self, thresholds: np.ndarray, kernel: DistributionKernel
     ) -> np.ndarray:
-        """Batched :func:`~repro.bargaining.game.choice_probabilities`."""
+        """Batched :func:`~repro.reference.choice_probabilities`."""
         upper = _next_thresholds(thresholds)
         low = np.maximum(thresholds, kernel.lower)
         high = np.minimum(upper, kernel.upper)
@@ -310,7 +313,7 @@ class NegotiationEngine:
         opponent_values: np.ndarray,
         opponent_probabilities: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :func:`~repro.bargaining.game.response_lines`.
+        """Batched :func:`~repro.reference.response_lines`.
 
         Returns ``(slopes, intercepts)`` of shape ``(B, C_own)``.  The
         reference accumulates qualifying opponent terms left to right;
@@ -341,10 +344,17 @@ class NegotiationEngine:
             mask &= own_finite
             mask &= opponent_finite[block]
             masked_probability = mask * probabilities[block]
-            terms = (opponent - own_safe) * masked_probability / 2.0
+            # Only qualifying claim gaps are computed, so a masked term
+            # is an exact ``0.0`` even where the gap would overflow
+            # (``∞ · 0.0`` would be NaN).  A qualifying gap beyond the
+            # float range overflows to ±∞ as silently as Python floats.
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = np.subtract(opponent, own_safe, out=np.zeros(mask.shape), where=mask)
+                terms *= masked_probability
+                terms /= 2.0
             # One in-place add per opponent choice, in column order: the
             # reference's left-to-right loop per ``(instance, own
-            # choice)`` lane.  Masked terms enter as ``±0.0``, which is
+            # choice)`` lane.  Masked terms enter as ``0.0``, which is
             # neutral under IEEE-754 round-to-nearest addition.
             for slope_term, intercept_term in zip(masked_probability, terms):
                 slopes += slope_term
@@ -357,7 +367,7 @@ class NegotiationEngine:
     def envelope_thresholds(
         self, slopes: np.ndarray, intercepts: np.ndarray
     ) -> np.ndarray:
-        """Batched :func:`~repro.bargaining.strategy.compute_best_response`.
+        """Batched :func:`~repro.reference.compute_best_response`.
 
         One line per distinct slope stays active; each row's active
         lines are compacted to the left (a stable sort keeps their
@@ -463,7 +473,7 @@ class NegotiationEngine:
         opponent_thresholds: np.ndarray,
         opponent_kernel: DistributionKernel,
     ) -> np.ndarray:
-        """Batched ``BargainingGame.best_response``: thresholds per row."""
+        """Batched :meth:`~repro.reference.BargainingGame.best_response`, per row."""
         probabilities = self.choice_probabilities(opponent_thresholds, opponent_kernel)
         slopes, intercepts = self.response_lines(
             own_values, opponent_values, probabilities
@@ -480,7 +490,7 @@ class NegotiationEngine:
         max_iterations: int = 200,
         tolerance: float = 1e-12,
     ) -> BatchedEquilibria:
-        """Batched ``BargainingGame.find_equilibrium``.
+        """Batched :meth:`~repro.reference.BargainingGame.find_equilibrium`.
 
         Runs the reference's starting profiles in the reference order;
         instances that converge drop out, instances that cycle (exact
@@ -604,7 +614,7 @@ class NegotiationEngine:
     def expected_nash_products(
         self, batch: GameBatch, equilibria: BatchedEquilibria
     ) -> np.ndarray:
-        """Batched :func:`~repro.bargaining.efficiency.expected_nash_product`.
+        """Batched :func:`~repro.reference.expected_nash_product`.
 
         Returns one value per instance (``NaN`` for non-converged rows).
         The rectangle decomposition accumulates in the reference's
@@ -647,7 +657,7 @@ class NegotiationEngine:
     def prices_of_dishonesty(
         self, nash_products: np.ndarray, truthful_value: float
     ) -> np.ndarray:
-        """Batched :func:`~repro.bargaining.efficiency.price_of_dishonesty`."""
+        """Batched :func:`~repro.reference.price_of_dishonesty`."""
         if truthful_value <= 0.0:
             raise ValueError(
                 "the Price of Dishonesty is undefined when the truthful expected "
@@ -761,7 +771,7 @@ def _rows_delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _truthful_thresholds(choices: np.ndarray) -> np.ndarray:
-    """Batched :func:`~repro.bargaining.strategy.truthful_like_strategy`."""
+    """Batched :func:`~repro.reference.truthful_like_strategy`."""
     first = np.full((choices.shape[0], 1), -_INF)
     return np.concatenate([first, choices[:, 1:]], axis=1)
 
@@ -777,7 +787,7 @@ def _always_maximal_thresholds(choices: np.ndarray) -> np.ndarray:
 
 
 #: Starting profiles of the equilibrium search, in the reference order
-#: of ``BargainingGame._default_starting_profiles``.
+#: of :meth:`repro.reference.BargainingGame.find_equilibrium`.
 _STARTING_PROFILES = (
     (_truthful_thresholds, _truthful_thresholds),
     (_truthful_thresholds, _always_cancel_thresholds),

@@ -40,8 +40,9 @@ from repro.bargaining.engine import (
     GameBatch,
     NegotiationEngine,
     batched_claims,
+    kernel_for,
 )
-from repro.bargaining.game import BargainingGame, EquilibriumError, StrategyProfile
+from repro.bargaining.strategy import EquilibriumError, StrategyProfile, ThresholdStrategy
 
 #: The one negotiation engine.  It is stateless, so every cohort solve
 #: shares it.
@@ -59,18 +60,33 @@ class MechanismInformation:
     price_of_dishonesty: float
     expected_nash_product: float
 
-    def game(self) -> BargainingGame:
-        """The bargaining game induced by this configuration."""
-        return BargainingGame(
-            distribution_x=self.distribution.marginal_x,
-            distribution_y=self.distribution.marginal_y,
-            choices_x=self.choices_x,
-            choices_y=self.choices_y,
-        )
-
     def verify_equilibrium(self) -> bool:
-        """Party-side check that the published profile is a Nash equilibrium."""
-        return self.game().is_equilibrium(self.equilibrium)
+        """Party-side check that the published profile is a Nash equilibrium.
+
+        §V-C6: each party recomputes its best response to the other's
+        published strategy over the published choice sets and accepts
+        when both match the profile within ``1e-9``.
+        """
+        strategy_x = self.equilibrium.strategy_x
+        strategy_y = self.equilibrium.strategy_y
+        # The engine needs thresholds shaped like the published choice sets.
+        if (strategy_x.choices, strategy_y.choices) != (self.choices_x, self.choices_y):
+            return False
+        marginal_x, marginal_y = self.distribution.marginal_x, self.distribution.marginal_y
+        replies = []
+        for own, opponent, opponent_strategy, opponent_marginal in (
+            (self.choices_x, self.choices_y, strategy_y, marginal_y),
+            (self.choices_y, self.choices_x, strategy_x, marginal_x),
+        ):
+            thresholds = _ENGINE.best_responses(
+                np.array([own.values]),
+                np.array([opponent.values]),
+                np.array([opponent_strategy.thresholds]),
+                kernel_for(opponent_marginal),
+            )
+            replies.append(ThresholdStrategy(own, tuple(thresholds[0].tolist())))
+        best_x, best_y = replies
+        return best_x.approximately_equal(strategy_x) and best_y.approximately_equal(strategy_y)
 
 
 class NegotiationOutcome(NamedTuple):
@@ -349,39 +365,19 @@ class BoscoService:
     # Negotiation
     # ------------------------------------------------------------------
     @staticmethod
-    def negotiate(
-        information: MechanismInformation,
-        true_utility_x: float,
-        true_utility_y: float,
-    ) -> NegotiationOutcome:
-        """Execute the bargaining game with the published equilibrium strategies."""
-        claim_x = information.equilibrium.strategy_x(true_utility_x)
-        claim_y = information.equilibrium.strategy_y(true_utility_y)
-        concluded = claim_x + claim_y >= 0.0
-        transfer = (claim_x - claim_y) / 2.0 if concluded else 0.0
-        return NegotiationOutcome(
-            claim_x=claim_x,
-            claim_y=claim_y,
-            concluded=concluded,
-            transfer_x_to_y=transfer,
-            true_utility_x=true_utility_x,
-            true_utility_y=true_utility_y,
-        )
-
-    @staticmethod
     def negotiate_many(
         information: MechanismInformation,
         true_utilities_x: Sequence[float],
         true_utilities_y: Sequence[float],
     ) -> list[NegotiationOutcome]:
-        """Execute many negotiations under one published configuration.
+        """Execute negotiations under one published configuration.
 
-        The batched twin of :meth:`negotiate` — claims for all instances
-        come from two vectorized threshold lookups
-        (:func:`~repro.bargaining.engine.batched_claims`), and each
-        outcome is bit-identical to the scalar path.  This is what the
-        simulation lifecycle calls once per billing epoch for every
-        agreement due for (re)negotiation.
+        Each party applies its equilibrium strategy to its true utility;
+        claims for all instances come from two vectorized threshold
+        lookups (:func:`~repro.bargaining.engine.batched_claims`), and
+        each outcome is bit-identical to :func:`repro.reference.negotiate`.
+        This is what the simulation lifecycle calls once per billing
+        epoch for every agreement due for (re)negotiation.
         """
         if len(true_utilities_x) != len(true_utilities_y):
             raise ValueError(
@@ -400,7 +396,7 @@ class BoscoService:
             np.asarray(true_utilities_y, dtype=np.float64),
         )
         # Vectorized conclusion test and transfer; the transfer is
-        # computed only where concluded (the scalar path's guard), so
+        # computed only where concluded (the reference's guard), so
         # opposing infinite claims never produce a NaN.
         concluded = claims_x + claims_y >= 0.0
         transfers = np.zeros(len(claims_x))

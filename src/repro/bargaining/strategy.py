@@ -1,4 +1,4 @@
-"""Bargaining strategies and best-response computation (§V-C4, Algorithm 1).
+"""Bargaining strategies and equilibrium profiles (§V-C4–C5).
 
 A bargaining strategy ``σ_Z(u_Z)`` maps the true utility of a party to a
 choice from its choice set.  Because the expected after-negotiation
@@ -7,7 +7,9 @@ utility of committing choice ``v_{X,i}`` is a *linear* function
 a threshold strategy: the real line is partitioned into half-open
 intervals ``[t_i, t_{i+1})`` and choice ``i`` is played on the ``i``-th
 interval.  Algorithm 1 of the paper computes that threshold series as
-the upper envelope of the lines ``(m_i, q_i)``.
+the upper envelope of the lines ``(m_i, q_i)``; the batched
+:class:`~repro.bargaining.engine.NegotiationEngine` runs it, and a
+:class:`StrategyProfile` holds the equilibrium it finds.
 """
 
 from __future__ import annotations
@@ -101,102 +103,35 @@ class ThresholdStrategy:
         return True
 
 
-def truthful_like_strategy(choices: ChoiceSet) -> ThresholdStrategy:
-    """The quantized-truthful strategy: claim the largest choice below the truth.
+@dataclass(frozen=True)
+class StrategyProfile:
+    """A pair of strategies, one per party."""
 
-    Used as the starting point of best-response dynamics; any starting
-    strategy works (§V-C5), but this one is close to the truthful
-    strategy and converges quickly.
+    strategy_x: ThresholdStrategy
+    strategy_y: ThresholdStrategy
+
+
+class EquilibriumError(Exception):
+    """Raised when best-response dynamics fail to converge.
+
+    Carries a diagnostic payload so callers can log *how* the search
+    failed instead of silently retrying: ``iterations`` is the number of
+    best-response rounds performed by the last attempted start,
+    ``last_delta`` the largest threshold movement in its final round
+    (``∞`` when an infinity flipped sides), and ``skipped_trials`` the
+    number of configuration trials discarded before the failure was
+    raised (set by :class:`~repro.bargaining.mechanism.BoscoService`).
     """
-    thresholds = [float("-inf")]
-    thresholds.extend(choices.finite_values)
-    return ThresholdStrategy(choices=choices, thresholds=tuple(thresholds))
 
-
-def compute_best_response(
-    choices: ChoiceSet,
-    slopes: list[float],
-    intercepts: list[float],
-) -> ThresholdStrategy:
-    """Algorithm 1: best-response thresholds from the lines ``(m_i, q_i)``.
-
-    ``slopes[i] = m_i`` and ``intercepts[i] = q_i`` describe the expected
-    after-negotiation utility ``m_i · u + q_i`` of committing choice
-    ``i``.  The slopes are non-decreasing in ``i`` (the conclusion
-    probability grows with the claim); the best response plays, for every
-    true utility ``u``, the choice whose line is the upper envelope at
-    ``u``.  The threshold series is the sequence of takeover points of
-    that envelope.
-    """
-    count = len(choices)
-    if len(slopes) != count or len(intercepts) != count:
-        raise ValueError("need one (slope, intercept) pair per choice")
-    for index in range(1, count):
-        if slopes[index] < slopes[index - 1] - 1e-12:
-            raise ValueError(
-                "slopes must be non-decreasing in the choice index (the conclusion "
-                "probability grows with the claim)"
-            )
-
-    infinity = float("inf")
-    thresholds = [infinity] * count
-    thresholds[0] = float("-inf")
-
-    # Lines with the same slope never cross; only the one with the highest
-    # intercept can ever be optimal.  Keep exactly one "active" line per
-    # distinct slope (the paper notes the others are never played).
-    active: list[int] = []
-    index = 0
-    while index < count:
-        best = index
-        runner = index
-        while runner < count and slopes[runner] == slopes[index]:
-            if intercepts[runner] > intercepts[best]:
-                best = runner
-            runner += 1
-        active.append(best)
-        index = runner
-
-    # The line optimal for u → −∞ is the active line with the smallest slope.
-    for lower in range(active[0] + 1):
-        thresholds[lower] = float("-inf")
-
-    position = 0
-    while position + 1 < len(active):
-        current = active[position]
-        best_crossing = infinity
-        best_position = None
-        for next_position in range(position + 1, len(active)):
-            candidate = active[next_position]
-            crossing = (intercepts[current] - intercepts[candidate]) / (
-                slopes[candidate] - slopes[current]
-            )
-            steeper_tie = (
-                best_position is not None
-                and crossing == best_crossing
-                and slopes[candidate] > slopes[active[best_position]]
-            )
-            if crossing < best_crossing or steeper_tie:
-                best_crossing = crossing
-                best_position = next_position
-        if best_position is None:
-            # Every crossing overflowed to +inf (slope gaps too small to
-            # divide by): the remaining lines never take over at a finite u.
-            break
-        thresholds[active[best_position]] = best_crossing
-        position = best_position
-
-    # Choices that never appear on the envelope get an empty interval:
-    # their lower threshold is pulled up to the next assigned threshold.
-    for index in range(active[0] + 1, count):
-        if thresholds[index] == infinity:
-            later = [thresholds[j] for j in range(index + 1, count)]
-            later.append(infinity)
-            thresholds[index] = min(later)
-
-    # Enforce monotonicity against floating-point jitter.
-    for index in range(1, count):
-        if thresholds[index] < thresholds[index - 1]:
-            thresholds[index] = thresholds[index - 1]
-
-    return ThresholdStrategy(choices=choices, thresholds=tuple(thresholds))
+    def __init__(
+        self,
+        message: str,
+        *,
+        iterations: int | None = None,
+        last_delta: float | None = None,
+        skipped_trials: int | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.iterations = iterations
+        self.last_delta = last_delta
+        self.skipped_trials = skipped_trials

@@ -2,17 +2,22 @@
 
 Only tests and ``benchmarks/`` import this module (an AST test keeps it
 that way), so no production class carries a testing fallback.  The
-BOSCO oracles draw X's choice set, then Y's, per trial from the ``rng``
-they are given: calls in sequence on one ``default_rng(seed)`` reproduce
-a ``BoscoService(distribution, seed=seed)`` making the same calls.  The
-MA path index oracle keeps one tuple per path in per-AS dicts and sets,
-with the per-AS diversity and pair-metric loops that read it.  The
-§III-B3 extension oracle builds one :class:`ExtensionAgreement` per
-(segment, peer) pair and indexes the length-4 paths they create.
+scalar BOSCO solver — Eqs. 14–17, Algorithm 1, best-response dynamics
+and Eqs. 19–20, one trial at a time in pure Python — is the oracle of
+:class:`~repro.bargaining.engine.NegotiationEngine`, the one solver in
+production.  The BOSCO configuration oracles draw X's choice set, then
+Y's, per trial from the ``rng`` they are given: calls in sequence on one
+``default_rng(seed)`` reproduce a ``BoscoService(distribution,
+seed=seed)`` making the same calls.  The MA path index oracle keeps one
+tuple per path in per-AS dicts and sets, with the per-AS diversity and
+pair-metric loops that read it.  The §III-B3 extension oracle builds one
+:class:`ExtensionAgreement` per (segment, peer) pair and indexes the
+length-4 paths they create.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -22,19 +27,11 @@ import numpy as np
 from repro.agents.negotiator import CohortEntry, _check_keys
 from repro.agreements.agreement import Agreement
 from repro.agreements.extension import ExtensionAgreement, SegmentOffer
-from repro.bargaining.choices import random_choice_set
-from repro.bargaining.distributions import JointUtilityDistribution
-from repro.bargaining.efficiency import (
-    expected_nash_product,
-    expected_truthful_nash_product,
-    price_of_dishonesty,
-)
-from repro.bargaining.game import BargainingGame, EquilibriumError
-from repro.bargaining.mechanism import (
-    BoscoService,
-    MechanismInformation,
-    NegotiationOutcome,
-)
+from repro.bargaining.choices import ChoiceSet, random_choice_set
+from repro.bargaining.distributions import JointUtilityDistribution, UtilityDistribution
+from repro.bargaining.efficiency import expected_truthful_nash_product
+from repro.bargaining.mechanism import MechanismInformation, NegotiationOutcome
+from repro.bargaining.strategy import EquilibriumError, StrategyProfile, ThresholdStrategy
 from repro.core import PathEngine, path_engine_for
 from repro.paths.diversity import ASDiversityRecord, sample_ases
 from repro.paths.grc import grc_length3_paths
@@ -42,6 +39,359 @@ from repro.paths.pair_metrics import PairMetric, PairMetricRecord, PairMetricRes
 from repro.topology.graph import ASGraph
 
 
+# ----------------------------------------------------------------------
+# The scalar BOSCO solver (§V-C): one trial at a time
+# ----------------------------------------------------------------------
+def profile_delta(first: tuple[float, ...], second: tuple[float, ...]) -> float:
+    """Largest threshold movement between two series; ``∞`` on an infinity mismatch."""
+    delta = 0.0
+    for a, b in zip(first, second):
+        if a == b:
+            continue
+        if math.isinf(a) or math.isinf(b):
+            return float("inf")
+        delta = max(delta, abs(a - b))
+    return delta
+
+
+def choice_probabilities(
+    strategy: ThresholdStrategy, distribution: UtilityDistribution
+) -> list[float]:
+    """Probability that each choice is played, ``P[v_Z = v_{Z,i}]`` (Eq. 15)."""
+    probabilities = []
+    for index in range(len(strategy.choices)):
+        low, high = strategy.interval(index)
+        low = max(low, distribution.lower)
+        high = min(high, distribution.upper)
+        probabilities.append(distribution.mass(low, high) if high > low else 0.0)
+    return probabilities
+
+
+def response_lines(
+    own_choices: ChoiceSet,
+    opponent_choices: ChoiceSet,
+    opponent_probabilities: list[float],
+) -> tuple[list[float], list[float]]:
+    """Slopes ``m_i`` (Eq. 16) and intercepts ``q_i`` (Eq. 17) of the response lines."""
+    slopes: list[float] = []
+    intercepts: list[float] = []
+    for own_value in own_choices.values:
+        if math.isinf(own_value):
+            # The cancel option never concludes: zero expected utility.
+            slopes.append(0.0)
+            intercepts.append(0.0)
+            continue
+        slope = 0.0
+        intercept = 0.0
+        for opponent_value, probability in zip(
+            opponent_choices.values, opponent_probabilities
+        ):
+            if math.isinf(opponent_value):
+                continue
+            if opponent_value >= -own_value:
+                slope += probability
+                intercept += probability * (opponent_value - own_value) / 2.0
+        slopes.append(slope)
+        intercepts.append(intercept)
+    return slopes, intercepts
+
+
+def truthful_like_strategy(choices: ChoiceSet) -> ThresholdStrategy:
+    """The quantized-truthful strategy: claim the largest choice below the truth."""
+    thresholds = [float("-inf")]
+    thresholds.extend(choices.finite_values)
+    return ThresholdStrategy(choices=choices, thresholds=tuple(thresholds))
+
+
+def compute_best_response(
+    choices: ChoiceSet,
+    slopes: list[float],
+    intercepts: list[float],
+) -> ThresholdStrategy:
+    """Algorithm 1: best-response thresholds from the upper envelope of the lines."""
+    count = len(choices)
+    if len(slopes) != count or len(intercepts) != count:
+        raise ValueError("need one (slope, intercept) pair per choice")
+    for index in range(1, count):
+        if slopes[index] < slopes[index - 1] - 1e-12:
+            raise ValueError(
+                "slopes must be non-decreasing in the choice index (the conclusion "
+                "probability grows with the claim)"
+            )
+
+    infinity = float("inf")
+    thresholds = [infinity] * count
+    thresholds[0] = float("-inf")
+
+    # One active line per distinct slope: the first with the highest intercept.
+    active: list[int] = []
+    index = 0
+    while index < count:
+        best = index
+        runner = index
+        while runner < count and slopes[runner] == slopes[index]:
+            if intercepts[runner] > intercepts[best]:
+                best = runner
+            runner += 1
+        active.append(best)
+        index = runner
+
+    # The line optimal for u → −∞ is the active line with the smallest slope.
+    for lower in range(active[0] + 1):
+        thresholds[lower] = float("-inf")
+
+    position = 0
+    while position + 1 < len(active):
+        current = active[position]
+        best_crossing = infinity
+        best_position = None
+        for next_position in range(position + 1, len(active)):
+            candidate = active[next_position]
+            crossing = (intercepts[current] - intercepts[candidate]) / (
+                slopes[candidate] - slopes[current]
+            )
+            steeper_tie = (
+                best_position is not None
+                and crossing == best_crossing
+                and slopes[candidate] > slopes[active[best_position]]
+            )
+            if crossing < best_crossing or steeper_tie:
+                best_crossing = crossing
+                best_position = next_position
+        if best_position is None:
+            # Every crossing overflowed to +inf (slope gaps too small to
+            # divide by): the remaining lines never take over at a finite u.
+            break
+        thresholds[active[best_position]] = best_crossing
+        position = best_position
+
+    # Choices never on the envelope get an empty interval.
+    for index in range(active[0] + 1, count):
+        if thresholds[index] == infinity:
+            later = [thresholds[j] for j in range(index + 1, count)]
+            later.append(infinity)
+            thresholds[index] = min(later)
+
+    # Enforce monotonicity against floating-point jitter.
+    for index in range(1, count):
+        if thresholds[index] < thresholds[index - 1]:
+            thresholds[index] = thresholds[index - 1]
+
+    return ThresholdStrategy(choices=choices, thresholds=tuple(thresholds))
+
+
+@dataclass
+class BargainingGame:
+    """The one-shot bargaining game between two parties (§V-C3)."""
+
+    distribution_x: UtilityDistribution
+    distribution_y: UtilityDistribution
+    choices_x: ChoiceSet
+    choices_y: ChoiceSet
+
+    def best_response(
+        self, party: str, opponent_strategy: ThresholdStrategy
+    ) -> ThresholdStrategy:
+        """Best-response strategy of party ``"x"`` or ``"y"`` against the opponent's."""
+        if party == "x":
+            own_choices = self.choices_x
+            opponent_choices = self.choices_y
+            opponent_distribution = self.distribution_y
+        elif party == "y":
+            own_choices = self.choices_y
+            opponent_choices = self.choices_x
+            opponent_distribution = self.distribution_x
+        else:
+            raise ValueError(f"party must be 'x' or 'y', got {party!r}")
+        probabilities = choice_probabilities(opponent_strategy, opponent_distribution)
+        slopes, intercepts = response_lines(own_choices, opponent_choices, probabilities)
+        return compute_best_response(own_choices, slopes, intercepts)
+
+    def find_equilibrium(
+        self,
+        *,
+        initial_x: ThresholdStrategy | None = None,
+        initial_y: ThresholdStrategy | None = None,
+        max_iterations: int = 200,
+        tolerance: float = 1e-12,
+    ) -> StrategyProfile:
+        """Alternating best-response dynamics over the starting profiles, in order."""
+        if initial_x is not None or initial_y is not None:
+            starts = [
+                (
+                    initial_x or truthful_like_strategy(self.choices_x),
+                    initial_y or truthful_like_strategy(self.choices_y),
+                )
+            ]
+        else:
+            starts = self._default_starting_profiles()
+        iterations_used = 0
+        last_delta = float("inf")
+        for start_x, start_y in starts:
+            profile, iterations_used, last_delta = self._iterate_best_responses(
+                start_x, start_y, max_iterations=max_iterations, tolerance=tolerance
+            )
+            if profile is not None:
+                return profile
+        raise EquilibriumError(
+            f"best-response dynamics did not converge within {max_iterations} "
+            "iterations from any starting profile",
+            iterations=iterations_used,
+            last_delta=last_delta,
+        )
+
+    def _default_starting_profiles(
+        self,
+    ) -> list[tuple[ThresholdStrategy, ThresholdStrategy]]:
+        """Truthful, truthful/cancel, cancel/truthful, then always-maximal."""
+        infinity = float("inf")
+
+        def always_cancel(choices: ChoiceSet) -> ThresholdStrategy:
+            thresholds = (float("-inf"),) + (infinity,) * (len(choices) - 1)
+            return ThresholdStrategy(choices=choices, thresholds=thresholds)
+
+        def always_maximal(choices: ChoiceSet) -> ThresholdStrategy:
+            thresholds = (float("-inf"),) * len(choices)
+            return ThresholdStrategy(choices=choices, thresholds=thresholds)
+
+        truthful_x = truthful_like_strategy(self.choices_x)
+        truthful_y = truthful_like_strategy(self.choices_y)
+        return [
+            (truthful_x, truthful_y),
+            (truthful_x, always_cancel(self.choices_y)),
+            (always_cancel(self.choices_x), truthful_y),
+            (always_maximal(self.choices_x), always_maximal(self.choices_y)),
+        ]
+
+    def _iterate_best_responses(
+        self,
+        strategy_x: ThresholdStrategy,
+        strategy_y: ThresholdStrategy,
+        *,
+        max_iterations: int,
+        tolerance: float,
+    ) -> tuple[StrategyProfile | None, int, float]:
+        """``(profile or None on a cycle or timeout, iterations, last_delta)`` of one start."""
+        seen: set[tuple[tuple[float, ...], tuple[float, ...]]] = set()
+        last_delta = float("inf")
+        iteration = 0
+        for iteration in range(1, max_iterations + 1):
+            next_x = self.best_response("x", strategy_y)
+            next_y = self.best_response("y", next_x)
+            converged = next_x.approximately_equal(
+                strategy_x, tolerance
+            ) and next_y.approximately_equal(strategy_y, tolerance)
+            last_delta = profile_delta(
+                next_x.thresholds + next_y.thresholds,
+                strategy_x.thresholds + strategy_y.thresholds,
+            )
+            strategy_x, strategy_y = next_x, next_y
+            if converged:
+                profile = StrategyProfile(strategy_x=strategy_x, strategy_y=strategy_y)
+                return profile, iteration, last_delta
+            signature = (strategy_x.thresholds, strategy_y.thresholds)
+            if signature in seen:
+                return None, iteration, last_delta
+            seen.add(signature)
+        return None, iteration, last_delta
+
+    def is_equilibrium(
+        self, profile: StrategyProfile, tolerance: float = 1e-9
+    ) -> bool:
+        """Whether the profile is a pair of mutual best responses (§V-C6)."""
+        best_x = self.best_response("x", profile.strategy_y)
+        best_y = self.best_response("y", profile.strategy_x)
+        return best_x.approximately_equal(
+            profile.strategy_x, tolerance
+        ) and best_y.approximately_equal(profile.strategy_y, tolerance)
+
+
+def nash_product_value(
+    utility_x: float, utility_y: float, claim_x: float, claim_y: float
+) -> float:
+    """The Nash bargaining product ``N(u_X, u_Y, v_X, v_Y)`` (Eq. 13)."""
+    if math.isinf(claim_x) or math.isinf(claim_y) or claim_x + claim_y < 0.0:
+        return 0.0
+    transfer = (claim_x - claim_y) / 2.0
+    return (utility_x - transfer) * (utility_y + transfer)
+
+
+def expected_nash_product(
+    profile: StrategyProfile, distribution: JointUtilityDistribution
+) -> float:
+    """``E[N | σ]`` (Eq. 19), summed over the rectangles of the two strategies' intervals."""
+    strategy_x, strategy_y = profile.strategy_x, profile.strategy_y
+    marginal_x, marginal_y = distribution.marginal_x, distribution.marginal_y
+    total = 0.0
+    for index_x in range(len(strategy_x.choices)):
+        claim_x = strategy_x.choices[index_x]
+        if math.isinf(claim_x):
+            continue
+        low_x, high_x = strategy_x.interval(index_x)
+        low_x = max(low_x, marginal_x.lower)
+        high_x = min(high_x, marginal_x.upper)
+        if high_x <= low_x:
+            continue
+        mass_x = marginal_x.mass(low_x, high_x)
+        mean_x = marginal_x.partial_mean(low_x, high_x)
+        for index_y in range(len(strategy_y.choices)):
+            claim_y = strategy_y.choices[index_y]
+            if math.isinf(claim_y) or claim_x + claim_y < 0.0:
+                continue
+            low_y, high_y = strategy_y.interval(index_y)
+            low_y = max(low_y, marginal_y.lower)
+            high_y = min(high_y, marginal_y.upper)
+            if high_y <= low_y:
+                continue
+            mass_y = marginal_y.mass(low_y, high_y)
+            mean_y = marginal_y.partial_mean(low_y, high_y)
+            transfer = (claim_x - claim_y) / 2.0
+            # ∫∫ (u_X − Π)(u_Y + Π) f_X f_Y factorizes because Π is constant
+            # on the rectangle.
+            total += (mean_x - transfer * mass_x) * (mean_y + transfer * mass_y)
+    return total
+
+
+def price_of_dishonesty(
+    profile: StrategyProfile,
+    distribution: JointUtilityDistribution,
+    *,
+    truthful_value: float | None = None,
+) -> float:
+    """``PoD(σ*) = 1 − E[N | σ*] / E[N | σ⊤]`` (Eq. 20), clamped to ``[0, 1]``."""
+    if truthful_value is None:
+        truthful_value = expected_truthful_nash_product(distribution)
+    if truthful_value <= 0.0:
+        raise ValueError(
+            "the Price of Dishonesty is undefined when the truthful expected Nash "
+            "product is zero"
+        )
+    value = expected_nash_product(profile, distribution)
+    pod = 1.0 - value / truthful_value
+    return min(1.0, max(0.0, pod))
+
+
+def negotiate(
+    information: MechanismInformation, true_utility_x: float, true_utility_y: float
+) -> NegotiationOutcome:
+    """One negotiation under the published equilibrium strategies."""
+    claim_x = information.equilibrium.strategy_x(true_utility_x)
+    claim_y = information.equilibrium.strategy_y(true_utility_y)
+    concluded = claim_x + claim_y >= 0.0
+    transfer = (claim_x - claim_y) / 2.0 if concluded else 0.0
+    return NegotiationOutcome(
+        claim_x=claim_x,
+        claim_y=claim_y,
+        concluded=concluded,
+        transfer_x_to_y=transfer,
+        true_utility_x=true_utility_x,
+        true_utility_y=true_utility_y,
+    )
+
+
+# ----------------------------------------------------------------------
+# BOSCO configuration: one trial, one scalar game
+# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ChoiceSetTrialResult:
     """Outcome of one random choice-set trial during configuration."""
@@ -162,7 +512,7 @@ def decide_sequential(
     """Decide a mixed cohort with one scalar negotiation per entry."""
     _check_keys(mechanisms, entries)
     return [
-        BoscoService.negotiate(mechanisms[entry.key], entry.utility_x, entry.utility_y)
+        negotiate(mechanisms[entry.key], entry.utility_x, entry.utility_y)
         for entry in entries
     ]
 

@@ -12,14 +12,15 @@ from repro.bargaining.distributions import (
     paper_distribution_u1,
     paper_distribution_u2,
 )
-from repro.bargaining.efficiency import (
+from repro.bargaining.efficiency import expected_truthful_nash_product
+from repro.bargaining.strategy import StrategyProfile
+from repro.reference import (
+    BargainingGame,
     expected_nash_product,
-    expected_truthful_nash_product,
     nash_product_value,
     price_of_dishonesty,
+    truthful_like_strategy,
 )
-from repro.bargaining.game import BargainingGame, StrategyProfile
-from repro.bargaining.strategy import truthful_like_strategy
 
 
 class TestNashProductValue:

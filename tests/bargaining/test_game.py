@@ -7,13 +7,13 @@ import pytest
 
 from repro.bargaining.choices import ChoiceSet, random_choice_set
 from repro.bargaining.distributions import UniformUtilityDistribution
-from repro.bargaining.game import (
+from repro.bargaining.strategy import StrategyProfile, ThresholdStrategy
+from repro.reference import (
     BargainingGame,
-    StrategyProfile,
     choice_probabilities,
     response_lines,
+    truthful_like_strategy,
 )
-from repro.bargaining.strategy import ThresholdStrategy, truthful_like_strategy
 
 
 @pytest.fixture()
@@ -120,7 +120,7 @@ class TestEquilibrium:
 
 class TestEquilibriumErrorDiagnostics:
     def test_error_carries_iteration_and_delta_payload(self, symmetric_game):
-        from repro.bargaining.game import EquilibriumError
+        from repro.bargaining.strategy import EquilibriumError
 
         # max_iterations=1 cannot confirm convergence, so the search
         # exhausts every starting profile and reports its last attempt.
@@ -131,7 +131,7 @@ class TestEquilibriumErrorDiagnostics:
         assert error.last_delta is not None and error.last_delta >= 0.0
 
     def test_payload_defaults_to_none(self):
-        from repro.bargaining.game import EquilibriumError
+        from repro.bargaining.strategy import EquilibriumError
 
         error = EquilibriumError("boom")
         assert error.iterations is None
@@ -139,7 +139,7 @@ class TestEquilibriumErrorDiagnostics:
         assert error.skipped_trials is None
 
     def test_profile_delta(self):
-        from repro.bargaining.game import profile_delta
+        from repro.reference import profile_delta
 
         assert profile_delta((-math.inf, 0.0), (-math.inf, 0.0)) == 0.0
         assert profile_delta((-math.inf, 0.5), (-math.inf, 0.25)) == 0.25

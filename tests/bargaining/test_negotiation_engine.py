@@ -6,6 +6,7 @@ here the engine's pieces are pinned against the per-instance reference
 functions directly.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.bargaining.choices import ChoiceSet, random_choice_set
 from repro.bargaining.distributions import (
     TruncatedNormalUtilityDistribution,
     paper_distribution_u1,
+    paper_distribution_u2,
 )
 from repro.bargaining.engine import (
     GameBatch,
@@ -24,15 +26,14 @@ from repro.bargaining.engine import (
     batched_claims,
     kernel_for,
 )
-from repro.bargaining.game import (
+from repro.bargaining.mechanism import BoscoService
+from repro.bargaining.strategy import ThresholdStrategy
+from repro.reference import (
     BargainingGame,
     choice_probabilities,
-    response_lines,
-)
-from repro.bargaining.mechanism import BoscoService
-from repro.bargaining.strategy import (
-    ThresholdStrategy,
     compute_best_response,
+    negotiate,
+    response_lines,
     truthful_like_strategy,
 )
 
@@ -140,6 +141,22 @@ class TestBatchedPrimitives:
             assert list(slopes[row]) == reference_slopes
             assert list(intercepts[row]) == reference_intercepts
 
+    def test_overflowing_masked_claim_gap_matches_reference(self, engine):
+        # (−1.75e308, 1.7e308) does not conclude, but its ``opp − own``
+        # overflows: the masked term must be an exact, silent 0.0 as in
+        # the scalar loop, not ``∞ · 0.0 = NaN``.
+        own = ChoiceSet((-math.inf, -1.75e308, 0.0))
+        opponent = ChoiceSet((-math.inf, 0.0, 1.7e308))
+        probabilities = [0.0, 0.5, 0.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slopes, intercepts = engine.response_lines(
+                np.array([own.values]), np.array([opponent.values]), np.array([probabilities])
+            )
+        reference_slopes, reference_intercepts = response_lines(own, opponent, probabilities)
+        assert list(slopes[0]) == reference_slopes
+        assert list(intercepts[0]) == reference_intercepts == [0.0, 0.0, 4.25e307]
+
     def test_best_responses_match_reference(self, engine):
         batch = make_batch(size=6, num_choices=5, seed=5)
         kernel = kernel_for(batch.distribution.marginal_y)
@@ -240,9 +257,23 @@ class TestBatchedClaims:
             information, list(pairs[:, 0]), list(pairs[:, 1])
         )
         for (utility_x, utility_y), outcome in zip(pairs, outcomes):
-            assert outcome == BoscoService.negotiate(
+            assert outcome == negotiate(
                 information, float(utility_x), float(utility_y)
             )
+
+    @pytest.mark.parametrize("distribution", [paper_distribution_u1, paper_distribution_u2])
+    def test_negotiate_many_matches_at_the_mechanism_property_scale(self, distribution):
+        # The configuration and samples of the §V-D property tests in
+        # tests/bargaining/test_mechanism.py, which run the reference.
+        information = BoscoService(distribution(), seed=4).configure(20, trials=8)
+        pairs = information.distribution.sample(np.random.default_rng(9), size=400)
+        outcomes = BoscoService.negotiate_many(
+            information, list(pairs[:, 0]), list(pairs[:, 1])
+        )
+        assert outcomes == [
+            negotiate(information, float(utility_x), float(utility_y))
+            for utility_x, utility_y in pairs
+        ]
 
     def test_negotiate_many_rejects_mismatched_lengths(self):
         service = BoscoService(paper_distribution_u1(), seed=11)

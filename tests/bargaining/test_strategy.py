@@ -5,11 +5,8 @@ import math
 import pytest
 
 from repro.bargaining.choices import CANCEL, ChoiceSet
-from repro.bargaining.strategy import (
-    ThresholdStrategy,
-    compute_best_response,
-    truthful_like_strategy,
-)
+from repro.bargaining.strategy import ThresholdStrategy
+from repro.reference import compute_best_response, truthful_like_strategy
 
 
 @pytest.fixture()

