@@ -126,9 +126,10 @@ def _naive_all_sources(graph) -> dict[int, tuple[int, int]]:
 def _engine_all_sources(graph) -> dict[int, tuple[int, int]]:
     """The same quantities from a cold compiled engine (compile included)."""
     engine = PathEngine(compile_topology(graph))
-    counts = engine.counts_by_source()
-    destination_counts = engine.destination_counts_by_source()
-    return {asn: (counts[asn], destination_counts[asn]) for asn in counts}
+    n = engine.topology.n
+    counts = engine.counts_range(0, n).tolist()
+    destination_counts = engine.destination_counts_range(0, n).tolist()
+    return dict(zip(engine.topology.asns, zip(counts, destination_counts)))
 
 
 def test_path_engine_speedup(paper_scale):

@@ -23,7 +23,8 @@ from repro.bargaining import (
     paper_distribution_u1,
     random_choice_set,
 )
-from repro.paths import build_ma_path_index, grc_length3_paths
+from repro.core import path_engine_for
+from repro.paths import build_ma_path_index
 from repro.reference import BargainingGame
 from repro.routing import BGPSimulator
 from repro.routing.policies import gao_rexford_policies
@@ -54,7 +55,7 @@ def test_grc_path_enumeration(benchmark, bench_topology):
     sources = sorted(graph.ases)[:50]
 
     def enumerate_all() -> int:
-        return sum(len(grc_length3_paths(graph, source)) for source in sources)
+        return sum(len(path_engine_for(graph).paths(source)) for source in sources)
 
     total = benchmark(enumerate_all)
     assert total > 0
@@ -89,7 +90,7 @@ def test_geodistance_evaluation(benchmark, bench_topology):
     graph = bench_topology.graph
     embedding = SyntheticGeographyGenerator(seed=5).embed(graph)
     source = sorted(graph.ases)[10]
-    paths = list(grc_length3_paths(graph, source))[:200]
+    paths = list(path_engine_for(graph).paths(source))[:200]
 
     def evaluate() -> float:
         return sum(embedding.path_geodistance(path) for path in paths)

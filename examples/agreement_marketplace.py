@@ -22,9 +22,10 @@ from repro.agreements import (
     SegmentTraffic,
     enumerate_mutuality_agreements,
 )
+from repro.core import path_engine_for
 from repro.economics import ENDHOSTS, FlowVector, default_business_models
 from repro.optimization import negotiate_cash_agreement
-from repro.paths import build_ma_path_index, grc_length3_paths
+from repro.paths import build_ma_path_index
 from repro.routing import PathAwareNetwork
 from repro.topology import generate_topology
 
@@ -106,9 +107,10 @@ def main() -> None:
     index = build_ma_path_index([agreement for agreement, _ in concluded])
     sample = sorted(graph.ases)[:: max(1, len(graph) // 10)][:10]
     print("Path diversity for a few ASes (GRC paths → +new MA paths):")
+    engine = path_engine_for(graph)
     for asn in sample:
-        grc_count = len(grc_length3_paths(graph, asn))
-        ma_count = len(index.all_paths(asn) - grc_length3_paths(graph, asn))
+        grc_count = len(engine.paths(asn))
+        ma_count = len(index.all_paths(asn) - engine.paths(asn))
         print(f"  AS {asn:>4}: {grc_count:6d} → +{ma_count}")
 
     best = max(concluded, key=lambda item: item[1].joint_surplus)

@@ -8,10 +8,10 @@ This package is the performance substrate of the reproduction:
   built by one builder, :func:`~repro.core.compiled.compile_links`;
   the view is just those arrays, and its content fingerprint is a
   digest of them.
-- :class:`~repro.core.path_engine.PathEngine` computes the GRC
-  length-3 paths of *all* sources in one batched sweep over the
-  compiled arrays, memoizes per-source results, and supports
-  dirty-region invalidation under topology churn.
+- :class:`~repro.core.path_engine.PathEngine` answers GRC length-3
+  path queries over one compiled view: memoized per-source path and
+  destination sets, and all-sources counts in blocked sweeps over the
+  compiled arrays.
 - :mod:`~repro.core.arrays` provides the order-preserving reduction
   and scan kernels that keep batched engines (the path engine, the
   bargaining :class:`~repro.bargaining.engine.NegotiationEngine`)
@@ -25,8 +25,8 @@ This package is the performance substrate of the reproduction:
   ``np.load(mmap_mode="r")``, so worker processes share pages instead
   of recompiling.
 
-Higher layers (``paths``, ``agreements``, ``experiments``,
-``simulation``) consume these through the cached helpers
+Higher layers (``paths``, ``agreements``, ``experiments``, ``api``)
+consume these through the cached helpers
 :func:`compile_topology` and :func:`path_engine_for`, so repeated
 analyses of the same graph share one compiled view.
 """

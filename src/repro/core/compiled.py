@@ -17,10 +17,10 @@ state of an ``ASGraph`` into contiguous arrays:
   (:data:`ROLE_PROVIDER` / :data:`ROLE_PEER` / :data:`ROLE_CUSTOMER`),
   so batched sweeps answer "is the source a customer of this transit"
   with one vectorized comparison instead of per-pair set lookups.
-- **O(log deg) role tests** — membership tests binary-search the sorted
-  CSR rows; no Python pair sets are materialized, which keeps a view
-  loadable zero-copy from memory-mapped array files
-  (:mod:`repro.core.artifacts`).
+- **No pair sets** — only these arrays are stored (role lookups such
+  as :meth:`CompiledTopology.role_of` binary-search the sorted CSR
+  rows), which keeps a view loadable zero-copy from memory-mapped array
+  files (:mod:`repro.core.artifacts`).
 
 A compiled view is nothing but these arrays.  One CSR builder,
 :func:`compile_links`, makes them from interned link endpoints, whether
@@ -33,8 +33,7 @@ the arrays themselves, so it needs no source graph and cannot fail.
 Whether a view still describes a mutable graph is
 ``compile_topology(graph) is view``: the compile cache rebuilds exactly
 when the graph's :attr:`~repro.topology.graph.ASGraph.mutation_count`
-has moved, which is what the dynamic-network layer
-(:mod:`repro.simulation.network`) relies on to recompile on link churn.
+has moved.
 """
 
 from __future__ import annotations
@@ -72,14 +71,6 @@ ARRAY_FIELDS = (
     "nbr_indices",
     "nbr_roles",
 )
-
-
-def _row_contains(indptr: np.ndarray, indices: np.ndarray, row: int, value: int) -> bool:
-    """Whether a sorted CSR row contains ``value`` (binary search)."""
-    lo = int(indptr[row])
-    hi = int(indptr[row + 1])
-    pos = lo + int(np.searchsorted(indices[lo:hi], value))
-    return pos < hi and int(indices[pos]) == value
 
 
 class CompiledTopology:
@@ -139,8 +130,8 @@ class CompiledTopology:
         as-rel lines, or loaded from an artifact — share one
         fingerprint, and on-disk caches (sweep shards, topology
         artifacts, grc-all output) keyed by it describe exactly this
-        content.  Computed on first access, so churn-driven recompiles
-        never pay for the hash.
+        content.  Computed on first access, so recompiles of a mutated
+        graph never pay for the hash.
         """
         if self._source_fingerprint is None:
             rows = np.repeat(np.arange(self.n), self.degrees)
@@ -194,25 +185,6 @@ class CompiledTopology:
     def customers_idx(self, index: int) -> np.ndarray:
         """Sorted customer indices (``γ``) of the AS at ``index``."""
         return self.cust_indices[self.cust_indptr[index]:self.cust_indptr[index + 1]]
-
-    # ------------------------------------------------------------------
-    # Role / membership tests (binary search over sorted CSR rows)
-    # ------------------------------------------------------------------
-    def is_customer_idx(self, owner: int, candidate: int) -> bool:
-        """Whether ``candidate`` is a customer of ``owner`` (dense indices)."""
-        return _row_contains(self.cust_indptr, self.cust_indices, owner, candidate)
-
-    def has_link_idx(self, left: int, right: int) -> bool:
-        """Whether any link joins the two dense indices."""
-        return _row_contains(self.nbr_indptr, self.nbr_indices, left, right)
-
-    def is_customer(self, owner: int, candidate: int) -> bool:
-        """Whether AS ``candidate`` is in ``γ(owner)`` (ASN-level)."""
-        return self.is_customer_idx(self.index_of(owner), self.index_of(candidate))
-
-    def has_link(self, left: int, right: int) -> bool:
-        """Whether any link joins the two ASes (ASN-level)."""
-        return self.has_link_idx(self.index_of(left), self.index_of(right))
 
     def role_of(self, asn: int, neighbor: int) -> Role:
         """Role ``neighbor`` plays for ``asn``, mirroring :meth:`ASGraph.role_of`."""
@@ -344,8 +316,7 @@ def compile_links(
 
 
 #: Per-graph compile cache of ``(mutation_count, view)``.  Weakly keyed
-#: so snapshots (e.g. the rolling active graphs of a DynamicNetwork) do
-#: not accumulate.
+#: so the views of discarded graphs do not accumulate.
 _COMPILE_CACHE: "weakref.WeakKeyDictionary[ASGraph, tuple[int, CompiledTopology]]" = (
     weakref.WeakKeyDictionary()
 )

@@ -35,11 +35,11 @@ computed in separate processes against the same memory-mapped topology
 artifact and concatenated in range order — byte-identical to one
 sequential pass.
 
-Results are memoized per source; :meth:`PathEngine.refresh` implements
-the dirty-region invalidation contract used under topology churn: only
-sources whose path set can have changed are dropped, everything else is
-carried over (an AS's paths depend only on its 2-hop neighborhood, so a
-changed link ``a – b`` can only affect ``{a, b} ∪ N(a) ∪ N(b)``).
+Per-source results are memoized.  An engine answers for exactly one
+compiled view, :attr:`PathEngine.topology`, for its whole lifetime; a
+mutated graph compiles to a new view and :func:`path_engine_for` builds
+a new engine for it, so ``engine.topology is compile_topology(graph)``
+tells whether an engine still describes ``graph``.
 """
 
 from __future__ import annotations
@@ -89,65 +89,24 @@ def _gather_rows(
 
 
 class PathEngine:
-    """All-sources GRC length-3 path queries with per-source memoization.
+    """GRC length-3 path queries over one :class:`CompiledTopology`.
 
-    The engine exposes the :mod:`repro.paths.grc` vocabulary on top of a
-    :class:`CompiledTopology`: :meth:`paths`, :meth:`destinations`,
-    :meth:`count`, and :meth:`paths_between` match the semantics of
-    ``grc_length3_paths``, ``grc_length3_destinations``,
-    ``count_grc_length3_paths``, and ``grc_paths_between`` exactly (the
-    property tests assert set-level equality against the naive
-    reference).  ``block_bytes`` bounds the peak memory of the blocked
-    all-sources destination sweep; the default suits everything from
-    paper scale to full CAIDA snapshots.
+    Per-source queries are :meth:`paths` and :meth:`destinations`, both
+    memoized; all-sources counts are :meth:`counts_range` and
+    :meth:`destination_counts_range` over contiguous index ranges.  The
+    property tests assert equality with the naive reference in
+    :mod:`repro.reference`.
     """
 
-    def __init__(
-        self, topology: CompiledTopology, *, block_bytes: int | None = None
-    ) -> None:
+    def __init__(self, topology: CompiledTopology) -> None:
         self._topo = topology
-        self.block_bytes = DEFAULT_BLOCK_BYTES if block_bytes is None else block_bytes
         self._path_memo: dict[int, frozenset[tuple[int, int, int]]] = {}
         self._dest_memo: dict[int, frozenset[int]] = {}
-        self._reset_batches()
 
     @property
     def topology(self) -> CompiledTopology:
-        """The compiled topology the engine currently answers for."""
+        """The compiled topology the engine answers for."""
         return self._topo
-
-    def _reset_batches(self) -> None:
-        self._counts: np.ndarray | None = None
-        self._dest_counts: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    # Invalidation / rebuild contract
-    # ------------------------------------------------------------------
-    def refresh(
-        self,
-        topology: CompiledTopology,
-        *,
-        dirty_sources: set[int] | frozenset[int] | None = None,
-    ) -> None:
-        """Swap in a newly compiled topology.
-
-        ``dirty_sources`` is the set of source ASNs whose results may
-        have changed; their memoized entries are dropped while all other
-        per-source results are carried over.  ``None`` means "unknown
-        extent" and clears everything.  Callers are responsible for the
-        dirty set being a superset of the truly affected sources — the
-        dynamic-network layer derives it from the endpoints and
-        neighborhoods of the churned links.
-        """
-        if dirty_sources is None:
-            self._path_memo.clear()
-            self._dest_memo.clear()
-        else:
-            for asn in dirty_sources:
-                self._path_memo.pop(asn, None)
-                self._dest_memo.pop(asn, None)
-        self._topo = topology
-        self._reset_batches()
 
     # ------------------------------------------------------------------
     # Batched sweeps
@@ -155,7 +114,7 @@ class PathEngine:
     def block_size(self) -> int:
         """Sources per destination block under the byte budget."""
         n = self._topo.n
-        return max(1, self.block_bytes // max(n, 1))
+        return max(1, DEFAULT_BLOCK_BYTES // max(n, 1))
 
     def counts_range(self, lo: int, hi: int) -> np.ndarray:
         """Path counts of the contiguous source range ``[lo, hi)``.
@@ -212,7 +171,7 @@ class PathEngine:
     def destination_counts_range(self, lo: int, hi: int) -> np.ndarray:
         """Destination counts of the source range ``[lo, hi)``, blocked.
 
-        Peak memory is bounded by ``block_bytes`` — blocks of
+        Peak memory is bounded by :data:`DEFAULT_BLOCK_BYTES` — blocks of
         :meth:`block_size` sources are materialized one at a time and
         reduced to their row sums immediately.
         """
@@ -224,16 +183,6 @@ class PathEngine:
             stop = min(start + step, hi)
             chunks.append(self._destination_block(start, stop).sum(axis=1))
         return np.concatenate(chunks).astype(np.int64)
-
-    def _counts_array(self) -> np.ndarray:
-        if self._counts is None:
-            self._counts = self.counts_range(0, self._topo.n)
-        return self._counts
-
-    def _dest_counts_array(self) -> np.ndarray:
-        if self._dest_counts is None:
-            self._dest_counts = self.destination_counts_range(0, self._topo.n)
-        return self._dest_counts
 
     def _destination_indices(self, index: int) -> np.ndarray:
         """Destination indices of one source (single-row union sweep)."""
@@ -253,26 +202,8 @@ class PathEngine:
         return merged[merged != index]
 
     # ------------------------------------------------------------------
-    # Per-source queries (grc.py semantics)
+    # Per-source queries
     # ------------------------------------------------------------------
-    def count(self, source: int) -> int:
-        """Number of GRC length-3 paths starting at ``source``."""
-        return int(self._counts_array()[self._topo.index_of(source)])
-
-    def destination_count(self, source: int) -> int:
-        """Number of destinations reachable from ``source``."""
-        return int(self._dest_counts_array()[self._topo.index_of(source)])
-
-    def counts_by_source(self) -> dict[int, int]:
-        """``{source ASN: path count}`` for every AS, in sorted ASN order."""
-        counts = self._counts_array()
-        return {asn: int(counts[i]) for i, asn in enumerate(self._topo.asns)}
-
-    def destination_counts_by_source(self) -> dict[int, int]:
-        """``{source ASN: destination count}`` for every AS."""
-        counts = self._dest_counts_array()
-        return {asn: int(counts[i]) for i, asn in enumerate(self._topo.asns)}
-
     def destinations(self, source: int) -> frozenset[int]:
         """Destinations reachable from ``source`` over GRC length-3 paths."""
         memo = self._dest_memo.get(source)
@@ -305,37 +236,6 @@ class PathEngine:
             self._path_memo[source] = memo
         return memo
 
-    def paths_between(
-        self, source: int, destination: int
-    ) -> frozenset[tuple[int, int, int]]:
-        """GRC length-3 paths between a specific AS pair (O(deg(source)))."""
-        topo = self._topo
-        s = topo.index_of(source)
-        d = topo.index_of(destination)
-        if s == d:
-            return frozenset()
-        found = []
-        asn = topo.asn_array
-        for t, role in zip(topo.neighbors_idx(s), topo.neighbor_roles_idx(s)):
-            t = int(t)
-            if t == d or not topo.has_link_idx(t, d):
-                continue
-            if role == ROLE_PROVIDER or topo.is_customer_idx(t, d):
-                found.append((source, int(asn[t]), destination))
-        return frozenset(found)
-
-    def is_grc_path(self, source: int, transit: int, destination: int) -> bool:
-        """Whether ``(source, transit, destination)`` is a GRC length-3 path."""
-        topo = self._topo
-        s = topo.index_of(source)
-        t = topo.index_of(transit)
-        d = topo.index_of(destination)
-        if len({s, t, d}) != 3:
-            return False
-        if not (topo.has_link_idx(s, t) and topo.has_link_idx(t, d)):
-            return False
-        return topo.is_customer_idx(t, s) or topo.is_customer_idx(t, d)
-
 
 #: Per-graph engine cache, weakly keyed like the compile cache.
 _ENGINE_CACHE: "weakref.WeakKeyDictionary[ASGraph, PathEngine]" = (
@@ -344,20 +244,16 @@ _ENGINE_CACHE: "weakref.WeakKeyDictionary[ASGraph, PathEngine]" = (
 
 
 def path_engine_for(graph: ASGraph) -> PathEngine:
-    """Shared engine for a graph, recompiled transparently on mutation.
+    """Shared engine for the graph's current compiled view.
 
-    This is what lets the :mod:`repro.paths.grc` module-level API keep
-    its ``(graph, source)`` signature while every consumer shares one
-    compiled topology and one memo per graph.  A mutation between calls
-    triggers a full refresh (no dirty-region knowledge at this level —
-    the dynamic-network layer, which does know the churned links, calls
-    :meth:`PathEngine.refresh` with an explicit dirty set instead).
+    Repeated calls on an unmutated graph return the same engine, so every
+    consumer shares one memo per graph; the first call after a mutation
+    builds a new engine over the new view and leaves the old one
+    answering for the old view.
     """
     compiled = compile_topology(graph)
     engine = _ENGINE_CACHE.get(graph)
-    if engine is None:
+    if engine is None or engine.topology is not compiled:
         engine = PathEngine(compiled)
         _ENGINE_CACHE[graph] = engine
-    elif engine.topology is not compiled:
-        engine.refresh(compiled)
     return engine

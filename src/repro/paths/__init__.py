@@ -16,13 +16,6 @@ from repro.paths.diversity import (
     sample_ases,
 )
 from repro.paths.extensions import analyze_extension_diversity
-from repro.paths.grc import (
-    count_grc_length3_paths,
-    grc_length3_destinations,
-    grc_length3_paths,
-    grc_paths_between,
-    is_grc_conforming_segment,
-)
 from repro.paths.ma_paths import (
     MAPathIndex,
     agreement_paths,
@@ -38,11 +31,6 @@ from repro.paths.pair_metrics import (
 )
 
 __all__ = [
-    "is_grc_conforming_segment",
-    "grc_length3_paths",
-    "grc_length3_destinations",
-    "grc_paths_between",
-    "count_grc_length3_paths",
     "MAPathIndex",
     "agreement_paths",
     "build_ma_path_index",

@@ -48,7 +48,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from repro.agreements.agreement import Agreement
-from repro.paths.grc import grc_length3_paths
+from repro.core import path_engine_for
 from repro.topology.graph import ASGraph
 
 Path3 = tuple[int, int, int]
@@ -273,7 +273,7 @@ class MAPathIndex:
         if n < 0:
             raise ValueError("n must be non-negative")
         if grc is None:
-            grc = grc_length3_paths(graph, asn) if graph is not None else frozenset()
+            grc = path_engine_for(graph).paths(asn) if graph is not None else frozenset()
         return frozenset(self.paths(asn, self.new_paths(asn, grc).top_n(n)))
 
 
@@ -360,5 +360,5 @@ def new_ma_paths(
     graph: ASGraph, index: MAPathIndex, asn: int, *, directly_gained_only: bool = False
 ) -> frozenset[Path3]:
     """MA paths of an AS that are not already available under the GRC."""
-    new = index.new_paths(asn, grc_length3_paths(graph, asn))
+    new = index.new_paths(asn, path_engine_for(graph).paths(asn))
     return frozenset(index.paths(asn, new.direct if directly_gained_only else new.all))

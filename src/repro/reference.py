@@ -34,7 +34,6 @@ from repro.bargaining.mechanism import MechanismInformation, NegotiationOutcome
 from repro.bargaining.strategy import EquilibriumError, StrategyProfile, ThresholdStrategy
 from repro.core import PathEngine, path_engine_for
 from repro.paths.diversity import ASDiversityRecord, sample_ases
-from repro.paths.grc import grc_length3_paths
 from repro.paths.pair_metrics import PairMetric, PairMetricRecord, PairMetricResult
 from repro.topology.graph import ASGraph
 
@@ -575,7 +574,7 @@ class MAPathIndex:
         if n < 0:
             raise ValueError("n must be non-negative")
         if grc is None:
-            grc = grc_length3_paths(graph, asn) if graph is not None else frozenset()
+            grc = path_engine_for(graph).paths(asn) if graph is not None else frozenset()
         per_agreement: dict[int, set[tuple[int, int, int]]] = defaultdict(set)
         for path, agreement in self.direct.get(asn, {}).items():
             if path in grc:
@@ -602,7 +601,7 @@ def new_ma_paths(
     graph: ASGraph, index: MAPathIndex, asn: int, *, directly_gained_only: bool = False
 ) -> frozenset[tuple[int, int, int]]:
     """MA paths of an AS that are not already available under the GRC."""
-    grc = grc_length3_paths(graph, asn)
+    grc = path_engine_for(graph).paths(asn)
     paths = index.direct_paths(asn) if directly_gained_only else index.all_paths(asn)
     return frozenset(path for path in paths if path not in grc)
 

@@ -34,7 +34,6 @@ from repro.simulation.network import DynamicNetwork
 from repro.simulation.routing import (
     AvailabilityMonitor,
     BGPRoutingService,
-    GRCPathAvailabilityService,
     PANRoutingService,
     RoutingService,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "RoutingService",
     "BGPRoutingService",
     "PANRoutingService",
-    "GRCPathAvailabilityService",
     "AvailabilityMonitor",
     "TimeVaryingDemand",
     "FlashCrowd",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.core import CompiledTopology, PathEngine, compile_topology
 from repro.topology.graph import ASGraph, TopologyError
 
 #: A topology-change listener: ``(time, change, (left, right))``.
@@ -21,18 +20,7 @@ ChangeListener = Callable[[float, str, tuple[int, int]], None]
 
 
 class DynamicNetwork:
-    """The base topology plus the set of currently failed links.
-
-    Besides the plain :meth:`active_graph` snapshots, the network keeps
-    a compiled view of the active topology (:meth:`compiled_active`) and
-    a batched GRC path engine (:meth:`path_engine`) that are recompiled
-    lazily on churn.  Recompilation is *dirty-region aware*: an AS's
-    length-3 paths depend only on its 2-hop neighborhood, so a churned
-    link ``a – b`` invalidates the memoized results of
-    ``{a, b} ∪ N(a) ∪ N(b)`` (neighborhoods read from the base graph, a
-    superset of any active state) and every other source's results are
-    carried over.
-    """
+    """The base topology plus the set of currently failed links."""
 
     def __init__(self, graph: ASGraph) -> None:
         self.base_graph = graph
@@ -40,11 +28,6 @@ class DynamicNetwork:
         self._listeners: list[ChangeListener] = []
         self._active_cache: ASGraph | None = None
         self.version = 0
-        self._compiled: CompiledTopology | None = None
-        self._compiled_version = -1
-        self._engine: PathEngine | None = None
-        self._dirty_sources: set[int] = set()
-        self.recompiles = 0
 
     # ------------------------------------------------------------------
     # Change subscription
@@ -56,10 +39,6 @@ class DynamicNetwork:
     def _notify(self, time: float, change: str, link: tuple[int, int]) -> None:
         self.version += 1
         self._active_cache = None
-        left, right = link
-        self._dirty_sources.update((left, right))
-        self._dirty_sources.update(self.base_graph.neighbors(left))
-        self._dirty_sources.update(self.base_graph.neighbors(right))
         for listener in self._listeners:
             listener(time, change, link)
 
@@ -121,32 +100,6 @@ class DynamicNetwork:
                 active.remove_link(left, right)
             self._active_cache = active
         return self._active_cache
-
-    def compiled_active(self) -> CompiledTopology:
-        """Compiled view of the active topology, rebuilt lazily on churn."""
-        if self._compiled is None or self._compiled_version != self.version:
-            self._compiled = compile_topology(self.active_graph())
-            self._compiled_version = self.version
-            self.recompiles += 1
-        return self._compiled
-
-    def path_engine(self) -> PathEngine:
-        """Batched GRC path engine over the active topology.
-
-        On the first call after churn the engine is refreshed onto a
-        freshly compiled active topology; memoized per-source results
-        survive for every AS outside the dirty region of the churned
-        links (see the class docstring for the region definition).
-        """
-        if self._engine is None:
-            self._engine = PathEngine(self.compiled_active())
-            self._dirty_sources.clear()
-        elif self._engine.topology is not self.compiled_active():
-            self._engine.refresh(
-                self.compiled_active(), dirty_sources=self._dirty_sources
-            )
-            self._dirty_sources.clear()
-        return self._engine
 
     def path_is_intact(self, path: tuple[int, ...]) -> bool:
         """Whether every link of an AS-level path is currently up."""

@@ -16,14 +16,6 @@ temporal dimension:
   pair is available as long as any discovered path is physically intact
   right now, without waiting for any global protocol to converge.
 
-- :class:`GRCPathAvailabilityService` answers availability from the
-  network's compiled GRC path engine: a pair counts as reachable when a
-  direct link or any GRC-conforming length-3 path exists in the active
-  topology.  It is the §VI path-diversity view made dynamic — and the
-  simulation-side consumer of the recompile-on-churn contract of
-  :meth:`repro.simulation.network.DynamicNetwork.path_engine` (only the
-  dirty region of a churned link is recomputed).
-
 An :class:`AvailabilityMonitor` samples the services over the same
 failure schedule and records the per-architecture availability ratio
 into the metrics trace — the dynamic counterpart of §II.
@@ -215,47 +207,6 @@ class PANRoutingService(RoutingService):
             self.network.path_is_intact(path)
             for path in self.paths(source, destination)
         )
-
-
-@dataclass
-class GRCPathAvailabilityService(RoutingService):
-    """Ideal GRC length-3 reachability over the live topology.
-
-    Unlike BGP (stale routes until reconvergence) and PAN (paths as of
-    the last beaconing pass), this service reads the compiled path
-    engine of the *current* active topology, so it is the oracle upper
-    bound for length-≤3 valley-free reachability: available exactly when
-    a direct link is up or at least one GRC-conforming length-3 path
-    exists right now.  Each lookup after churn triggers at most one
-    dirty-region recompile inside the network's engine.
-    """
-
-    network: DynamicNetwork
-    architecture: str = "GRC-L3"
-    name: str = "grc-l3"
-    _engine: SimulationEngine | None = field(default=None, init=False)
-
-    def start(self, engine: SimulationEngine) -> None:
-        self._engine = engine
-        self.network.path_engine()  # warm the compiled engine
-        self.network.subscribe(self._on_change)
-
-    def _on_change(self, time: float, change: str, link: tuple[int, int]) -> None:
-        engine = self._engine
-        assert engine is not None
-        engine.trace.record(
-            time,
-            "grc_engine_invalidated",
-            link=list(link),
-            change=change,
-            recompiles=self.network.recompiles,
-        )
-
-    def is_available(self, source: int, destination: int) -> bool:
-        """Reachable iff a live direct link or GRC length-3 path exists."""
-        if self.network.is_link_up(source, destination):
-            return True
-        return bool(self.network.path_engine().paths_between(source, destination))
 
 
 @dataclass

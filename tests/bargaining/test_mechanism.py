@@ -5,7 +5,6 @@ import pytest
 
 from repro.bargaining.distributions import paper_distribution_u1, paper_distribution_u2
 from repro.bargaining.mechanism import BoscoService
-from repro.reference import negotiate
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +59,9 @@ class TestMechanismProperties:
     def _sample_outcomes(self, information, count=400, seed=9):
         rng = np.random.default_rng(seed)
         pairs = information.distribution.sample(rng, size=count)
-        return [
-            negotiate(information, float(ux), float(uy)) for ux, uy in pairs
-        ]
+        return BoscoService.negotiate_many(
+            information, list(pairs[:, 0]), list(pairs[:, 1])
+        )
 
     def test_budget_balance(self, configured_mechanism):
         """What one party pays, the other receives — no money is created or lost."""
@@ -106,7 +105,7 @@ class TestMechanismProperties:
 
     def test_negotiation_transfer_is_half_the_claim_difference(self, configured_mechanism):
         _, information = configured_mechanism
-        outcome = negotiate(information, 0.8, 0.6)
+        (outcome,) = BoscoService.negotiate_many(information, [0.8], [0.6])
         if outcome.concluded:
             assert outcome.transfer_x_to_y == pytest.approx(
                 (outcome.claim_x - outcome.claim_y) / 2.0
@@ -115,7 +114,7 @@ class TestMechanismProperties:
     def test_hopeless_negotiation_is_cancelled(self, configured_mechanism):
         """Two strongly negative utilities must never conclude."""
         _, information = configured_mechanism
-        outcome = negotiate(information, -0.95, -0.95)
+        (outcome,) = BoscoService.negotiate_many(information, [-0.95], [-0.95])
         assert not outcome.concluded
         assert outcome.post_utility_x == 0.0
         assert outcome.nash_product == 0.0

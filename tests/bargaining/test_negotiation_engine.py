@@ -264,7 +264,7 @@ class TestBatchedClaims:
     @pytest.mark.parametrize("distribution", [paper_distribution_u1, paper_distribution_u2])
     def test_negotiate_many_matches_at_the_mechanism_property_scale(self, distribution):
         # The configuration and samples of the §V-D property tests in
-        # tests/bargaining/test_mechanism.py, which run the reference.
+        # tests/bargaining/test_mechanism.py, which run negotiate_many.
         information = BoscoService(distribution(), seed=4).configure(20, trials=8)
         pairs = information.distribution.sample(np.random.default_rng(9), size=400)
         outcomes = BoscoService.negotiate_many(

@@ -16,10 +16,10 @@ from repro.agreements import (
     joint_utilities,
 )
 from repro.bargaining import BoscoService, JointUtilityDistribution, UniformUtilityDistribution
+from repro.core import path_engine_for
 from repro.economics import ENDHOSTS, default_business_models
 from repro.optimization import compare_methods, negotiate_cash_agreement
-from repro.paths import analyze_path_diversity, build_ma_path_index, grc_length3_paths
-from repro.reference import negotiate
+from repro.paths import analyze_path_diversity, build_ma_path_index
 from repro.routing import BGPSimulator, ForwardingEngine, Packet, PathAwareNetwork
 from repro.routing.policies import gao_rexford_policies
 from repro.topology import AS_A, AS_B, AS_D, AS_E, figure1_topology
@@ -74,8 +74,8 @@ class TestAgreementLifecycle:
         )
         service = BoscoService(distribution, seed=17)
         information = service.configure(25, trials=5)
-        outcome = negotiate(
-            information, utilities[AS_D], utilities[AS_E]
+        (outcome,) = BoscoService.negotiate_many(
+            information, [utilities[AS_D]], [utilities[AS_E]]
         )
         # The joint surplus is positive, so soundness permits conclusion and
         # individual rationality guarantees neither party is worse off.
@@ -134,7 +134,7 @@ class TestTopologyWideWorkflow:
         sources = rng.choice(sorted(graph.ases), size=10, replace=False)
         for source in (int(s) for s in sources):
             ma_paths = list(index.all_paths(source))[:20]
-            grc_paths = list(grc_length3_paths(graph, source))[:20]
+            grc_paths = list(path_engine_for(graph).paths(source))[:20]
             for path in ma_paths + grc_paths:
                 result = engine.forward(Packet(path=path))
                 assert result.delivered, f"path {path} should be forwardable"

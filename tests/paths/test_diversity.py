@@ -3,12 +3,12 @@
 import pytest
 
 from repro.agreements import enumerate_mutuality_agreements
+from repro.core import path_engine_for
 from repro.paths.diversity import (
     analyze_as,
     analyze_path_diversity,
     sample_ases,
 )
-from repro.paths.grc import grc_length3_destinations, grc_length3_paths
 from repro.paths.ma_paths import build_ma_path_index
 from repro.topology import AS_D, AS_H, figure1_topology
 
@@ -39,9 +39,9 @@ class TestAnalyzeAs:
     def test_grc_counts_match_direct_enumeration(self, figure1_index):
         graph = figure1_topology()
         record = analyze_as(graph, figure1_index, AS_D)
-        assert record.path_counts["GRC"] == len(grc_length3_paths(graph, AS_D))
+        assert record.path_counts["GRC"] == len(path_engine_for(graph).paths(AS_D))
         assert record.destination_counts["GRC"] == len(
-            grc_length3_destinations(graph, AS_D)
+            path_engine_for(graph).destinations(AS_D)
         )
 
     def test_scenario_ordering_is_monotone(self, figure1_index):

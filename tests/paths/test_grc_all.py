@@ -52,13 +52,13 @@ class TestSequentialPass:
     def test_matches_path_engine_by_source(self, compiled):
         grc_pass = run_grc_all(compiled)
         engine = PathEngine(compiled)
-        counts = engine.counts_by_source()
-        destination_counts = engine.destination_counts_by_source()
-        for asn, paths, destinations in zip(
-            grc_pass.asns, grc_pass.path_counts, grc_pass.destination_counts
-        ):
-            assert counts[int(asn)] == int(paths)
-            assert destination_counts[int(asn)] == int(destinations)
+        n = compiled.n
+        assert grc_pass.asns.tolist() == list(compiled.asns)
+        assert grc_pass.path_counts.tolist() == engine.counts_range(0, n).tolist()
+        assert (
+            grc_pass.destination_counts.tolist()
+            == engine.destination_counts_range(0, n).tolist()
+        )
 
     def test_summary_fields(self, compiled):
         summary = run_grc_all(compiled).summary()

@@ -8,7 +8,7 @@ import pytest
 from repro import reference
 from repro.agreements import enumerate_mutuality_agreements, figure1_mutuality_agreement
 from repro.agreements.agreement import AccessOffer, Agreement
-from repro.paths.grc import grc_length3_paths
+from repro.core import path_engine_for
 from repro.paths.ma_paths import (
     MAPathIndex,
     agreement_paths,
@@ -73,7 +73,7 @@ class TestMAPathIndex:
         """Every directly gained MA path violates the GRC — that is what
         makes them additional."""
         for asn in graph:
-            grc = grc_length3_paths(graph, asn)
+            grc = path_engine_for(graph).paths(asn)
             assert not (index.direct_paths(asn) & grc)
 
     def test_top_n_zero_is_empty(self, index, graph):
@@ -98,8 +98,8 @@ class TestMAPathIndex:
     def test_new_ma_paths_excludes_grc(self, index, graph):
         for asn in (AS_D, AS_E, AS_C):
             new = new_ma_paths(graph, index, asn)
-            assert not (new & grc_length3_paths(graph, asn))
-            assert new == index.all_paths(asn) - grc_length3_paths(graph, asn)
+            assert not (new & path_engine_for(graph).paths(asn))
+            assert new == index.all_paths(asn) - path_engine_for(graph).paths(asn)
 
     def test_new_ma_paths_directly_gained_only(self, index, graph):
         direct_only = new_ma_paths(graph, index, AS_B, directly_gained_only=True)

@@ -10,10 +10,15 @@ Two contracts, each over randomized generator topologies:
   memory-mapped is indistinguishable from the fresh compile — same
   arrays, same fingerprint, and identical
   :class:`~repro.core.PathEngine` outputs, blocked or not.
+
+On the same wide-ASN link sets the :class:`~repro.core.PathEngine`
+surface — per-source paths and destinations, and range counts split at
+any point — equals :func:`repro.reference.iter_grc_length3_paths`.
 """
 
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +29,7 @@ from repro.core import (
     load_artifact,
 )
 from repro.core.artifacts import ArtifactStore
+from repro.reference import iter_grc_length3_paths
 from repro.topology import ASGraph, generate_topology
 from repro.topology.caida import dump_as_rel_lines
 
@@ -93,6 +99,29 @@ class TestStreamingEquivalence:
         assert streamed.source_fingerprint == reference.source_fingerprint
 
 
+class TestPathEngineOnWideAsns:
+    @given(wide_asn_graphs(), st.integers(min_value=0, max_value=24))
+    @settings(max_examples=60, deadline=None)
+    def test_wide_asns_match_the_reference_over_any_split(self, graph, split_seed):
+        engine = PathEngine(compile_topology(graph))
+        asns = engine.topology.asns
+        n = len(asns)
+        split = split_seed % (n + 1)
+        naive = [frozenset(iter_grc_length3_paths(graph, source)) for source in asns]
+        for source, paths in zip(asns, naive):
+            assert engine.paths(source) == paths
+            assert engine.destinations(source) == {p[2] for p in paths}
+        for method, expected in (
+            (engine.counts_range, [len(paths) for paths in naive]),
+            (
+                engine.destination_counts_range,
+                [len({p[2] for p in paths}) for paths in naive],
+            ),
+        ):
+            merged = np.concatenate([method(0, split), method(split, n)])
+            assert merged.tolist() == expected
+
+
 class TestArtifactEquivalence:
     @given(small_topologies())
     @settings(max_examples=8, deadline=None)
@@ -109,13 +138,13 @@ class TestArtifactEquivalence:
         assert view.source_fingerprint == fresh.source_fingerprint
         from_view = PathEngine(view)
         from_fresh = PathEngine(fresh)
-        assert from_view.counts_by_source() == from_fresh.counts_by_source()
+        n = fresh.n
+        assert from_view.counts_range(0, n).tolist() == from_fresh.counts_range(0, n).tolist()
         assert (
-            from_view.destination_counts_by_source()
-            == from_fresh.destination_counts_by_source()
+            from_view.destination_counts_range(0, n).tolist()
+            == from_fresh.destination_counts_range(0, n).tolist()
         )
         # The blocked range sweep agrees too, for an uneven split point.
-        n = fresh.n
         split = max(1, n // 3)
         assert (
             from_view.counts_range(0, split).tolist()

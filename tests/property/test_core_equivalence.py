@@ -5,7 +5,7 @@ The compiled :class:`~repro.core.CompiledTopology` /
 any topology it must reproduce the dict/set reference implementations
 bit-for-bit.  These tests drive randomized generator topologies through
 both and assert set-level equality of path sets, destination sets, and
-counts, plus the invalidation contract under link failure/recovery
+counts, plus the shared engine's behaviour under link failure/recovery
 churn.
 """
 
@@ -60,14 +60,15 @@ class TestPathEngineEquivalence:
     def test_paths_destinations_and_counts_match_the_reference(self, topology):
         graph = topology.graph
         engine = PathEngine(compile_topology(graph))
-        counts = engine.counts_by_source()
-        destination_counts = engine.destination_counts_by_source()
-        for source in graph:
+        n = engine.topology.n
+        counts = engine.counts_range(0, n).tolist()
+        destination_counts = engine.destination_counts_range(0, n).tolist()
+        for i, source in enumerate(engine.topology.asns):
             naive = _naive_paths(graph, source)
             assert engine.paths(source) == naive
             assert engine.destinations(source) == {p[2] for p in naive}
-            assert counts[source] == len(naive)
-            assert destination_counts[source] == len({p[2] for p in naive})
+            assert counts[i] == len(naive)
+            assert destination_counts[i] == len({p[2] for p in naive})
 
     @given(small_topologies(), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=12, deadline=None)
@@ -81,7 +82,9 @@ class TestPathEngineEquivalence:
             expected = frozenset(
                 p for p in _naive_paths(graph, source) if p[2] == destination
             )
-            assert engine.paths_between(source, destination) == expected
+            between = frozenset(p for p in engine.paths(source) if p[2] == destination)
+            assert between == expected
+            assert (destination in engine.destinations(source)) == bool(expected)
 
 
 class TestChurnInvalidation:
@@ -109,4 +112,10 @@ class TestChurnInvalidation:
             engine = path_engine_for(graph)
             for source in sample:
                 assert engine.paths(source) == _naive_paths(graph, source)
-                assert engine.count(source) == len(_naive_paths(graph, source))
+            assert engine.topology is compile_topology(graph)
+            n = engine.topology.n
+            naive = [_naive_paths(graph, source) for source in engine.topology.asns]
+            assert engine.counts_range(0, n).tolist() == [len(p) for p in naive]
+            assert engine.destination_counts_range(0, n).tolist() == [
+                len({path[2] for path in p}) for p in naive
+            ]

@@ -1,4 +1,4 @@
-"""Tests for the BGP, PAN, and GRC routing services over a dynamic topology."""
+"""Tests for the BGP and PAN routing services over a dynamic topology."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.simulation import (
     AvailabilityMonitor,
     BGPRoutingService,
     DynamicNetwork,
-    GRCPathAvailabilityService,
     PANRoutingService,
     SimulationEngine,
 )
@@ -103,57 +102,6 @@ class TestPANRoutingService:
         engine.run(until=3.0)
         assert pan.beaconing_runs == 4  # t = 0, 1, 2, 3
         assert len(engine.trace.of_kind("beaconing_completed")) == 4
-
-
-class TestGRCPathAvailabilityService:
-    def build_grc(self, diamond):
-        engine = SimulationEngine()
-        network = DynamicNetwork(diamond)
-        grc = GRCPathAvailabilityService(network=network)
-        engine.add_process(grc)
-        engine.run(until=0.0)
-        return engine, network, grc
-
-    def test_direct_link_counts_as_available(self, diamond):
-        _, _, grc = self.build_grc(diamond)
-        assert grc.is_available(1, 3)  # provider–customer link
-        assert grc.is_available(1, 2)  # peering link
-
-    def test_length3_paths_provide_availability(self, diamond):
-        _, _, grc = self.build_grc(diamond)
-        # 3 and 4 are not adjacent but share providers 1 and 2.
-        assert grc.is_available(3, 4)
-
-    def test_tracks_churn_instantly_without_reconvergence_delay(self, diamond):
-        engine, network, grc = self.build_grc(diamond)
-        network.fail_link(1, 4, time=engine.now)
-        assert grc.is_available(3, 4)  # still via AS 2
-        network.fail_link(2, 4, time=engine.now)
-        assert not grc.is_available(3, 4)  # 4 is cut off
-        network.restore_link(1, 4, time=engine.now)
-        assert grc.is_available(3, 4)
-
-    def test_churn_events_are_traced(self, diamond):
-        engine, network, grc = self.build_grc(diamond)
-        network.fail_link(1, 4, time=0.0)
-        network.restore_link(1, 4, time=0.5)
-        records = engine.trace.of_kind("grc_engine_invalidated")
-        assert [record.data["change"] for record in records] == [
-            "link_down",
-            "link_up",
-        ]
-
-    def test_slots_into_the_availability_monitor(self, diamond):
-        engine = SimulationEngine()
-        network = DynamicNetwork(diamond)
-        grc = GRCPathAvailabilityService(network=network)
-        monitor = AvailabilityMonitor(
-            services=(grc,), pairs=((3, 4),), sample_interval=1.0
-        )
-        for process in (grc, monitor):
-            engine.add_process(process)
-        trace = engine.run(until=2.0)
-        assert trace.availability("GRC-L3") == 1.0
 
 
 class TestAvailabilityMonitor:
