@@ -130,6 +130,11 @@ class TestFigure1Paths:
         # Via customer H: H has no other neighbors, so nothing.
         assert all(path[1] != AS_H for path in paths)
 
+    def test_count_matches_enumeration(self, graph, engine):
+        counts, _ = _all_counts(engine)
+        for source in graph:
+            assert counts[source] == len(list(iter_grc_length3_paths(graph, source)))
+
     def test_paths_never_return_to_source(self, graph, engine):
         for source in graph:
             assert source not in engine.destinations(source)
