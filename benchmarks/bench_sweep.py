@@ -14,7 +14,7 @@ import time
 
 from _emit import emit
 
-from repro.sweep import run_sweep, smoke_spec
+from repro.sweep import run_sweep, smoke_spec, summary_text
 
 
 def test_sweep_cold_vs_resume(tmp_path):
@@ -33,7 +33,7 @@ def test_sweep_cold_vs_resume(tmp_path):
     num_shards = len(spec.expand())
     assert len(cold.executed) == num_shards and not cold.reused
     assert len(warm.reused) == num_shards and not warm.executed
-    assert warm.summary_bytes() == cold.summary_bytes()
+    assert summary_text(warm.summary) == summary_text(cold.summary)
 
     speedup = cold_time / warm_time if warm_time > 0.0 else float("inf")
     emit(

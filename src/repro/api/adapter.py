@@ -267,7 +267,7 @@ def _request(args: argparse.Namespace):
     return request_type(**values)
 
 
-def _sweep_progress(message: str) -> None:
+def _sweep_progress(message: str, completed: int, total: int) -> None:
     print(f"sweep: {message}", file=sys.stderr)
 
 

@@ -472,7 +472,7 @@ def render_negotiate_text(result: NegotiateResult) -> str:
 
 
 def render_sweep_text(result: SweepResult) -> str:
-    """The sweep run report, byte-identical to ``SweepRunResult.report``."""
+    """The ``repro sweep`` run report."""
     lines = [
         f"== sweep: {result.name} "
         f"({len(result.executed) + len(result.reused)} shards) ==",

@@ -44,7 +44,7 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.agreements.agreement import Agreement
@@ -472,9 +472,13 @@ class Session:
         self,
         request: SweepRequest,
         *,
-        progress=None,
+        progress: Callable[[str, int, int], None] | None = None,
     ) -> SweepResult | SweepListResult:
-        """Run (or ``--list`` expand) a sharded, resumable sweep."""
+        """Run (or ``--list`` expand) a sharded, resumable sweep.
+
+        ``progress`` gets each step's message with the completed and
+        total shard counts (:func:`~repro.sweep.executor.run_sweep`).
+        """
         spec = smoke_spec() if request.smoke else SweepSpec.from_json_file(request.spec)
         if request.list_shards:
             shards = spec.expand()

@@ -11,18 +11,19 @@ mismatches up front) and ``kind`` names the type.
 annotations, compiled once per class: ``int``, ``float``, ``str``,
 ``bool``, ``X | None``, ``tuple[T, ...]``, ``dict[str, T]``/``Mapping``,
 nested codec dataclasses, :data:`Envelope`, ``Path``, and value types
-with ``to_json_value()``/``from_json_value()`` (a trace, a sweep spec).
-A class with a ``kind`` is wrapped in an envelope; one without is a
-flat nested object.  The payload keys are exactly the fields, and those
-without a default are required.  Encoding emits every value as it is
-(tuples as lists), so the bytes never depend on the codec.  Decoding
+with ``to_json_value()``/``from_json_value()`` (a trace, a sweep
+scale; the hooks win over a codec class's own fields).  A class with a
+``kind`` is wrapped in an envelope; one without is a flat nested
+object.  The payload keys are exactly the fields, and those without a
+default are required.  Encoding emits every value as it is (tuples as
+lists), so the bytes never depend on the codec.  Decoding
 checks types: a ``bool`` is never an ``int``, a ``float`` field takes
 any finite number, and a mismatch raises the class's ``decode_error``
 naming ``kind.field``, the expected JSON type and the one it got.
 ``python -m repro.api.validate`` reads the same :data:`KINDS` registry.
 The input documents (population specs, behavior parameters, scenario
-overrides) are codec classes too; :func:`read_json_document` reads
-their files.
+overrides, sweep specs) are codec classes too;
+:func:`read_json_document` reads their files.
 """
 
 from __future__ import annotations
@@ -248,13 +249,13 @@ def _converter(annotation: Any) -> tuple[Encoder | None, Decoder]:
     """``(encode, decode)`` of one annotation; ``encode`` None = as is."""
     if annotation in _SCALARS:
         return None, _SCALARS[annotation]
+    if hasattr(annotation, "from_json_value"):  # a class's own hook wins
+        return (lambda v: v.to_json_value()), (
+            lambda value, where: annotation.from_json_value(value)
+        )
     if isinstance(annotation, type) and issubclass(annotation, JsonCodec):
         return (lambda v: v.to_json_dict()), (
             lambda value, where: _codec(annotation).decode(value, where)
-        )
-    if hasattr(annotation, "from_json_value"):
-        return (lambda v: v.to_json_value()), (
-            lambda value, where: annotation.from_json_value(value)
         )
     if annotation is Path:
         return str, lambda value, where: Path(_SCALARS[str](value, where))

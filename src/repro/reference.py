@@ -10,9 +10,11 @@ Y's, per trial from the ``rng`` they are given: calls in sequence on one
 ``default_rng(seed)`` reproduce a ``BoscoService(distribution,
 seed=seed)`` making the same calls.  The MA path index oracle keeps one
 tuple per path in per-AS dicts and sets, with the per-AS diversity and
-pair-metric loops that read it.  The §III-B3 extension oracle builds one
-:class:`ExtensionAgreement` per (segment, peer) pair and indexes the
-length-4 paths they create.
+pair-metric loops that read it; their GRC paths come from
+:func:`iter_grc_length3_paths`, not from the production engine they
+check (a benchmark passes a warm engine to time the index alone).  The
+§III-B3 extension oracle builds one :class:`ExtensionAgreement` per
+(segment, peer) pair and indexes the length-4 paths they create.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.bargaining.distributions import JointUtilityDistribution, UtilityDist
 from repro.bargaining.efficiency import expected_truthful_nash_product
 from repro.bargaining.mechanism import MechanismInformation, NegotiationOutcome
 from repro.bargaining.strategy import EquilibriumError, StrategyProfile, ThresholdStrategy
-from repro.core import PathEngine, path_engine_for
+from repro.core import PathEngine
 from repro.paths.diversity import ASDiversityRecord, sample_ases
 from repro.paths.pair_metrics import PairMetric, PairMetricRecord, PairMetricResult
 from repro.topology.graph import ASGraph
@@ -533,6 +535,15 @@ def iter_grc_length3_paths(graph: ASGraph, source: int) -> Iterator[tuple[int, i
                 yield (source, transit, destination)
 
 
+def _grc_paths(
+    graph: ASGraph, asn: int, engine: PathEngine | None = None
+) -> frozenset[tuple[int, int, int]]:
+    """An AS's GRC paths, enumerated here unless a benchmark passes a warm engine."""
+    if engine is None:
+        return frozenset(iter_grc_length3_paths(graph, asn))
+    return engine.paths(asn)
+
+
 # ----------------------------------------------------------------------
 # MA path index (§VI): dict/set per AS, one tuple per path
 # ----------------------------------------------------------------------
@@ -574,7 +585,7 @@ class MAPathIndex:
         if n < 0:
             raise ValueError("n must be non-negative")
         if grc is None:
-            grc = path_engine_for(graph).paths(asn) if graph is not None else frozenset()
+            grc = _grc_paths(graph, asn) if graph is not None else frozenset()
         per_agreement: dict[int, set[tuple[int, int, int]]] = defaultdict(set)
         for path, agreement in self.direct.get(asn, {}).items():
             if path in grc:
@@ -601,7 +612,7 @@ def new_ma_paths(
     graph: ASGraph, index: MAPathIndex, asn: int, *, directly_gained_only: bool = False
 ) -> frozenset[tuple[int, int, int]]:
     """MA paths of an AS that are not already available under the GRC."""
-    grc = path_engine_for(graph).paths(asn)
+    grc = _grc_paths(graph, asn)
     paths = index.direct_paths(asn) if directly_gained_only else index.all_paths(asn)
     return frozenset(path for path in paths if path not in grc)
 
@@ -615,10 +626,8 @@ def analyze_as(
     engine: PathEngine | None = None,
 ) -> ASDiversityRecord:
     """Path/destination counts of one AS under every scenario, from path sets."""
-    if engine is None:
-        engine = path_engine_for(graph)
-    grc_paths = engine.paths(asn)
-    grc_destinations = engine.destinations(asn)
+    grc_paths = _grc_paths(graph, asn, engine)
+    grc_destinations = {path[2] for path in grc_paths}
     direct = index.direct_paths(asn) - grc_paths
     all_ma = index.all_paths(asn) - grc_paths
     path_counts: dict[str, int] = {"GRC": len(grc_paths)}
@@ -658,11 +667,9 @@ def analyze_pairs(
     engine: PathEngine | None = None,
 ) -> PairMetricResult:
     """One pair-metric record per AS pair, from path sets and a per-path metric."""
-    if engine is None:
-        engine = path_engine_for(graph)
     result = PairMetricResult(metric)
     for source in sample_ases(graph, sample_size, seed=seed):
-        grc_paths = engine.paths(source)
+        grc_paths = _grc_paths(graph, source, engine)
         if not grc_paths:
             continue
         grc_by_pair = group_by_pair(grc_paths, value_of_path)

@@ -43,7 +43,6 @@ import asyncio
 import contextlib
 import json
 import os
-import re
 import tempfile
 import time
 from collections.abc import Callable, Sequence
@@ -344,10 +343,11 @@ class ServeService:
         typed = request.typed_request()
         method = getattr(self.session, WORKFLOWS[request.workflow].method)
         if isinstance(typed, SweepRequest):
-            on_message = _sweep_progress(progress)
-            result = await self._call(
-                lambda: method(typed, progress=on_message)
-            )
+
+            def on_progress(message: str, completed: int, total: int) -> None:
+                progress({"completed": completed, "total": total, "last": message})
+
+            result = await self._call(lambda: method(typed, progress=on_progress))
         else:
             result = await self._call(method, typed)
         return result.to_json_dict()
@@ -429,21 +429,3 @@ class ServeService:
             with contextlib.suppress(OSError):
                 self._state_tmp.cleanup()
             self._state_tmp = None
-
-
-def _sweep_progress(
-    progress: Callable[[dict[str, Any]], None],
-) -> Callable[[str], None]:
-    """Adapt the sweep's message callback into progress-dict updates."""
-    state = {"completed": 0, "total": 0}
-
-    def on_message(message: str) -> None:
-        header = re.match(r"(\d+) shards: (\d+) cached, (\d+) to compute", message)
-        if header:
-            state["total"] = int(header.group(1))
-            state["completed"] = int(header.group(2))
-        elif message.startswith("done "):
-            state["completed"] += 1
-        progress({**state, "last": message})
-
-    return on_message

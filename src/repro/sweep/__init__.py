@@ -24,7 +24,6 @@ from repro.sweep.executor import (
 )
 from repro.sweep.shard import run_shard
 from repro.sweep.spec import (
-    FIGURES,
     NAMED_SCALES,
     ScaleSpec,
     ScenarioSpec,
@@ -36,7 +35,6 @@ from repro.sweep.spec import (
 __all__ = [
     "DEFAULT_CACHE_DIR",
     "DEFAULT_OUT_DIR",
-    "FIGURES",
     "NAMED_SCALES",
     "ScaleSpec",
     "ScenarioSpec",

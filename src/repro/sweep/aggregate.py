@@ -31,7 +31,7 @@ def build_summary(
     return {
         "format": SUMMARY_FORMAT,
         "name": spec.name,
-        "spec": spec.canonical(),
+        "spec": spec.to_json_dict(),
         "spec_hash": spec.spec_hash(),
         "code_version": code,
         "num_shards": len(records),

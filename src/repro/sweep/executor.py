@@ -17,6 +17,12 @@ Worker processes receive only the shard parameters: under ``--jobs N``
 each worker builds its own diversity context, and the per-process
 context memo in :mod:`repro.experiments.context` lets consecutive
 shards of one (scale, seed) on the same worker reuse it.
+
+:class:`SweepRunResult` is an in-process value, not an envelope: the
+API session turns it into the ``sweep_result`` envelope
+(:class:`~repro.api.results.SweepResult`).  The ``progress`` callback
+gets each message with the completed and total shard counts, so a
+caller tracks progress without parsing the text.
 """
 
 from __future__ import annotations
@@ -29,8 +35,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.core.store import Store, code_version, store_key
-from repro.envelope import JsonCodec
-from repro.sweep.aggregate import build_summary, summary_text, write_outputs
+from repro.sweep.aggregate import build_summary, write_outputs
 from repro.sweep.shard import run_shard
 from repro.sweep.spec import Shard, SweepSpec
 
@@ -43,36 +48,14 @@ SHARD_NAMESPACE = "sweep-shard-v1"
 
 
 @dataclass(frozen=True)
-class SweepRunResult(JsonCodec):
+class SweepRunResult:
     """Outcome of one :func:`run_sweep` call."""
-
-    kind = "sweep_run_result"
 
     spec: SweepSpec
     summary: dict[str, Any]
     executed: tuple[str, ...]  # shard ids computed this run
     reused: tuple[str, ...]  # shard ids served from the cache
     written: dict[str, Path]  # output files (summary + metric tables)
-
-    @property
-    def summary_path(self) -> Path:
-        """Path of the written ``sweep_summary.json``."""
-        return self.written["summary"]
-
-    def summary_bytes(self) -> bytes:
-        """The canonical summary serialization."""
-        return summary_text(self.summary).encode("utf-8")
-
-    def report(self) -> str:
-        """Short human-readable run report."""
-        lines = [
-            f"== sweep: {self.spec.name} "
-            f"({len(self.executed) + len(self.reused)} shards) ==",
-            f"computed: {len(self.executed)}   cached: {len(self.reused)}",
-            f"summary:  {self.written['summary']}",
-            f"tables:   {len(self.written) - 1} metric CSVs",
-        ]
-        return "\n".join(lines)
 
 
 def load_record(store: Store, key: str) -> dict[str, Any] | None:
@@ -102,7 +85,7 @@ def run_sweep(
     cache_dir: str | Path = DEFAULT_CACHE_DIR,
     out_dir: str | Path = DEFAULT_OUT_DIR,
     force: bool = False,
-    progress: Callable[[str], None] | None = None,
+    progress: Callable[[str, int, int], None] | None = None,
 ) -> SweepRunResult:
     """Run (or resume) a sweep and write its outputs.
 
@@ -112,6 +95,9 @@ def run_sweep(
     completed cache entry run again.  Under ``jobs > 1`` the pending
     shards run in worker processes that each build their own context;
     the summary is byte-identical to a sequential run.
+
+    ``progress`` receives a line per step with the shards completed so
+    far (cached ones included) and the total.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
@@ -134,7 +120,9 @@ def run_sweep(
     reused = tuple(shard.shard_id for shard in shards if shard in records)
     if progress:
         progress(
-            f"{len(shards)} shards: {len(reused)} cached, {len(pending)} to compute"
+            f"{len(shards)} shards: {len(reused)} cached, {len(pending)} to compute",
+            len(records),
+            len(shards),
         )
 
     def _persist(shard: Shard, record: dict[str, Any], elapsed: float) -> None:
@@ -143,7 +131,7 @@ def run_sweep(
         store.put(keys[shard], text.encode("utf-8"))
         records[shard] = entry
         if progress:
-            progress(f"done {shard.shard_id} ({elapsed:.2f}s)")
+            progress(f"done {shard.shard_id} ({elapsed:.2f}s)", len(records), len(shards))
 
     if pending and jobs == 1:
         for shard in pending:

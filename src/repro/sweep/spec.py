@@ -30,6 +30,16 @@ Specs are plain JSON documents::
       ],
       "sample": {"count": 10, "seed": 7}
     }
+
+:class:`SweepSpec` decodes through :class:`~repro.envelope.JsonCodec`:
+an unknown key, a wrong JSON type or a boolean where an integer belongs
+raises :class:`~repro.errors.ValidationError` naming the field
+(``SweepSpec.sample``, ``ScaleSpec.num_stubs``).  A scale is a key of
+:data:`NAMED_SCALES` or an object whose missing knobs come from the
+named scale of its name (else ``tiny``).  A scenario entry is flat —
+``scenario``, an optional ``label``, then knobs the scenario dataclass
+decodes.  Figure names are the keys of
+:data:`repro.experiments.runner.FIGURES`, taken in its order.
 """
 
 from __future__ import annotations
@@ -37,22 +47,22 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
 from repro.core.store import canonical_json, input_files
-from repro.envelope import read_json_document
+from repro.envelope import OMIT_IF_NONE, JsonCodec, read_json_document
 from repro.errors import ValidationError
+from repro.experiments.runner import FIGURES
 from repro.simulation.scenarios import SCENARIOS
-
-#: Figures a sweep can select, in canonical order.
-FIGURES: tuple[str, ...] = ("fig2", "fig3", "fig4", "fig5", "fig6")
 
 
 @dataclass(frozen=True)
-class ScaleSpec:
+class ScaleSpec(JsonCodec):
     """One topology scale of the sweep's ``scales`` axis."""
+
+    decode_error = ValidationError
 
     name: str
     num_tier1: int
@@ -62,9 +72,36 @@ class ScaleSpec:
     sample_size: int
     pair_sample_size: int
 
-    def as_dict(self) -> dict[str, Any]:
-        """Canonical JSON-safe form (field order fixed by the dataclass)."""
-        return dataclasses.asdict(self)
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ValidationError("ScaleSpec.name must be non-empty")
+        for knob in dataclasses.fields(self)[1:]:
+            if getattr(self, knob.name) <= 0:
+                raise ValidationError(
+                    f"ScaleSpec.{knob.name} must be positive, got {getattr(self, knob.name)}"
+                )
+
+    @classmethod
+    def from_json_value(cls, value: Any) -> "ScaleSpec":
+        """A named scale, or an object whose missing knobs come from one.
+
+        An inline scale named like a named scale starts from it; any
+        other name starts from ``tiny``.
+        """
+        if not isinstance(value, Mapping):
+            if isinstance(value, str) and value in NAMED_SCALES:
+                return NAMED_SCALES[value]
+            raise ValidationError(
+                f"unknown named scale {value!r} in SweepSpec.scales[]; "
+                f"available: {', '.join(sorted(NAMED_SCALES))}"
+            )
+        name = value.get("name")
+        base = NAMED_SCALES[name if isinstance(name, str) and name in NAMED_SCALES else "tiny"]
+        knobs = {key: item for key, item in dataclasses.asdict(base).items() if key != "name"}
+        return cls.from_json_dict({**knobs, **value})
+
+    #: A named scale is written out in full.
+    to_json_value = JsonCodec.to_json_dict
 
     def topology_kwargs(self) -> dict[str, int]:
         """The topology-generator size knobs of this scale."""
@@ -92,34 +129,52 @@ NAMED_SCALES: dict[str, ScaleSpec] = {
 class ScenarioSpec:
     """One ``repro simulate`` configuration of the ``scenarios`` axis.
 
-    ``overrides`` holds sweepable scenario knobs as a sorted tuple of
-    ``(field, value)`` pairs, kept as written (the spec's canonical
-    form) and checked by decoding them into the scenario dataclass.
-    ``label`` distinguishes configurations of the same scenario in
-    shard ids and aggregation groups.
+    A spec entry is flat: ``scenario``, an optional ``label``, and the
+    sweepable scenario knobs.  ``overrides`` holds the knobs as a sorted
+    tuple of ``(field, value)`` pairs, kept as written and checked by
+    decoding them into the scenario dataclass.  ``label`` distinguishes
+    configurations of the same scenario in shard ids and aggregation
+    groups; :class:`SweepSpec` fills in a missing one.  The canonical
+    form nests the knobs under ``overrides`` (the cache-key input).
     """
 
     scenario: str
-    label: str
+    label: str | None = None
     overrides: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
+        if not isinstance(self.scenario, str) or self.scenario not in SCENARIOS:
             raise ValidationError(
                 f"unknown scenario {self.scenario!r}; "
                 f"available: {', '.join(sorted(SCENARIOS))}"
+            )
+        if self.label is not None and (not isinstance(self.label, str) or not self.label):
+            raise ValidationError(
+                f"SweepSpec.scenarios[].label must be a non-empty string, got {self.label!r}"
             )
         overrides = dict(self.overrides)
         if "seed" in overrides:
             raise ValidationError("scenario overrides cannot set 'seed'; seeds are a sweep axis")
         SCENARIOS[self.scenario].from_json_dict(overrides)
 
-    def as_dict(self) -> dict[str, Any]:
+    @classmethod
+    def from_json_value(cls, value: Any) -> "ScenarioSpec":
+        """One flat spec entry."""
+        if not isinstance(value, Mapping):
+            raise ValidationError(f"SweepSpec.scenarios[] must be an object, got {value!r}")
+        knobs = dict(value)
+        return cls(
+            scenario=knobs.pop("scenario", None),
+            label=knobs.pop("label", None),
+            overrides=tuple(sorted(knobs.items())),
+        )
+
+    def to_json_value(self) -> dict[str, Any]:
         """Canonical JSON-safe form."""
         return {
             "scenario": self.scenario,
             "label": self.label,
-            "overrides": {key: value for key, value in self.overrides},
+            "overrides": dict(self.overrides),
         }
 
 
@@ -153,14 +208,14 @@ class Shard:
         """Canonical JSON-safe parameter mapping — the cache-key input."""
         record: dict[str, Any] = {
             "kind": self.kind,
-            "scale": self.scale.as_dict(),
+            "scale": self.scale.to_json_dict(),
             "seed": self.seed,
         }
         if self.kind == "figures":
             record["figures"] = list(self.figures)
         else:
             assert self.scenario is not None
-            record["scenario"] = self.scenario.as_dict()
+            record["scenario"] = self.scenario.to_json_value()
         return record
 
     def input_files(self) -> dict[str, Any]:
@@ -171,65 +226,39 @@ class Shard:
         return input_files(scenario_cls, dict(self.scenario.overrides))
 
 
-def _parse_scale(entry: Any) -> ScaleSpec:
-    if isinstance(entry, str):
-        try:
-            return NAMED_SCALES[entry]
-        except KeyError:
-            raise ValidationError(
-                f"unknown named scale {entry!r}; "
-                f"available: {', '.join(sorted(NAMED_SCALES))}"
-            ) from None
-    if isinstance(entry, Mapping):
-        data = dict(entry)
-        name = data.pop("name", None)
-        if not isinstance(name, str) or not name:
-            raise ValidationError("inline scales need a non-empty 'name'")
-        base = NAMED_SCALES.get(name, NAMED_SCALES["tiny"])
-        known = {field.name for field in dataclasses.fields(ScaleSpec)} - {"name"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(
-                f"unknown scale field(s) {sorted(unknown)}; allowed: {sorted(known)}"
-            )
-        values = {field: getattr(base, field) for field in known}
-        for key, value in data.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-                raise ValidationError(
-                    f"scale field {key!r} must be a positive integer, got {value!r}"
-                )
-            values[key] = value
-        return ScaleSpec(name=name, **values)
-    raise ValidationError(f"scales entries must be names or mappings, got {entry!r}")
+@dataclass(frozen=True)
+class SampleSpec(JsonCodec):
+    """Seeded random subsampling of the full grid: ``count`` shards."""
 
+    decode_error = ValidationError
 
-def _parse_scenario(entry: Any, position: int) -> ScenarioSpec:
-    if not isinstance(entry, Mapping):
-        raise ValidationError(f"scenarios entries must be mappings, got {entry!r}")
-    data = dict(entry)
-    name = data.pop("scenario", None)
-    if not isinstance(name, str):
-        raise ValidationError("each scenarios entry needs a 'scenario' name")
-    label = data.pop("label", None)
-    if label is None:
-        label = name if not data else f"{name}#{position}"
-    if not isinstance(label, str) or not label:
-        raise ValidationError("scenario 'label' must be a non-empty string")
-    overrides = tuple(sorted(data.items()))
-    return ScenarioSpec(scenario=name, label=label, overrides=overrides)
+    count: int
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValidationError(f"SweepSpec.sample.count must be positive, got {self.count}")
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """A validated, immutable sweep specification."""
+class SweepSpec(JsonCodec):
+    """A validated, immutable sweep specification.
+
+    Decoding type-checks every field and names it on error; the checks
+    here cover what a JSON type cannot say.  Figures are taken in the
+    experiment runner's order, and a scenario entry without a label is
+    labelled by its scenario (``name#i``, its position, when it sets
+    knobs).
+    """
+
+    decode_error = ValidationError
 
     name: str
     scales: tuple[ScaleSpec, ...]
     seeds: tuple[int, ...]
     figures: tuple[str, ...] = ()
     scenarios: tuple[ScenarioSpec, ...] = ()
-    sample_count: int | None = None
-    sample_seed: int = 0
+    sample: SampleSpec | None = field(default=None, metadata=OMIT_IF_NONE)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -242,105 +271,44 @@ class SweepSpec:
             raise ValidationError("sweep spec needs 'figures' and/or 'scenarios'")
         if len({scale.name for scale in self.scales}) != len(self.scales):
             raise ValidationError("scale names must be unique")
-        for seed in self.seeds:
-            if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-                raise ValidationError(f"seeds must be non-negative integers, got {seed!r}")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValidationError(f"SweepSpec.seeds must be non-negative, got {list(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError("seeds must be unique")
-        labels = [scenario.label for scenario in self.scenarios]
+        keys = [entry.key for entry in FIGURES]
+        unknown = sorted(set(self.figures) - set(keys))
+        if unknown:
+            raise ValidationError(f"unknown figure(s) {unknown}; available: {', '.join(keys)}")
+        if len(set(self.figures)) != len(self.figures):
+            raise ValidationError("figures must be unique")
+        scenarios = tuple(
+            scenario
+            if scenario.label is not None
+            else dataclasses.replace(
+                scenario,
+                label=f"{scenario.scenario}#{i}" if scenario.overrides else scenario.scenario,
+            )
+            for i, scenario in enumerate(self.scenarios)
+        )
+        labels = [scenario.label for scenario in scenarios]
         if len(set(labels)) != len(labels):
             raise ValidationError("scenario labels must be unique")
-        for figure in self.figures:
-            if figure not in FIGURES:
-                raise ValidationError(
-                    f"unknown figure {figure!r}; available: {', '.join(FIGURES)}"
-                )
-        if self.sample_count is not None and self.sample_count < 1:
-            raise ValidationError(
-                f"sample count must be positive, got {self.sample_count}"
-            )
+        object.__setattr__(self, "figures", tuple(key for key in keys if key in self.figures))
+        object.__setattr__(self, "scenarios", scenarios)
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        """Parse and validate a spec document (the JSON file's content)."""
-        if not isinstance(data, Mapping):
-            raise ValidationError(f"sweep spec must be a mapping, got {data!r}")
-        unknown = set(data) - {"name", "scales", "seeds", "figures", "scenarios", "sample"}
-        if unknown:
-            raise ValidationError(f"unknown spec field(s): {sorted(unknown)}")
-        name = data.get("name")
-        if not isinstance(name, str) or not name:
-            raise ValidationError("sweep spec needs a non-empty 'name'")
-        for field in ("scales", "seeds", "figures", "scenarios"):
-            value = data.get(field, [])
-            if not isinstance(value, list):
-                raise ValidationError(f"'{field}' must be a list, got {value!r}")
-        scales = tuple(_parse_scale(entry) for entry in data.get("scales", ()))
-        seeds = tuple(data.get("seeds", ()))
-        figures_raw = data.get("figures", ())
-        for entry in figures_raw:
-            if not isinstance(entry, str):
-                raise ValidationError(f"figures entries must be names, got {entry!r}")
-        # Canonical figure order regardless of spec order.
-        figures = tuple(f for f in FIGURES if f in set(figures_raw))
-        if len(set(figures_raw)) != len(tuple(figures_raw)):
-            raise ValidationError("figures must be unique")
-        if set(figures_raw) - set(figures):
-            bad = sorted(set(figures_raw) - set(figures))
-            raise ValidationError(
-                f"unknown figure(s) {bad}; available: {', '.join(FIGURES)}"
-            )
-        scenarios = tuple(
-            _parse_scenario(entry, position)
-            for position, entry in enumerate(data.get("scenarios", ()))
-        )
-        sample = data.get("sample")
-        sample_count: int | None = None
-        sample_seed = 0
-        if sample is not None:
-            if not isinstance(sample, Mapping) or "count" not in sample:
-                raise ValidationError("'sample' must be a mapping with a 'count'")
-            sample_count = sample["count"]
-            if not isinstance(sample_count, int) or isinstance(sample_count, bool):
-                raise ValidationError("'sample.count' must be an integer")
-            sample_seed = sample.get("seed", 0)
-            if not isinstance(sample_seed, int) or isinstance(sample_seed, bool):
-                raise ValidationError("'sample.seed' must be an integer")
-        return cls(
-            name=name,
-            scales=scales,
-            seeds=seeds,
-            figures=figures,
-            scenarios=scenarios,
-            sample_count=sample_count,
-            sample_seed=sample_seed,
-        )
+        """Decode and validate a spec document (the JSON file's content)."""
+        return cls.from_json_dict(data)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "SweepSpec":
         """Load a spec from a JSON file."""
-        return cls.from_mapping(read_json_document(path, "sweep spec"))
-
-    def canonical(self) -> dict[str, Any]:
-        """Canonical JSON-safe form of the whole spec."""
-        record: dict[str, Any] = {
-            "name": self.name,
-            "scales": [scale.as_dict() for scale in self.scales],
-            "seeds": list(self.seeds),
-            "figures": list(self.figures),
-            "scenarios": [scenario.as_dict() for scenario in self.scenarios],
-        }
-        if self.sample_count is not None:
-            record["sample"] = {"count": self.sample_count, "seed": self.sample_seed}
-        return record
-
-    # The envelope codec's hooks (:mod:`repro.envelope`).
-    to_json_value = canonical
-    from_json_value = from_mapping
+        return cls.from_json_dict(read_json_document(path, "sweep spec"))
 
     def spec_hash(self) -> str:
         """Stable digest of the canonical spec content."""
-        return hashlib.sha256(canonical_json(self.canonical()).encode()).hexdigest()
+        return hashlib.sha256(canonical_json(self.to_json_dict()).encode()).hexdigest()
 
     def expand(self) -> tuple[Shard, ...]:
         """Expand the spec into its deterministic, ordered shard list.
@@ -363,9 +331,9 @@ class SweepSpec:
                     shards.append(
                         Shard(kind="scenario", scale=scale, seed=seed, scenario=scenario)
                     )
-        if self.sample_count is not None and self.sample_count < len(shards):
-            rng = random.Random(self.sample_seed)
-            chosen = sorted(rng.sample(range(len(shards)), self.sample_count))
+        if self.sample is not None and self.sample.count < len(shards):
+            rng = random.Random(self.sample.seed)
+            chosen = sorted(rng.sample(range(len(shards)), self.sample.count))
             shards = [shards[index] for index in chosen]
         return tuple(shards)
 

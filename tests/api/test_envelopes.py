@@ -214,35 +214,6 @@ class TestEngineLevelEnvelopes:
         result = run_scenario("flash-crowd", seed=4, duration=30.0)
         assert isinstance(hash(result), int)
 
-    def test_sweep_run_result_round_trips(self, tmp_path):
-        from repro.sweep import SweepRunResult, SweepSpec, run_sweep
-
-        spec = SweepSpec.from_mapping(
-            {
-                "name": "rt",
-                "scales": [
-                    {
-                        "name": "t",
-                        "num_tier1": 2,
-                        "num_tier2": 5,
-                        "num_tier3": 12,
-                        "num_stubs": 30,
-                        "sample_size": 20,
-                        "pair_sample_size": 8,
-                    }
-                ],
-                "seeds": [1],
-                "figures": ["fig3"],
-            }
-        )
-        outcome = run_sweep(
-            spec, cache_dir=tmp_path / "cache", out_dir=tmp_path / "out"
-        )
-        restored = SweepRunResult.from_json_dict(
-            json.loads(json.dumps(outcome.to_json_dict()))
-        )
-        assert restored == outcome
-
     def test_live_session_results_round_trip(self):
         """End-to-end: real session results survive the envelope."""
         session = Session()

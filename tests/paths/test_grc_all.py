@@ -50,15 +50,14 @@ class TestPlanRanges:
 
 class TestSequentialPass:
     def test_matches_path_engine_by_source(self, compiled):
+        # Per-source path sets, not the range counts the pass itself reads.
         grc_pass = run_grc_all(compiled)
         engine = PathEngine(compiled)
-        n = compiled.n
         assert grc_pass.asns.tolist() == list(compiled.asns)
-        assert grc_pass.path_counts.tolist() == engine.counts_range(0, n).tolist()
-        assert (
-            grc_pass.destination_counts.tolist()
-            == engine.destination_counts_range(0, n).tolist()
-        )
+        assert grc_pass.path_counts.tolist() == [len(engine.paths(asn)) for asn in compiled.asns]
+        assert grc_pass.destination_counts.tolist() == [
+            len(engine.destinations(asn)) for asn in compiled.asns
+        ]
 
     def test_summary_fields(self, compiled):
         summary = run_grc_all(compiled).summary()

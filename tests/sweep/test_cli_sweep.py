@@ -49,8 +49,11 @@ def test_sweep_runs_spec_file(tmp_path, capsys):
         ]
     )
     assert code == 0
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert "sweep: cli-tiny" in out
+    assert captured.err.splitlines()[0] == "sweep: 1 shards: 0 cached, 1 to compute"
+    assert captured.err.splitlines()[1].startswith("sweep: done figures/t/seed1 (")
     assert "computed: 1" in out
     summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
     assert summary["name"] == "cli-tiny"
@@ -79,6 +82,12 @@ def test_sweep_rejects_bad_spec(tmp_path, capsys):
     bad.write_text('{"name": "x"}')
     assert main(["sweep", "--spec", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_sweep_rejects_unknown_sample_key(tmp_path, capsys):
+    spec = tiny_spec_file(tmp_path, sample={"count": 1, "bogus": 2})
+    assert main(["sweep", "--spec", str(spec)]) == 2
+    assert "unknown SweepSpec.sample field(s) 'bogus'" in capsys.readouterr().err
 
 
 def test_sweep_rejects_bad_jobs(tmp_path, capsys):

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.errors import ValidationError
+from repro.experiments.runner import FIGURES
 from repro.simulation.scenarios import run_scenario, scenario_field_names
 from repro.sweep import SweepSpec, run_shard
+from repro.sweep.shard import _SWEEP_METRICS
 
 
 def spec_for(**overrides):
@@ -27,6 +29,11 @@ def spec_for(**overrides):
     }
     data.update(overrides)
     return SweepSpec.from_mapping(data)
+
+
+def test_every_runner_figure_has_sweep_metrics():
+    # A figure added to the runner must say what a sweep records of it.
+    assert list(_SWEEP_METRICS) == [entry.key for entry in FIGURES]
 
 
 def test_figures_shard_metrics_are_json_safe_and_deterministic():
@@ -131,7 +138,7 @@ def test_ill_typed_override_is_a_validation_error_naming_the_field():
 
 
 def test_heterogeneous_scenario_shard_is_parallel_deterministic(tmp_path):
-    from repro.sweep import run_sweep
+    from repro.sweep import run_sweep, summary_text
 
     spec = spec_for(
         scenarios=[
@@ -148,7 +155,7 @@ def test_heterogeneous_scenario_shard_is_parallel_deterministic(tmp_path):
     parallel = run_sweep(
         spec, jobs=2, cache_dir=tmp_path / "c2", out_dir=tmp_path / "o2"
     )
-    assert parallel.summary_bytes() == sequential.summary_bytes()
+    assert summary_text(parallel.summary) == summary_text(sequential.summary)
     (record,) = sequential.summary["shards"]
     assert record["metrics"]["records.profile_metrics"] >= 4
 

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import ValidationError
+from repro.experiments.runner import FIGURES
 from repro.simulation.scenarios import scenario_field_names
 from repro.sweep import (
-    FIGURES,
     NAMED_SCALES,
     SweepSpec,
     smoke_spec,
@@ -46,7 +46,7 @@ class TestParsing:
             SweepSpec.from_mapping(minimal_mapping(scales=["galactic"]))
 
     def test_unknown_scale_field_rejected(self):
-        with pytest.raises(ValidationError, match="unknown scale field"):
+        with pytest.raises(ValidationError, match="unknown ScaleSpec field"):
             SweepSpec.from_mapping(
                 minimal_mapping(scales=[{"name": "x", "num_planets": 9}])
             )
@@ -58,7 +58,8 @@ class TestParsing:
     def test_figures_normalized_to_canonical_order(self):
         spec = SweepSpec.from_mapping(minimal_mapping(figures=["fig5", "fig3"]))
         assert spec.figures == ("fig3", "fig5")
-        assert all(figure in FIGURES for figure in spec.figures)
+        keys = [entry.key for entry in FIGURES]
+        assert sorted(spec.figures, key=keys.index) == list(spec.figures)
 
     def test_scenario_unknown_field_rejected(self):
         with pytest.raises(ValidationError) as excinfo:
@@ -127,7 +128,7 @@ class TestParsing:
             SweepSpec.from_mapping(minimal_mapping(figures=[]))
 
     def test_unknown_top_level_field_rejected(self):
-        with pytest.raises(ValidationError, match="unknown spec field"):
+        with pytest.raises(ValidationError, match="unknown SweepSpec field"):
             SweepSpec.from_mapping(minimal_mapping(shards=3))
 
     def test_from_json_file(self, tmp_path):
@@ -225,7 +226,7 @@ class TestWrongTypedFields:
             ("figures", "fig3"),
             ("scenarios", {"scenario": "failure-churn"}),
         ):
-            with pytest.raises(ValidationError, match="must be a list"):
+            with pytest.raises(ValidationError, match=rf"SweepSpec\.{field} must be an array"):
                 SweepSpec.from_mapping(minimal_mapping(**{field: value}))
 
     @pytest.mark.parametrize(
@@ -249,9 +250,69 @@ class TestWrongTypedFields:
     def test_non_integer_seed_entry_is_named(self):
         # Regression: an unhashable entry used to reach set() first (TypeError).
         for seeds in ([[1]], [1, [1]], ["1"], [True]):
-            with pytest.raises(ValidationError, match="seeds must be non-negative integers"):
+            with pytest.raises(ValidationError, match=r"SweepSpec\.seeds\[\] must be an integer"):
                 SweepSpec.from_mapping(minimal_mapping(seeds=seeds))
 
+    @pytest.mark.parametrize(
+        ("overrides", "message"),
+        [
+            # Unknown keys: at the top level and in each nested object.
+            ({"shards": 3}, r"unknown SweepSpec field\(s\) 'shards'"),
+            ({"sample": {"count": 1, "bogus": 2}}, r"unknown SweepSpec\.sample field\(s\) 'bogus'"),
+            ({"scales": [{"name": "x", "bogus": 1}]}, r"unknown ScaleSpec field\(s\) 'bogus'"),
+            (
+                {"figures": [], "scenarios": [{"scenario": "failure-churn", "bogus": 1}]},
+                r"unknown FailureChurnScenario field\(s\) 'bogus'",
+            ),
+            # Wrong JSON types, booleans included, in each field.
+            ({"name": True}, r"SweepSpec\.name must be a string, got boolean"),
+            ({"scales": {"name": "x"}}, r"SweepSpec\.scales must be an array, got object"),
+            ({"scales": [True]}, r"unknown named scale True in SweepSpec\.scales\[\]"),
+            ({"scales": [{"name": 5}]}, r"ScaleSpec\.name must be a string, got integer"),
+            (
+                {"scales": [{"name": "x", "num_stubs": True}]},
+                r"ScaleSpec\.num_stubs must be an integer, got boolean",
+            ),
+            (
+                {"scales": [{"name": "x", "sample_size": 2.5}]},
+                r"ScaleSpec\.sample_size must be an integer, got number",
+            ),
+            # Values a JSON type cannot rule out.
+            (
+                {"scales": [{"name": "x", "num_stubs": 0}]},
+                r"ScaleSpec\.num_stubs must be positive, got 0",
+            ),
+            ({"sample": {"count": 0}}, r"SweepSpec\.sample\.count must be positive, got 0"),
+            ({"seeds": True}, r"SweepSpec\.seeds must be an array, got boolean"),
+            ({"seeds": [False]}, r"SweepSpec\.seeds\[\] must be an integer, got boolean"),
+            ({"figures": "fig3"}, r"SweepSpec\.figures must be an array, got string"),
+            ({"figures": [True]}, r"SweepSpec\.figures\[\] must be a string, got boolean"),
+            ({"scenarios": {}}, r"SweepSpec\.scenarios must be an array, got object"),
+            ({"scenarios": [True]}, r"SweepSpec\.scenarios\[\] must be an object, got True"),
+            ({"figures": [], "scenarios": [{"scenario": True}]}, r"unknown scenario True"),
+            (
+                {"figures": [], "scenarios": [{"scenario": "failure-churn", "label": False}]},
+                r"SweepSpec\.scenarios\[\]\.label must be a non-empty string, got False",
+            ),
+            (
+                {"figures": [], "scenarios": [{"scenario": "failure-churn", "num_pairs": True}]},
+                r"FailureChurnScenario\.num_pairs must be an integer, got boolean",
+            ),
+            ({"sample": [4]}, r"SweepSpec\.sample must be an object, got array"),
+            (
+                {"sample": {"count": True}},
+                r"SweepSpec\.sample\.count must be an integer, got boolean",
+            ),
+            (
+                {"sample": {"count": 2, "seed": "7"}},
+                r"SweepSpec\.sample\.seed must be an integer, got string",
+            ),
+        ],
+    )
+    def test_decoder_rejects_and_names_the_field(self, overrides, message):
+        with pytest.raises(ValidationError, match=message):
+            SweepSpec.from_mapping(minimal_mapping(**overrides))
+
     def test_non_string_figure_entry_rejected(self):
-        with pytest.raises(ValidationError, match="figures entries must be names"):
+        with pytest.raises(ValidationError, match=r"SweepSpec\.figures\[\] must be a string"):
             SweepSpec.from_mapping(minimal_mapping(figures=[3]))
