@@ -4,9 +4,11 @@ The serve subsystem's performance claims are measured against a real
 child-process server on an ephemeral port, driven by N concurrent
 keep-alive clients posting negotiation envelopes:
 
-- **coalesced vs. uncoalesced** — the same workload against a server
-  with the coalescing window open vs. ``--coalesce-window-ms 0``
+- **coalesced vs. uncoalesced** — the same workload against a default
+  server, whose requests queue behind a running batch and share the
+  next one, vs. ``--max-batch 1``, which solves every request alone
   (caching disabled on both, so only cross-client batching differs).
+  The coalesced bodies must be byte-identical to the uncoalesced ones.
   At full (paper) scale — W=50, 8 clients × 25 trials per wave = the
   paper's 200 trials packed into one engine batch — the bench *asserts*
   the ≥ 2× throughput contract.
@@ -170,9 +172,7 @@ def _shared_cache_probe(scale: dict) -> tuple[float, int]:
         "trials": scale["trials"],
         "seed": 777_777,
     }
-    with _Server(
-        "--workers", "2", "--coalesce-window-ms", "0", "--cache-entries", "256"
-    ) as server:
+    with _Server("--workers", "2", "--cache-entries", "256") as server:
         with ServeClient("127.0.0.1", server.port) as client:
             warm = client.raw_post("/v1/negotiate", payload)
             assert warm.status == 200, warm.body
@@ -210,31 +210,26 @@ def test_serve_throughput(paper_scale):
     # sides so cross-client batching is the only variable.  The
     # uncoalesced single-worker run doubles as the multi-worker tier's
     # reference.
-    with _Server(
-        "--coalesce-window-ms", "0", "--cache-entries", "0"
-    ) as server:
+    with _Server("--max-batch", "1", "--cache-entries", "0") as server:
         _warm_up(server.port, scale)
         uncoalesced, single_bodies = _drive(server.port, scale, seed_base=1000)
 
-    with _Server(
-        "--coalesce-window-ms", "50", "--max-batch", "32", "--cache-entries", "0"
-    ) as server:
+    with _Server("--max-batch", "32", "--cache-entries", "0") as server:
         _warm_up(server.port, scale)
-        coalesced, _ = _drive(server.port, scale, seed_base=1000)
+        coalesced, coalesced_bodies = _drive(server.port, scale, seed_base=1000)
         with ServeClient("127.0.0.1", server.port) as client:
             coalescing_stats = client.stats()["coalescing"]
 
     # Multi-worker comparison: the identical uncoalesced workload
     # against the pre-fork supervisor.
     with _Server(
-        "--workers", str(WORKERS),
-        "--coalesce-window-ms", "0", "--cache-entries", "0",
+        "--workers", str(WORKERS), "--max-batch", "1", "--cache-entries", "0",
     ) as server:
         _warm_up(server.port, scale, workers=WORKERS)
         multi_worker, multi_bodies = _drive(server.port, scale, seed_base=1000)
 
     # Cache comparison: the same seeds twice against a caching server.
-    with _Server("--coalesce-window-ms", "50", "--cache-entries", "256") as server:
+    with _Server("--cache-entries", "256") as server:
         _warm_up(server.port, scale)
         cold_cache, _ = _drive(server.port, scale, seed_base=2000)
         warm_cache, _ = _drive(server.port, scale, seed_base=2000)
@@ -278,8 +273,11 @@ def test_serve_throughput(paper_scale):
         f"({shared_disk_hits} disk hits)"
     )
 
-    # The run must have actually batched across clients.
+    # The run must have actually batched across clients, invisibly.
     assert coalescing_stats["max_batch_size"] > 1, coalescing_stats
+    assert coalesced_bodies == single_bodies, (
+        "coalesced responses diverged from the uncoalesced bytes"
+    )
     # Any worker's answer is every worker's answer, bit for bit.
     assert multi_bodies == single_bodies, (
         "multi-worker responses diverged from the single-worker bytes"

@@ -4,7 +4,7 @@
 Boots a real ``--workers 2`` server on an ephemeral port, fires a
 concurrent mixed workload at it through the typed
 :class:`~repro.serve.client.ServeClient` — negotiation requests from
-several client threads (exercising the coalescing window), the other
+several client threads (exercising cross-client coalescing), the other
 workflow routes, async job submissions polled to completion, and the
 introspection routes, a bare unversioned path (404), a mistyped
 request and a topology without tier-1 ASes (both 400) — then SIGKILLs
@@ -85,8 +85,6 @@ def main(argv: list[str] | None = None) -> int:
             "0",
             "--workers",
             str(WORKERS),
-            "--coalesce-window-ms",
-            "25",
             "--request-log",
             args.request_log,
         ],
@@ -185,8 +183,8 @@ def main(argv: list[str] | None = None) -> int:
                 failures.append("async job result differs from the sync route")
 
     try:
-        # Concurrent mixed load: 8 negotiation clients inside the
-        # coalescing window, the other routes, and an async job.
+        # Concurrent mixed load: 8 negotiation clients queueing behind
+        # each other's batches, the other routes, and an async job.
         with ThreadPoolExecutor(max_workers=CLIENTS + 2) as pool:
             workers = [
                 pool.submit(negotiate_client, client_id)

@@ -77,7 +77,7 @@ _COMMANDS = {
     "simulate": "run a discrete-event simulation scenario",
     "agents": "inspect the heterogeneous-agent behavior registry",
     "negotiate": "run a batched BOSCO negotiation pass",
-    "serve": "serve the session workflows over HTTP with batch coalescing",
+    "serve": "serve the session workflows over HTTP; queued negotiations share a batch",
     "sweep": "run a sharded, resumable parameter sweep",
 }
 
@@ -97,14 +97,7 @@ _SERVE_FLAGS = (
         "max_batch",
         int,
         32,
-        "flush a coalescing group early once it holds this many negotiation requests",
-    ),
-    (
-        "coalesce_window_ms",
-        float,
-        5.0,
-        "finite window during which concurrent negotiation requests join one "
-        "engine batch; 0 disables coalescing",
+        "most negotiation requests one engine batch may hold; 1 solves each alone",
     ),
     (
         "cache_entries",

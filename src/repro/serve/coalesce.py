@@ -1,8 +1,8 @@
 """Cross-client batch coalescing for negotiation requests.
 
 The scheduler is the reason ``repro serve`` exists as a *service*
-rather than a CLI-per-request: negotiation requests arriving within a
-short window are packed into **one**
+rather than a CLI-per-request: negotiation requests that arrive while
+the server is busy are packed into **one**
 :meth:`~repro.api.session.Session.negotiate_many` call, which solves
 every client's trials in a single vectorized
 :class:`~repro.bargaining.engine.GameBatch` instead of one small batch
@@ -12,22 +12,25 @@ name + choice-set cardinality) — the only parameters
 :meth:`~repro.bargaining.engine.GameBatch.from_choice_sets` requires a
 batch to share.
 
+Batching follows **occupancy**, not a timer.  A request whose key has
+no batch running is solved at once; requests that arrive while a batch
+of their key is solving queue up and form the next batch, in arrival
+order, cut at ``max_batch``.  A lone client therefore never waits for
+company, and under load the batches grow by themselves.
+
 **Coalescing never changes results.** Each request's trials are drawn
 from its own seeded RNG regardless of batchmates, and the engine's
 kernels are row-independent, so a coalesced response is bit-identical
 to the response the same request gets alone (pinned by the serve test
-suite).  A group flushes when its window timer fires or when it reaches
-``max_batch``, whichever comes first.  If a *mixed* batch fails, every
-member is retried solo so one poison request cannot fail its
-batchmates — and the solo retry is the sequential path, so isolation
-costs no correctness.
+suite).  If a *mixed* batch fails, every member is retried solo so one
+poison request cannot fail its batchmates — and the solo retry is the
+sequential path, so isolation costs no correctness.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections.abc import Awaitable, Callable, Sequence
-from dataclasses import dataclass, field
 
 from repro.api.requests import NegotiateRequest
 from repro.api.results import NegotiateResult
@@ -37,33 +40,23 @@ __all__ = ["CoalescingScheduler"]
 #: ``solve`` signature: a packed cohort in, one result per request out.
 Solver = Callable[[Sequence[NegotiateRequest]], Awaitable[list[NegotiateResult]]]
 
-
-@dataclass
-class _PendingGroup:
-    """Requests of one coalesce key waiting for the window to close."""
-
-    entries: list[tuple[NegotiateRequest, asyncio.Future]] = field(
-        default_factory=list
-    )
-    timer: asyncio.TimerHandle | None = None
+_Entry = tuple[NegotiateRequest, asyncio.Future]
 
 
 class CoalescingScheduler:
     """Packs concurrent negotiation requests into shared engine batches.
 
-    ``window_s <= 0`` or ``max_batch <= 1`` disables coalescing: every
-    request solves alone (the sequential path), which is also the
-    baseline the byte-identity tests and the serve benchmark compare
-    against.
+    Each busy coalesce key has one queue and one task that solves the
+    queue's head, ``max_batch`` requests at a time, until the queue is
+    empty.  ``max_batch=1`` therefore solves every request alone (the
+    sequential path), which is also the baseline the byte-identity
+    tests and the serve benchmark compare against.
     """
 
-    def __init__(
-        self, *, window_s: float, max_batch: int, solve: Solver
-    ) -> None:
-        self.window_s = window_s
+    def __init__(self, *, max_batch: int, solve: Solver) -> None:
         self.max_batch = max_batch
         self._solve = solve
-        self._groups: dict[tuple[str, int], _PendingGroup] = {}
+        self._queues: dict[tuple[str, int], list[_Entry]] = {}
         self._inflight: set[asyncio.Task] = set()
         self._requests_total = 0
         self._batches_total = 0
@@ -71,51 +64,37 @@ class CoalescingScheduler:
         self._max_batch_size = 0
         self._solo_retries = 0
 
-    @property
-    def enabled(self) -> bool:
-        """Whether requests may share batches at all."""
-        return self.window_s > 0.0 and self.max_batch > 1
-
     async def submit(self, request: NegotiateRequest) -> tuple[NegotiateResult, int]:
         """Schedule one request; returns ``(result, batch_size)``.
 
         ``batch_size`` is how many requests shared the engine batch that
-        produced this result (1 when coalescing is off or nobody else
-        arrived in the window) — the request log records it.
+        produced this result (1 when nobody else was queued with it) —
+        the request log records it.
         """
         self._requests_total += 1
-        if not self.enabled:
-            results = await self._run_solve([request])
-            return results[0], 1
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         key = request.coalesce_key()
-        group = self._groups.get(key)
-        if group is None:
-            group = _PendingGroup()
-            self._groups[key] = group
-            group.timer = loop.call_later(self.window_s, self._flush, key)
-        group.entries.append((request, future))
-        if len(group.entries) >= self.max_batch:
-            self._flush(key)
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = []
+            task = loop.create_task(self._run_queue(key, queue))
+            self._inflight.add(task)
+            task.add_done_callback(self._inflight.discard)
+        queue.append((request, future))
         return await future
 
-    def _flush(self, key: tuple[str, int]) -> None:
-        """Close one group's window and start solving its batch."""
-        group = self._groups.pop(key, None)
-        if group is None:
-            return
-        if group.timer is not None:
-            group.timer.cancel()
-        task = asyncio.get_running_loop().create_task(
-            self._run_batch(group.entries)
-        )
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+    async def _run_queue(self, key: tuple[str, int], queue: list[_Entry]) -> None:
+        """Solve one key's queue batch by batch until nothing waits."""
+        try:
+            while queue:
+                batch = queue[: self.max_batch]
+                del queue[: self.max_batch]
+                await self._run_batch(batch)
+        finally:
+            del self._queues[key]
 
-    async def _run_batch(
-        self, entries: list[tuple[NegotiateRequest, asyncio.Future]]
-    ) -> None:
+    async def _run_batch(self, entries: list[_Entry]) -> None:
         requests = [request for request, _ in entries]
         size = len(requests)
         try:
@@ -161,17 +140,13 @@ class CoalescingScheduler:
             future.set_result(result)
 
     async def drain(self) -> None:
-        """Flush every pending group and wait for all in-flight batches."""
-        for key in list(self._groups):
-            self._flush(key)
+        """Wait until every queued and running batch has been solved."""
         while self._inflight:
             await asyncio.gather(*list(self._inflight), return_exceptions=True)
 
-    def stats(self) -> dict[str, float | int | bool]:
+    def stats(self) -> dict[str, int]:
         """Counters for ``/stats``: how much coalescing actually happened."""
         return {
-            "enabled": self.enabled,
-            "window_ms": self.window_s * 1000.0,
             "max_batch": self.max_batch,
             "requests": self._requests_total,
             "batches": self._batches_total,

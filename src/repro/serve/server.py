@@ -24,9 +24,10 @@ not an abort:
    requests on kept-alive connections get ``503``);
 2. wait until every in-flight request has produced and written its
    response — coalesced negotiation batches included;
-3. stop the job runner after its in-flight job, flush the coalescer,
-   stop the worker, close the request log (whose records are
-   single-write lines, so the file ends on a line boundary);
+3. stop the job runner after its in-flight job, wait for every queued
+   and running negotiation batch, stop the worker, close the request
+   log (whose records are single-write lines, so the file ends on a
+   line boundary);
 4. cancel the now-idle keep-alive readers and close the session.
 
 Exit code 0 on a drained shutdown.
@@ -37,7 +38,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import math
 import os
 import signal
 import socket as socket_module
@@ -67,7 +67,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8000
     max_batch: int = 32
-    coalesce_window_ms: float = 5.0
     cache_entries: int = 256
     session_cache_limit: int | None = None
     request_log: str | None = None
@@ -82,11 +81,6 @@ class ServeConfig:
         if self.max_batch < 1:
             raise ValidationError(
                 f"--max-batch must be a positive integer, got {self.max_batch}"
-            )
-        if not (math.isfinite(self.coalesce_window_ms) and self.coalesce_window_ms >= 0.0):
-            raise ValidationError(
-                f"--coalesce-window-ms must be a non-negative finite number of "
-                f"milliseconds, got {self.coalesce_window_ms:g}"
             )
         if self.cache_entries < 0:
             raise ValidationError(
@@ -111,7 +105,6 @@ class ReproServer:
         self.session = Session(cache_limit=config.session_cache_limit)
         self.service = ServeService(
             self.session,
-            coalesce_window_ms=config.coalesce_window_ms,
             max_batch=config.max_batch,
             cache_entries=config.cache_entries,
             request_log=RequestLog(config.request_log),

@@ -6,8 +6,9 @@ The service owns the pieces the server wires together:
   single-worker executor so compute runs off the event loop while
   staying strictly serialized (the session's own lock makes even that
   serialization a guarantee, not an accident);
-- the :class:`~repro.serve.coalesce.CoalescingScheduler` for
-  negotiation requests;
+- the :class:`~repro.serve.coalesce.CoalescingScheduler`, which packs
+  negotiation requests that queue behind a running batch into the next
+  one;
 - the two-tier :class:`~repro.serve.cache.ResultCache` of serialized
   envelope bytes — a per-process LRU over the content-addressed
   :class:`~repro.core.store.Store` every worker of a pre-fork
@@ -139,7 +140,6 @@ class ServeService:
         self,
         session: Session,
         *,
-        coalesce_window_ms: float = 5.0,
         max_batch: int = 32,
         cache_entries: int | None = 256,
         request_log: RequestLog | None = None,
@@ -158,9 +158,7 @@ class ServeService:
         store = Store(self.state_dir / "results-cache") if cache_entries != 0 else None
         self.cache = ResultCache(cache_entries, store=store)
         self.coalescer = CoalescingScheduler(
-            window_s=coalesce_window_ms / 1000.0,
-            max_batch=max_batch,
-            solve=self._solve_batch,
+            max_batch=max_batch, solve=self._solve_batch
         )
         self.jobs = JobStore(self.state_dir / "jobs")
         self.job_runner = JobRunner(self.jobs, self._execute_job)

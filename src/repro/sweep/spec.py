@@ -38,7 +38,8 @@ raises :class:`~repro.errors.ValidationError` naming the field
 :data:`NAMED_SCALES` or an object whose missing knobs come from the
 named scale of its name (else ``tiny``).  A scenario entry is flat —
 ``scenario``, an optional ``label``, then knobs the scenario dataclass
-decodes.  Figure names are the keys of
+decodes — or, as :meth:`SweepSpec.to_json_dict` writes it, has the
+knobs nested under ``overrides``.  Figure names are the keys of
 :data:`repro.experiments.runner.FIGURES`, taken in its order.
 """
 
@@ -135,7 +136,9 @@ class ScenarioSpec:
     decoding them into the scenario dataclass.  ``label`` distinguishes
     configurations of the same scenario in shard ids and aggregation
     groups; :class:`SweepSpec` fills in a missing one.  The canonical
-    form nests the knobs under ``overrides`` (the cache-key input).
+    form nests the knobs under ``overrides`` (the cache-key input), and
+    decoding reads that form back too: no scenario has a field named
+    ``overrides``.
     """
 
     scenario: str
@@ -159,15 +162,18 @@ class ScenarioSpec:
 
     @classmethod
     def from_json_value(cls, value: Any) -> "ScenarioSpec":
-        """One flat spec entry."""
+        """One flat spec entry, or the canonical form's nested knobs."""
         if not isinstance(value, Mapping):
             raise ValidationError(f"SweepSpec.scenarios[] must be an object, got {value!r}")
         knobs = dict(value)
-        return cls(
-            scenario=knobs.pop("scenario", None),
-            label=knobs.pop("label", None),
-            overrides=tuple(sorted(knobs.items())),
-        )
+        scenario, label = knobs.pop("scenario", None), knobs.pop("label", None)
+        nested = knobs.pop("overrides", {})
+        if not isinstance(nested, Mapping):
+            raise ValidationError(
+                f"SweepSpec.scenarios[].overrides must be an object, got {nested!r}"
+            )
+        knobs.update(nested)
+        return cls(scenario=scenario, label=label, overrides=tuple(sorted(knobs.items())))
 
     def to_json_value(self) -> dict[str, Any]:
         """Canonical JSON-safe form."""

@@ -75,7 +75,7 @@ CASES = [
 
 
 def post(workflow: str, payload: dict) -> tuple[int, dict]:
-    service = ServeService(Session(), coalesce_window_ms=0.0, cache_entries=8)
+    service = ServeService(Session(), cache_entries=8)
     request = HttpRequest(
         method="POST", path=f"/v1/{workflow}", query="", body=json.dumps(payload).encode()
     )

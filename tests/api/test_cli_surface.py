@@ -86,7 +86,6 @@ PINNED = {
         "host": (("--host",), None, None, False),
         "port": (("--port",), "int", None, False),
         "max_batch": (("--max-batch",), "int", None, False),
-        "coalesce_window_ms": (("--coalesce-window-ms",), "float", None, False),
         "cache_entries": (("--cache-entries",), "int", None, False),
         "session_cache_limit": (("--session-cache-limit",), "int", None, False),
         "request_log": (("--request-log",), None, None, False),

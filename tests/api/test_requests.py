@@ -80,7 +80,7 @@ class TestExperimentsTakesNoArtifactStore:
             JobRequest(workflow="experiments", request=payload)
 
         service = ServeService(
-            Session(), coalesce_window_ms=0.0, cache_entries=8, state_dir=tmp_path / "state"
+            Session(), cache_entries=8, state_dir=tmp_path / "state"
         )
         for path, document in (
             ("/v1/experiments", payload),
@@ -159,7 +159,7 @@ class TestTierOneIsRequired:
 
         (workflow,) = [w for w in WORKFLOWS.values() if w.request_type is request_type]
         if workflow.routable:
-            service = ServeService(Session(), coalesce_window_ms=0.0, cache_entries=8)
+            service = ServeService(Session(), cache_entries=8)
             request = HttpRequest(
                 method="POST",
                 path=f"/v1/{workflow.name}",

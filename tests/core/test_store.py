@@ -75,7 +75,7 @@ def population(path: Path, document: dict) -> Path:
 
 def serve(state_dir: Path) -> ServeService:
     return ServeService(
-        Session(), coalesce_window_ms=0.0, cache_entries=8, state_dir=state_dir
+        Session(), cache_entries=8, state_dir=state_dir
     )
 
 

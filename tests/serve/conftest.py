@@ -54,10 +54,9 @@ class ServeProcess:
 
 
 @pytest.fixture(scope="module")
-def module_server(request):
-    """One server shared by a whole module (args from ``SERVER_ARGS``)."""
-    args = list(getattr(request.module, "SERVER_ARGS", []))
-    process = ServeProcess(args)
+def module_server():
+    """One default-flag server shared by a whole module."""
+    process = ServeProcess([])
     yield process
     process.kill()
 

@@ -23,9 +23,6 @@ from repro.errors import ReproError, ServiceError, ValidationError
 from repro.serve.client import ServeClient, ServeResponse, _error_from_envelope
 
 
-SERVER_ARGS = ["--coalesce-window-ms", "0"]
-
-
 @pytest.fixture()
 def client(module_server):
     with ServeClient("127.0.0.1", module_server.port) as c:

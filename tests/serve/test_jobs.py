@@ -174,7 +174,6 @@ class TestJobRoutesAndRunner:
     def service(self, tmp_path):
         return ServeService(
             Session(),
-            coalesce_window_ms=0.0,
             cache_entries=8,
             state_dir=tmp_path / "state",
         )
@@ -323,7 +322,6 @@ class TestJobRoutesAndRunner:
 def id_service(tmp_path_factory):
     service = ServeService(
         Session(),
-        coalesce_window_ms=0.0,
         cache_entries=8,
         state_dir=tmp_path_factory.mktemp("ids") / "state",
     )

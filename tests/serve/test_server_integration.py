@@ -3,9 +3,9 @@
 The two acceptance properties of the serve subsystem are pinned here
 against a real child process:
 
-1. **Coalescing is invisible in the results.** With a coalescing window
-   open and ≥ 8 concurrent clients, every response body is byte-
-   identical to what a sequential single-client run produces for the
+1. **Coalescing is invisible in the results.** With ≥ 8 concurrent
+   clients packed into shared engine batches, every response body is
+   byte-identical to what a sequential single-client run produces for the
    same request (the direct in-process session path — which the serve
    test suite separately pins equal to the one-at-a-time server).
 
@@ -37,9 +37,7 @@ def post_negotiate(port: int, seed: int) -> bytes:
 
 class TestCoalescedByteIdentity:
     def test_concurrent_clients_match_the_sequential_path(self, serve_process):
-        server = serve_process(
-            ["--coalesce-window-ms", "50", "--max-batch", "32"]
-        )
+        server = serve_process(["--max-batch", "32"])
         seeds = list(range(100, 100 + CLIENTS))
         with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
             bodies = list(
@@ -67,8 +65,8 @@ class TestCoalescedByteIdentity:
         assert server.terminate_and_wait() == 0
 
     def test_coalesced_equals_one_at_a_time_server(self, serve_process):
-        coalesced = serve_process(["--coalesce-window-ms", "50"])
-        sequential = serve_process(["--coalesce-window-ms", "0"])
+        coalesced = serve_process([])
+        sequential = serve_process(["--max-batch", "1"])
         seeds = list(range(200, 200 + CLIENTS))
         with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
             concurrent_bodies = list(
@@ -109,14 +107,7 @@ class TestGracefulDrain:
         self, serve_process, tmp_path
     ):
         log_path = tmp_path / "requests.jsonl"
-        server = serve_process(
-            [
-                "--coalesce-window-ms",
-                "25",
-                "--request-log",
-                str(log_path),
-            ]
-        )
+        server = serve_process(["--request-log", str(log_path)])
         # One synchronous request guarantees the log is non-empty even
         # if the signal wins every race below.
         post_negotiate(server.port, 299)
@@ -132,7 +123,7 @@ class TestGracefulDrain:
         seeds = list(range(300, 300 + CLIENTS))
         with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
             futures = [pool.submit(tolerant_post, seed) for seed in seeds]
-            # SIGTERM while the batch window is plausibly still open:
+            # SIGTERM while batches are plausibly still queued or solving:
             # the drain must answer every *accepted* request first.
             exit_code = server.terminate_and_wait()
             statuses = [future.result() for future in futures]

@@ -25,7 +25,7 @@ def handle_full(service: ServeService, method: str, path: str, payload=None):
 
 @pytest.fixture()
 def service():
-    return ServeService(Session(), coalesce_window_ms=0.0, cache_entries=8)
+    return ServeService(Session(), cache_entries=8)
 
 
 TINY_NEGOTIATE = {"num_choices": 10, "trials": 5, "seed": 3}
@@ -157,14 +157,12 @@ class TestSharedDiskCache:
         """A result computed by one process-alike is a disk hit for another."""
         first = ServeService(
             Session(),
-            coalesce_window_ms=0.0,
             cache_entries=8,
             state_dir=tmp_path / "state",
         )
         _, body = handle(first, "POST", "/v1/negotiate", TINY_NEGOTIATE)
         second = ServeService(
             Session(),
-            coalesce_window_ms=0.0,
             cache_entries=8,
             state_dir=tmp_path / "state",
         )
@@ -177,7 +175,6 @@ class TestSharedDiskCache:
     def test_cache_entries_zero_disables_both_tiers(self, tmp_path):
         service = ServeService(
             Session(),
-            coalesce_window_ms=0.0,
             cache_entries=0,
             state_dir=tmp_path / "state",
         )

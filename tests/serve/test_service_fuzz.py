@@ -52,7 +52,7 @@ def post(service: ServeService, path: str, payload) -> tuple[int, dict]:
 
 @pytest.fixture(scope="module")
 def service():
-    service = ServeService(Session(), coalesce_window_ms=0.0, cache_entries=8)
+    service = ServeService(Session(), cache_entries=8)
     yield service
     asyncio.run(service.aclose())
 

@@ -22,7 +22,7 @@ from repro.api import NegotiateRequest, Session
 from repro.serve.client import ServeClient
 
 TINY_NEGOTIATE = {"num_choices": 10, "trials": 5, "seed": 3}
-WORKER_ARGS = ["--workers", "2", "--coalesce-window-ms", "0"]
+WORKER_ARGS = ["--workers", "2"]
 
 
 def _pid_wave(port: int, clients: int = 8) -> tuple[set[int], list[bytes]]:
@@ -216,7 +216,7 @@ class TestSingleWorkerPath:
     def test_workers_one_keeps_the_in_process_server(self, serve_process):
         """``--workers 1`` must not fork: the discovery line and drain
         behavior of the original single-process path are unchanged."""
-        server = serve_process(["--workers", "1", "--coalesce-window-ms", "0"])
+        server = serve_process(["--workers", "1"])
         pids, _ = _pid_wave(server.port)
         assert pids == {server.proc.pid}
         assert server.terminate_and_wait() == 0

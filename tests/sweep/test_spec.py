@@ -218,6 +218,39 @@ class TestHash:
         assert a.spec_hash() != c.spec_hash()
 
 
+def knobbed_spec():
+    return SweepSpec.from_mapping(
+        minimal_mapping(
+            figures=[],
+            scenarios=[
+                {"scenario": "failure-churn", "label": "slow", "duration": 6.0,
+                 "mean_time_to_failure": 80.0},
+                {"scenario": "flash-crowd", "label": "burst", "crowd_multiplier": 3.0},
+                # Labelled by the spec itself: flash-crowd#2.
+                {"scenario": "flash-crowd", "duration": 12.0},
+            ],
+        )
+    )
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("make_spec", [smoke_spec, knobbed_spec])
+    def test_canonical_form_decodes_to_the_same_spec(self, make_spec):
+        """A written spec (a sweep summary's ``"spec"``) reads back as is."""
+        spec = make_spec()
+        document = spec.to_json_dict()
+        again = SweepSpec.from_json_dict(document)
+        assert again == spec
+        assert again.to_json_dict() == document
+        assert again.spec_hash() == spec.spec_hash()
+
+    def test_non_object_overrides_rejected(self):
+        with pytest.raises(ValidationError, match=r"scenarios\[\]\.overrides"):
+            SweepSpec.from_mapping(
+                minimal_mapping(scenarios=[{"scenario": "failure-churn", "overrides": [1]}])
+            )
+
+
 class TestWrongTypedFields:
     def test_non_list_axes_raise_spec_errors(self):
         for field, value in (

@@ -295,7 +295,6 @@ class TestServeCommand:
         assert args.host == "127.0.0.1"
         assert args.port == 8000
         assert args.max_batch == 32
-        assert args.coalesce_window_ms == 5.0
         assert args.cache_entries == 256
         assert args.request_log is None
         assert args.session_cache_limit is None
@@ -306,8 +305,6 @@ class TestServeCommand:
                 "serve",
                 "--port",
                 "0",
-                "--coalesce-window-ms",
-                "12.5",
                 "--max-batch",
                 "4",
                 "--cache-entries",
@@ -319,7 +316,6 @@ class TestServeCommand:
             ]
         )
         assert args.port == 0
-        assert args.coalesce_window_ms == 12.5
         assert args.max_batch == 4
         assert args.cache_entries == 0
         assert args.request_log == "req.jsonl"
@@ -330,13 +326,11 @@ class TestServeCommand:
 
         assert cli_main(["serve", "--max-batch", "0", "--port", "0"]) == 2
         assert "--max-batch must be a positive integer" in capsys.readouterr().err
-        # inf would never fire the coalescing timer; nan silently disabled it.
-        for window in ("inf", "nan"):
-            assert cli_main(["serve", "--port", "0", "--coalesce-window-ms", window]) == 2
-            assert (
-                "--coalesce-window-ms must be a non-negative finite number"
-                in capsys.readouterr().err
-            )
+        # Batch size follows occupancy, so no window flag exists.
+        with pytest.raises(SystemExit) as unknown:
+            cli_main(["serve", "--port", "0", "--coalesce-window-ms", "5"])
+        assert unknown.value.code == 2
+        assert "unrecognized arguments: --coalesce-window-ms" in capsys.readouterr().err
         assert cli_main(["serve", "--port", "0", "--session-cache-limit", "-1"]) == 2
         assert "--session-cache-limit must be non-negative" in capsys.readouterr().err
 
