@@ -17,7 +17,8 @@ programmatically and with structure instead of strings:
 - Typed result dataclasses (:mod:`repro.api.results`) — every workflow
   returns structured data with a schema-versioned
   ``to_json_dict()``/``from_json_dict()`` JSON envelope, and the CLI's
-  text output is a pure rendering of the same value.
+  text output is a pure rendering of the same value.  A failure crosses
+  the wire as an :class:`~repro.api.results.ErrorResult`.
 - The :class:`~repro.errors.ReproError` taxonomy with its stable exit
   codes (:func:`~repro.errors.exit_code_for`).
 
@@ -31,7 +32,8 @@ A typical lifecycle::
     payload = experiments.to_json_dict()   # schema-versioned envelope
 
 ``repro.cli`` is a thin adapter over this package, and
-``python -m repro.api.validate`` checks envelope files in CI.
+``python -m repro.api.validate`` checks envelope files in CI by
+decoding each through the codec of its ``kind``.
 """
 
 from repro.api.adapter import main
@@ -51,6 +53,7 @@ from repro.api.results import (
     AgentsListResult,
     DiversityResult,
     DiversityScenarioRow,
+    ErrorResult,
     ExperimentsResult,
     GrcAllResult,
     JobStatusResult,
@@ -114,6 +117,7 @@ __all__ = [
     "SweepResult",
     "SweepListResult",
     "JobStatusResult",
+    "ErrorResult",
     # errors
     "ReproError",
     "ValidationError",

@@ -15,7 +15,7 @@ runner builds the request (construction validates; a
 ``repro <command>: error: …`` message with exit code 2), calls the
 session workflow, and prints the result — ``--format text`` renders the
 historical byte-identical report, ``--format json`` prints the
-schema-versioned envelope.
+schema-versioned envelope as :func:`~repro.envelope.canonical_text`.
 
 Only CLI-only behaviour is spelled out by hand: ``--format`` (whose
 ``gml`` choice sets ``repro topology``'s file format), topology's
@@ -32,7 +32,6 @@ output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Sequence
@@ -63,6 +62,7 @@ from repro.api.results import (
     render_topology_text,
 )
 from repro.api.session import Session
+from repro.envelope import canonical_text
 from repro.errors import ReproError
 from repro.simulation.scenarios import SCENARIOS
 
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(result, output_format: str) -> None:
     """Print a result in the selected format."""
     if output_format == "json":
-        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
+        print(canonical_text(result.to_json_dict()), end="")
     else:
         print(_RENDERERS[type(result)](result))
 

@@ -36,7 +36,7 @@ from repro.bargaining.distributions import (
     paper_distribution_u1,
     paper_distribution_u2,
 )
-from repro.envelope import INPUT_FILE, JsonCodec, envelope
+from repro.envelope import INPUT_FILE, SCHEMA_VERSION, JsonCodec
 from repro.errors import ValidationError
 from repro.simulation.scenarios import SCENARIOS, scenario_field_names
 from repro.sweep import DEFAULT_CACHE_DIR, DEFAULT_OUT_DIR
@@ -433,7 +433,7 @@ def decode_request(request_type: type[_JsonRequest], document: Any) -> Any:
     constructor's checks.
     """
     if isinstance(document, Mapping) and {"kind", "schema_version"}.isdisjoint(document):
-        document = envelope(request_type.kind, document)
+        document = {"schema_version": SCHEMA_VERSION, "kind": request_type.kind, **document}
     return request_type.from_json_dict(document)
 
 

@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.envelope import IN_PROCESS, OMIT_IF_NONE, Envelope, JsonCodec
-from repro.errors import EnvelopeError, OutputError
+from repro.errors import (
+    EnvelopeError,
+    OutputError,
+    ReproError,
+    error_class_for,
+    exit_code_for,
+    http_status_for,
+)
 from repro.experiments.reporting import SectionResult, render_report
 from repro.simulation.scenarios import ScenarioResult
 
@@ -35,6 +42,7 @@ __all__ = [
     "NegotiateResult",
     "SweepResult",
     "SweepListResult",
+    "ErrorResult",
     "JobStatusResult",
     "JOB_STATES",
     "render_topology_text",
@@ -299,14 +307,40 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 
 @dataclass(frozen=True)
+class ErrorResult(JsonCodec):
+    """A failed request or job: the message, its CLI exit code and HTTP status.
+
+    ``repro serve`` answers every failure with one, and a failed job
+    records one; the codes are a row of :data:`~repro.errors.STATUS_TABLE`.
+    """
+
+    kind = "error_result"
+
+    error: str
+    exit_code: int
+    http_status: int
+
+    @classmethod
+    def from_exception(cls, error: BaseException) -> "ErrorResult":
+        """The result of a raised error (anything no ReproError is a 500)."""
+        if isinstance(error, ReproError):
+            return cls(str(error), exit_code_for(error), http_status_for(error))
+        return cls(f"internal error: {error}", 1, 500)
+
+    def to_exception(self) -> ReproError:
+        """The taxonomy error the two codes map back to, with the message."""
+        return error_class_for(self.exit_code, self.http_status)(self.error)
+
+
+@dataclass(frozen=True)
 class JobStatusResult(JsonCodec):
     """One observation of an asynchronous job (``GET /v1/jobs/<id>``).
 
     ``progress`` is a small free-form mapping the running workflow
     updates as it goes (sweeps report ``completed``/``total`` shards);
     ``result`` carries the workflow's full result envelope once the
-    state is ``done``, and ``error`` an ``error_result`` envelope once
-    it is ``failed``.
+    state is ``done``, and ``error`` the :class:`ErrorResult` once it
+    is ``failed``.
     """
 
     kind = "job_status_result"
@@ -316,7 +350,7 @@ class JobStatusResult(JsonCodec):
     state: str
     progress: dict[str, Any]
     result: Envelope | None = None
-    error: Envelope | None = None
+    error: ErrorResult | None = None
 
     def __post_init__(self) -> None:
         if self.state not in JOB_STATES:

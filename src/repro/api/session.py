@@ -92,7 +92,7 @@ from repro.sweep import (
     run_sweep,
     smoke_spec,
 )
-from repro.paths.grc_all import plan_ranges, run_grc_all
+from repro.paths.grc_all import run_grc_all
 from repro.topology.caida import CaidaFormatError, load_as_rel, save_as_rel
 from repro.topology.generator import GeneratedTopology, generate_topology
 from repro.topology.gml import GmlFormatError, load_gml, save_gml
@@ -400,14 +400,8 @@ class Session:
                 compiled = compile_topology(
                     self._generated_topology(request.generation_key()).graph
                 )
-            num_shards = 1
             if request.jobs > 1 and compiled.n > 0:
                 artifact_path = ArtifactStore(request.artifact_dir).save(compiled)
-                ranges = plan_ranges(
-                    compiled.n,
-                    request.shards if request.shards is not None else request.jobs,
-                )
-                num_shards = len(ranges)
                 grc_pass = run_grc_all(
                     compiled,
                     jobs=request.jobs,
@@ -431,7 +425,7 @@ class Session:
             topology_path=request.topology,
             fingerprint=grc_pass.fingerprint,
             jobs=request.jobs,
-            shards=num_shards,
+            shards=grc_pass.shards,
             num_ases=int(summary["num_ases"]),
             total_paths=int(summary["total_paths"]),
             mean_paths=float(summary["mean_paths"]),

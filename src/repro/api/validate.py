@@ -5,10 +5,12 @@ json``, ``repro simulate --format json``) and feeds the output files to
 this module, which enforces the envelope contract without re-running
 anything:
 
-- the document is a JSON object with the current integer
-  ``schema_version`` and a known ``kind``;
-- the kind's required payload keys (read from the codec registry) are
-  present, in it and in every nested envelope;
+- the document is a JSON object whose ``kind`` is registered in
+  :data:`~repro.envelope.KINDS`;
+- it decodes through that kind's codec (``from_json_dict``): the
+  current ``schema_version``, every field of the right JSON type, no
+  field missing or unknown, and every nested envelope decoded the same
+  way, so a problem names its ``kind.field``;
 - every number anywhere in the payload is finite (``NaN``/``Infinity``
   would not survive strict JSON parsers downstream).
 
@@ -28,23 +30,13 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
-# Importing these registers every dataclass kind (requests, results,
-# sections, engine-level envelopes) with the codec.
-import repro.api.requests  # noqa: F401
-import repro.sweep.executor  # noqa: F401
-from repro.envelope import KINDS, SCHEMA_VERSION, nested_envelopes, required_keys
+# Importing this registers every kind the CLI and the server emit
+# (requests, results, sections, serve envelopes) with the codec.
+import repro.serve.service  # noqa: F401
+from repro.envelope import KINDS
+from repro.errors import ValidationError
 
-__all__ = ["REQUIRED_KEYS", "validate_envelope", "main"]
-
-#: Required payload keys per envelope kind: every codec dataclass's
-#: fields without a default, plus the serve layer's plain-dict kinds.
-REQUIRED_KEYS: dict[str, tuple[str, ...]] = {
-    **{kind: required_keys(cls) for kind, cls in KINDS.items()},
-    "error_result": ("error", "exit_code", "http_status"),
-    "serve_stats": ("requests_total", "result_cache", "coalescing", "session"),
-    "serve_health": ("status",),
-    "serve_log_record": ("method", "path", "status", "latency_ms"),
-}
+__all__ = ["validate_envelope", "main"]
 
 
 def _non_finite_paths(value: Any, path: str) -> list[str]:
@@ -66,46 +58,19 @@ def _non_finite_paths(value: Any, path: str) -> list[str]:
 
 def validate_envelope(data: Any) -> list[str]:
     """Problems with one decoded envelope document (empty list = valid)."""
-    problems = _contract_problems(data)
-    if isinstance(data, dict):
-        problems.extend(_non_finite_paths(data, "$"))
-    return problems
-
-
-def _contract_problems(data: Any) -> list[str]:
-    """Header and required-key problems, recursing into nested envelopes."""
     if not isinstance(data, dict):
         return [f"envelope must be a JSON object, got {type(data).__name__}"]
-    problems: list[str] = []
-    version = data.get("schema_version")
-    if not isinstance(version, int) or isinstance(version, bool):
-        problems.append(f"schema_version must be an integer, got {version!r}")
-    elif version != SCHEMA_VERSION:
-        problems.append(
-            f"unsupported schema_version {version} (expected {SCHEMA_VERSION})"
-        )
     kind = data.get("kind")
-    if not isinstance(kind, str) or not kind:
-        problems.append(f"kind must be a non-empty string, got {kind!r}")
-    elif kind not in REQUIRED_KEYS:
-        problems.append(
-            f"unknown kind {kind!r}; known: {', '.join(sorted(REQUIRED_KEYS))}"
-        )
+    codec = KINDS.get(kind) if isinstance(kind, str) else None
+    problems: list[str] = []
+    if codec is None:
+        problems.append(f"unknown kind {kind!r}; known: {', '.join(sorted(KINDS))}")
     else:
-        missing = [key for key in REQUIRED_KEYS[kind] if key not in data]
-        if missing:
-            problems.append(
-                f"kind {kind!r} is missing required key(s): {', '.join(missing)}"
-            )
-        # Nested envelopes (sections, a population, a job's result or
-        # error) are checked recursively, so one top-level validation
-        # covers the whole document.
-        if kind in KINDS:
-            for where, nested in nested_envelopes(KINDS[kind], data):
-                problems.extend(
-                    f"{where}: {problem}" for problem in _contract_problems(nested)
-                )
-    return problems
+        try:
+            codec.from_json_dict(data)
+        except ValidationError as error:
+            problems.append(str(error))
+    return problems + _non_finite_paths(data, "$")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -36,8 +36,11 @@ These subcommands cover the workflows a downstream user needs:
     ``sweep_summary.json`` + per-metric CSV tables.
 
 Every subcommand accepts ``--format text|json``: the classic text
-report, or the schema-versioned JSON envelope of the structured result
-(validated in CI by ``python -m repro.api.validate``).
+report, or the schema-versioned JSON envelope of the structured result,
+printed as :func:`repro.envelope.canonical_text` (the bytes ``repro
+serve`` answers with).  CI checks every such output with ``python -m
+repro.api.validate``, which decodes it through the codec of its
+``kind``.
 
 The flags of every workflow command are derived from its request
 dataclass (:data:`repro.api.WORKFLOWS`): one ``--field-name`` flag per

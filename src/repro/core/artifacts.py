@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.core.compiled import ARRAY_FIELDS, CompiledTopology
 from repro.core.store import Store, publish, store_key
+from repro.envelope import canonical_text
 
 #: Bump when the on-disk layout or the compiled array semantics change;
 #: old artifacts become unreachable (a different address) rather than
@@ -149,9 +150,7 @@ class ArtifactStore(Store):
                 "num_links": compiled.num_links,
                 "arrays": list(ARRAY_FIELDS),
             }
-            (tmp / _META_NAME).write_text(
-                json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            (tmp / _META_NAME).write_text(canonical_text(meta), encoding="utf-8")
 
         try:
             publish(final, write, directory=True)

@@ -19,8 +19,11 @@ default are required.  Encoding emits every value as it is (tuples as
 lists), so the bytes never depend on the codec.  Decoding
 checks types: a ``bool`` is never an ``int``, a ``float`` field takes
 any finite number, and a mismatch raises the class's ``decode_error``
-naming ``kind.field``, the expected JSON type and the one it got.
-``python -m repro.api.validate`` reads the same :data:`KINDS` registry.
+naming ``kind.field``, the expected JSON type and the one it got.  An
+:data:`Envelope` field is checked by the codec of its own ``kind`` and
+stays a dict.  ``python -m repro.api.validate`` decodes every document
+through the same :data:`KINDS` registry, and :func:`canonical_text` is
+the one JSON text every envelope, job record and summary is written as.
 The input documents (population specs, behavior parameters, scenario
 overrides, sweep specs) are codec classes too;
 :func:`read_json_document` reads their files.
@@ -34,7 +37,7 @@ import json
 import math
 import types
 import typing
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import Any, Callable, ClassVar, NewType
 
@@ -48,17 +51,16 @@ __all__ = [
     "JsonCodec",
     "KINDS",
     "OMIT_IF_NONE",
-    "envelope",
+    "canonical_text",
     "expect_envelope",
-    "nested_envelopes",
     "read_json_document",
-    "required_keys",
 ]
 
 #: The current envelope schema version.  Bump on incompatible changes.
 SCHEMA_VERSION = 1
 
-#: Field type of a nested envelope of any kind (a job's result).
+#: Field type of a nested envelope of any kind (a job's result): decoded
+#: by the codec its ``kind`` names, kept as the dict.
 Envelope = NewType("Envelope", dict)
 
 #: Field metadata: leave the key out of the payload while the value is None.
@@ -73,16 +75,14 @@ INPUT_FILE = {"input_file": True}
 KINDS: dict[str, type[JsonCodec]] = {}
 
 
-def envelope(kind: str, payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Wrap a payload mapping in a schema-versioned envelope."""
-    if not kind:
-        raise ValueError("envelope kind must be a non-empty string")
-    record: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "kind": kind}
-    for key, value in payload.items():
-        if key in ("schema_version", "kind"):
-            raise ValueError(f"payload must not shadow the envelope key {key!r}")
-        record[key] = value
-    return record
+def canonical_text(document: Any) -> str:
+    """The canonical JSON text: 2-space indent, sorted keys, final newline.
+
+    ``--format json`` prints it, ``repro serve`` answers with it, and job
+    records, sweep shards and summaries and artifact metadata are
+    written as it, so equal documents are equal bytes everywhere.
+    """
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def expect_envelope(data: Mapping[str, Any], kind: str) -> dict[str, Any]:
@@ -152,23 +152,6 @@ class JsonCodec:
             raise cls.decode_error(str(error)) from None
 
 
-def required_keys(cls: type[JsonCodec]) -> tuple[str, ...]:
-    """The payload keys every envelope of ``cls`` must carry."""
-    return _codec(cls).required
-
-
-def nested_envelopes(
-    cls: type[JsonCodec], payload: Mapping[str, Any]
-) -> Iterator[tuple[str, Any]]:
-    """``(where, value)`` of each envelope nested in a payload of ``cls``."""
-    for name, many in _codec(cls).nested:
-        value = payload.get(name)
-        if many and isinstance(value, list):
-            yield from ((f"{name}[{i}]", item) for i, item in enumerate(value))
-        elif not many and value is not None:
-            yield name, value
-
-
 # ----------------------------------------------------------------------
 # The per-class codec, compiled once from the field annotations.
 # ----------------------------------------------------------------------
@@ -226,13 +209,23 @@ def _decode_object(value: Any, where: str) -> dict[str, Any]:
     raise _mismatch(where, "an object", value)
 
 
+def _decode_envelope(value: Any, where: str) -> dict[str, Any]:
+    document = _decode_object(value, where)
+    kind = document.get("kind")
+    cls = KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise _Mismatch(f"{where} has unknown envelope kind {kind!r}")
+    _codec(cls).decode(document, where)
+    return document
+
+
 _SCALARS: dict[Any, Decoder] = {
     Any: lambda value, where: value,
     int: _checked(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     float: _decode_float,
     str: _checked(lambda v: isinstance(v, str), "a string"),
     bool: _checked(lambda v: isinstance(v, bool), "a boolean"),
-    Envelope: _decode_object,
+    Envelope: _decode_envelope,
 }
 
 
@@ -287,18 +280,6 @@ def _converter(annotation: Any) -> tuple[Encoder | None, Decoder]:
     raise TypeError(f"no JSON codec for annotation {annotation!r}")
 
 
-def _nesting(annotation: Any) -> bool | None:
-    """Whether a field holds many (True) or one (False) nested envelope."""
-    annotation = _optional_inner(annotation) or annotation
-    if typing.get_origin(annotation) is tuple:
-        return True if _nesting(typing.get_args(annotation)[0]) is False else None
-    if annotation is Envelope or (
-        isinstance(annotation, type) and issubclass(annotation, JsonCodec) and annotation.kind
-    ):
-        return False
-    return None
-
-
 class _Codec:
     """The compiled field plan of one :class:`JsonCodec` dataclass."""
 
@@ -312,11 +293,6 @@ class _Codec:
             for f in self.fields
             if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         )
-        self.nested = [
-            (f.name, many)
-            for f in self.fields
-            if (many := _nesting(hints[f.name])) is not None
-        ]
         self.plan = [
             (f.name, *_converter(hints[f.name]), f.metadata.get("json") == "omit_if_none")
             for f in self.fields
@@ -334,7 +310,15 @@ class _Codec:
         return payload
 
     def decode(self, data: Any, where: str) -> Any:
-        payload = expect_envelope(data, self.kind) if self.kind else _decode_object(data, where)
+        if not self.kind:
+            payload = _decode_object(data, where)
+        elif where == self.kind:  # the document itself
+            payload = expect_envelope(data, self.kind)
+        else:  # a nested envelope: header problems name where it sits
+            try:
+                payload = expect_envelope(_decode_object(data, where), self.kind)
+            except EnvelopeError as error:
+                raise _Mismatch(f"{where}: {error}") from None
         unknown = payload.keys() - self.names
         if unknown:
             raise _Mismatch(

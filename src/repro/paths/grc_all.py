@@ -67,6 +67,8 @@ class GrcAllPass:
     asns: np.ndarray
     path_counts: np.ndarray
     destination_counts: np.ndarray
+    #: How many source ranges the pass ran as (1 when in-process).
+    shards: int = 1
 
     @property
     def num_ases(self) -> int:
@@ -148,4 +150,5 @@ def run_grc_all(
         asns=np.asarray(compiled.asn_array),
         path_counts=np.concatenate([counts for counts, _ in results]),
         destination_counts=np.concatenate([dests for _, dests in results]),
+        shards=len(ranges),
     )

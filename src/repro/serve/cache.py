@@ -3,7 +3,7 @@
 The server caches **serialized envelope bytes**, not result objects:
 a cache hit replays the exact bytes the miss produced, so cached and
 computed responses are byte-identical by construction (the same
-``json.dumps(..., indent=2, sort_keys=True)`` rendering the CLI's
+:func:`~repro.envelope.canonical_text` rendering the CLI's
 ``--format json`` uses).
 
 Keys come from :func:`repro.core.store.store_key`: the request's

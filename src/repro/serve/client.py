@@ -9,8 +9,9 @@ async job API.  Tests, the CI smoke-load script, and
 ``benchmarks/bench_serve.py`` all talk to the server through this
 class, so the request/response plumbing is written once.
 
-Failures come back typed too: an ``error_result`` envelope is re-raised
-as the :class:`~repro.errors.ReproError` subclass its ``(exit_code,
+Failures come back typed too: an ``error_result`` envelope decodes to
+an :class:`~repro.api.results.ErrorResult` and is re-raised as the
+:class:`~repro.errors.ReproError` subclass its ``(exit_code,
 http_status)`` pair maps to in the shared
 :data:`~repro.errors.STATUS_TABLE` (:func:`~repro.errors.
 error_class_for`), so ``except ValidationError`` works the same against
@@ -41,13 +42,14 @@ from repro.api.requests import (
 )
 from repro.api.results import (
     DiversityResult,
+    ErrorResult,
     ExperimentsResult,
     JobStatusResult,
     NegotiateResult,
     SimulateResult,
     TopologyResult,
 )
-from repro.errors import ServiceError, error_class_for
+from repro.errors import ServiceError
 
 __all__ = ["ServeClient", "ServeResponse"]
 
@@ -131,24 +133,14 @@ class _JobsNamespace:
         while True:
             status = self.poll(job_id)
             if status.is_terminal:
-                if status.state == "failed" and raise_on_failure:
-                    raise _error_from_envelope(status.error or {})
+                if status.error is not None and raise_on_failure:
+                    raise status.error.to_exception()
                 return status
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {status.state} after {timeout:g}s"
                 )
             time.sleep(interval)
-
-
-def _error_from_envelope(document: Mapping[str, Any]) -> Exception:
-    message = str(document.get("error", "unknown server error"))
-    try:
-        exit_code = int(document.get("exit_code", 1))
-        http_status = int(document.get("http_status", 500))
-    except (TypeError, ValueError):
-        exit_code, http_status = 1, 500
-    return error_class_for(exit_code, http_status)(message)
 
 
 class ServeClient:
@@ -205,8 +197,9 @@ class ServeClient:
             raise ServiceError(
                 f"server returned a non-envelope body (status {response.status})"
             )
-        if document.get("kind") == "error_result":
-            raise _error_from_envelope(document)
+        if document.get("kind") == ErrorResult.kind:
+            # A malformed one raises its EnvelopeError naming the field.
+            raise ErrorResult.from_json_dict(document).to_exception()
         if response.status != expected_status:
             raise ServiceError(
                 f"unexpected status {response.status} "

@@ -6,7 +6,7 @@ with keep-alive — implemented directly on :mod:`asyncio` streams so the
 server adds **no runtime dependency**.  Anything outside that subset
 (chunked uploads, expect/continue, upgrades) is rejected with a clear
 :class:`HttpProtocolError`, which the connection loop turns into a
-``400`` and a closed connection.
+``400`` ``error_result`` and a closed connection.
 
 The module is deliberately transport-only: it never looks inside the
 body.  Routing, JSON decoding, and envelope semantics live in

@@ -48,10 +48,9 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.api.requests import JobRequest
-from repro.api.results import JobStatusResult
+from repro.api.results import ErrorResult, JobStatusResult
 from repro.core.store import write_atomic
-from repro.envelope import envelope
-from repro.errors import ReproError, exit_code_for, http_status_for
+from repro.envelope import canonical_text
 
 __all__ = ["JobStore", "JobRunner"]
 
@@ -110,6 +109,9 @@ class JobStore:
         except FileNotFoundError:
             return None
 
+    def _write_envelope(self, job_id: str, name: str, document: dict[str, Any]) -> None:
+        write_atomic(self.root / job_id / name, canonical_text(document).encode("utf-8"))
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -122,8 +124,7 @@ class JobStore:
         job_id = f"{time.time_ns():019d}-{os.getpid()}-{secrets.token_hex(3)}"
         job_dir = self.root / job_id
         job_dir.mkdir(parents=True)
-        document = json.dumps(request.to_json_dict(), sort_keys=True, indent=2)
-        write_atomic(job_dir / "job.json", (document + "\n").encode("utf-8"))
+        self._write_envelope(job_id, "job.json", request.to_json_dict())
         self._append_event(job_id, "queued", workflow=request.workflow)
         return job_id
 
@@ -167,7 +168,7 @@ class JobStore:
             state=state,
             progress=progress,
             result=result,
-            error=error,
+            error=None if error is None else ErrorResult.from_json_dict(error),
         )
 
     def _live_claim(self, job_id: str) -> int | None:
@@ -219,24 +220,13 @@ class JobStore:
 
     def finish(self, job_id: str, result_envelope: dict[str, Any]) -> None:
         """Publish the result envelope; the job becomes ``done``."""
-        body = json.dumps(result_envelope, sort_keys=True, indent=2) + "\n"
-        write_atomic(self.root / job_id / "result.json", body.encode("utf-8"))
+        self._write_envelope(job_id, "result.json", result_envelope)
         self._append_event(job_id, "done")
 
     def fail(self, job_id: str, error: BaseException) -> None:
         """Publish an ``error_result`` envelope; the job becomes ``failed``."""
-        if isinstance(error, ReproError):
-            exit_code, http_status = exit_code_for(error), http_status_for(error)
-            message = str(error)
-        else:
-            exit_code, http_status = 1, 500
-            message = f"internal error: {error}"
-        document = envelope(
-            "error_result",
-            {"error": message, "exit_code": exit_code, "http_status": http_status},
-        )
-        body = json.dumps(document, sort_keys=True, indent=2) + "\n"
-        write_atomic(self.root / job_id / "error.json", body.encode("utf-8"))
+        failure = ErrorResult.from_exception(error)
+        self._write_envelope(job_id, "error.json", failure.to_json_dict())
         self._append_event(job_id, "failed")
 
     def cancel(self, job_id: str) -> JobStatusResult | None:

@@ -1,10 +1,12 @@
 """Structured JSONL request log of the serve subsystem.
 
-One line per completed request, each a ``serve_log_record`` envelope
-(so ``python -m repro.api.validate`` checks log files exactly like any
-other envelope): method, path, status, latency, the queue depth when
-the request arrived, the engine batch size it rode in (negotiation
-only), and the cache disposition (``hit``/``miss``/``bypass``).
+One line per completed request, each a :class:`ServeLogRecord` envelope
+(so ``python -m repro.api.validate`` decodes log records exactly like
+any other envelope): method, path, status, latency, the queue depth
+when the request arrived, the serving pid, the engine batch size it
+rode in (negotiation only), and the cache disposition
+(``hit``/``miss``/``bypass``).  A line is the compact form of the
+envelope (no indent), still with sorted keys.
 
 Every record is written as **one** ``write()`` call followed by a
 ``flush()``, and all writes happen on the event-loop thread — so a
@@ -18,12 +20,33 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, IO
+from dataclasses import dataclass, field
+from typing import IO
 
-from repro.envelope import envelope
+from repro.envelope import OMIT_IF_NONE, JsonCodec
 from repro.errors import OutputError
 
-__all__ = ["RequestLog"]
+__all__ = ["RequestLog", "ServeLogRecord"]
+
+
+@dataclass(frozen=True)
+class ServeLogRecord(JsonCodec):
+    """One served request, as one line of the request log."""
+
+    kind = "serve_log_record"
+
+    method: str
+    path: str
+    status: int
+    latency_ms: float
+    queue_depth: int
+    #: Workers of one supervisor may share a log file; the pid
+    #: attributes every record to the process that served it.
+    pid: int
+    #: The envelope kind the request was routed to (absent on errors).
+    kind_handled: str | None = field(default=None, metadata=OMIT_IF_NONE)
+    cache: str | None = field(default=None, metadata=OMIT_IF_NONE)
+    batch_size: int | None = field(default=None, metadata=OMIT_IF_NONE)
 
 
 class RequestLog:
@@ -60,27 +83,18 @@ class RequestLog:
         """Append one complete record (single write + flush)."""
         if self._stream is None:
             return
-        payload: dict[str, Any] = {
-            "method": method,
-            "path": path,
-            "status": status,
-            "latency_ms": latency_ms,
-            "queue_depth": queue_depth,
-            # Workers of one supervisor may share a log file; the pid
-            # attributes every record to the process that served it.
-            "pid": os.getpid(),
-        }
-        if kind is not None:
-            payload["kind_handled"] = kind
-        if cache is not None:
-            payload["cache"] = cache
-        if batch_size is not None:
-            payload["batch_size"] = batch_size
-        line = json.dumps(
-            envelope("serve_log_record", payload),
-            sort_keys=True,
-            separators=(",", ":"),
+        record = ServeLogRecord(
+            method=method,
+            path=path,
+            status=status,
+            latency_ms=latency_ms,
+            queue_depth=queue_depth,
+            pid=os.getpid(),
+            kind_handled=kind,
+            cache=cache,
+            batch_size=batch_size,
         )
+        line = json.dumps(record.to_json_dict(), sort_keys=True, separators=(",", ":"))
         self._stream.write(line + "\n")
         self._stream.flush()
         self.records_written += 1

@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import os
 import signal
 import socket as socket_module
 from dataclasses import dataclass
 
+from repro.api.results import ErrorResult
 from repro.api.session import Session
 from repro.errors import ValidationError
 from repro.serve.http import (
@@ -51,7 +51,7 @@ from repro.serve.http import (
     response_bytes,
 )
 from repro.serve.log import RequestLog
-from repro.serve.service import ServeService
+from repro.serve.service import ServeService, serialize_envelope
 
 __all__ = ["ServeConfig", "ReproServer", "run_server"]
 
@@ -165,7 +165,9 @@ class ReproServer:
             try:
                 request = await read_request(reader)
             except HttpProtocolError as error:
-                body = (json.dumps({"error": str(error)}) + "\n").encode("utf-8")
+                # Malformed framing is the client's error, like a bad body.
+                failure = ErrorResult(str(error), exit_code=2, http_status=400)
+                body = serialize_envelope(failure.to_json_dict())
                 with contextlib.suppress(ConnectionError):
                     writer.write(response_bytes(400, body, keep_alive=False))
                     await writer.drain()

@@ -29,9 +29,11 @@ A request body may be a full schema-versioned envelope or a bare
 payload object (convenient for ``curl``); an empty body means "all
 defaults".  Bodies decode through the type-checking envelope codec, so
 an ill-typed field is a ``400`` naming it, never a ``500``.  Responses
-are always envelopes — results on success, an ``error_result``
-(message + the CLI exit code + the HTTP status, from the one
-:data:`~repro.errors.STATUS_TABLE`) on failure — serialized
+are always codec envelopes — results, :class:`ServeHealth` and
+:class:`ServeStats` on success, an
+:class:`~repro.api.results.ErrorResult` (message + the CLI exit code +
+the HTTP status, from the one :data:`~repro.errors.STATUS_TABLE`) on
+failure — serialized by :func:`~repro.envelope.canonical_text`
 exactly like ``--format json`` prints them, trailing newline included,
 so a served response is byte-identical to the CLI's output for the
 same request.  Every response names its worker process in an
@@ -48,6 +50,7 @@ import tempfile
 import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -59,17 +62,11 @@ from repro.api.requests import (
     Workflow,
     decode_request,
 )
-from repro.api.results import JobStatusResult, NegotiateResult
+from repro.api.results import ErrorResult, JobStatusResult, NegotiateResult
 from repro.api.session import Session
 from repro.core.store import Store, input_files, store_key
-from repro.envelope import envelope
-from repro.errors import (
-    ReproError,
-    ServiceUnavailableError,
-    ValidationError,
-    exit_code_for,
-    http_status_for,
-)
+from repro.envelope import JsonCodec, canonical_text
+from repro.errors import ServiceUnavailableError, ValidationError
 from repro.serve.board import WorkerBoard
 from repro.serve.cache import ResultCache, merge_cache_stats
 from repro.serve.coalesce import CoalescingScheduler
@@ -77,34 +74,48 @@ from repro.serve.http import HttpRequest
 from repro.serve.jobs import JobRunner, JobStore
 from repro.serve.log import RequestLog
 
-__all__ = ["ServeService", "serialize_envelope"]
+__all__ = ["ServeHealth", "ServeService", "ServeStats", "serialize_envelope"]
 
 #: The store namespace (and format) of served response bytes.
 RESULT_NAMESPACE = "serve-result-v1"
 
 
+@dataclass(frozen=True)
+class ServeHealth(JsonCodec):
+    """``GET /v1/health``: ``ok``, or ``draining`` once shutdown began."""
+
+    kind = "serve_health"
+
+    status: str
+
+
+@dataclass(frozen=True)
+class ServeStats(JsonCodec):
+    """``GET /v1/stats``: counters merged across every worker."""
+
+    kind = "serve_stats"
+
+    requests_total: int
+    active_requests: int
+    draining: bool
+    result_cache: dict[str, Any]
+    coalescing: dict[str, Any]
+    session: dict[str, Any]
+    log_records: int
+    jobs: dict[str, int]
+    worker_pid: int
+    workers: dict[str, dict[str, int]]
+
+
 def serialize_envelope(document: dict[str, Any]) -> bytes:
     """Envelope → response bytes, exactly as the CLI prints them."""
-    return (json.dumps(document, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _error_payload(message: str, *, exit_code: int, http_status: int) -> bytes:
-    return serialize_envelope(
-        envelope(
-            "error_result",
-            {
-                "error": message,
-                "exit_code": exit_code,
-                "http_status": http_status,
-            },
-        )
-    )
+    return canonical_text(document).encode("utf-8")
 
 
 def _rejected(status: int, message: str) -> tuple[int, bytes, None, None, None]:
     """A routing-layer client error (exit code 2), as a route result."""
-    body = _error_payload(message, exit_code=2, http_status=status)
-    return status, body, None, None, None
+    failure = ErrorResult(message, exit_code=2, http_status=status)
+    return status, serialize_envelope(failure.to_json_dict()), None, None, None
 
 
 def _method_not_allowed(
@@ -112,13 +123,6 @@ def _method_not_allowed(
 ) -> tuple[int, bytes, None, None, None]:
     return _rejected(
         405, f"method {request.method} not allowed for {request.path} (use {allowed})"
-    )
-
-
-def _error_response(error: ReproError) -> tuple[int, bytes]:
-    status = http_status_for(error)
-    return status, _error_payload(
-        str(error), exit_code=exit_code_for(error), http_status=status
     )
 
 
@@ -206,13 +210,11 @@ class ServeService:
             status, body, kind, cache_state, batch_size = await self._route(
                 request
             )
-        except ReproError as error:
-            status, body = _error_response(error)
-        except Exception as error:  # noqa: BLE001 - a route bug must not
-            # tear down the connection loop; answer 500 and keep serving.
-            status, body = 500, _error_payload(
-                f"internal error: {error}", exit_code=1, http_status=500
-            )
+        except Exception as error:  # noqa: BLE001 - a ReproError answers
+            # with its STATUS_TABLE row; a route bug is a 500 that must
+            # not tear down the connection loop.
+            failure = ErrorResult.from_exception(error)
+            status, body = failure.http_status, serialize_envelope(failure.to_json_dict())
         finally:
             self.active -= 1
         latency_ms = (time.perf_counter() - started) * 1000.0
@@ -239,15 +241,13 @@ class ServeService:
         if path == "/health":
             if request.method != "GET":
                 return _method_not_allowed(request, "GET")
-            status = "draining" if self.draining else "ok"
-            body = serialize_envelope(envelope("serve_health", {"status": status}))
-            return 200, body, "serve_health", None, None
+            health = ServeHealth("draining" if self.draining else "ok")
+            return 200, serialize_envelope(health.to_json_dict()), health.kind, None, None
         if path == "/stats":
             if request.method != "GET":
                 return _method_not_allowed(request, "GET")
-            return 200, serialize_envelope(self.stats_payload()), (
-                "serve_stats"
-            ), None, None
+            stats = self.stats()
+            return 200, serialize_envelope(stats.to_json_dict()), stats.kind, None, None
         workflow = WORKFLOWS.get(path.strip("/"))
         if workflow is None or not workflow.routable:
             known = ", ".join(sorted(w.name for w in WORKFLOWS.values() if w.routable))
@@ -363,7 +363,7 @@ class ServeService:
             "jobs_run": self.job_runner.jobs_run,
         }
 
-    def stats_payload(self) -> dict[str, Any]:
+    def stats(self) -> ServeStats:
         """The ``serve_stats`` envelope served on ``/stats``.
 
         Counters are merged across every worker that ever published on
@@ -391,29 +391,22 @@ class ServeService:
             coalescing["max_batch_size"] = max(
                 coalescing["max_batch_size"], int(peer.get("max_batch_size", 0))
             )
-        return envelope(
-            "serve_stats",
-            {
-                "requests_total": sum(
-                    int(s.get("requests_total", 0)) for s in merged
-                ),
-                "active_requests": self.active,
-                "draining": self.draining,
-                "result_cache": merge_cache_stats(
-                    [s.get("result_cache", {}) for s in merged]
-                ),
-                "coalescing": coalescing,
-                "session": self.session.cache_stats(),
-                "log_records": self.log.records_written,
-                "jobs": self.jobs.counts(),
-                "worker_pid": self.board.pid,
-                "workers": {
-                    str(s.get("pid", "?")): {
-                        "requests_total": int(s.get("requests_total", 0)),
-                        "jobs_run": int(s.get("jobs_run", 0)),
-                    }
-                    for s in merged
-                },
+        return ServeStats(
+            requests_total=sum(int(s.get("requests_total", 0)) for s in merged),
+            active_requests=self.active,
+            draining=self.draining,
+            result_cache=merge_cache_stats([s.get("result_cache", {}) for s in merged]),
+            coalescing=coalescing,
+            session=self.session.cache_stats(),
+            log_records=self.log.records_written,
+            jobs=self.jobs.counts(),
+            worker_pid=self.board.pid,
+            workers={
+                str(s.get("pid", "?")): {
+                    "requests_total": int(s.get("requests_total", 0)),
+                    "jobs_run": int(s.get("jobs_run", 0)),
+                }
+                for s in merged
             },
         )
 

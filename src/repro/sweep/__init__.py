@@ -15,7 +15,7 @@ knobs?" into one declarative spec and one command (``repro sweep``):
   ``sweep_summary.json`` + per-metric CSV tables.
 """
 
-from repro.sweep.aggregate import build_summary, summary_text, write_outputs
+from repro.sweep.aggregate import build_summary, write_outputs
 from repro.sweep.executor import (
     DEFAULT_CACHE_DIR,
     DEFAULT_OUT_DIR,
@@ -45,6 +45,5 @@ __all__ = [
     "run_shard",
     "run_sweep",
     "smoke_spec",
-    "summary_text",
     "write_outputs",
 ]

@@ -10,11 +10,11 @@ consumption.
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from repro.envelope import canonical_text
 from repro.sweep.spec import SweepSpec
 
 #: Summary document format version.
@@ -74,11 +74,6 @@ def _aggregate_metrics(
     return aggregates
 
 
-def summary_text(summary: Mapping[str, Any]) -> str:
-    """The canonical byte-reproducible serialization of a summary."""
-    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
-
-
 def _csv_cell(value: Any) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -100,7 +95,7 @@ def write_outputs(summary: Mapping[str, Any], out_dir: str | Path) -> dict[str, 
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
     summary_path = out / "sweep_summary.json"
-    summary_path.write_text(summary_text(summary), encoding="utf-8")
+    summary_path.write_text(canonical_text(summary), encoding="utf-8")
     written["summary"] = summary_path
     tables_dir = out / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)

@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.core.store import Store, code_version, store_key
+from repro.envelope import canonical_text
 from repro.sweep.aggregate import build_summary, write_outputs
 from repro.sweep.shard import run_shard
 from repro.sweep.spec import Shard, SweepSpec
@@ -127,8 +128,7 @@ def run_sweep(
 
     def _persist(shard: Shard, record: dict[str, Any], elapsed: float) -> None:
         entry = dict(record, elapsed_s=elapsed, code_version=code, key=keys[shard])
-        text = json.dumps(entry, indent=2, sort_keys=True) + "\n"
-        store.put(keys[shard], text.encode("utf-8"))
+        store.put(keys[shard], canonical_text(entry).encode("utf-8"))
         records[shard] = entry
         if progress:
             progress(f"done {shard.shard_id} ({elapsed:.2f}s)", len(records), len(shards))

@@ -88,8 +88,9 @@ def degree_gravity_capacities(
     degree-gravity rule.
     """
     model = LinkCapacityModel()
+    degree = {asn: graph.degree(asn) for asn in graph.ases}
     for link in graph.links:
-        capacity = scale * graph.degree(link.first) * graph.degree(link.second)
+        capacity = scale * degree[link.first] * degree[link.second]
         model.set_capacity(link.first, link.second, capacity)
     for left, right in extra_link_endpoints:
         capacity = scale * graph.degree(left) * graph.degree(right)

@@ -20,7 +20,7 @@ from repro.api import (
 )
 from repro.api.results import JobStatusResult
 from repro.errors import ReproError, ServiceError, ValidationError
-from repro.serve.client import ServeClient, ServeResponse, _error_from_envelope
+from repro.serve.client import ServeClient, ServeResponse
 
 
 @pytest.fixture()
@@ -99,9 +99,14 @@ class TestTypedErrors:
             client._decoded(ServeResponse(204, b"{}"))
 
     def test_error_envelope_decoding_handles_garbage(self):
-        error = _error_from_envelope({"error": 1, "exit_code": "x"})
-        assert isinstance(error, ReproError)
-        assert str(error) == "1"
+        client = ServeClient("127.0.0.1", 1)
+        garbage = (
+            b'{"schema_version": 1, "kind": "error_result", "error": 1,'
+            b' "exit_code": 1, "http_status": 500}'
+        )
+        # A malformed error_result is still a typed error, naming its field.
+        with pytest.raises(ReproError, match="error_result.error must be a string"):
+            client._decoded(ServeResponse(500, garbage))
 
 
 class TestJobsNamespace:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import JobRequest, Session
+from repro.api import ErrorResult, JobRequest, Session
 from repro.api.validate import validate_envelope
 from repro.serve.http import HttpRequest
 from repro.serve.jobs import JobStore
@@ -80,9 +80,8 @@ class TestJobStore:
         store.fail(job_id, OutputError("unwritable"))
         status = store.status(job_id)
         assert status.state == "failed"
-        assert status.error["exit_code"] == 1
-        assert status.error["http_status"] == 500
-        assert validate_envelope(status.error) == []
+        assert status.error == ErrorResult("unwritable", exit_code=1, http_status=500)
+        assert validate_envelope(status.error.to_json_dict()) == []
 
     def test_cancel_only_affects_queued_jobs(self, tmp_path):
         store = JobStore(tmp_path)

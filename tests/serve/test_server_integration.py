@@ -17,9 +17,10 @@ against a real child process:
 from __future__ import annotations
 
 import json
+import socket
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.api import NegotiateRequest, Session
+from repro.api import ErrorResult, NegotiateRequest, Session
 from repro.api.validate import validate_envelope
 from repro.serve.client import ServeClient
 from repro.serve.service import serialize_envelope
@@ -33,6 +34,24 @@ def post_negotiate(port: int, seed: int) -> bytes:
         response = client.raw_post("/v1/negotiate", {**TINY, "seed": seed})
         assert response.status == 200
         return response.body
+
+
+class TestMalformedRequest:
+    def test_bad_request_line_gets_an_error_result(self, module_server):
+        address = ("127.0.0.1", module_server.port)
+        with socket.create_connection(address, timeout=30) as sock:
+            sock.sendall(b"NONSENSE\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(65536):  # the server closes after it
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        document = json.loads(body)
+        assert validate_envelope(document) == []
+        error = ErrorResult.from_json_dict(document)
+        assert (error.exit_code, error.http_status) == (2, 400)
+        assert error.error == "malformed request line: b'NONSENSE'"
+        assert body == serialize_envelope(document)
 
 
 class TestCoalescedByteIdentity:

@@ -8,7 +8,8 @@ and dirtying one shard's parameters must recompute exactly that shard.
 
 import pytest
 
-from repro.sweep import SweepSpec, run_sweep, summary_text
+from repro.envelope import canonical_text
+from repro.sweep import SweepSpec, run_sweep
 
 
 def tiny_mapping(**overrides):
@@ -46,7 +47,7 @@ def test_rerun_is_fully_cached_and_byte_identical(tiny_spec, tmp_path):
     second = run_sweep(tiny_spec, cache_dir=tmp_path / "c", out_dir=tmp_path / "o2")
     assert len(first.executed) == 4 and not first.reused
     assert len(second.reused) == 4 and not second.executed
-    assert summary_text(first.summary) == summary_text(second.summary)
+    assert canonical_text(first.summary) == canonical_text(second.summary)
     assert (
         (tmp_path / "o1" / "sweep_summary.json").read_bytes()
         == (tmp_path / "o2" / "sweep_summary.json").read_bytes()
@@ -73,7 +74,7 @@ def test_interrupted_run_resumes_only_missing_shards(tiny_spec, tmp_path):
     resumed = run_sweep(tiny_spec, cache_dir=tmp_path / "c", out_dir=tmp_path / "o2")
     assert sorted(resumed.executed) == sorted(shard.shard_id for shard in killed)
     assert len(resumed.reused) == 2
-    assert summary_text(resumed.summary) == summary_text(reference.summary)
+    assert canonical_text(resumed.summary) == canonical_text(reference.summary)
 
 
 def test_changed_shard_param_recomputes_only_that_shard(tmp_path):
@@ -103,14 +104,14 @@ def test_parallel_equals_sequential(tiny_spec, tmp_path):
         tiny_spec, jobs=2, cache_dir=tmp_path / "c2", out_dir=tmp_path / "o2"
     )
     assert len(parallel.executed) == 4  # fresh cache: nothing reused
-    assert summary_text(parallel.summary) == summary_text(sequential.summary)
+    assert canonical_text(parallel.summary) == canonical_text(sequential.summary)
 
 
 def test_parallel_run_writes_only_its_cache_and_outputs(tiny_spec, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     sequential = run_sweep(tiny_spec, jobs=1, cache_dir="c1", out_dir="o1")
     parallel = run_sweep(tiny_spec, jobs=2, cache_dir="c2", out_dir="o2")
-    assert summary_text(parallel.summary) == summary_text(sequential.summary)
+    assert canonical_text(parallel.summary) == canonical_text(sequential.summary)
     assert sorted(path.name for path in tmp_path.iterdir()) == ["c1", "c2", "o1", "o2"]
 
 

@@ -138,7 +138,8 @@ def test_ill_typed_override_is_a_validation_error_naming_the_field():
 
 
 def test_heterogeneous_scenario_shard_is_parallel_deterministic(tmp_path):
-    from repro.sweep import run_sweep, summary_text
+    from repro.envelope import canonical_text
+    from repro.sweep import run_sweep
 
     spec = spec_for(
         scenarios=[
@@ -155,7 +156,7 @@ def test_heterogeneous_scenario_shard_is_parallel_deterministic(tmp_path):
     parallel = run_sweep(
         spec, jobs=2, cache_dir=tmp_path / "c2", out_dir=tmp_path / "o2"
     )
-    assert summary_text(parallel.summary) == summary_text(sequential.summary)
+    assert canonical_text(parallel.summary) == canonical_text(sequential.summary)
     (record,) = sequential.summary["shards"]
     assert record["metrics"]["records.profile_metrics"] >= 4
 
