@@ -227,7 +227,7 @@ class TestEncoding:
 
 
 class TestRegistry:
-    def test_bare_header_names_exactly_the_fields_without_defaults(self):
+    def test_required_keys_are_the_fields_without_defaults(self):
         for kind, cls in KINDS.items():
             expected = [
                 f.name

@@ -207,6 +207,21 @@ class TestValidateCli:
 class TestJobKinds:
     """The async job layer's envelopes are first-class validated kinds."""
 
+    def test_job_request_and_status_kinds_are_registered(self):
+        from repro.api import JobRequest, JobStatusResult
+        from repro.envelope import KINDS
+
+        assert KINDS["job_request"] is JobRequest
+        assert KINDS["job_status_result"] is JobStatusResult
+        bare = {"schema_version": SCHEMA_VERSION}
+        assert validate_envelope(dict(bare, kind="job_request")) == [
+            "job_request is missing required key(s): 'workflow', 'request'"
+        ]
+        assert validate_envelope(dict(bare, kind="job_status_result")) == [
+            "job_status_result is missing required key(s): "
+            "'job_id', 'workflow', 'state', 'progress'"
+        ]
+
     def test_live_job_envelopes_validate(self):
         from repro.api import JobRequest
 
