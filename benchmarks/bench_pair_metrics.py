@@ -21,8 +21,8 @@ Scales (``REPRO_BENCH_SCALE`` env var, or ``--paper-scale``):
   ≥ 3× speedup over both metrics, a ratio of two runs on the same
   machine.
 - ``full`` — the ``repro experiments --full`` pair sample (80 sources)
-  on the ``repro diversity`` topology (8/60/200/800 tiers); building
-  its MA index takes about 2 GB.
+  on the ``repro diversity`` topology (8/60/200/800 tiers); the run
+  peaks at about 610 MB on a 2-core x86-64 VM.
 
 The records of both sides must be equal (``ma_values`` compared sorted,
 since the reference takes them from a set) at every scale.  Results are
@@ -85,7 +85,7 @@ def test_pair_metrics_speedup(paper_scale):
     seed = 2021
     sample_size = _SAMPLE_SIZES[scale]
     graph = generate_topology(seed=seed, **_SCALES[scale]).graph
-    index = build_ma_path_index(list(enumerate_mutuality_agreements(graph)))
+    index = build_ma_path_index(enumerate_mutuality_agreements(graph))
     engine = path_engine_for(graph)
     for asn in sample_ases(graph, sample_size, seed=seed):
         engine.paths(asn)

@@ -9,9 +9,8 @@ reuses instead of rebuilding:
   parameters ``(tier1, tier2, tier3, stubs, seed)``; loaded ``as-rel``
   files keyed by path + file stamp (size, mtime), so an edited file is
   re-read, not served stale.
-- **Diversity artifacts** — per-topology mutuality-agreement
-  enumerations and MA path indexes (the dominant cost of the §VI
-  analysis), plus the per-graph compiled
+- **Diversity artifacts** — per-topology MA path indexes, which also
+  count the agreements they were built from, plus the per-graph compiled
   :class:`~repro.core.PathEngine` that :func:`repro.core.path_engine_for`
   already shares.
 - **Experiment contexts** — one
@@ -47,7 +46,6 @@ import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from repro.agreements.agreement import Agreement
 from repro.agreements.mutuality import enumerate_mutuality_agreements
 from repro.api.requests import (
     DiversityRequest,
@@ -108,7 +106,6 @@ class _DiversityArtifacts:
 
     graph: ASGraph
     engine: PathEngine
-    agreements: list[Agreement]
     index: MAPathIndex
 
 
@@ -237,15 +234,13 @@ class Session:
     def _diversity_artifacts(
         self, cache_key: object, graph: ASGraph
     ) -> _DiversityArtifacts:
-        """Derive (or reuse) the agreements + MA index + engine of a graph."""
+        """Derive (or reuse) the MA index + engine of a graph."""
         artifacts = self._artifacts.get(cache_key)
         if artifacts is None or artifacts.graph is not graph:
-            agreements = list(enumerate_mutuality_agreements(graph))
             artifacts = _DiversityArtifacts(
                 graph=graph,
                 engine=path_engine_for(graph),
-                agreements=agreements,
-                index=build_ma_path_index(agreements),
+                index=build_ma_path_index(enumerate_mutuality_agreements(graph)),
             )
             self._artifacts.put(cache_key, artifacts)
         return artifacts
@@ -346,7 +341,7 @@ class Session:
             source=source,
             topology_path=request.topology,
             graph_description=str(graph),
-            num_agreements=len(artifacts.agreements),
+            num_agreements=artifacts.index.num_agreements,
             sample_size=request.sample_size,
             seed=request.seed,
             rows=tuple(rows),

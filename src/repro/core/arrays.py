@@ -23,9 +23,16 @@ vectorization possible:
 Everything operates on ``float64`` (or bool) arrays along the last
 axis and is row-independent: applying a kernel to a subset of rows
 yields the same values as applying it to the full batch.
+
+Three integer helpers serve the CSR kernels that build the MA offers
+and the MA path index: :func:`row_bounds` (row pointers from row
+lengths), :func:`gather_rows` (CSR rows concatenated in a given order)
+and :func:`chunk_ranges` (consecutive rows cut into bounded chunks).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -80,3 +87,39 @@ def last_argmax(flags: np.ndarray) -> np.ndarray:
     flags = np.asarray(flags, dtype=bool)
     width = flags.shape[-1]
     return width - 1 - np.argmax(flags[..., ::-1], axis=-1)
+
+
+#: Elements one step of a chunked CSR kernel handles at most, so its
+#: temporaries stay bounded whatever the input size.
+CHUNK_ROWS = 1 << 20
+
+
+def row_bounds(lengths: np.ndarray) -> np.ndarray:
+    """Row pointers of rows with ``lengths``: ``len(lengths) + 1`` int64 entries from 0."""
+    bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    return bounds
+
+
+def gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The CSR rows ``rows`` of ``(indptr, indices)``, concatenated in that order."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    bounds = row_bounds(lengths)
+    at = np.repeat(starts - bounds[:-1], lengths)
+    at += np.arange(bounds[-1], dtype=np.int64)
+    return indices[at]
+
+
+def chunk_ranges(bounds: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
+    """Cut rows ``0 … len(bounds) - 2`` into consecutive ``[lo, hi)`` chunks.
+
+    ``bounds`` are row pointers (:func:`row_bounds`); a chunk spans at
+    most ``limit`` elements, or one row when that row alone is longer.
+    """
+    lo, rows = 0, len(bounds) - 1
+    while lo < rows:
+        end = int(np.searchsorted(bounds, bounds[lo] + limit, side="right")) - 1
+        hi = min(max(end, lo + 1), rows)
+        yield lo, hi
+        lo = hi

@@ -3,8 +3,8 @@
 Figs. 3, 4, 5, and 6 all start from the same expensive artifacts: the
 synthetic topology of a :class:`PathDiversityConfig`, its compiled
 :class:`~repro.core.CompiledTopology`, the batched
-:class:`~repro.core.PathEngine`, the enumerated mutuality-based
-agreements, and the MA path index.  Before the compiled core existed,
+:class:`~repro.core.PathEngine`, and the MA path index of every
+maximal mutuality-based agreement.  Before the compiled core existed,
 every figure rebuilt all of them from scratch; a combined run paid four
 times for identical work.  :class:`DiversityContext` builds them once
 and is threaded through ``run_fig3``/``run_fig4``/``run_fig5``/
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.agreements.agreement import Agreement
 from repro.agreements.mutuality import enumerate_mutuality_agreements
 from repro.core import CompiledTopology, PathEngine, compile_topology, path_engine_for
 from repro.paths.diversity import DiversityResult
@@ -40,7 +39,6 @@ class DiversityContext:
     topology: GeneratedTopology
     compiled: CompiledTopology
     engine: PathEngine
-    agreements: list[Agreement] = field(default_factory=list)
     index: MAPathIndex = field(default_factory=MAPathIndex)
     #: The Figs. 3/4 analysis, filled by its first use
     #: (:func:`repro.experiments.fig3_paths.shared_diversity`).
@@ -59,15 +57,12 @@ class DiversityContext:
         graph = topology.graph
         compiled = compile_topology(graph)
         engine = path_engine_for(graph)
-        agreements = list(enumerate_mutuality_agreements(graph))
-        index = build_ma_path_index(agreements)
         return cls(
             config=config,
             topology=topology,
             compiled=compiled,
             engine=engine,
-            agreements=agreements,
-            index=index,
+            index=build_ma_path_index(enumerate_mutuality_agreements(graph)),
         )
 
     def matches(self, config: "PathDiversityConfig") -> bool:

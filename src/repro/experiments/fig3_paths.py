@@ -98,7 +98,7 @@ def run_fig3(
     ctx = context_for(config, context)
     return PathCountFigure(
         shared_diversity(ctx),
-        len(ctx.agreements),
+        ctx.index.num_agreements,
         "paths",
         comparisons,
         HEADERS,

@@ -101,7 +101,7 @@ def run_fig4(
     ctx = context_for(config, context)
     return PathCountFigure(
         shared_diversity(ctx),
-        len(ctx.agreements),
+        ctx.index.num_agreements,
         "destinations",
         comparisons,
         HEADERS,

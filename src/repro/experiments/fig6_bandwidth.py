@@ -70,4 +70,4 @@ def run_fig6(
         seed=config.diversity.seed,
         engine=ctx.engine,
     )
-    return PairMetricFigure(analysis, len(ctx.agreements), PAPER, METRIC_KEYS)
+    return PairMetricFigure(analysis, ctx.index.num_agreements, PAPER, METRIC_KEYS)

@@ -148,7 +148,7 @@ def analyze_path_diversity(
     experiment context) pay for neither twice.
     """
     if index is None:
-        index = build_ma_path_index(list(enumerate_mutuality_agreements(graph)))
+        index = build_ma_path_index(enumerate_mutuality_agreements(graph))
     if engine is None:
         engine = path_engine_for(graph)
     result = DiversityResult()

@@ -26,10 +26,25 @@ ranged per target in ``index.indirect``.  Readers handle a row slice as
 packed ``partner * len(asns) + target`` int64 keys, so excluding GRC
 paths is a membership test and a union is a sort.
 
-**Duplicates.**  An AS holds each path once.  When several agreements
-provide the same direct path, its row sits where the path was first
-provided (agreement order, then ascending target within an agreement),
-and it is credited to the *last* of those agreements.
+**Where the columns come from.**  :func:`build_ma_path_index` adopts
+the target column of an enumeration
+(:class:`~repro.agreements.mutuality.MutualityAgreements`), which the
+CSR offer kernel already writes in direct-row order: beneficiary, then
+agreement, then ascending target.  Any other iterable of agreement
+objects is gathered into the same columns and sorted into that order.
+Both then take one path: range the direct rows, and sort packed
+``(target, partner, beneficiary)`` keys for the indirect rows, in
+chunks of :data:`~repro.core.arrays.CHUNK_ROWS` so the int64
+temporaries stay bounded.
+
+**Duplicates.**  An AS holds each path once.  A path can repeat only
+where two offers share a (beneficiary, partner) pair, which an
+enumeration never produces (one agreement per peer pair), so only then
+are the rows checked.  When several agreements provide the same direct
+path, its row sits where the path was first provided (agreement order,
+then ascending target within an agreement), and it is credited to the
+*last* of those agreements.  ``num_agreements`` counts the agreements
+the index was built from.
 
 **Ties.**  Top-n ranks agreements by the number of new (non-GRC) direct
 rows credited to them, most first; agreements with equal counts keep
@@ -41,14 +56,16 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from collections.abc import Collection, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
 
 from repro.agreements.agreement import Agreement
+from repro.agreements.mutuality import MutualityAgreements
 from repro.core import path_engine_for
+from repro.core.arrays import CHUNK_ROWS, chunk_ranges, row_bounds
 from repro.topology.graph import ASGraph
 
 Path3 = tuple[int, int, int]
@@ -84,12 +101,6 @@ def _packed(width: int, *columns: np.ndarray) -> np.ndarray:
     return key
 
 
-def _unpacked(width: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three int32 id columns of :func:`_packed` keys."""
-    high, low = np.divmod(keys, width)
-    return (high // width).astype(np.int32), (high % width).astype(np.int32), low.astype(np.int32)
-
-
 def _isin(values: np.ndarray, sorted_table: np.ndarray) -> np.ndarray:
     """Which ``values`` occur in ``sorted_table`` (a sorted key array)."""
     if not len(sorted_table):
@@ -111,12 +122,10 @@ class RowRanges(Mapping[int, range]):
     far: np.ndarray = field(default_factory=_no_ints)
 
     @classmethod
-    def from_sorted(
-        cls, asns: np.ndarray, owner: np.ndarray, partner: np.ndarray, far: np.ndarray
+    def from_indptr(
+        cls, asns: np.ndarray, indptr: np.ndarray, partner: np.ndarray, far: np.ndarray
     ) -> "RowRanges":
-        """Range rows already sorted by their ``owner`` id."""
-        indptr = np.zeros(len(asns) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner, minlength=len(asns)), out=indptr[1:])
+        """Range rows sorted by owner id; ``indptr`` holds each owner's first row."""
         owners = np.flatnonzero(indptr[1:] > indptr[:-1])
         ranges = {
             asn: range(lo, hi)
@@ -124,7 +133,7 @@ class RowRanges(Mapping[int, range]):
                 asns[owners].tolist(), indptr[owners].tolist(), indptr[owners + 1].tolist()
             )
         }
-        return cls(ranges, partner.astype(np.int32, copy=False), far.astype(np.int32, copy=False))
+        return cls(ranges, partner, far)
 
     def __getitem__(self, asn: int) -> range:
         return self.ranges[asn]
@@ -195,6 +204,8 @@ class MAPathIndex:
     indirect: RowRanges = field(default_factory=RowRanges)
     #: Providing agreement of every direct row.
     agreement: np.ndarray = field(default_factory=_no_ints)
+    #: Number of agreements the index was built from.
+    num_agreements: int = 0
 
     # ------------------------------------------------------------------
     # Keys: what the hot readers consume
@@ -286,74 +297,126 @@ def agreement_paths(agreement: Agreement) -> dict[int, set[Path3]]:
     return gained
 
 
-def build_ma_path_index(agreements: list[Agreement]) -> MAPathIndex:
-    """Index the paths created by a collection of MAs.
+def _offer_columns(
+    agreements: Iterable[Agreement],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(asns, parties, offer_sizes, targets)`` of agreement objects.
 
-    One pass collects every offer's target sets; ``np.fromiter`` packs
-    them into one flat column, and a few sorts order, deduplicate and
-    range the rows.
+    The columns of :class:`~repro.agreements.mutuality.MutualityAgreements`:
+    one pass collects every offer's target sets, ``np.fromiter`` packs
+    them into one flat column, and one sort puts the targets into
+    direct-row order (beneficiary, then agreement, then ascending
+    target).
     """
-    # Per offer (two per agreement, beneficiary x first): who gains, via
-    # whom, and how many targets.
+    # Per offer (two per agreement, beneficiary x first): who gains and
+    # how many targets.
     parties = array("q")
     sizes = array("q")
     offered: list[frozenset[int]] = []
     for agreement in agreements:
-        for beneficiary, partner, offer in (
-            (agreement.party_x, agreement.party_y, agreement.offer_y),
-            (agreement.party_y, agreement.party_x, agreement.offer_x),
-        ):
-            parties.append(beneficiary)
-            parties.append(partner)
+        parties.append(agreement.party_x)
+        parties.append(agreement.party_y)
+        for offer in (agreement.offer_y, agreement.offer_x):
             offered += (offer.providers, offer.peers, offer.customers)
             sizes.append(len(offer.providers) + len(offer.peers) + len(offer.customers))
     offer_sizes = np.frombuffer(sizes, dtype=np.int64)
     rows = int(offer_sizes.sum())
-    if not rows:
-        return MAPathIndex()
-    offer_parties = np.frombuffer(parties, dtype=np.int64).reshape(-1, 2)
+    party_asns = np.frombuffer(parties, dtype=np.int64).reshape(-1, 2)
     target_asns = np.fromiter(chain.from_iterable(offered), dtype=np.int64, count=rows)
-    asns = _distinct(np.concatenate([offer_parties.ravel(), _distinct(target_asns)]))
+    asns = _distinct(np.concatenate([party_asns.ravel(), _distinct(target_asns)]))
+    target = np.searchsorted(asns, target_asns).astype(np.int32)
+    del target_asns
+    party_ids = np.searchsorted(asns, party_asns).astype(np.int32)
+    offers = len(offer_sizes)
+    offer_rank = np.empty(offers, dtype=np.int64)
+    offer_rank[np.argsort(party_ids.ravel(), kind="stable")] = np.arange(offers)
+    offer = np.repeat(offer_rank, offer_sizes)
+    target = target[np.argsort(_packed(len(asns), offer, target))]
+    return asns, party_ids, offer_sizes, target
+
+
+def _index_from_offers(
+    asns: np.ndarray, parties: np.ndarray, offer_sizes: np.ndarray, target: np.ndarray
+) -> MAPathIndex:
+    """Dedup and range the direct rows of offer columns; derive the indirect rows.
+
+    ``target`` must already be in direct-row order (see
+    :class:`~repro.agreements.mutuality.MutualityAgreements`).  A path
+    can repeat only where two offers share (beneficiary, partner), so
+    the rows are checked for duplicates only then.
+    """
     width = len(asns)
     if width > MAX_IDS:
         raise ValueError(f"MA path index supports at most {MAX_IDS} ASes, got {width}")
-    offer_ids = np.searchsorted(asns, offer_parties).astype(np.int32)
-    target = np.searchsorted(asns, target_asns).astype(np.int32)
-    del target_asns
+    offers = np.argsort(parties.ravel(), kind="stable")
+    owner = parties.ravel()[offers]
+    partner = parties[:, ::-1].ravel()[offers]
+    sizes = offer_sizes[offers]
+    row_partner = np.repeat(partner, sizes)
+    provider = np.repeat((offers // 2).astype(np.int32), sizes)
 
-    # Direct rows in first-provided order: beneficiary, then agreement
-    # order (a stable sort keeps it), then ascending target.
-    offers = len(offer_sizes)
-    offer_rank = np.empty(offers, dtype=np.int64)
-    offer_rank[np.argsort(offer_ids[:, 0], kind="stable")] = np.arange(offers)
-    offer = np.repeat(np.arange(offers, dtype=np.int32), offer_sizes)
-    order = np.argsort(_packed(width, offer_rank[offer], target))
-    offer, target = offer[order], target[order]
-    del order
-    owner, partner, provider = offer_ids[offer, 0], offer_ids[offer, 1], offer // 2
-    del offer
+    if not _run_starts(np.sort(_packed(width, owner, partner))).all():
+        # A path provided more than once keeps its first row and is
+        # credited to its last agreement (row order is agreement order
+        # per owner).
+        row_owner = np.repeat(owner, sizes)
+        key = _packed(width, row_owner, row_partner, target)
+        by_key = np.argsort(key)
+        key = key[by_key]
+        if not _run_starts(key).all():
+            runs = np.flatnonzero(_run_starts(key))
+            first = np.minimum.reduceat(by_key, runs)
+            provider[first] = provider[np.maximum.reduceat(by_key, runs)]
+            keep = np.sort(first)
+            row_owner, row_partner = row_owner[keep], row_partner[keep]
+            target, provider = target[keep], provider[keep]
+        del key, by_key
+        direct_indptr = np.searchsorted(row_owner, np.arange(width + 1))
+        del row_owner
+    else:
+        direct_indptr = row_bounds(sizes)[np.searchsorted(owner, np.arange(width + 1))]
 
-    # A path provided more than once keeps its first row and is credited
-    # to its last agreement (row order is agreement order per owner).
-    key = _packed(width, owner, partner, target)
-    key.sort()
-    if not _run_starts(key).all():
-        by_key = np.argsort(_packed(width, owner, partner, target))
-        runs = np.flatnonzero(_run_starts(key))
-        first = np.minimum.reduceat(by_key, runs)
-        provider[first] = provider[np.maximum.reduceat(by_key, runs)]
-        keep = np.sort(first)
-        owner, partner, target, provider = owner[keep], partner[keep], target[keep], provider[keep]
-    del key
-
-    swapped = _packed(width, target, partner, owner)
+    # Indirect rows: (target, partner, owner) as sorted packed keys,
+    # packed and unpacked per chunk of owners.
+    swapped = np.empty(len(target), dtype=np.int64)
+    for lo, hi in chunk_ranges(direct_indptr, CHUNK_ROWS):
+        rows = slice(direct_indptr[lo], direct_indptr[hi])
+        row_owner = np.repeat(np.arange(lo, hi), np.diff(direct_indptr[lo : hi + 1]))
+        swapped[rows] = _packed(width, target[rows], row_partner[rows], row_owner)
     swapped.sort()
+    indirect_partner = np.empty(len(swapped), dtype=np.int32)
+    indirect_far = np.empty(len(swapped), dtype=np.int32)
+    for lo in range(0, len(swapped), CHUNK_ROWS):
+        high, indirect_far[lo : lo + CHUNK_ROWS] = np.divmod(swapped[lo : lo + CHUNK_ROWS], width)
+        indirect_partner[lo : lo + CHUNK_ROWS] = high % width
+    indirect_indptr = np.empty(width + 1, dtype=np.int64)
+    indirect_indptr[0], indirect_indptr[-1] = 0, len(swapped)
+    indirect_indptr[1:-1] = np.searchsorted(swapped, np.arange(1, width) * width * width)
+    del swapped
     return MAPathIndex(
         asns=asns,
-        direct=RowRanges.from_sorted(asns, owner, partner, target),
-        indirect=RowRanges.from_sorted(asns, *_unpacked(width, swapped)),
+        direct=RowRanges.from_indptr(asns, direct_indptr, row_partner, target),
+        indirect=RowRanges.from_indptr(asns, indirect_indptr, indirect_partner, indirect_far),
         agreement=provider,
+        num_agreements=len(parties),
     )
+
+
+def build_ma_path_index(agreements: Iterable[Agreement]) -> MAPathIndex:
+    """Index the paths created by a collection of MAs.
+
+    An enumeration's :class:`~repro.agreements.mutuality.MutualityAgreements`
+    hands over its columns as they are, already in row order; any other
+    iterable of agreement objects is first gathered into the same
+    columns (:func:`_offer_columns`).
+    """
+    if isinstance(agreements, MutualityAgreements):
+        columns = (agreements.asns, agreements.parties, agreements.offer_sizes, agreements.targets)
+    else:
+        columns = _offer_columns(agreements)
+    if not len(columns[3]):
+        return MAPathIndex(num_agreements=len(columns[1]))
+    return _index_from_offers(*columns)
 
 
 def new_ma_paths(

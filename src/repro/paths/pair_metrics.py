@@ -274,7 +274,7 @@ def _analyze_pairs(
     destinations)`` ASN columns, called once per block of sources.
     """
     if index is None:
-        index = build_ma_path_index(list(enumerate_mutuality_agreements(graph)))
+        index = build_ma_path_index(enumerate_mutuality_agreements(graph))
     if engine is None:
         engine = path_engine_for(graph)
     result = PairMetricResult(metric)

@@ -8,7 +8,9 @@ and Eqs. 19–20, one trial at a time in pure Python — is the oracle of
 production.  The BOSCO configuration oracles draw X's choice set, then
 Y's, per trial from the ``rng`` they are given: calls in sequence on one
 ``default_rng(seed)`` reproduce a ``BoscoService(distribution,
-seed=seed)`` making the same calls.  The MA path index oracle keeps one
+seed=seed)`` making the same calls.  The MA enumeration oracle calls
+``mutuality_agreement`` once per peer pair, independent of the CSR offer
+kernel it checks.  The MA path index oracle keeps one
 tuple per path in per-AS dicts and sets, with the per-AS diversity and
 pair-metric loops that read it; their GRC paths come from
 :func:`iter_grc_length3_paths`, not from the production engine they
@@ -29,12 +31,13 @@ import numpy as np
 from repro.agents.negotiator import CohortEntry, _check_keys
 from repro.agreements.agreement import Agreement
 from repro.agreements.extension import ExtensionAgreement, SegmentOffer
+from repro.agreements.mutuality import mutuality_agreement
 from repro.bargaining.choices import ChoiceSet, random_choice_set
 from repro.bargaining.distributions import JointUtilityDistribution, UtilityDistribution
 from repro.bargaining.efficiency import expected_truthful_nash_product
 from repro.bargaining.mechanism import MechanismInformation, NegotiationOutcome
 from repro.bargaining.strategy import EquilibriumError, StrategyProfile, ThresholdStrategy
-from repro.core import PathEngine
+from repro.core import PathEngine, compile_topology
 from repro.paths.diversity import ASDiversityRecord, sample_ases
 from repro.paths.pair_metrics import PairMetric, PairMetricRecord, PairMetricResult
 from repro.topology.graph import ASGraph
@@ -542,6 +545,31 @@ def _grc_paths(
     if engine is None:
         return frozenset(iter_grc_length3_paths(graph, asn))
     return engine.paths(asn)
+
+
+# ----------------------------------------------------------------------
+# MA enumeration (§VI): one mutuality_agreement call per peer pair
+# ----------------------------------------------------------------------
+def enumerate_mutuality_agreements(graph: ASGraph) -> list[Agreement]:
+    """The maximal MA of every peering link, built one pair at a time.
+
+    Pairs come in the graph's iteration order, then the iteration order
+    of ``graph.peers(asn)``, each pair where it is first seen; pairs
+    whose two offers are both empty are skipped.
+    """
+    topo = compile_topology(graph)
+    seen: set[frozenset[int]] = set()
+    agreements = []
+    for asn in graph:
+        for peer in graph.peers(asn):
+            key = frozenset((asn, peer))
+            if key in seen:
+                continue
+            seen.add(key)
+            agreement = mutuality_agreement(graph, asn, peer, compiled=topo)
+            if agreement is not None:
+                agreements.append(agreement)
+    return agreements
 
 
 # ----------------------------------------------------------------------

@@ -119,3 +119,19 @@ class TestEnumeration:
         involving_d = agreements_involving(agreements, AS_D)
         assert all(AS_D in a.parties for a in involving_d)
         assert len(involving_d) == 2  # C–D and D–E
+
+    def test_len_builds_no_objects(self, small_topology, agreement_inits):
+        agreements = enumerate_mutuality_agreements(small_topology.graph)
+        assert len(agreements) > 0
+        assert agreement_inits == []
+        assert len(list(agreements)) == len(agreements) == len(agreement_inits)
+
+    def test_indexing_matches_iteration(self, small_topology):
+        agreements = enumerate_mutuality_agreements(small_topology.graph)
+        listed = list(agreements)
+        assert agreements[0] == listed[0]
+        assert agreements[-1] == listed[-1]
+        with pytest.raises(IndexError):
+            agreements[len(listed)]
+        with pytest.raises(IndexError):
+            agreements[-len(listed) - 1]

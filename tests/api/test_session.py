@@ -79,6 +79,11 @@ class TestDiversityWorkflow:
             assert row.mean_paths == cold.path_cdf(row.scenario).mean
             assert row.mean_destinations == cold.destination_cdf(row.scenario).mean
 
+    def test_constructs_no_agreement_objects(self, agreement_inits):
+        result = Session().diversity(DiversityRequest(sample_size=10, seed=1, **TINY))
+        assert agreement_inits == []
+        assert result.num_agreements > 0
+
     def test_loaded_topology_is_cached_but_not_stale(self, tmp_path):
         session = Session()
         target = tmp_path / "topo.as-rel.txt"

@@ -15,7 +15,7 @@ from repro.agreements import (
     SegmentTraffic,
     figure1_mutuality_agreement,
 )
-from repro.agreements.agreement import PathSegment
+from repro.agreements.agreement import Agreement, PathSegment
 from repro.economics import ENDHOSTS, FlowVector, default_business_models
 from repro.topology import (
     AS_A,
@@ -51,6 +51,20 @@ def medium_topology():
     return generate_topology(
         num_tier1=5, num_tier2=20, num_tier3=60, num_stubs=150, seed=7
     )
+
+
+@pytest.fixture()
+def agreement_inits(monkeypatch):
+    """A list that grows by one per :class:`Agreement` constructed."""
+    made: list[Agreement] = []
+    init = Agreement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Agreement, "__init__", counting_init)
+    return made
 
 
 @pytest.fixture()

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.agreements import enumerate_mutuality_agreements
+from repro.experiments.context import DiversityContext
 from repro.experiments.fig3_paths import PathDiversityConfig, run_fig3
 from repro.experiments.fig4_destinations import run_fig4
 from repro.experiments.fig5_geodistance import Fig5Config, run_fig5
@@ -30,6 +32,14 @@ def fig5_result():
 @pytest.fixture(scope="module")
 def fig6_result():
     return run_fig6(Fig6Config(diversity=SMALL, pair_sample_size=20))
+
+
+class TestDiversityContext:
+    def test_build_constructs_no_agreement_objects(self, agreement_inits):
+        context = DiversityContext.build(SMALL)
+        assert agreement_inits == []
+        expected = len(list(enumerate_mutuality_agreements(context.topology.graph)))
+        assert context.index.num_agreements == expected == len(agreement_inits) > 0
 
 
 class TestFig3:

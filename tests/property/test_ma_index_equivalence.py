@@ -12,12 +12,18 @@ segments are GRC-conforming), ASNs at or above 2**31, empty agreement
 lists and ASes without rows.  The §III-B3 extension counts, a closed
 form over the column index, are compared with the oracle that builds
 one extension agreement per (segment, peer) pair on the same inputs.
+
+The CSR offer kernel behind ``enumerate_mutuality_agreements`` is
+compared with the per-pair loop of :mod:`repro.reference`: the same
+agreements in the same order, an index ``==`` column for column to the
+one built from the oracle's objects, and no direct row twice.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +41,16 @@ from repro.paths.pair_metrics import (
     analyze_bandwidth,
     analyze_geodistance,
 )
-from repro.topology import degree_gravity_capacities, figure1_topology, generate_topology
+from repro.topology import (
+    AS_A,
+    AS_B,
+    AS_D,
+    AS_E,
+    ASGraph,
+    degree_gravity_capacities,
+    figure1_topology,
+    generate_topology,
+)
 from repro.topology.caida import dump_as_rel_lines, parse_as_rel_lines
 from repro.topology.geography import SyntheticGeographyGenerator
 
@@ -183,7 +198,7 @@ class TestColumnIndexMatchesOracle:
     @given(graphs(), st.data())
     @settings(max_examples=25, deadline=None)
     def test_enumerated_agreements(self, graph, data):
-        agreements = list(enumerate_mutuality_agreements(graph))
+        agreements = enumerate_mutuality_agreements(graph)
         assert_matches_oracle(graph, agreements, data.draw(embeddings(graph)))
 
     @given(arbitrary_agreements(), st.data())
@@ -241,3 +256,97 @@ class TestExtensionCountsMatchOracle:
     @settings(max_examples=5, deadline=None)
     def test_no_agreements(self, graph, data):
         assert_extensions_match_oracle(graph, [], drawn_samples(data, graph))
+
+
+#: Shift that frees ASNs 1-3 below every generated AS.
+FREE_LOW_ASNS = 10
+
+
+@st.composite
+def enumeration_graphs(draw):
+    """Tie-heavy topologies with the corner cases of the offer kernel.
+
+    ASes 1 and 2 peer with nothing to offer each other, so the first
+    peer pair of the enumeration is dropped; AS 3 has no links.  Some
+    peer pairs (B, P) then get a link that makes one of P's providers a
+    customer of B, which B's offer from P must leave out.
+    """
+    graph = relabelled(draw(graphs()), FREE_LOW_ASNS)
+    graph.add_peering(1, 2)
+    graph.add_as(3)
+    links = sorted((a, b) for a in graph for b in graph.peers(a) if a < b and a > 3)
+    if links:
+        for left, right in draw(st.lists(st.sampled_from(links), min_size=1, max_size=4)):
+            beneficiary, partner = (left, right) if draw(st.booleans()) else (right, left)
+            spare = sorted(
+                provider
+                for provider in graph.providers(partner)
+                if provider != beneficiary and not graph.has_link(beneficiary, provider)
+            )
+            if spare:
+                graph.add_provider_customer(beneficiary, draw(st.sampled_from(spare)))
+    return graph
+
+
+def index_columns(index):
+    return {
+        "asns": index.asns,
+        "agreement": index.agreement,
+        "direct.partner": index.direct.partner,
+        "direct.far": index.direct.far,
+        "indirect.partner": index.indirect.partner,
+        "indirect.far": index.indirect.far,
+    }
+
+
+def assert_enumeration_matches_oracle(graph):
+    kernel = enumerate_mutuality_agreements(graph)
+    oracle = reference.enumerate_mutuality_agreements(graph)
+    assert len(kernel) == len(oracle)
+    assert list(kernel) == list(oracle)
+
+    index = build_ma_path_index(kernel)
+    expected = build_ma_path_index(oracle)
+    assert index.num_agreements == expected.num_agreements == len(oracle)
+    assert index.direct.ranges == expected.direct.ranges
+    assert index.indirect.ranges == expected.indirect.ranges
+    columns, expected_columns = index_columns(index), index_columns(expected)
+    for name, column in columns.items():
+        assert column.dtype == expected_columns[name].dtype, name
+        assert np.array_equal(column, expected_columns[name]), name
+
+    # The kernel's own rows, before the index build could drop a repeat.
+    offers = np.argsort(kernel.parties.ravel(), kind="stable")
+    sizes = kernel.offer_sizes[offers]
+    owner = np.repeat(kernel.parties.ravel()[offers], sizes).astype(np.int64)
+    partner = np.repeat(kernel.parties[:, ::-1].ravel()[offers], sizes)
+    width = len(kernel.asns)
+    rows = (owner * width + partner) * width + kernel.targets
+    assert len(np.unique(rows)) == len(rows)
+
+
+class TestEnumerationMatchesOracle:
+    def test_corner_cases_fixture(self):
+        """Fig. 1's first peer pair, A–B, has nothing to offer.  Making E's
+        provider B a customer of D takes B out of E's offer to D, and
+        AS 99 has no links."""
+        graph = figure1_topology().copy()
+        graph.add_provider_customer(AS_D, AS_B)
+        graph.add_as(99)
+        agreements = enumerate_mutuality_agreements(graph)
+        assert all(AS_A not in agreement.parties for agreement in agreements)
+        (d_e,) = [agreement for agreement in agreements if set(agreement.parties) == {AS_D, AS_E}]
+        assert AS_B not in d_e.offer_by(AS_E).all_targets
+        assert_enumeration_matches_oracle(graph)
+
+    @given(enumeration_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_generated_topologies(self, graph):
+        assert_enumeration_matches_oracle(graph)
+
+    def test_no_peering(self):
+        graph = ASGraph()
+        graph.add_provider_customer(1, 2)
+        graph.add_as(3)
+        assert_enumeration_matches_oracle(graph)
+        assert len(enumerate_mutuality_agreements(graph)) == 0
