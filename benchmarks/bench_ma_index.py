@@ -6,8 +6,12 @@ diversity queries (GRC exclusion, MA*, MA, Top 1/5/50 paths and
 destinations) over a sample of ASes.  The baseline is the
 one-tuple-per-path index of :mod:`repro.reference` with its set-based
 per-AS analysis; the contender is :func:`repro.paths.ma_paths.build_ma_path_index`
-with :func:`repro.paths.diversity.analyze_as`.  GRC path sets are computed
-before either clock starts, so both sides read the same warm engine.
+with :func:`repro.paths.diversity.analyze_as`.  Each side gets the input
+its workflow takes: the reference a list of ``Agreement`` objects, the
+contender the columnar :class:`~repro.agreements.mutuality.MutualityAgreements`
+sequence whose columns it adopts as they are.  Both are enumerated, and
+GRC path sets computed, before either clock starts, so both sides read
+the same warm engine.
 
 Scales (``REPRO_BENCH_SCALE`` env var, or ``--paper-scale``):
 
@@ -82,7 +86,7 @@ def test_ma_index_speedup(paper_scale):
     scale = _scale_name(paper_scale)
     seed = 2021
     graph = generate_topology(seed=seed, **_SCALES[scale]).graph
-    agreements = list(enumerate_mutuality_agreements(graph))
+    agreements = enumerate_mutuality_agreements(graph)
     engine = path_engine_for(graph)
     sample = sample_ases(graph, SAMPLE_SIZE, seed=seed)
     for asn in sample:
@@ -90,7 +94,12 @@ def test_ma_index_speedup(paper_scale):
         engine.destinations(asn)
 
     expected, expected_counts, reference_time = _timed(
-        reference.build_ma_path_index, reference.analyze_as, graph, agreements, sample, engine
+        reference.build_ma_path_index,
+        reference.analyze_as,
+        graph,
+        list(agreements),
+        sample,
+        engine,
     )
     gc.collect()
     records, counts, column_time = _timed(

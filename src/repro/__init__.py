@@ -29,12 +29,25 @@ The package is organized in layers, bottom-up:
   :class:`~repro.api.Session`, validated request dataclasses, result
   dataclasses with schema-versioned JSON envelopes, and the one CLI
   adapter (imported on demand; ``import repro.api``).
+
+Every package resolves the names of its ``__all__`` on first access
+(:mod:`repro._lazy`), so importing a package loads none of its layers.
 """
 
-from repro.topology import ASGraph, Relationship
-from repro.core import CompiledTopology, PathEngine, compile_topology, path_engine_for
-from repro.agreements import AccessOffer, Agreement
-from repro.economics import ASBusiness, PricingFunction
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.topology.graph": ("ASGraph",),
+        "repro.topology.relationships": ("Relationship",),
+        "repro.core.compiled": ("CompiledTopology", "compile_topology"),
+        "repro.core.path_engine": ("PathEngine", "path_engine_for"),
+        "repro.agreements.agreement": ("AccessOffer", "Agreement"),
+        "repro.economics.business": ("ASBusiness",),
+        "repro.economics.pricing": ("PricingFunction",),
+    },
+)
 
 __version__ = "1.1.0"
 

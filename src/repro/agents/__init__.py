@@ -14,32 +14,39 @@ The subsystem has three layers:
   reference in :mod:`repro.reference`.
 """
 
-from repro.agents.behaviors import (
-    NUM_REGIONS,
-    REGION_NAMES,
-    REGION_PRICE_TIERS,
-    AdaptiveBehavior,
-    AgentBehavior,
-    AgentState,
-    BudgetBehavior,
-    DishonestBehavior,
-    RegionalBehavior,
-)
-from repro.agents.negotiator import CohortEntry, decide_mixed_cohort
-from repro.agents.population import (
-    GroupMatch,
-    Population,
-    PopulationGroup,
-    PopulationSpec,
-    assign_regions,
-    default_population_spec,
-)
-from repro.agents.registry import (
-    BEHAVIORS,
-    behavior_catalog,
-    behavior_parameters,
-    build_behavior,
-    register_behavior,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.agents.behaviors": (
+            "NUM_REGIONS",
+            "REGION_NAMES",
+            "REGION_PRICE_TIERS",
+            "AdaptiveBehavior",
+            "AgentBehavior",
+            "AgentState",
+            "BudgetBehavior",
+            "DishonestBehavior",
+            "RegionalBehavior",
+        ),
+        "repro.agents.negotiator": ("CohortEntry", "decide_mixed_cohort"),
+        "repro.agents.population": (
+            "GroupMatch",
+            "Population",
+            "PopulationGroup",
+            "PopulationSpec",
+            "assign_regions",
+            "default_population_spec",
+        ),
+        "repro.agents.registry": (
+            "BEHAVIORS",
+            "behavior_catalog",
+            "behavior_parameters",
+            "build_behavior",
+            "register_behavior",
+        ),
+    },
 )
 
 __all__ = [

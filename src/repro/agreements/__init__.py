@@ -6,41 +6,48 @@ agreement induces, agreement-utility computation, and the extension of
 agreement paths to further agreements.
 """
 
-from repro.agreements.agreement import (
-    AccessOffer,
-    Agreement,
-    AgreementError,
-    PathSegment,
-)
-from repro.agreements.compliance import (
-    ComplianceReport,
-    SegmentCompliance,
-    SegmentUsage,
-    check_compliance,
-    overage_charge,
-    realized_scenario,
-)
-from repro.agreements.extension import (
-    ExtensionAgreement,
-    SegmentOffer,
-    figure1_extension_example,
-)
-from repro.agreements.mutuality import (
-    agreements_involving,
-    enumerate_mutuality_agreements,
-    figure1_mutuality_agreement,
-    mutuality_agreement,
-)
-from repro.agreements.peering import classic_peering_agreement, is_classic_peering
-from repro.agreements.scenario import AgreementScenario, SegmentTraffic
-from repro.agreements.utility import (
-    UtilityBreakdown,
-    agreement_utility,
-    flows_with_agreement,
-    is_mutually_beneficial,
-    joint_surplus,
-    joint_utilities,
-    utility_breakdown,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.agreements.agreement": (
+            "AccessOffer",
+            "Agreement",
+            "AgreementError",
+            "PathSegment",
+        ),
+        "repro.agreements.compliance": (
+            "ComplianceReport",
+            "SegmentCompliance",
+            "SegmentUsage",
+            "check_compliance",
+            "overage_charge",
+            "realized_scenario",
+        ),
+        "repro.agreements.extension": (
+            "ExtensionAgreement",
+            "SegmentOffer",
+            "figure1_extension_example",
+        ),
+        "repro.agreements.mutuality": (
+            "agreements_involving",
+            "enumerate_mutuality_agreements",
+            "figure1_mutuality_agreement",
+            "mutuality_agreement",
+        ),
+        "repro.agreements.peering": ("classic_peering_agreement", "is_classic_peering"),
+        "repro.agreements.scenario": ("AgreementScenario", "SegmentTraffic"),
+        "repro.agreements.utility": (
+            "UtilityBreakdown",
+            "agreement_utility",
+            "flows_with_agreement",
+            "is_mutually_beneficial",
+            "joint_surplus",
+            "joint_utilities",
+            "utility_breakdown",
+        ),
+    },
 )
 
 __all__ = [

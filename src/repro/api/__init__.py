@@ -36,52 +36,59 @@ A typical lifecycle::
 decoding each through the codec of its ``kind``.
 """
 
-from repro.api.adapter import main
-from repro.api.requests import (
-    WORKFLOWS,
-    DiversityRequest,
-    ExperimentsRequest,
-    GrcAllRequest,
-    JobRequest,
-    NegotiateRequest,
-    SimulateRequest,
-    SweepRequest,
-    TopologyRequest,
-    build_workflow_request,
-)
-from repro.api.results import (
-    AgentsListResult,
-    DiversityResult,
-    DiversityScenarioRow,
-    ErrorResult,
-    ExperimentsResult,
-    GrcAllResult,
-    JobStatusResult,
-    NegotiateResult,
-    PopulationResult,
-    ScenarioListResult,
-    SimulateResult,
-    SweepListResult,
-    SweepResult,
-    TopologyResult,
-)
-from repro.api.session import Session
-from repro.envelope import SCHEMA_VERSION
-from repro.errors import (
-    EnvelopeError,
-    OutputError,
-    ReproError,
-    ServiceError,
-    ServiceUnavailableError,
-    ValidationError,
-    exit_code_for,
-    http_status_for,
-)
-from repro.experiments.reporting import (
-    PaperComparison,
-    SectionResult,
-    SectionSeries,
-    SectionTable,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.api.adapter": ("main",),
+        "repro.api.requests": (
+            "WORKFLOWS",
+            "DiversityRequest",
+            "ExperimentsRequest",
+            "GrcAllRequest",
+            "JobRequest",
+            "NegotiateRequest",
+            "SimulateRequest",
+            "SweepRequest",
+            "TopologyRequest",
+            "build_workflow_request",
+        ),
+        "repro.api.results": (
+            "AgentsListResult",
+            "DiversityResult",
+            "DiversityScenarioRow",
+            "ErrorResult",
+            "ExperimentsResult",
+            "GrcAllResult",
+            "JobStatusResult",
+            "NegotiateResult",
+            "PopulationResult",
+            "ScenarioListResult",
+            "SimulateResult",
+            "SweepListResult",
+            "SweepResult",
+            "TopologyResult",
+        ),
+        "repro.api.session": ("Session",),
+        "repro.envelope": ("SCHEMA_VERSION",),
+        "repro.errors": (
+            "EnvelopeError",
+            "OutputError",
+            "ReproError",
+            "ServiceError",
+            "ServiceUnavailableError",
+            "ValidationError",
+            "exit_code_for",
+            "http_status_for",
+        ),
+        "repro.experiments.reporting": (
+            "PaperComparison",
+            "SectionResult",
+            "SectionSeries",
+            "SectionTable",
+        ),
+    },
 )
 
 __all__ = [

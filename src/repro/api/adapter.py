@@ -25,6 +25,12 @@ text-mode trace ordering, ``agents list``, sweep's required
 flags (deriving them from ``ServeConfig`` would load the server stack
 on every ``import repro.cli``).
 
+``import repro.cli`` loads this module, the requests, the results, the
+envelope codec and the few types they name (the scenario registry, the
+negotiation distributions, the section results), and no compute layer:
+each runner imports the session, and through it the layers it runs,
+when it is called.
+
 Nothing else in the codebase parses CLI arguments or formats CLI
 output.
 """
@@ -61,7 +67,6 @@ from repro.api.results import (
     render_sweep_text,
     render_topology_text,
 )
-from repro.api.session import Session
 from repro.envelope import canonical_text
 from repro.errors import ReproError
 from repro.simulation.scenarios import SCENARIOS
@@ -264,9 +269,16 @@ def _sweep_progress(message: str, completed: int, total: int) -> None:
     print(f"sweep: {message}", file=sys.stderr)
 
 
+def _session():
+    """A fresh session; imported here, as the session loads every compute layer."""
+    from repro.api.session import Session
+
+    return Session()
+
+
 def _run_workflow(args: argparse.Namespace) -> int:
     options = {"progress": _sweep_progress} if args.command == "sweep" else {}
-    method = getattr(Session(), WORKFLOWS[args.command].method)
+    method = getattr(_session(), WORKFLOWS[args.command].method)
     _emit(method(_request(args), **options), args.format)
     return 0
 
@@ -281,7 +293,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
         return _run_workflow(args)
     # Text mode preserves the historical ordering: the summary prints
     # even when the trace file turns out to be unwritable.
-    result = Session().simulate(replace(_request(args), trace_out=None))
+    result = _session().simulate(replace(_request(args), trace_out=None))
     _emit(result, "text")
     if args.trace_out:
         result.write_trace(args.trace_out)  # OutputError -> exit 1 via dispatch

@@ -83,13 +83,7 @@ from repro.experiments.runner import RunnerConfig, run_sections
 from repro.paths.diversity import analyze_path_diversity
 from repro.paths.ma_paths import MAPathIndex, build_ma_path_index
 from repro.simulation.scenarios import run_scenario
-from repro.sweep import (
-    DEFAULT_CACHE_DIR,
-    DEFAULT_OUT_DIR,
-    SweepSpec,
-    run_sweep,
-    smoke_spec,
-)
+from repro.sweep import DEFAULT_CACHE_DIR, DEFAULT_OUT_DIR
 from repro.paths.grc_all import run_grc_all
 from repro.topology.caida import CaidaFormatError, load_as_rel, save_as_rel
 from repro.topology.generator import GeneratedTopology, generate_topology
@@ -467,7 +461,11 @@ class Session:
 
         ``progress`` gets each step's message with the completed and
         total shard counts (:func:`~repro.sweep.executor.run_sweep`).
+        The sweep machinery loads on the first sweep.
         """
+        from repro.sweep.executor import run_sweep
+        from repro.sweep.spec import SweepSpec, smoke_spec
+
         spec = smoke_spec() if request.smoke else SweepSpec.from_json_file(request.spec)
         if request.list_shards:
             shards = spec.expand()

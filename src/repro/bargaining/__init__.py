@@ -9,43 +9,50 @@ negotiations.  The scalar per-trial solver the engine is pinned to
 lives in :mod:`repro.reference`.
 """
 
-from repro.bargaining.baselines import (
-    PostedPriceMechanism,
-    PostedPriceOutcome,
-    optimal_posted_price,
-)
-from repro.bargaining.choices import (
-    CANCEL,
-    ChoiceSet,
-    quantile_choice_set,
-    random_choice_set,
-)
-from repro.bargaining.distributions import (
-    JointUtilityDistribution,
-    TruncatedNormalUtilityDistribution,
-    UniformUtilityDistribution,
-    UtilityDistribution,
-    paper_distribution_u1,
-    paper_distribution_u2,
-)
-from repro.bargaining.efficiency import expected_truthful_nash_product
-from repro.bargaining.engine import (
-    BatchedEquilibria,
-    DistributionKernel,
-    GameBatch,
-    NegotiationEngine,
-    batched_claims,
-    kernel_for,
-)
-from repro.bargaining.mechanism import (
-    BoscoService,
-    MechanismInformation,
-    NegotiationOutcome,
-)
-from repro.bargaining.strategy import (
-    EquilibriumError,
-    StrategyProfile,
-    ThresholdStrategy,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.bargaining.baselines": (
+            "PostedPriceMechanism",
+            "PostedPriceOutcome",
+            "optimal_posted_price",
+        ),
+        "repro.bargaining.choices": (
+            "CANCEL",
+            "ChoiceSet",
+            "quantile_choice_set",
+            "random_choice_set",
+        ),
+        "repro.bargaining.distributions": (
+            "JointUtilityDistribution",
+            "TruncatedNormalUtilityDistribution",
+            "UniformUtilityDistribution",
+            "UtilityDistribution",
+            "paper_distribution_u1",
+            "paper_distribution_u2",
+        ),
+        "repro.bargaining.efficiency": ("expected_truthful_nash_product",),
+        "repro.bargaining.engine": (
+            "BatchedEquilibria",
+            "DistributionKernel",
+            "GameBatch",
+            "NegotiationEngine",
+            "batched_claims",
+            "kernel_for",
+        ),
+        "repro.bargaining.mechanism": (
+            "BoscoService",
+            "MechanismInformation",
+            "NegotiationOutcome",
+        ),
+        "repro.bargaining.strategy": (
+            "EquilibriumError",
+            "StrategyProfile",
+            "ThresholdStrategy",
+        ),
+    },
 )
 
 __all__ = [

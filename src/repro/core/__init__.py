@@ -31,16 +31,23 @@ consume these through the cached helpers
 analyses of the same graph share one compiled view.
 """
 
-from repro.core.arrays import (
-    exclusive_suffix_minimum,
-    last_argmax,
-    running_maximum,
-    sequential_sum,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.arrays": (
+            "exclusive_suffix_minimum",
+            "last_argmax",
+            "running_maximum",
+            "sequential_sum",
+        ),
+        "repro.core.artifacts": ("ArtifactError", "ArtifactStore", "load_artifact"),
+        "repro.core.compiled": ("CompiledTopology", "compile_topology"),
+        "repro.core.path_engine": ("DEFAULT_BLOCK_BYTES", "PathEngine", "path_engine_for"),
+        "repro.core.streaming": ("compile_as_rel_file", "compile_as_rel_lines"),
+    },
 )
-from repro.core.artifacts import ArtifactError, ArtifactStore, load_artifact
-from repro.core.compiled import CompiledTopology, compile_topology
-from repro.core.path_engine import DEFAULT_BLOCK_BYTES, PathEngine, path_engine_for
-from repro.core.streaming import compile_as_rel_file, compile_as_rel_lines
 
 __all__ = [
     "CompiledTopology",

@@ -5,38 +5,45 @@ internal-cost functions, traffic/flow abstractions, and the AS utility
 calculation ``U_X = r_X − c_X``.
 """
 
-from repro.economics.business import ASBusiness, default_business_models
-from repro.economics.cost import (
-    AffineCost,
-    InternalCostFunction,
-    LinearCost,
-    PiecewiseLinearCost,
-    PowerLawCost,
-    SteppedCapacityCost,
-    ZeroCost,
-)
-from repro.economics.pricing import (
-    CongestionPricing,
-    FlatRatePricing,
-    NinetyFifthPercentileBilling,
-    PerUsagePricing,
-    PowerLawPricing,
-    PricingFunction,
-    SettlementFree,
-)
-from repro.economics.timeseries import (
-    BillingRule,
-    DiurnalTrafficModel,
-    billed_volume,
-    simulate_billing_period,
-)
-from repro.economics.traffic import (
-    ENDHOSTS,
-    FlowVector,
-    NetworkFlows,
-    SegmentFlows,
-    TrafficMatrix,
-    assign_demands,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.economics.business": ("ASBusiness", "default_business_models"),
+        "repro.economics.cost": (
+            "AffineCost",
+            "InternalCostFunction",
+            "LinearCost",
+            "PiecewiseLinearCost",
+            "PowerLawCost",
+            "SteppedCapacityCost",
+            "ZeroCost",
+        ),
+        "repro.economics.pricing": (
+            "CongestionPricing",
+            "FlatRatePricing",
+            "NinetyFifthPercentileBilling",
+            "PerUsagePricing",
+            "PowerLawPricing",
+            "PricingFunction",
+            "SettlementFree",
+        ),
+        "repro.economics.timeseries": (
+            "BillingRule",
+            "DiurnalTrafficModel",
+            "billed_volume",
+            "simulate_billing_period",
+        ),
+        "repro.economics.traffic": (
+            "ENDHOSTS",
+            "FlowVector",
+            "NetworkFlows",
+            "SegmentFlows",
+            "TrafficMatrix",
+            "assign_demands",
+        ),
+    },
 )
 
 __all__ = [

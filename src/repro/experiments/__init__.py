@@ -18,24 +18,31 @@ rendering (:func:`~repro.experiments.runner.run_all`); the sweep's
 figure shards run the same table.
 """
 
-from repro.experiments.fig2_pod import Fig2Config, Fig2Result, run_fig2
-from repro.experiments.fig3_paths import PathDiversityConfig, run_fig3
-from repro.experiments.fig4_destinations import run_fig4
-from repro.experiments.fig5_geodistance import Fig5Config, run_fig5
-from repro.experiments.fig6_bandwidth import Fig6Config, run_fig6
-from repro.experiments.reporting import (
-    PairMetricFigure,
-    PaperComparison,
-    PathCountFigure,
-    SectionResult,
-    SectionSeries,
-    SectionTable,
-    format_comparisons,
-    format_table,
-    render_report,
-    render_section,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.fig2_pod": ("Fig2Config", "Fig2Result", "run_fig2"),
+        "repro.experiments.fig3_paths": ("PathDiversityConfig", "run_fig3"),
+        "repro.experiments.fig4_destinations": ("run_fig4",),
+        "repro.experiments.fig5_geodistance": ("Fig5Config", "run_fig5"),
+        "repro.experiments.fig6_bandwidth": ("Fig6Config", "run_fig6"),
+        "repro.experiments.reporting": (
+            "PairMetricFigure",
+            "PaperComparison",
+            "PathCountFigure",
+            "SectionResult",
+            "SectionSeries",
+            "SectionTable",
+            "format_comparisons",
+            "format_table",
+            "render_report",
+            "render_section",
+        ),
+        "repro.experiments.runner": ("RunnerConfig", "run_all", "run_sections"),
+    },
 )
-from repro.experiments.runner import RunnerConfig, run_all, run_sections
 
 __all__ = [
     "Fig2Config",

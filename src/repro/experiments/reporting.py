@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Literal
 
 from repro.envelope import JsonCodec
-from repro.paths.diversity import DEFAULT_SCENARIOS
 
 if TYPE_CHECKING:
     from repro.paths.diversity import DiversityResult
@@ -173,6 +172,8 @@ class PathCountFigure:
 
     def table(self) -> SectionTable:
         """The per-scenario distribution as a structured table."""
+        from repro.paths.diversity import DEFAULT_SCENARIOS
+
         rows = []
         for scenario in DEFAULT_SCENARIOS:
             cdf = self.cdf(scenario)
@@ -183,6 +184,8 @@ class PathCountFigure:
 
     def series(self) -> tuple[SectionSeries, ...]:
         """The per-scenario CDF series with their raw values."""
+        from repro.paths.diversity import DEFAULT_SCENARIOS
+
         return tuple(
             SectionSeries(scenario, *self.cdf(scenario).series())
             for scenario in DEFAULT_SCENARIOS

@@ -6,23 +6,30 @@ flow-volume targets (a nonlinear program, §IV-A) and cash compensation
 trade-offs discussed in §IV-C.
 """
 
-from repro.optimization.cash import (
-    CashCompensationResult,
-    negotiate_cash_agreement,
-    optimize_cash_compensation,
-)
-from repro.optimization.compare import MethodComparison, compare_methods
-from repro.optimization.flow_volume import (
-    FlowVolumeResult,
-    SegmentTargets,
-    optimize_flow_volume_targets,
-)
-from repro.optimization.nash import (
-    BargainingOutcome,
-    is_pareto_improvement,
-    nash_bargaining_solution,
-    nash_bargaining_transfer,
-    nash_product,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.optimization.cash": (
+            "CashCompensationResult",
+            "negotiate_cash_agreement",
+            "optimize_cash_compensation",
+        ),
+        "repro.optimization.compare": ("MethodComparison", "compare_methods"),
+        "repro.optimization.flow_volume": (
+            "FlowVolumeResult",
+            "SegmentTargets",
+            "optimize_flow_volume_targets",
+        ),
+        "repro.optimization.nash": (
+            "BargainingOutcome",
+            "is_pareto_improvement",
+            "nash_bargaining_solution",
+            "nash_bargaining_transfer",
+            "nash_product",
+        ),
+    },
 )
 
 __all__ = [

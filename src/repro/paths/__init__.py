@@ -7,27 +7,34 @@ geodistance (Fig. 5) and bandwidth (Fig. 6) figures, the §III-B3
 extension-agreement path counts, and CDF/statistics helpers.
 """
 
-from repro.paths.diversity import (
-    DEFAULT_SCENARIOS,
-    ASDiversityRecord,
-    DiversityResult,
-    analyze_as,
-    analyze_path_diversity,
-    sample_ases,
-)
-from repro.paths.extensions import analyze_extension_diversity
-from repro.paths.ma_paths import (
-    MAPathIndex,
-    agreement_paths,
-    build_ma_path_index,
-    new_ma_paths,
-)
-from repro.paths.metrics import EmpiricalCDF, summarize
-from repro.paths.pair_metrics import (
-    PairMetricRecord,
-    PairMetricResult,
-    analyze_bandwidth,
-    analyze_geodistance,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.paths.diversity": (
+            "DEFAULT_SCENARIOS",
+            "ASDiversityRecord",
+            "DiversityResult",
+            "analyze_as",
+            "analyze_path_diversity",
+            "sample_ases",
+        ),
+        "repro.paths.extensions": ("analyze_extension_diversity",),
+        "repro.paths.ma_paths": (
+            "MAPathIndex",
+            "agreement_paths",
+            "build_ma_path_index",
+            "new_ma_paths",
+        ),
+        "repro.paths.metrics": ("EmpiricalCDF", "summarize"),
+        "repro.paths.pair_metrics": (
+            "PairMetricRecord",
+            "PairMetricResult",
+            "analyze_bandwidth",
+            "analyze_geodistance",
+        ),
+    },
 )
 
 __all__ = [

@@ -7,32 +7,39 @@ substrate with agreement-governed segment authorization and forwarding
 along source-selected paths embedded in packet headers.
 """
 
-from repro.routing.beaconing import (
-    BeaconingProcess,
-    PathConstructionBeacon,
-    PathServer,
-    SegmentStore,
-)
-from repro.routing.bgp import BGPOutcome, BGPSimulator
-from repro.routing.convergence import (
-    ConvergenceReport,
-    analyze_gadget,
-    analyze_grc,
-    degrade_by_link_failure,
-)
-from repro.routing.forwarding import (
-    DropReason,
-    ForwardingEngine,
-    ForwardingResult,
-    Packet,
-)
-from repro.routing.pan import AuthorizedSegment, PathAwareNetwork
-from repro.routing.policies import (
-    GaoRexfordPolicy,
-    PreferenceListPolicy,
-    RoutingPolicy,
-    gadget_policies,
-    gao_rexford_policies,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.routing.beaconing": (
+            "BeaconingProcess",
+            "PathConstructionBeacon",
+            "PathServer",
+            "SegmentStore",
+        ),
+        "repro.routing.bgp": ("BGPOutcome", "BGPSimulator"),
+        "repro.routing.convergence": (
+            "ConvergenceReport",
+            "analyze_gadget",
+            "analyze_grc",
+            "degrade_by_link_failure",
+        ),
+        "repro.routing.forwarding": (
+            "DropReason",
+            "ForwardingEngine",
+            "ForwardingResult",
+            "Packet",
+        ),
+        "repro.routing.pan": ("AuthorizedSegment", "PathAwareNetwork"),
+        "repro.routing.policies": (
+            "GaoRexfordPolicy",
+            "PreferenceListPolicy",
+            "RoutingPolicy",
+            "gadget_policies",
+            "gao_rexford_policies",
+        ),
+    },
 )
 
 __all__ = [

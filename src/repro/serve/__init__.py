@@ -30,18 +30,25 @@ scaled across processes by a pre-fork supervisor:
 section shows the request shapes.
 """
 
-from repro.serve.board import WorkerBoard
-from repro.serve.cache import ResultCache
-from repro.serve.client import ServeClient, ServeResponse
-from repro.serve.jobs import JobRunner, JobStore
-from repro.serve.server import (
-    ReproServer,
-    ServeConfig,
-    run_server,
-    serve_until_signal,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.board": ("WorkerBoard",),
+        "repro.serve.cache": ("ResultCache",),
+        "repro.serve.client": ("ServeClient", "ServeResponse"),
+        "repro.serve.jobs": ("JobRunner", "JobStore"),
+        "repro.serve.server": (
+            "ReproServer",
+            "ServeConfig",
+            "run_server",
+            "serve_until_signal",
+        ),
+        "repro.serve.service": ("ServeService",),
+        "repro.serve.supervisor": ("Supervisor", "run_supervisor"),
+    },
 )
-from repro.serve.service import ServeService
-from repro.serve.supervisor import Supervisor, run_supervisor
 
 __all__ = [
     "JobRunner",

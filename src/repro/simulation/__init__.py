@@ -13,40 +13,47 @@ scenarios live in :mod:`~repro.simulation.scenarios` and behind the
 ``repro simulate`` CLI subcommand.
 """
 
-from repro.simulation.engine import Process, SimulationEngine
-from repro.simulation.events import (
-    Event,
-    EventQueue,
-    SimulationClock,
-    SimulationError,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.simulation.engine": ("Process", "SimulationEngine"),
+        "repro.simulation.events": (
+            "Event",
+            "EventQueue",
+            "SimulationClock",
+            "SimulationError",
+        ),
+        "repro.simulation.failures": (
+            "LINK_DOWN",
+            "LINK_UP",
+            "DeterministicFailureSchedule",
+            "FailureInjector",
+            "LinkEvent",
+            "StochasticFailureModel",
+        ),
+        "repro.simulation.lifecycle": ("ActiveAgreement", "AgreementLifecycleManager"),
+        "repro.simulation.metrics": ("MetricsTrace", "TraceRecord"),
+        "repro.simulation.network": ("DynamicNetwork",),
+        "repro.simulation.routing": (
+            "AvailabilityMonitor",
+            "BGPRoutingService",
+            "PANRoutingService",
+            "RoutingService",
+        ),
+        "repro.simulation.scenarios": (
+            "SCENARIOS",
+            "AgreementMarketplaceScenario",
+            "FailureChurnScenario",
+            "FlashCrowdScenario",
+            "ScenarioResult",
+            "SimulationScenario",
+            "run_scenario",
+        ),
+        "repro.simulation.traffic": ("FlashCrowd", "TimeVaryingDemand"),
+    },
 )
-from repro.simulation.failures import (
-    LINK_DOWN,
-    LINK_UP,
-    DeterministicFailureSchedule,
-    FailureInjector,
-    LinkEvent,
-    StochasticFailureModel,
-)
-from repro.simulation.lifecycle import ActiveAgreement, AgreementLifecycleManager
-from repro.simulation.metrics import MetricsTrace, TraceRecord
-from repro.simulation.network import DynamicNetwork
-from repro.simulation.routing import (
-    AvailabilityMonitor,
-    BGPRoutingService,
-    PANRoutingService,
-    RoutingService,
-)
-from repro.simulation.scenarios import (
-    SCENARIOS,
-    AgreementMarketplaceScenario,
-    FailureChurnScenario,
-    FlashCrowdScenario,
-    ScenarioResult,
-    SimulationScenario,
-    run_scenario,
-)
-from repro.simulation.traffic import FlashCrowd, TimeVaryingDemand
 
 __all__ = [
     "SimulationError",

@@ -17,6 +17,10 @@ Three scenarios exercise the engine end-to-end:
 
 Each scenario is reproducible: the same seed yields a byte-identical
 metrics trace (:meth:`ScenarioResult.trace_text`).
+
+The registry, each scenario's knobs and :class:`ScenarioResult` are part
+of the typed request surface, so this module imports no part of the
+simulator: a scenario loads the engine and its processes when it runs.
 """
 
 from __future__ import annotations
@@ -24,34 +28,20 @@ from __future__ import annotations
 import abc
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from typing import TYPE_CHECKING, Any, ClassVar
 
 import numpy as np
 
-from repro.agents.population import (
-    PopulationSpec,
-    assign_regions,
-    default_population_spec,
-)
-from repro.economics.timeseries import BillingRule
 from repro.envelope import INPUT_FILE, JsonCodec
 from repro.errors import ValidationError
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.failures import FailureInjector, StochasticFailureModel
-from repro.simulation.lifecycle import AgreementLifecycleManager
 from repro.simulation.metrics import MetricsTrace
-from repro.simulation.network import DynamicNetwork
-from repro.simulation.routing import (
-    AvailabilityMonitor,
-    BGPRoutingService,
-    PANRoutingService,
-)
-from repro.simulation.shocks import PriceWar, RegionalPartition
-from repro.simulation.traffic import FlashCrowd
-from repro.topology.fixtures import AS_D, AS_E, figure1_topology
-from repro.topology.generator import generate_topology
-from repro.topology.graph import ASGraph
 from repro.topology.relationships import Relationship
+
+if TYPE_CHECKING:
+    from repro.agents.population import PopulationSpec
+    from repro.simulation.engine import SimulationEngine
+    from repro.simulation.network import DynamicNetwork
+    from repro.topology.graph import ASGraph
 
 
 @dataclass(frozen=True)
@@ -110,6 +100,9 @@ class SimulationScenario(JsonCodec, abc.ABC):
 
     def run(self) -> ScenarioResult:
         """Build an engine, run to the horizon, and summarize."""
+        from repro.simulation.engine import SimulationEngine
+        from repro.simulation.network import DynamicNetwork
+
         engine = SimulationEngine(seed=self.seed)
         network = DynamicNetwork(self.topology())
         self.build(engine, network)
@@ -122,6 +115,32 @@ class SimulationScenario(JsonCodec, abc.ABC):
             trace=trace,
             headline=self.headline(trace),
         )
+
+
+def _generated_topology(scenario: Any) -> ASGraph:
+    """The seeded synthetic topology a scenario's tier-size knobs describe."""
+    from repro.topology.generator import generate_topology
+
+    return generate_topology(
+        num_tier1=scenario.num_tier1,
+        num_tier2=scenario.num_tier2,
+        num_tier3=scenario.num_tier3,
+        num_stubs=scenario.num_stubs,
+        seed=scenario.seed,
+    ).graph
+
+
+def _peering_pairs(graph: ASGraph, count: int) -> tuple[tuple[int, int], ...]:
+    """The first ``count`` peering links below the tier-1 clique."""
+    tier1 = graph.tier1_ases()
+    pairs = [
+        (link.first, link.second)
+        for link in graph.links
+        if link.relationship is Relationship.PEER_TO_PEER
+        and link.first not in tier1
+        and link.second not in tier1
+    ]
+    return tuple(sorted(pairs))[:count]
 
 
 @dataclass
@@ -145,13 +164,7 @@ class FailureChurnScenario(SimulationScenario):
     sample_interval: float = 0.5
 
     def topology(self) -> ASGraph:
-        return generate_topology(
-            num_tier1=self.num_tier1,
-            num_tier2=self.num_tier2,
-            num_tier3=self.num_tier3,
-            num_stubs=self.num_stubs,
-            seed=self.seed,
-        ).graph
+        return _generated_topology(self)
 
     def _monitored_pairs(self, graph: ASGraph) -> tuple[tuple[int, int], ...]:
         """Deterministically sampled stub-to-stub pairs.
@@ -172,6 +185,13 @@ class FailureChurnScenario(SimulationScenario):
         return tuple(sorted(set(pairs)))
 
     def build(self, engine: SimulationEngine, network: DynamicNetwork) -> None:
+        from repro.simulation.failures import FailureInjector, StochasticFailureModel
+        from repro.simulation.routing import (
+            AvailabilityMonitor,
+            BGPRoutingService,
+            PANRoutingService,
+        )
+
         graph = network.base_graph
         pairs = self._monitored_pairs(graph)
         links = tuple((link.first, link.second) for link in graph.links)
@@ -238,31 +258,15 @@ class AgreementMarketplaceScenario(SimulationScenario):
     mean_demand: float = 10.0
 
     def topology(self) -> ASGraph:
-        return generate_topology(
-            num_tier1=self.num_tier1,
-            num_tier2=self.num_tier2,
-            num_tier3=self.num_tier3,
-            num_stubs=self.num_stubs,
-            seed=self.seed,
-        ).graph
-
-    def _peering_pairs(self, graph: ASGraph) -> tuple[tuple[int, int], ...]:
-        """The first few peering links below the tier-1 clique."""
-        tier1 = graph.tier1_ases()
-        pairs = [
-            (link.first, link.second)
-            for link in graph.links
-            if link.relationship is Relationship.PEER_TO_PEER
-            and link.first not in tier1
-            and link.second not in tier1
-        ]
-        return tuple(sorted(pairs))[: self.num_pairs]
+        return _generated_topology(self)
 
     def build(self, engine: SimulationEngine, network: DynamicNetwork) -> None:
+        from repro.simulation.lifecycle import AgreementLifecycleManager
+
         engine.add_process(
             AgreementLifecycleManager(
                 network=network,
-                pairs=self._peering_pairs(network.base_graph),
+                pairs=_peering_pairs(network.base_graph, self.num_pairs),
                 term_duration=self.term_duration,
                 metering_interval=self.metering_interval,
                 mean_demand=self.mean_demand,
@@ -301,9 +305,16 @@ class FlashCrowdScenario(SimulationScenario):
     crowd_multiplier: float = 6.0
 
     def topology(self) -> ASGraph:
+        from repro.topology.fixtures import figure1_topology
+
         return figure1_topology()
 
     def build(self, engine: SimulationEngine, network: DynamicNetwork) -> None:
+        from repro.economics.timeseries import BillingRule
+        from repro.simulation.lifecycle import AgreementLifecycleManager
+        from repro.simulation.traffic import FlashCrowd
+        from repro.topology.fixtures import AS_D, AS_E
+
         engine.add_process(
             AgreementLifecycleManager(
                 network=network,
@@ -377,33 +388,22 @@ class HeterogeneousMarketplaceScenario(SimulationScenario):
     price_war_multiplier: float = 0.5
 
     def topology(self) -> ASGraph:
-        return generate_topology(
-            num_tier1=self.num_tier1,
-            num_tier2=self.num_tier2,
-            num_tier3=self.num_tier3,
-            num_stubs=self.num_stubs,
-            seed=self.seed,
-        ).graph
+        return _generated_topology(self)
 
     def population_spec(self) -> PopulationSpec:
         """The population document this run resolves (file or built-in)."""
+        from repro.agents.population import PopulationSpec, default_population_spec
+
         if self.population:
             return PopulationSpec.load(self.population)
         return default_population_spec(seed=self.seed)
 
-    def _peering_pairs(self, graph: ASGraph) -> tuple[tuple[int, int], ...]:
-        """The first few peering links below the tier-1 clique."""
-        tier1 = graph.tier1_ases()
-        pairs = [
-            (link.first, link.second)
-            for link in graph.links
-            if link.relationship is Relationship.PEER_TO_PEER
-            and link.first not in tier1
-            and link.second not in tier1
-        ]
-        return tuple(sorted(pairs))[: self.num_pairs]
-
     def build(self, engine: SimulationEngine, network: DynamicNetwork) -> None:
+        from repro.agents.population import assign_regions
+        from repro.simulation.failures import FailureInjector
+        from repro.simulation.lifecycle import AgreementLifecycleManager
+        from repro.simulation.shocks import PriceWar, RegionalPartition
+
         graph = network.base_graph
         regions = assign_regions(graph, seed=self.seed)
         population = self.population_spec().resolve(graph, regions)
@@ -432,7 +432,7 @@ class HeterogeneousMarketplaceScenario(SimulationScenario):
             )
         lifecycle = AgreementLifecycleManager(
             network=network,
-            pairs=self._peering_pairs(graph),
+            pairs=_peering_pairs(graph, self.num_pairs),
             term_duration=self.term_duration,
             metering_interval=self.metering_interval,
             mean_demand=self.mean_demand,

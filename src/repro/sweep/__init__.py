@@ -15,21 +15,28 @@ knobs?" into one declarative spec and one command (``repro sweep``):
   ``sweep_summary.json`` + per-metric CSV tables.
 """
 
-from repro.sweep.aggregate import build_summary, write_outputs
-from repro.sweep.executor import (
-    DEFAULT_CACHE_DIR,
-    DEFAULT_OUT_DIR,
-    SweepRunResult,
-    run_sweep,
-)
-from repro.sweep.shard import run_shard
-from repro.sweep.spec import (
-    NAMED_SCALES,
-    ScaleSpec,
-    ScenarioSpec,
-    Shard,
-    SweepSpec,
-    smoke_spec,
+from repro._lazy import lazy_exports
+
+#: Default locations relative to the working directory (defined here so
+#: the sweep request's help text needs none of the sweep machinery).
+DEFAULT_CACHE_DIR = ".sweep-cache"
+DEFAULT_OUT_DIR = "sweep-results"
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sweep.aggregate": ("build_summary", "write_outputs"),
+        "repro.sweep.executor": ("SweepRunResult", "run_sweep"),
+        "repro.sweep.shard": ("run_shard",),
+        "repro.sweep.spec": (
+            "NAMED_SCALES",
+            "ScaleSpec",
+            "ScenarioSpec",
+            "Shard",
+            "SweepSpec",
+            "smoke_spec",
+        ),
+    },
 )
 
 __all__ = [

@@ -36,13 +36,10 @@ from typing import Any, Callable
 
 from repro.core.store import Store, code_version, store_key
 from repro.envelope import canonical_text
+from repro.sweep import DEFAULT_CACHE_DIR, DEFAULT_OUT_DIR
 from repro.sweep.aggregate import build_summary, write_outputs
 from repro.sweep.shard import run_shard
 from repro.sweep.spec import Shard, SweepSpec
-
-#: Default locations relative to the working directory.
-DEFAULT_CACHE_DIR = ".sweep-cache"
-DEFAULT_OUT_DIR = "sweep-results"
 
 #: The store namespace (and format) of shard records.
 SHARD_NAMESPACE = "sweep-shard-v1"

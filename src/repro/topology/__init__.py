@@ -8,54 +8,61 @@ canonical example topologies of the paper (Fig. 1 and the BGP
 stability gadgets).
 """
 
-from repro.topology.bandwidth import LinkCapacityModel, degree_gravity_capacities
-from repro.topology.caida import (
-    CaidaFormatError,
-    dump_as_rel_lines,
-    load_as_rel,
-    parse_as_rel_lines,
-    save_as_rel,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.topology.bandwidth": ("LinkCapacityModel", "degree_gravity_capacities"),
+        "repro.topology.caida": (
+            "CaidaFormatError",
+            "dump_as_rel_lines",
+            "load_as_rel",
+            "parse_as_rel_lines",
+            "save_as_rel",
+        ),
+        "repro.topology.fixtures": (
+            "AS_A",
+            "AS_B",
+            "AS_C",
+            "AS_D",
+            "AS_E",
+            "AS_F",
+            "AS_G",
+            "AS_H",
+            "AS_I",
+            "FIGURE1_NAMES",
+            "Gadget",
+            "bad_gadget_topology",
+            "disagree_topology",
+            "figure1_sibling_gadget",
+            "figure1_topology",
+        ),
+        "repro.topology.generator": (
+            "GeneratedTopology",
+            "InternetTopologyGenerator",
+            "TopologyParameters",
+            "generate_topology",
+        ),
+        "repro.topology.geography": (
+            "DEFAULT_REGION_HUBS",
+            "GeographicEmbedding",
+            "GeoPoint",
+            "SyntheticGeographyGenerator",
+            "centroid",
+            "haversine_km",
+        ),
+        "repro.topology.gml": (
+            "GmlFormatError",
+            "dump_gml_lines",
+            "load_gml",
+            "parse_gml",
+            "save_gml",
+        ),
+        "repro.topology.graph": ("ASGraph", "TopologyError"),
+        "repro.topology.relationships": ("Link", "Relationship", "Role"),
+    },
 )
-from repro.topology.fixtures import (
-    AS_A,
-    AS_B,
-    AS_C,
-    AS_D,
-    AS_E,
-    AS_F,
-    AS_G,
-    AS_H,
-    AS_I,
-    FIGURE1_NAMES,
-    Gadget,
-    bad_gadget_topology,
-    disagree_topology,
-    figure1_sibling_gadget,
-    figure1_topology,
-)
-from repro.topology.generator import (
-    GeneratedTopology,
-    InternetTopologyGenerator,
-    TopologyParameters,
-    generate_topology,
-)
-from repro.topology.geography import (
-    DEFAULT_REGION_HUBS,
-    GeographicEmbedding,
-    GeoPoint,
-    SyntheticGeographyGenerator,
-    centroid,
-    haversine_km,
-)
-from repro.topology.gml import (
-    GmlFormatError,
-    dump_gml_lines,
-    load_gml,
-    parse_gml,
-    save_gml,
-)
-from repro.topology.graph import ASGraph, TopologyError
-from repro.topology.relationships import Link, Relationship, Role
 
 __all__ = [
     "ASGraph",

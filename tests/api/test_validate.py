@@ -1,6 +1,10 @@
 """The ``python -m repro.api.validate`` envelope checker."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +242,49 @@ class TestJobKinds:
         }
         problems = validate_envelope(document)
         assert any("state" in p for p in problems)
+
+
+def test_importing_the_validator_alone_registers_every_kind():
+    """``repro.api.validate`` knows every kind from its own imports.
+
+    Kinds register as their codec classes are defined, so a module the
+    validator stops importing would make it reject that kind's valid
+    envelopes as unknown.  A fresh process imports nothing else.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    probe = "import repro.api.validate; from repro.envelope import KINDS; print(sorted(KINDS))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == repr(
+        [
+            "agents_list_result",
+            "diversity_request",
+            "diversity_result",
+            "error_result",
+            "experiments_request",
+            "experiments_result",
+            "grc_all_request",
+            "grc_all_result",
+            "job_request",
+            "job_status_result",
+            "negotiate_request",
+            "negotiate_result",
+            "population_result",
+            "scenario_list_result",
+            "scenario_result",
+            "section_result",
+            "serve_health",
+            "serve_log_record",
+            "serve_stats",
+            "simulate_request",
+            "simulate_result",
+            "sweep_list_result",
+            "sweep_request",
+            "sweep_result",
+            "topology_request",
+            "topology_result",
+        ]
+    )

@@ -339,12 +339,27 @@ def test_importing_the_cli_does_not_load_scipy():
     """scipy is imported only by the two functions that use it.
 
     Nor does the CLI load the server stack (or asyncio) until ``repro
-    serve`` runs: ``import repro.cli`` is every command's setup cost.
+    serve`` runs, or any compute layer until a command needs it:
+    ``import repro.cli`` is every command's setup cost.
     """
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    lazy = ("scipy", "asyncio", "repro.serve", "repro.serve.server")
+    lazy = (
+        "scipy",
+        "asyncio",
+        "repro.serve",
+        "repro.serve.server",
+        "repro.simulation.engine",
+        "repro.experiments.fig2_pod",
+        "repro.paths.ma_paths",
+        "repro.agreements.mutuality",
+        "repro.bargaining.engine",
+        "repro.core.path_engine",
+        "repro.sweep.executor",
+        "repro.optimization",
+        "repro.routing",
+    )
     probe = f"import sys, repro.cli; print([m for m in {lazy!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
