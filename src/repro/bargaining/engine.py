@@ -22,12 +22,21 @@ ten trials, and rows leave the lockstep batch as they converge, so most
 best responses see one to ten rows and about four active envelope
 lines per row; numpy call overhead, not arithmetic, is their cost.  The
 two best-response kernels therefore use one layout for every batch size
-whose number of numpy calls does not grow with the batch:
-:meth:`NegotiationEngine.response_lines` builds its masked terms as
-opponent-major blocks, and :meth:`NegotiationEngine.envelope_thresholds`
-runs Algorithm 1 over each row's active lines only.  Both cut their
-blocks under ``_BLOCK_ELEMENTS`` so large batches (Fig. 2 at paper
-scale: 200 rows, ``W = 100``) stay bounded in memory.
+whose number of numpy calls does not grow with the batch.
+
+What a row's choice sets fix is computed once per solve: its *claim
+geometry* (:func:`_claim_geometry`), whether each opponent choice
+qualifies for each own choice and the claim gap between them.  A round
+of the dynamics then weighs that geometry by the opponent's choice
+probabilities, halves the gap terms and folds the opponent axis — one
+numpy call each, whatever the batch or ``W``.
+:meth:`NegotiationEngine.envelope_thresholds` runs Algorithm 1 over each
+row's active lines only.  Memory stays bounded at large batches (Fig. 2
+at paper scale: 200 rows, ``W = 100``): :meth:`NegotiationEngine.solve`
+runs row chunks whose geometry fits ``_GEOMETRY_ELEMENTS``, and the
+envelope's crossing table is cut under ``_BLOCK_ELEMENTS``.  A row's
+geometry, like its thresholds and its response cache entry, is row
+state: rows are independent, so chunks give the same bits as one batch.
 
 Bit-exactness contract
 ----------------------
@@ -42,8 +51,9 @@ Three rules make that possible (see :mod:`repro.core.arrays`):
    operation for operation (NumPy ufuncs and Python floats share IEEE-754
    ``float64`` semantics, and separate ufunc passes cannot be fused);
 2. every reduction runs in the reference's left-to-right order —
-   :func:`~repro.core.arrays.sequential_sum` or one in-place add per
-   term — never ``np.sum`` (pairwise order);
+   :func:`~repro.core.arrays.sequential_sum` or
+   :func:`~repro.core.arrays.ordered_fold` — never a pairwise
+   ``np.sum`` along the innermost axis;
 3. skipped loop iterations become masked ``0.0`` terms — adding ``+0.0``
    is exact — and tie-breaks reuse the reference comparison directions.
 
@@ -70,17 +80,22 @@ from repro.bargaining.strategy import StrategyProfile, ThresholdStrategy
 from repro.core.arrays import (
     exclusive_suffix_minimum,
     last_argmax,
+    ordered_fold,
     running_maximum,
     sequential_sum,
 )
 
 _INF = float("inf")
 
-#: Element budget of one array block in the best-response kernels: the
-#: masked-term block of :meth:`NegotiationEngine.response_lines` and the
-#: crossing table of :meth:`NegotiationEngine.envelope_thresholds` are
-#: cut into pieces of at most this many elements.
+#: Element budget of one block of the crossing table in
+#: :meth:`NegotiationEngine.envelope_thresholds`.
 _BLOCK_ELEMENTS = 1 << 16
+
+#: Element budget of one party's claim geometry in a chunk of
+#: :meth:`NegotiationEngine.solve` (``rows · C_x · C_y``).  Fig. 2's
+#: default batch (25 rows, ``W = 50``) and a served request (10 rows,
+#: ``W = 20``) each fit one chunk.
+_GEOMETRY_ELEMENTS = 1 << 18
 
 
 # ----------------------------------------------------------------------
@@ -320,46 +335,9 @@ class NegotiationEngine:
         non-qualifying terms become masked ``+0.0`` entries here, which
         leaves the sequential sums bit-identical.
         """
-        batch, own_count = own_values.shape
-        own_finite = np.isfinite(own_values)
-        own_safe = np.where(own_finite, own_values, 0.0)
-        negated_own = -own_safe
-        # Opponent-major ``(C_opp, B, 1)`` views: the masked terms of a
-        # run of opponent choices form one ``(K, B, C_own)`` block, so
-        # the mask, the masked probabilities and the cash terms cost a
-        # few ufunc calls per block instead of per opponent choice —
-        # at the one-to-ten-row batches of a negotiation that call
-        # overhead is the whole cost.  The block is cut along the
-        # opponent axis to stay under ``_BLOCK_ELEMENTS``.
-        opponent_finite = np.isfinite(opponent_values).T[:, :, None]
-        opponent_safe = np.where(opponent_finite, opponent_values.T[:, :, None], 0.0)
-        probabilities = opponent_probabilities.T[:, :, None]
-        step = max(1, _BLOCK_ELEMENTS // (batch * own_count))
-        slopes = np.zeros((batch, own_count))
-        intercepts = np.zeros((batch, own_count))
-        for first in range(0, opponent_values.shape[1], step):
-            block = slice(first, first + step)
-            opponent = opponent_safe[block]
-            mask = opponent >= negated_own
-            mask &= own_finite
-            mask &= opponent_finite[block]
-            masked_probability = mask * probabilities[block]
-            # Only qualifying claim gaps are computed, so a masked term
-            # is an exact ``0.0`` even where the gap would overflow
-            # (``∞ · 0.0`` would be NaN).  A qualifying gap beyond the
-            # float range overflows to ±∞ as silently as Python floats.
-            with np.errstate(over="ignore", invalid="ignore"):
-                terms = np.subtract(opponent, own_safe, out=np.zeros(mask.shape), where=mask)
-                terms *= masked_probability
-                terms /= 2.0
-            # One in-place add per opponent choice, in column order: the
-            # reference's left-to-right loop per ``(instance, own
-            # choice)`` lane.  Masked terms enter as ``0.0``, which is
-            # neutral under IEEE-754 round-to-nearest addition.
-            for slope_term, intercept_term in zip(masked_probability, terms):
-                slopes += slope_term
-                intercepts += intercept_term
-        return slopes, intercepts
+        return _fold_lines(
+            _claim_geometry(own_values, opponent_values), opponent_probabilities
+        )
 
     # ------------------------------------------------------------------
     # Algorithm 1: upper-envelope thresholds
@@ -498,14 +476,17 @@ class NegotiationEngine:
         on to the next start.  ``converged`` is ``False`` exactly for
         the instances on which the per-instance search would raise.
         ``tolerance`` must be finite and non-negative.
+
+        Rows are solved in consecutive chunks whose claim geometry
+        (``rows · C_x · C_y`` elements per party) fits
+        ``_GEOMETRY_ELEMENTS``, or one row when a row alone is larger;
+        rows are independent, so chunking leaves every bit unchanged.
         """
         if not 0.0 <= tolerance < _INF:
             raise ValueError(
                 f"tolerance must be finite and non-negative, got {tolerance!r}"
             )
         size = len(batch)
-        kernel_x = kernel_for(batch.distribution.marginal_x)
-        kernel_y = kernel_for(batch.distribution.marginal_y)
         counts_x = batch.choices_x.shape[1]
         counts_y = batch.choices_y.shape[1]
         result = BatchedEquilibria(
@@ -516,97 +497,106 @@ class NegotiationEngine:
             iterations=np.zeros(size, dtype=np.int64),
             last_delta=np.full(size, np.nan),
         )
-        pending = np.arange(size)
+        step = max(1, _GEOMETRY_ELEMENTS // (counts_x * counts_y))
+        for first in range(0, size, step):
+            chunk = slice(first, first + step)
+            self._solve_chunk(
+                batch.rows(chunk),
+                result.rows(chunk),
+                max_iterations=max_iterations,
+                tolerance=tolerance,
+            )
+        return result
+
+    def _solve_chunk(
+        self,
+        batch: GameBatch,
+        result: BatchedEquilibria,
+        *,
+        max_iterations: int,
+        tolerance: float,
+    ) -> None:
+        """Run the starting profiles over ``batch``, writing into ``result``."""
+        kernel_x = kernel_for(batch.distribution.marginal_x)
+        kernel_y = kernel_for(batch.distribution.marginal_y)
+        counts_x = batch.choices_x.shape[1]
+        pending = np.arange(len(batch))
         for start, (build_x, build_y) in enumerate(_STARTING_PROFILES):
             if pending.size == 0:
                 break
             choices_x = batch.choices_x[pending]
             choices_y = batch.choices_y[pending]
-            solved, thresholds_x, thresholds_y, iterations, deltas = self._dynamics(
+            solved, profiles, iterations, deltas = self._dynamics(
                 choices_x,
                 choices_y,
-                build_x(choices_x),
-                build_y(choices_y),
+                np.concatenate((build_x(choices_x), build_y(choices_y)), axis=1),
                 kernel_x,
                 kernel_y,
                 max_iterations=max_iterations,
                 tolerance=tolerance,
             )
             done = pending[solved]
-            result.thresholds_x[done] = thresholds_x[solved]
-            result.thresholds_y[done] = thresholds_y[solved]
+            result.thresholds_x[done] = profiles[solved, :counts_x]
+            result.thresholds_y[done] = profiles[solved, counts_x:]
             result.converged[done] = True
             result.start_index[done] = start
             result.iterations[pending] = iterations
             result.last_delta[pending] = deltas
             pending = pending[~solved]
-        return result
 
     def _dynamics(
         self,
         choices_x: np.ndarray,
         choices_y: np.ndarray,
-        thresholds_x: np.ndarray,
-        thresholds_y: np.ndarray,
+        profiles: np.ndarray,
         kernel_x: DistributionKernel,
         kernel_y: DistributionKernel,
         *,
         max_iterations: int,
         tolerance: float,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One lockstep run of alternating best-response dynamics."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One lockstep run of alternating best-response dynamics.
+
+        A row's profile is one array, its x thresholds followed by its y
+        thresholds, so the convergence delta and the cycle test each
+        take one pass over both parties.  Returns ``(solved, profiles,
+        iterations, deltas)``.
+        """
         size = choices_x.shape[0]
-        seen: list[set[tuple[bytes, bytes]]] = [set() for _ in range(size)]
+        counts_x = choices_x.shape[1]
         active = np.ones(size, dtype=bool)
         solved = np.zeros(size, dtype=bool)
-        thresholds_x = thresholds_x.copy()
-        thresholds_y = thresholds_y.copy()
+        profiles = profiles.copy()
         iterations = np.zeros(size, dtype=np.int64)
         deltas = np.full(size, np.nan)
         # Best responses are pure functions of the opponent thresholds,
         # so rows whose opponent did not move since the previous round
         # reuse the cached response (near convergence the confirmation
         # round is otherwise a full bit-identical recompute).
-        respond_x = _ResponseCache(
-            self, choices_x, choices_y, kernel_y, thresholds_x.shape[1]
-        )
-        respond_y = _ResponseCache(
-            self, choices_y, choices_x, kernel_x, thresholds_y.shape[1]
-        )
+        respond_x = _ResponseCache(self, choices_x, choices_y, kernel_y)
+        respond_y = _ResponseCache(self, choices_y, choices_x, kernel_x)
+        history = _ProfileHistory(size, profiles.shape[1])
         for _ in range(max_iterations):
-            rows = np.nonzero(active)[0]
+            rows = np.flatnonzero(active)
             if rows.size == 0:
                 break
-            next_x = respond_x(rows, thresholds_y[rows])
-            next_y = respond_y(rows, next_x)
+            next_x = respond_x(rows, profiles[rows, counts_x:])
+            following = np.concatenate((next_x, respond_y(rows, next_x)), axis=1)
             # ``ThresholdStrategy.approximately_equal`` on both parties:
             # equal thresholds give a zero delta, an infinity mismatch
             # or an overflowing difference gives +∞.
-            round_deltas = np.maximum(
-                _rows_delta(next_x, thresholds_x[rows]),
-                _rows_delta(next_y, thresholds_y[rows]),
-            )
+            round_deltas = _rows_delta(following, profiles[rows])
             converged = round_deltas <= tolerance
             deltas[rows] = round_deltas
-            thresholds_x[rows] = next_x
-            thresholds_y[rows] = next_y
+            profiles[rows] = following
             iterations[rows] += 1
             solved[rows[converged]] = True
             active[rows[converged]] = False
-            for position, row in enumerate(rows):
-                if converged[position]:
-                    continue
-                # `+ 0.0` collapses −0.0 onto +0.0, matching the tuple
-                # equality the reference's cycle detector relies on.
-                signature = (
-                    (next_x[position] + 0.0).tobytes(),
-                    (next_y[position] + 0.0).tobytes(),
-                )
-                if signature in seen[row]:
-                    active[row] = False
-                else:
-                    seen[row].add(signature)
-        return solved, thresholds_x, thresholds_y, iterations, deltas
+            open_rows = ~converged
+            if open_rows.any():
+                stay = rows[open_rows]
+                active[stay[history.repeats(stay, following[open_rows])]] = False
+        return solved, profiles, iterations, deltas
 
     # ------------------------------------------------------------------
     # Eqs. 19–20: expected Nash product and Price of Dishonesty
@@ -678,12 +668,14 @@ class NegotiationEngine:
 
 
 class _ResponseCache:
-    """Per-row memo of the last best response against one opponent.
+    """One party's best responses over a fixed set of rows.
 
-    Keyed by bitwise equality of the opponent's thresholds (signed
-    zeros compare equal, and best responses are invariant to the sign
-    of a zero threshold), so a cache hit returns exactly the array the
-    engine would recompute.
+    The rows' claim geometry (:func:`_claim_geometry`) is built once, so
+    a round only weighs it by the opponent's choice probabilities and
+    folds.  Each row also memoizes its last response, keyed by bitwise
+    equality of the opponent's thresholds (signed zeros compare equal,
+    and best responses are invariant to the sign of a zero threshold),
+    so a cache hit returns exactly the array the engine would recompute.
     """
 
     def __init__(
@@ -692,36 +684,74 @@ class _ResponseCache:
         own_values: np.ndarray,
         opponent_values: np.ndarray,
         opponent_kernel: DistributionKernel,
-        width: int,
     ) -> None:
         self._engine = engine
-        self._own = own_values
-        self._opponent = opponent_values
         self._kernel = opponent_kernel
+        self._geometry = _claim_geometry(own_values, opponent_values)
         self._valid = np.zeros(own_values.shape[0], dtype=bool)
         self._inputs = np.empty_like(opponent_values)
-        self._outputs = np.empty((own_values.shape[0], width))
+        self._outputs = np.empty_like(own_values)
 
     def __call__(self, rows: np.ndarray, opponent_thresholds: np.ndarray) -> np.ndarray:
+        """Best responses of ``rows`` (sorted, unique) to ``opponent_thresholds``."""
         hits = self._valid[rows] & np.all(
             opponent_thresholds == self._inputs[rows], axis=1
         )
-        responses = np.empty((rows.size, self._outputs.shape[1]))
-        responses[hits] = self._outputs[rows[hits]]
-        misses = ~hits
-        if misses.any():
-            miss_rows = rows[misses]
-            computed = self._engine.best_responses(
-                self._own[miss_rows],
-                self._opponent[miss_rows],
-                opponent_thresholds[misses],
-                self._kernel,
+        if hits.any():
+            misses = ~hits
+            missed, thresholds = rows[misses], opponent_thresholds[misses]
+        else:
+            missed, thresholds = rows, opponent_thresholds
+        if missed.size:
+            geometry = self._geometry
+            if missed.size < self._valid.size:
+                geometry = geometry[missed]
+            engine = self._engine
+            probabilities = engine.choice_probabilities(thresholds, self._kernel)
+            self._outputs[missed] = engine.envelope_thresholds(
+                *_fold_lines(geometry, probabilities)
             )
-            responses[misses] = computed
-            self._inputs[miss_rows] = opponent_thresholds[misses]
-            self._outputs[miss_rows] = computed
-            self._valid[miss_rows] = True
-        return responses
+            self._inputs[missed] = thresholds
+            self._valid[missed] = True
+        return self._outputs[rows]
+
+
+class _ProfileHistory:
+    """The profiles each open row of one dynamics run has reached.
+
+    The reference stops a start when a round's ``(thresholds_x,
+    thresholds_y)`` repeats an earlier round's.  Its tuple equality
+    treats ``-0.0`` and ``+0.0`` as equal, so a round's profile is
+    recorded as the bytes of ``profile + 0.0`` — one opaque record per
+    row — and a round's test is one comparison against every earlier
+    record.  Rows only ever leave a run, so the record keeps a slot for
+    each row still open and drops the others as they go.
+    """
+
+    def __init__(self, size: int, width: int) -> None:
+        self._rows = np.arange(size)
+        self._record = np.dtype((np.void, 8 * width))
+        self._seen = np.empty((size, 8), dtype=self._record)
+        self._count = 0
+
+    def repeats(self, rows: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+        """Record the ``profiles`` of ``rows``; ``True`` where one repeats an earlier round.
+
+        ``rows`` (sorted) must be a subset of the previous call's rows.
+        """
+        if rows.size < self._rows.size:
+            self._seen = self._seen[np.searchsorted(self._rows, rows)]
+            self._rows = rows
+        records = (profiles + 0.0).view(self._record)
+        count = self._count
+        repeated = np.logical_or.reduce(self._seen[:, :count] == records, axis=1)
+        if count == self._seen.shape[1]:
+            grown = np.empty((rows.size, 2 * count), dtype=self._record)
+            grown[:, :count] = self._seen
+            self._seen = grown
+        self._seen[:, count] = records[:, 0]
+        self._count = count + 1
+        return repeated
 
 
 # ----------------------------------------------------------------------
@@ -749,6 +779,50 @@ def _next_thresholds(thresholds: np.ndarray) -> np.ndarray:
     """Upper interval ends: the next threshold, ``+∞`` for the last."""
     filler = np.full(thresholds.shape[:-1] + (1,), _INF)
     return np.concatenate([thresholds[..., 1:], filler], axis=-1)
+
+
+def _claim_geometry(own_values: np.ndarray, opponent_values: np.ndarray) -> np.ndarray:
+    """The part of Eqs. 16–17 a row's two choice sets fix, ``(B, 2, C_opp, C_own)``.
+
+    Opponent choice ``j`` qualifies for own choice ``i`` when both
+    values are finite and ``v_j ≥ −v_i``.  A row's plane 0 is ``1.0`` where it
+    does and ``0.0`` elsewhere; plane 1 is the claim gap ``v_j − v_i``
+    where it does and an exact ``0.0`` elsewhere, so a masked gap never
+    overflows (``∞ · 0.0`` would be NaN).  A qualifying gap beyond the
+    float range overflows to ±∞ as silently as Python floats.  The
+    opponent axis comes before the own axis, so the fold over opponent
+    choices runs over an outer axis (:func:`~repro.core.arrays.ordered_fold`).
+    """
+    own = own_values[:, None, :]
+    opponent = opponent_values[:, :, None]
+    qualifies = opponent >= -own
+    qualifies &= np.isfinite(own)
+    qualifies &= np.isfinite(opponent)
+    batch, opponent_count, own_count = qualifies.shape
+    geometry = np.zeros((batch, 2, opponent_count, own_count))
+    geometry[:, 0] = qualifies
+    with np.errstate(over="ignore"):
+        np.subtract(opponent, own, out=geometry[:, 1], where=qualifies)
+    return geometry
+
+
+def _fold_lines(
+    geometry: np.ndarray, probabilities: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eqs. 16–17 from the rows' claim geometry and opponent probabilities.
+
+    One product weighs both planes: ``1.0 · p`` is ``p`` and, where a
+    choice does not qualify, ``0.0 · p`` equals the ``0.0 · (0.0 · p)``
+    of a masked weight bit for bit.  The halved gap term is then the
+    reference's ``probability * (v_j − v_i) / 2.0``, and one fold over
+    the opponent axis, masked terms entering as ``+0.0``, gives the
+    slopes and the intercepts.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = geometry * probabilities[:, None, :, None]
+    terms[:, 1] /= 2.0
+    lines = ordered_fold(terms, axis=2)
+    return lines[:, 0], lines[:, 1]
 
 
 def _interval_moments(

@@ -14,7 +14,9 @@ vectorization possible:
 
 - :func:`sequential_sum` — a reduction with Python's left-to-right
   accumulation order (``ufunc.accumulate`` is a sequential scan, unlike
-  ``ufunc.reduce`` which is pairwise);
+  ``ufunc.reduce`` which is pairwise along the innermost axis);
+- :func:`ordered_fold` — the same fold over an axis that is not
+  innermost, where ``ufunc.reduce`` adds whole slices in order;
 - :func:`running_maximum` / :func:`exclusive_suffix_minimum` — scans
   built from comparisons only, which are always exact;
 - :func:`last_argmax` — tie-breaking toward the *last* maximal element,
@@ -32,6 +34,7 @@ and :func:`chunk_ranges` (consecutive rows cut into bounded chunks).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -53,6 +56,25 @@ def sequential_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
         return np.zeros(shape, dtype=terms.dtype)
     moved = np.moveaxis(terms, axis, -1)
     return np.cumsum(moved, axis=-1)[..., -1] + 0.0
+
+
+def ordered_fold(terms: np.ndarray, axis: int) -> np.ndarray:
+    """Fold ``terms`` along ``axis`` from ``+0.0`` in strict left-to-right order.
+
+    Bit-identical to the Python fold ``total = 0.0; for t in terms:
+    total += t`` per lane, like :func:`sequential_sum`, but one
+    ``np.add.reduce`` call instead of a full scan.  That call is in
+    order only when, in C order, the dimensions after ``axis`` span at
+    least two elements: NumPy then keeps ``axis`` as the outer loop and
+    adds one contiguous slice per step.  With fewer (``axis`` innermost,
+    or only unit dimensions after it) NumPy folds pairwise, so those
+    shapes take :func:`sequential_sum` instead.
+    """
+    terms = np.ascontiguousarray(terms)
+    axis = axis % terms.ndim
+    if math.prod(terms.shape[axis + 1 :]) < 2:
+        return sequential_sum(terms, axis)
+    return np.add.reduce(terms, axis=axis, initial=0.0)
 
 
 def running_maximum(values: np.ndarray, axis: int = -1) -> np.ndarray:

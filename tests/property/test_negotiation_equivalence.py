@@ -179,8 +179,8 @@ class TestSmallBatchBestResponses:
 
     Each row must equal the scalar pipeline ``choice_probabilities`` →
     ``response_lines`` → ``compute_best_response`` (Algorithm 1).  The
-    second block size cuts every kernel block down to one element, so
-    the multi-chunk and multi-row-block paths run at these small sizes.
+    second block size cuts the envelope's crossing table down to one
+    row per block, so its multi-block path runs at these small sizes.
     """
 
     @pytest.mark.parametrize("block_elements", [engine_module._BLOCK_ELEMENTS, 1])
@@ -253,6 +253,133 @@ class TestEquilibriumEquivalence:
             profile = equilibria.profile(batch, index)
             assert profile.strategy_x.thresholds == reference.strategy_x.thresholds
             assert profile.strategy_y.thresholds == reference.strategy_y.thresholds
+
+
+class TestChunkedSolve:
+    """``solve`` cut into row chunks under a small geometry budget."""
+
+    @staticmethod
+    def _pairs(distribution, num_choices, batch_size, seed):
+        rng = np.random.default_rng(seed)
+        return [
+            (
+                random_choice_set(distribution.marginal_x, num_choices, rng),
+                random_choice_set(distribution.marginal_y, num_choices, rng),
+            )
+            for _ in range(batch_size)
+        ]
+
+    @given(
+        distribution=joint_distributions(),
+        num_choices=st.integers(min_value=2, max_value=8),
+        batch_size=st.integers(min_value=2, max_value=10),
+        rows_per_chunk=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_chunks_equal_one_chunk_and_the_reference(
+        self, distribution, num_choices, batch_size, rows_per_chunk, seed
+    ):
+        pairs = self._pairs(distribution, num_choices, batch_size, seed)
+        batch = GameBatch.from_choice_sets(distribution, pairs)
+        whole = NegotiationEngine().solve(batch)
+        budget = rows_per_chunk * (num_choices + 1) ** 2
+        with mock.patch.object(engine_module, "_GEOMETRY_ELEMENTS", budget):
+            chunked = NegotiationEngine().solve(batch)
+        for field in dataclasses.fields(whole):
+            expected, actual = getattr(whole, field.name), getattr(chunked, field.name)
+            assert np.array_equal(actual, expected, equal_nan=actual.dtype.kind == "f")
+        for index, (choices_x, choices_y) in enumerate(pairs):
+            game = BargainingGame(
+                distribution_x=distribution.marginal_x,
+                distribution_y=distribution.marginal_y,
+                choices_x=choices_x,
+                choices_y=choices_y,
+            )
+            try:
+                reference = game.find_equilibrium()
+            except EquilibriumError:
+                assert not chunked.converged[index]
+                continue
+            profile = chunked.profile(batch, index)
+            assert profile.strategy_x.thresholds == reference.strategy_x.thresholds
+            assert profile.strategy_y.thresholds == reference.strategy_y.thresholds
+
+    @pytest.mark.parametrize("budget", [7 * 7, 3 * 7 * 7, 7 * 7 * 7 - 1])
+    def test_no_chunk_geometry_exceeds_the_budget(self, budget):
+        distribution = paper_distribution_u1()
+        batch = GameBatch.from_choice_sets(distribution, self._pairs(distribution, 6, 11, 5))
+        shapes = []
+        build = engine_module._claim_geometry
+
+        def recording(own_values, opponent_values):
+            geometry = build(own_values, opponent_values)
+            shapes.append(geometry.shape)
+            return geometry
+
+        with mock.patch.object(engine_module, "_GEOMETRY_ELEMENTS", budget), mock.patch.object(
+            engine_module, "_claim_geometry", recording
+        ):
+            NegotiationEngine().solve(batch)
+        # One geometry per party per start; every chunk starts once.
+        assert len(shapes) >= 2 * -(-len(batch) // (budget // 49))
+        for rows, planes, opponent_count, own_count in shapes:
+            assert (planes, opponent_count, own_count) == (2, 7, 7)
+            assert rows * opponent_count * own_count <= budget
+
+
+class TestCycleDetection:
+    """A start stops on an exact repeat of both parties' thresholds.
+
+    No random instance found cycles, so both solvers run one scripted
+    pure best-response table: ``x`` walks ``X1 → X2 → X3`` against
+    ``y``'s ``Y1 → Y2 → Y1``, where ``X3`` is ``X1`` with ``+0.0`` in
+    place of ``-0.0``.  Tuple equality makes round 3 repeat round 1, so
+    every start stops after 3 rounds; a detector that compared the
+    zero's sign would stop after 4, and one that never stopped after
+    ``max_iterations``.
+    """
+
+    X1 = (-math.inf, -0.0, 1.0)
+    X2 = (-math.inf, 0.25, 1.0)
+    X3 = (-math.inf, 0.0, 1.0)
+    Y1 = (-math.inf, 0.5, 1.0, 2.0)
+    Y2 = (-math.inf, 0.75, 1.0, 2.0)
+
+    def _respond(self, opponent):
+        """The scripted best response to ``opponent``'s thresholds."""
+        if len(opponent) == len(self.Y1):
+            return {self.Y1: self.X2, self.Y2: self.X3}.get(opponent, self.X1)
+        return self.Y2 if opponent == self.X2 else self.Y1
+
+    def test_engine_stops_where_the_reference_does(self):
+        distribution = paper_distribution_u1()
+        choices_x = ChoiceSet((-math.inf, 0.1, 0.2))
+        choices_y = ChoiceSet((-math.inf, 0.1, 0.2, 0.3))
+
+        def reference_response(game, party, opponent_strategy):
+            own = game.choices_x if party == "x" else game.choices_y
+            return ThresholdStrategy(own, self._respond(opponent_strategy.thresholds))
+
+        def engine_response(cache, rows, opponent_thresholds):
+            return np.array([self._respond(tuple(row.tolist())) for row in opponent_thresholds])
+
+        game = BargainingGame(
+            distribution_x=distribution.marginal_x,
+            distribution_y=distribution.marginal_y,
+            choices_x=choices_x,
+            choices_y=choices_y,
+        )
+        with mock.patch.object(BargainingGame, "best_response", reference_response):
+            with pytest.raises(EquilibriumError) as raised:
+                game.find_equilibrium()
+        batch = GameBatch.from_choice_sets(distribution, [(choices_x, choices_y)])
+        with mock.patch.object(engine_module._ResponseCache, "__call__", engine_response):
+            equilibria = NegotiationEngine().solve(batch)
+        assert raised.value.iterations == 3
+        assert not equilibria.converged[0]
+        assert equilibria.iterations[0] == raised.value.iterations
+        assert equilibria.last_delta[0] == raised.value.last_delta
 
 
 def _always_cancel(choices):
