@@ -24,12 +24,12 @@ lines per row; numpy call overhead, not arithmetic, is their cost.  The
 two best-response kernels therefore use one layout for every batch size
 whose number of numpy calls does not grow with the batch.
 
-What a row's choice sets fix is computed once per solve: its *claim
-geometry* (:func:`_claim_geometry`), whether each opponent choice
-qualifies for each own choice and the claim gap between them.  A round
-of the dynamics then weighs that geometry by the opponent's choice
-probabilities, halves the gap terms and folds the opponent axis — one
-numpy call each, whatever the batch or ``W``.
+What a row's choice sets fix is computed once per run of the dynamics
+(one starting profile): its *claim geometry* (:func:`_claim_geometry`),
+whether each opponent choice qualifies for each own choice and the
+claim gap between them.  Each round then weighs that geometry by the
+opponent's choice probabilities, halves the gap terms and folds the
+opponent axis — one numpy call each, whatever the batch or ``W``.
 :meth:`NegotiationEngine.envelope_thresholds` runs Algorithm 1 over each
 row's active lines only.  Memory stays bounded at large batches (Fig. 2
 at paper scale: 200 rows, ``W = 100``): :meth:`NegotiationEngine.solve`
@@ -37,6 +37,10 @@ runs row chunks whose geometry fits ``_GEOMETRY_ELEMENTS``, and the
 envelope's crossing table is cut under ``_BLOCK_ELEMENTS``.  A row's
 geometry, like its thresholds and its response cache entry, is row
 state: rows are independent, so chunks give the same bits as one batch.
+The public :meth:`NegotiationEngine.response_lines` and
+:meth:`NegotiationEngine.best_responses` build the geometry of every
+row they are given in one piece (``2 · B · C_opp · C_own`` elements);
+their callers pass single rows or small batches.
 
 Bit-exactness contract
 ----------------------
@@ -92,10 +96,14 @@ _INF = float("inf")
 _BLOCK_ELEMENTS = 1 << 16
 
 #: Element budget of one party's claim geometry in a chunk of
-#: :meth:`NegotiationEngine.solve` (``rows · C_x · C_y``).  Fig. 2's
-#: default batch (25 rows, ``W = 50``) and a served request (10 rows,
-#: ``W = 20``) each fit one chunk.
-_GEOMETRY_ELEMENTS = 1 << 18
+#: :meth:`NegotiationEngine.solve`: its two planes hold
+#: ``2 · rows · C_x · C_y`` float64 values, and a round that gathers the
+#: rows missing the response cache and weighs them holds up to two more
+#: arrays of that size.  A served request (10 rows, ``W = 20``), Fig. 2's
+#: default batch (25 rows, ``W = 50``) and its paper-scale ``W = 50``
+#: batch (200 rows) each fit one chunk; the paper-scale ``W = 100``
+#: batch runs in two.
+_GEOMETRY_ELEMENTS = 1 << 21
 
 
 # ----------------------------------------------------------------------
@@ -452,11 +460,21 @@ class NegotiationEngine:
         opponent_kernel: DistributionKernel,
     ) -> np.ndarray:
         """Batched :meth:`~repro.reference.BargainingGame.best_response`, per row."""
-        probabilities = self.choice_probabilities(opponent_thresholds, opponent_kernel)
-        slopes, intercepts = self.response_lines(
-            own_values, opponent_values, probabilities
+        return self._respond(
+            _claim_geometry(own_values, opponent_values),
+            opponent_thresholds,
+            opponent_kernel,
         )
-        return self.envelope_thresholds(slopes, intercepts)
+
+    def _respond(
+        self,
+        geometry: np.ndarray,
+        opponent_thresholds: np.ndarray,
+        opponent_kernel: DistributionKernel,
+    ) -> np.ndarray:
+        """Best responses of the rows of a claim geometry (Eq. 15 → Algorithm 1)."""
+        probabilities = self.choice_probabilities(opponent_thresholds, opponent_kernel)
+        return self.envelope_thresholds(*_fold_lines(geometry, probabilities))
 
     # ------------------------------------------------------------------
     # Alternating best-response dynamics
@@ -478,7 +496,7 @@ class NegotiationEngine:
         ``tolerance`` must be finite and non-negative.
 
         Rows are solved in consecutive chunks whose claim geometry
-        (``rows · C_x · C_y`` elements per party) fits
+        (``2 · rows · C_x · C_y`` elements per party) fits
         ``_GEOMETRY_ELEMENTS``, or one row when a row alone is larger;
         rows are independent, so chunking leaves every bit unchanged.
         """
@@ -497,7 +515,7 @@ class NegotiationEngine:
             iterations=np.zeros(size, dtype=np.int64),
             last_delta=np.full(size, np.nan),
         )
-        step = max(1, _GEOMETRY_ELEMENTS // (counts_x * counts_y))
+        step = max(1, _GEOMETRY_ELEMENTS // (2 * counts_x * counts_y))
         for first in range(0, size, step):
             chunk = slice(first, first + step)
             self._solve_chunk(
@@ -558,7 +576,7 @@ class NegotiationEngine:
         """One lockstep run of alternating best-response dynamics.
 
         A row's profile is one array, its x thresholds followed by its y
-        thresholds, so the convergence delta and the cycle test each
+        thresholds, so the convergence delta and the cycle signature each
         take one pass over both parties.  Returns ``(solved, profiles,
         iterations, deltas)``.
         """
@@ -575,7 +593,7 @@ class NegotiationEngine:
         # round is otherwise a full bit-identical recompute).
         respond_x = _ResponseCache(self, choices_x, choices_y, kernel_y)
         respond_y = _ResponseCache(self, choices_y, choices_x, kernel_x)
-        history = _ProfileHistory(size, profiles.shape[1])
+        seen: list[set[bytes]] = [set() for _ in range(size)]
         for _ in range(max_iterations):
             rows = np.flatnonzero(active)
             if rows.size == 0:
@@ -592,10 +610,16 @@ class NegotiationEngine:
             iterations[rows] += 1
             solved[rows[converged]] = True
             active[rows[converged]] = False
-            open_rows = ~converged
-            if open_rows.any():
-                stay = rows[open_rows]
-                active[stay[history.repeats(stay, following[open_rows])]] = False
+            for position, row in enumerate(rows):
+                if converged[position]:
+                    continue
+                # `+ 0.0` collapses −0.0 onto +0.0, matching the tuple
+                # equality the reference's cycle detector relies on.
+                signature = (following[position] + 0.0).tobytes()
+                if signature in seen[row]:
+                    active[row] = False
+                else:
+                    seen[row].add(signature)
         return solved, profiles, iterations, deltas
 
     # ------------------------------------------------------------------
@@ -706,52 +730,12 @@ class _ResponseCache:
             geometry = self._geometry
             if missed.size < self._valid.size:
                 geometry = geometry[missed]
-            engine = self._engine
-            probabilities = engine.choice_probabilities(thresholds, self._kernel)
-            self._outputs[missed] = engine.envelope_thresholds(
-                *_fold_lines(geometry, probabilities)
+            self._outputs[missed] = self._engine._respond(
+                geometry, thresholds, self._kernel
             )
             self._inputs[missed] = thresholds
             self._valid[missed] = True
         return self._outputs[rows]
-
-
-class _ProfileHistory:
-    """The profiles each open row of one dynamics run has reached.
-
-    The reference stops a start when a round's ``(thresholds_x,
-    thresholds_y)`` repeats an earlier round's.  Its tuple equality
-    treats ``-0.0`` and ``+0.0`` as equal, so a round's profile is
-    recorded as the bytes of ``profile + 0.0`` — one opaque record per
-    row — and a round's test is one comparison against every earlier
-    record.  Rows only ever leave a run, so the record keeps a slot for
-    each row still open and drops the others as they go.
-    """
-
-    def __init__(self, size: int, width: int) -> None:
-        self._rows = np.arange(size)
-        self._record = np.dtype((np.void, 8 * width))
-        self._seen = np.empty((size, 8), dtype=self._record)
-        self._count = 0
-
-    def repeats(self, rows: np.ndarray, profiles: np.ndarray) -> np.ndarray:
-        """Record the ``profiles`` of ``rows``; ``True`` where one repeats an earlier round.
-
-        ``rows`` (sorted) must be a subset of the previous call's rows.
-        """
-        if rows.size < self._rows.size:
-            self._seen = self._seen[np.searchsorted(self._rows, rows)]
-            self._rows = rows
-        records = (profiles + 0.0).view(self._record)
-        count = self._count
-        repeated = np.logical_or.reduce(self._seen[:, :count] == records, axis=1)
-        if count == self._seen.shape[1]:
-            grown = np.empty((rows.size, 2 * count), dtype=self._record)
-            grown[:, :count] = self._seen
-            self._seen = grown
-        self._seen[:, count] = records[:, 0]
-        self._count = count + 1
-        return repeated
 
 
 # ----------------------------------------------------------------------

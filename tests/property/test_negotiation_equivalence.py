@@ -283,7 +283,7 @@ class TestChunkedSolve:
         pairs = self._pairs(distribution, num_choices, batch_size, seed)
         batch = GameBatch.from_choice_sets(distribution, pairs)
         whole = NegotiationEngine().solve(batch)
-        budget = rows_per_chunk * (num_choices + 1) ** 2
+        budget = rows_per_chunk * 2 * (num_choices + 1) ** 2
         with mock.patch.object(engine_module, "_GEOMETRY_ELEMENTS", budget):
             chunked = NegotiationEngine().solve(batch)
         for field in dataclasses.fields(whole):
@@ -305,27 +305,28 @@ class TestChunkedSolve:
             assert profile.strategy_x.thresholds == reference.strategy_x.thresholds
             assert profile.strategy_y.thresholds == reference.strategy_y.thresholds
 
-    @pytest.mark.parametrize("budget", [7 * 7, 3 * 7 * 7, 7 * 7 * 7 - 1])
+    @pytest.mark.parametrize("budget", [98, 3 * 98, 7 * 98 - 1])
     def test_no_chunk_geometry_exceeds_the_budget(self, budget):
         distribution = paper_distribution_u1()
         batch = GameBatch.from_choice_sets(distribution, self._pairs(distribution, 6, 11, 5))
-        shapes = []
+        geometries = []
         build = engine_module._claim_geometry
 
         def recording(own_values, opponent_values):
             geometry = build(own_values, opponent_values)
-            shapes.append(geometry.shape)
+            geometries.append(geometry)
             return geometry
 
         with mock.patch.object(engine_module, "_GEOMETRY_ELEMENTS", budget), mock.patch.object(
             engine_module, "_claim_geometry", recording
         ):
             NegotiationEngine().solve(batch)
-        # One geometry per party per start; every chunk starts once.
-        assert len(shapes) >= 2 * -(-len(batch) // (budget // 49))
-        for rows, planes, opponent_count, own_count in shapes:
-            assert (planes, opponent_count, own_count) == (2, 7, 7)
-            assert rows * opponent_count * own_count <= budget
+        # One geometry per party per start; every chunk starts once.  A
+        # row's geometry holds two 7 × 7 planes, 98 elements.
+        assert len(geometries) >= 2 * -(-len(batch) // (budget // 98))
+        for geometry in geometries:
+            assert geometry.shape[1:] == (2, 7, 7)
+            assert geometry.size <= budget
 
 
 class TestCycleDetection:
