@@ -70,6 +70,12 @@ class UniformUtilityDistribution(UtilityDistribution):
             raise ValueError(
                 f"upper bound must exceed lower bound, got [{self.low}, {self.high}]"
             )
+        # An infinite width makes the density 0.0 and every interval
+        # mass ``∞ · 0.0 = NaN``, so there is no distribution to evaluate.
+        if not math.isfinite(self.high - self.low):
+            raise ValueError(
+                f"bounds must be finite with a finite width, got [{self.low}, {self.high}]"
+            )
 
     @property
     def lower(self) -> float:

@@ -20,9 +20,8 @@ vectorized Nash-product / Price-of-Dishonesty reductions.
 Batches are mostly small.  A served request solves one cohort of about
 ten trials, and rows leave the lockstep batch as they converge, so most
 best responses see one to ten rows and about four active envelope
-lines per row; numpy call overhead, not arithmetic, is their cost.  The
-two best-response kernels therefore use one layout for every batch size
-whose number of numpy calls does not grow with the batch.
+lines per row; numpy call overhead, not arithmetic, is their cost.  A
+round is therefore a fixed number of numpy calls, whatever the batch.
 
 What a row's choice sets fix is computed once per run of the dynamics
 (one starting profile): its *claim geometry* (:func:`_claim_geometry`),
@@ -30,14 +29,16 @@ whether each opponent choice qualifies for each own choice and the
 claim gap between them.  Each round then weighs that geometry by the
 opponent's choice probabilities, halves the gap terms and folds the
 opponent axis — one numpy call each, whatever the batch or ``W``.
-:meth:`NegotiationEngine.envelope_thresholds` runs Algorithm 1 over each
-row's active lines only.  Memory stays bounded at large batches (Fig. 2
+:func:`_envelope` runs Algorithm 1 over the active lines of all rows
+as one flat list.  A round in which rows converge or cycle compacts
+the staying rows' geometry, profiles and cycle sets, so later rounds
+touch active rows only.  Memory stays bounded at large batches (Fig. 2
 at paper scale: 200 rows, ``W = 100``): :meth:`NegotiationEngine.solve`
 runs row chunks whose geometry fits ``_GEOMETRY_ELEMENTS``, and the
 envelope's crossing table is cut under ``_BLOCK_ELEMENTS``.  A row's
-geometry, like its thresholds and its response cache entry, is row
-state: rows are independent, so chunks give the same bits as one batch.
-The public :meth:`NegotiationEngine.response_lines` and
+geometry, like its thresholds and its cycle set, is row state: rows
+are independent, so chunks give the same bits as one batch.  The
+public :meth:`NegotiationEngine.response_lines` and
 :meth:`NegotiationEngine.best_responses` build the geometry of every
 row they are given in one piece (``2 · B · C_opp · C_own`` elements);
 their callers pass single rows or small batches.
@@ -82,7 +83,6 @@ from repro.bargaining.distributions import (
 )
 from repro.bargaining.strategy import StrategyProfile, ThresholdStrategy
 from repro.core.arrays import (
-    exclusive_suffix_minimum,
     last_argmax,
     ordered_fold,
     running_maximum,
@@ -91,18 +91,23 @@ from repro.core.arrays import (
 
 _INF = float("inf")
 
+#: Floating-point conditions the kernels meet on purpose: claim gaps
+#: and weighted terms that overflow, ``∞ − ∞`` deltas and crossings of
+#: parallel lines.  Each public entry point ignores them once per call.
+_IGNORED = dict(divide="ignore", invalid="ignore", over="ignore")
+
 #: Element budget of one block of the crossing table in
 #: :meth:`NegotiationEngine.envelope_thresholds`.
 _BLOCK_ELEMENTS = 1 << 16
 
 #: Element budget of one party's claim geometry in a chunk of
 #: :meth:`NegotiationEngine.solve`: its two planes hold
-#: ``2 · rows · C_x · C_y`` float64 values, and a round that gathers the
-#: rows missing the response cache and weighs them holds up to two more
-#: arrays of that size.  A served request (10 rows, ``W = 20``), Fig. 2's
-#: default batch (25 rows, ``W = 50``) and its paper-scale ``W = 50``
-#: batch (200 rows) each fit one chunk; the paper-scale ``W = 100``
-#: batch runs in two.
+#: ``2 · rows · C_x · C_y`` float64 values.  A round's weighted terms
+#: hold one more array of that size, and a round in which rows leave
+#: copies the staying rows' geometry once.  A served request (10 rows,
+#: ``W = 20``), Fig. 2's default batch (25 rows, ``W = 50``) and its
+#: paper-scale ``W = 50`` batch (200 rows) each fit one chunk; the
+#: paper-scale ``W = 100`` batch runs in two.
 _GEOMETRY_ELEMENTS = 1 << 21
 
 
@@ -343,9 +348,10 @@ class NegotiationEngine:
         non-qualifying terms become masked ``+0.0`` entries here, which
         leaves the sequential sums bit-identical.
         """
-        return _fold_lines(
-            _claim_geometry(own_values, opponent_values), opponent_probabilities
-        )
+        with np.errstate(**_IGNORED):
+            return _fold_lines(
+                _claim_geometry(own_values, opponent_values), opponent_probabilities
+            )
 
     # ------------------------------------------------------------------
     # Algorithm 1: upper-envelope thresholds
@@ -353,104 +359,9 @@ class NegotiationEngine:
     def envelope_thresholds(
         self, slopes: np.ndarray, intercepts: np.ndarray
     ) -> np.ndarray:
-        """Batched :func:`~repro.reference.compute_best_response`.
-
-        One line per distinct slope stays active; each row's active
-        lines are compacted to the left (a stable sort keeps their
-        column order).  Over those ``A`` lines a ``(B, A, A)`` table of
-        crossings gives every line its successor on the envelope: the
-        later line with the minimal crossing, ties to the steeper line,
-        i.e. the *last* minimal candidate since active slopes strictly
-        increase.  A line's successor does not depend on how the chain
-        reached it, so each row follows its chain from the first active
-        line in a plain loop over the table's results.  Unassigned thresholds
-        take the minimum over later thresholds, and the monotonic clamp
-        is a running maximum.
-        """
-        batch_size, count = slopes.shape
-        total = batch_size * count
-
-        # One active line per distinct-slope run: the first index with
-        # the maximal intercept (strict `>` in the reference scan keeps
-        # the first).  Runs are contiguous and never span rows (column 0
-        # always starts one), so segment maxima come from one flat
-        # ``reduceat`` pass — comparison-only, hence exact.
-        run_starts = np.ones((batch_size, count), dtype=bool)
-        run_starts[:, 1:] = slopes[:, 1:] != slopes[:, :-1]
-        flat_run_starts = run_starts.reshape(-1)
-        flat_starts = np.flatnonzero(flat_run_starts)
-        flat_intercepts = intercepts.reshape(-1)
-        run_of = np.cumsum(flat_run_starts) - 1
-        run_maxima = np.maximum.reduceat(flat_intercepts, flat_starts)[run_of]
-        attains_maximum = np.where(
-            flat_intercepts == run_maxima, np.arange(total), total
-        )
-        active = np.zeros(total, dtype=bool)
-        active[np.minimum.reduceat(attains_maximum, flat_starts)] = True
-        active = active.reshape(batch_size, count)
-
-        # Active lines first, in column order; the rest pad the row.
-        widths = active.sum(axis=1)
-        width = int(widths.max())
-        lines = np.argsort(~active, axis=1, kind="stable")[:, :width]
-        row_index = np.arange(batch_size)[:, None]
-        line_slopes = slopes[row_index, lines]
-        line_intercepts = intercepts[row_index, lines]
-
-        # The active line with the smallest slope wins as u → −∞.
-        columns = np.arange(count)
-        thresholds = np.where(columns[None, :] <= lines[:, :1], -_INF, _INF)
-
-        # Successor of every line: the crossing table is cut into row
-        # blocks under ``_BLOCK_ELEMENTS`` so a row of ``C`` active
-        # lines (a truthful start) stays bounded at large batches.  A
-        # NaN crossing is skipped like the reference's failed `<` test;
-        # when every crossing is +∞ the chain jumps to the last line at
-        # +∞, which leaves the same thresholds as the reference's stop.
-        nodes = np.arange(width)
-        later = nodes[None, :] > nodes[:, None]
-        real = nodes[None, :] < widths[:, None]
-        successors = np.empty((batch_size, width), dtype=np.intp)
-        takeovers = np.empty((batch_size, width))
-        rows_per_block = max(1, _BLOCK_ELEMENTS // (width * width))
-        for first in range(0, batch_size, rows_per_block):
-            block = slice(first, first + rows_per_block)
-            block_slopes = line_slopes[block]
-            block_intercepts = line_intercepts[block]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                crossings = (
-                    block_intercepts[:, :, None] - block_intercepts[:, None, :]
-                ) / (block_slopes[:, None, :] - block_slopes[:, :, None])
-            candidates = later & real[block, None, :]
-            crossings = np.where(candidates & (crossings < _INF), crossings, _INF)
-            best = crossings.min(axis=2)
-            takeovers[block] = best
-            successors[block] = last_argmax(
-                candidates & (crossings == best[:, :, None])
-            )
-
-        chain_rows: list[int] = []
-        chain_from: list[int] = []
-        chain_to: list[int] = []
-        for row, (successor, row_width) in enumerate(
-            zip(successors.tolist(), widths.tolist())
-        ):
-            node = 0
-            while node + 1 < row_width:
-                chain_rows.append(row)
-                chain_from.append(node)
-                node = successor[node]
-                chain_to.append(node)
-        thresholds[chain_rows, lines[chain_rows, chain_to]] = takeovers[
-            chain_rows, chain_from
-        ]
-
-        # Choices never on the envelope get an empty interval; enforce
-        # monotonicity against floating-point jitter.
-        filled = np.where(
-            thresholds == _INF, exclusive_suffix_minimum(thresholds), thresholds
-        )
-        return running_maximum(filled, axis=1)
+        """Batched :func:`~repro.reference.compute_best_response` (see :func:`_envelope`)."""
+        with np.errstate(**_IGNORED):
+            return _envelope(slopes, intercepts)
 
     def best_responses(
         self,
@@ -460,11 +371,12 @@ class NegotiationEngine:
         opponent_kernel: DistributionKernel,
     ) -> np.ndarray:
         """Batched :meth:`~repro.reference.BargainingGame.best_response`, per row."""
-        return self._respond(
-            _claim_geometry(own_values, opponent_values),
-            opponent_thresholds,
-            opponent_kernel,
-        )
+        with np.errstate(**_IGNORED):
+            return self._respond(
+                _claim_geometry(own_values, opponent_values),
+                opponent_thresholds,
+                opponent_kernel,
+            )
 
     def _respond(
         self,
@@ -474,7 +386,7 @@ class NegotiationEngine:
     ) -> np.ndarray:
         """Best responses of the rows of a claim geometry (Eq. 15 → Algorithm 1)."""
         probabilities = self.choice_probabilities(opponent_thresholds, opponent_kernel)
-        return self.envelope_thresholds(*_fold_lines(geometry, probabilities))
+        return _envelope(*_fold_lines(geometry, probabilities))
 
     # ------------------------------------------------------------------
     # Alternating best-response dynamics
@@ -516,14 +428,15 @@ class NegotiationEngine:
             last_delta=np.full(size, np.nan),
         )
         step = max(1, _GEOMETRY_ELEMENTS // (2 * counts_x * counts_y))
-        for first in range(0, size, step):
-            chunk = slice(first, first + step)
-            self._solve_chunk(
-                batch.rows(chunk),
-                result.rows(chunk),
-                max_iterations=max_iterations,
-                tolerance=tolerance,
-            )
+        with np.errstate(**_IGNORED):
+            for first in range(0, size, step):
+                chunk = slice(first, first + step)
+                self._solve_chunk(
+                    batch.rows(chunk),
+                    result.rows(chunk),
+                    max_iterations=max_iterations,
+                    tolerance=tolerance,
+                )
         return result
 
     def _solve_chunk(
@@ -577,50 +490,61 @@ class NegotiationEngine:
 
         A row's profile is one array, its x thresholds followed by its y
         thresholds, so the convergence delta and the cycle signature each
-        take one pass over both parties.  Returns ``(solved, profiles,
+        take one pass over both parties.  Both parties' claim geometry is
+        built once; a round in which rows converge or cycle compacts the
+        staying rows' geometry, profiles and cycle sets, so every round
+        works on the active rows only.  Returns ``(solved, profiles,
         iterations, deltas)``.
         """
         size = choices_x.shape[0]
         counts_x = choices_x.shape[1]
-        active = np.ones(size, dtype=bool)
+        geometry_x = _claim_geometry(choices_x, choices_y)
+        geometry_y = _claim_geometry(choices_y, choices_x)
+        rows = np.arange(size)
         solved = np.zeros(size, dtype=bool)
-        profiles = profiles.copy()
-        iterations = np.zeros(size, dtype=np.int64)
+        final = np.empty_like(profiles)
+        iterations = np.full(size, max_iterations, dtype=np.int64)
         deltas = np.full(size, np.nan)
-        # Best responses are pure functions of the opponent thresholds,
-        # so rows whose opponent did not move since the previous round
-        # reuse the cached response (near convergence the confirmation
-        # round is otherwise a full bit-identical recompute).
-        respond_x = _ResponseCache(self, choices_x, choices_y, kernel_y)
-        respond_y = _ResponseCache(self, choices_y, choices_x, kernel_x)
         seen: list[set[bytes]] = [set() for _ in range(size)]
-        for _ in range(max_iterations):
-            rows = np.flatnonzero(active)
-            if rows.size == 0:
-                break
-            next_x = respond_x(rows, profiles[rows, counts_x:])
-            following = np.concatenate((next_x, respond_y(rows, next_x)), axis=1)
+        for round_number in range(1, max_iterations + 1):
+            next_x = self._respond(geometry_x, profiles[:, counts_x:], kernel_y)
+            following = np.concatenate(
+                (next_x, self._respond(geometry_y, next_x, kernel_x)), axis=1
+            )
             # ``ThresholdStrategy.approximately_equal`` on both parties:
             # equal thresholds give a zero delta, an infinity mismatch
             # or an overflowing difference gives +∞.
-            round_deltas = _rows_delta(following, profiles[rows])
-            converged = round_deltas <= tolerance
+            round_deltas = _rows_delta(following, profiles)
             deltas[rows] = round_deltas
-            profiles[rows] = following
-            iterations[rows] += 1
-            solved[rows[converged]] = True
-            active[rows[converged]] = False
-            for position, row in enumerate(rows):
-                if converged[position]:
-                    continue
-                # `+ 0.0` collapses −0.0 onto +0.0, matching the tuple
-                # equality the reference's cycle detector relies on.
-                signature = (following[position] + 0.0).tobytes()
-                if signature in seen[row]:
-                    active[row] = False
+            converged = round_deltas <= tolerance
+            staying = ~converged
+            # `+ 0.0` collapses −0.0 onto +0.0, matching the tuple
+            # equality the reference's cycle detector relies on.
+            signatures = following + 0.0
+            for position in np.flatnonzero(staying).tolist():
+                signature = signatures[position].tobytes()
+                if signature in seen[position]:
+                    staying[position] = False
                 else:
-                    seen[row].add(signature)
-        return solved, profiles, iterations, deltas
+                    seen[position].add(signature)
+            profiles = following
+            if staying.all():
+                continue
+            leaving = ~staying
+            done = rows[leaving]
+            final[done] = following[leaving]
+            iterations[done] = round_number
+            solved[rows[converged]] = True
+            rows = rows[staying]
+            if rows.size == 0:
+                return solved, final, iterations, deltas
+            profiles = following[staying]
+            geometry_x = geometry_x[staying]
+            geometry_y = geometry_y[staying]
+            seen = [history for history, stays in zip(seen, staying.tolist()) if stays]
+        # Rows still active ran out of rounds.
+        final[rows] = profiles
+        return solved, final, iterations, deltas
 
     # ------------------------------------------------------------------
     # Eqs. 19–20: expected Nash product and Price of Dishonesty
@@ -691,53 +615,6 @@ class NegotiationEngine:
         return counts[0], counts[1]
 
 
-class _ResponseCache:
-    """One party's best responses over a fixed set of rows.
-
-    The rows' claim geometry (:func:`_claim_geometry`) is built once, so
-    a round only weighs it by the opponent's choice probabilities and
-    folds.  Each row also memoizes its last response, keyed by bitwise
-    equality of the opponent's thresholds (signed zeros compare equal,
-    and best responses are invariant to the sign of a zero threshold),
-    so a cache hit returns exactly the array the engine would recompute.
-    """
-
-    def __init__(
-        self,
-        engine: "NegotiationEngine",
-        own_values: np.ndarray,
-        opponent_values: np.ndarray,
-        opponent_kernel: DistributionKernel,
-    ) -> None:
-        self._engine = engine
-        self._kernel = opponent_kernel
-        self._geometry = _claim_geometry(own_values, opponent_values)
-        self._valid = np.zeros(own_values.shape[0], dtype=bool)
-        self._inputs = np.empty_like(opponent_values)
-        self._outputs = np.empty_like(own_values)
-
-    def __call__(self, rows: np.ndarray, opponent_thresholds: np.ndarray) -> np.ndarray:
-        """Best responses of ``rows`` (sorted, unique) to ``opponent_thresholds``."""
-        hits = self._valid[rows] & np.all(
-            opponent_thresholds == self._inputs[rows], axis=1
-        )
-        if hits.any():
-            misses = ~hits
-            missed, thresholds = rows[misses], opponent_thresholds[misses]
-        else:
-            missed, thresholds = rows, opponent_thresholds
-        if missed.size:
-            geometry = self._geometry
-            if missed.size < self._valid.size:
-                geometry = geometry[missed]
-            self._outputs[missed] = self._engine._respond(
-                geometry, thresholds, self._kernel
-            )
-            self._inputs[missed] = thresholds
-            self._valid[missed] = True
-        return self._outputs[rows]
-
-
 # ----------------------------------------------------------------------
 # Batched claims (the negotiation stage itself)
 # ----------------------------------------------------------------------
@@ -785,9 +662,107 @@ def _claim_geometry(own_values: np.ndarray, opponent_values: np.ndarray) -> np.n
     batch, opponent_count, own_count = qualifies.shape
     geometry = np.zeros((batch, 2, opponent_count, own_count))
     geometry[:, 0] = qualifies
-    with np.errstate(over="ignore"):
-        np.subtract(opponent, own, out=geometry[:, 1], where=qualifies)
+    np.subtract(opponent, own, out=geometry[:, 1], where=qualifies)
     return geometry
+
+
+def _envelope(slopes: np.ndarray, intercepts: np.ndarray) -> np.ndarray:
+    """Algorithm 1 on every row of ``(B, C)`` lines, over one flat run list.
+
+    One line per distinct-slope run stays active.  The active lines of
+    all rows form one flat list in row-major order, so a row's lines
+    are consecutive and its active slopes strictly increase.  A table
+    of crossings of each line with the next ``K`` lines of the list
+    (``K`` one less than the widest row) gives every line its successor
+    on its row's envelope: the later line of the same row with the
+    minimal crossing, ties to the steeper line, i.e. the *last* minimal
+    candidate.  A line's successor does not depend on how the chain
+    reached it, so one walk follows every row's chain in a plain loop.
+    Unassigned thresholds take the minimum over later thresholds, and
+    the monotonic clamp is a running maximum.
+    """
+    batch_size, count = slopes.shape
+    total = batch_size * count
+    flat_slopes = slopes.reshape(-1)
+    flat_intercepts = intercepts.reshape(-1)
+
+    # One active line per distinct-slope run: the first index with the
+    # maximal intercept (strict `>` in the reference scan keeps the
+    # first).  Runs are contiguous and never span rows (column 0 always
+    # starts one), so segment maxima and minima come from flat
+    # ``reduceat`` passes — comparison-only, hence exact.
+    run_starts = np.ones((batch_size, count), dtype=bool)
+    run_starts[:, 1:] = slopes[:, 1:] != slopes[:, :-1]
+    flat_run_starts = run_starts.reshape(-1)
+    flat_starts = np.flatnonzero(flat_run_starts)
+    run_of = np.cumsum(flat_run_starts) - 1
+    flat_index = np.arange(total)
+    run_maxima = np.maximum.reduceat(flat_intercepts, flat_starts)[run_of]
+    attains_maximum = np.where(flat_intercepts == run_maxima, flat_index, total)
+    lines = np.minimum.reduceat(attains_maximum, flat_starts)
+    runs = lines.size
+    line_slopes = flat_slopes[lines]
+    line_intercepts = flat_intercepts[lines]
+    # Row ``b`` owns runs ``first_runs[b] … ends[b] - 1``.
+    first_runs = run_of[::count]
+    ends = run_of[count - 1 :: count] + 1
+    widths = ends - first_runs
+    run_ends = np.repeat(ends, widths)
+    depth = max(1, int(widths.max()) - 1)
+
+    # Successor of every line: the crossing table is cut into blocks of
+    # runs under ``_BLOCK_ELEMENTS``, so a row of ``C`` active lines (a
+    # truthful start) stays bounded at large batches.  A candidate must
+    # lie in the same row (before ``run_ends``); lookups past the end of
+    # the list are clipped and never candidates.  A NaN crossing is
+    # skipped like the reference's failed `<` test; when every crossing
+    # is +∞ the chain jumps to the row's last line at +∞, which leaves
+    # the same thresholds as the reference's stop.
+    offsets = np.arange(1, depth + 1)
+    successors = np.empty(runs, dtype=np.intp)
+    takeovers = np.empty(runs)
+    runs_per_block = max(1, _BLOCK_ELEMENTS // depth)
+    for first in range(0, runs, runs_per_block):
+        block = slice(first, first + runs_per_block)
+        own = np.arange(first, min(first + runs_per_block, runs))
+        later = own[:, None] + offsets
+        candidates = later < run_ends[block, None]
+        crossings = (
+            line_intercepts[block, None] - line_intercepts.take(later, mode="clip")
+        ) / (line_slopes.take(later, mode="clip") - line_slopes[block, None])
+        crossings = np.where(candidates & (crossings < _INF), crossings, _INF)
+        best = crossings.min(axis=1)
+        takeovers[block] = best
+        successors[block] = own + 1 + last_argmax(
+            candidates & (crossings == best[:, None])
+        )
+
+    # A row's last line hands over to the next row's first, so one walk
+    # from line 0 visits every row's chain.  Each visited line but the
+    # final one sets its successor's threshold.  A row's first line
+    # gets −∞, since the active line with the smallest slope wins as
+    # u → −∞; the fill below spreads that to the columns before it.
+    last_runs = ends - 1
+    successors[last_runs] = ends
+    takeovers[last_runs] = -_INF
+    step = successors.tolist()
+    chain: list[int] = []
+    line = 0
+    while line < runs:
+        chain.append(line)
+        line = step[line]
+    sources = np.array(chain[:-1], dtype=np.intp)
+    thresholds = np.full(total, _INF)
+    thresholds[lines[0]] = -_INF
+    thresholds[lines[successors[sources]]] = takeovers[sources]
+    thresholds = thresholds.reshape(batch_size, count)
+
+    # Choices never on the envelope get an empty interval: a +∞ takes
+    # the minimum over later thresholds, which is its inclusive suffix
+    # minimum.  Enforce monotonicity against floating-point jitter.
+    suffix_minima = np.minimum.accumulate(thresholds[:, ::-1], axis=1)[:, ::-1]
+    filled = np.where(thresholds == _INF, suffix_minima, thresholds)
+    return running_maximum(filled, axis=1)
 
 
 def _fold_lines(
@@ -802,8 +777,7 @@ def _fold_lines(
     the opponent axis, masked terms entering as ``+0.0``, gives the
     slopes and the intercepts.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = geometry * probabilities[:, None, :, None]
+    terms = geometry * probabilities[:, None, :, None]
     terms[:, 1] /= 2.0
     lines = ordered_fold(terms, axis=2)
     return lines[:, 0], lines[:, 1]
@@ -821,8 +795,7 @@ def _interval_moments(
 
 def _rows_delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise profile delta: max |a−b| with ∞ for an infinity mismatch."""
-    with np.errstate(invalid="ignore"):
-        difference = np.abs(a - b)
+    difference = np.abs(a - b)
     difference = np.where(a == b, 0.0, difference)
     difference = np.where(np.isnan(difference), _INF, difference)
     return np.max(difference, axis=1) if a.shape[1] else np.zeros(a.shape[0])

@@ -17,6 +17,14 @@ class TestUniformDistribution:
         with pytest.raises(ValueError):
             UniformUtilityDistribution(1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [(-1e308, 1e308), (-np.inf, 1.0), (0.0, np.inf), (-np.inf, np.inf)],
+    )
+    def test_infinite_width_rejected(self, low, high):
+        with pytest.raises(ValueError, match="finite width"):
+            UniformUtilityDistribution(low, high)
+
     def test_pdf(self):
         dist = UniformUtilityDistribution(-1.0, 1.0)
         assert dist.pdf(0.0) == pytest.approx(0.5)

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import reference
@@ -31,7 +31,7 @@ from repro.bargaining.distributions import (
     paper_distribution_u2,
 )
 from repro.bargaining.engine import GameBatch, NegotiationEngine, kernel_for
-from repro.bargaining.mechanism import BoscoService
+from repro.bargaining.mechanism import BoscoService, draw_trial_pairs
 from repro.bargaining.strategy import EquilibriumError, StrategyProfile, ThresholdStrategy
 from repro.reference import (
     BargainingGame,
@@ -203,6 +203,17 @@ class TestSmallBatchBestResponses:
 
     @pytest.mark.parametrize("block_elements", [engine_module._BLOCK_ELEMENTS, 1])
     @given(lines=concurrent_line_batches())
+    @example(
+        # The flat run list at its edges: a row whose crossings all
+        # overflow to +∞ (a slope gap of one subnormal), though its
+        # first line crosses the next row's second line at 4e300; a row
+        # whose C lines are all active; and a row of one active line
+        # (one slope run, its maximum not first).
+        lines=(
+            [[0.0, 0.0, 0.0, 5e-324], [0.0, 0.25, 0.5, 1.0], [0.5, 0.5, 0.5, 0.5]],
+            [[_BIG, _BIG, _BIG, 0.0], [1.0, 0.9, 0.7, 0.2], [0.1, 0.3, 0.3, 0.2]],
+        )
+    )
     @settings(max_examples=150, deadline=None)
     def test_envelope_rows_equal_algorithm_1(self, block_elements, lines):
         slopes, intercepts = lines
@@ -329,6 +340,63 @@ class TestChunkedSolve:
             assert geometry.size <= budget
 
 
+class TestStragglerRow:
+    """A served-shape cohort whose rows leave the lockstep batch at many rounds.
+
+    Seed 0 of the ``serve-mixed`` request shape (u1, ``W = 20``, 10
+    trials): trial 6 runs the first start to the 200-round cap and then
+    converges from the second in 2 rounds, while the other rows converge
+    from the first start after 28 to 66 rounds, two of them in round 32.
+    Every row that leaves compacts the active rows, so each trial's
+    whole search must still equal the reference's, also under a cap of
+    32 rounds, where rows leave in the last round and others run out.
+    """
+
+    PAIRS = draw_trial_pairs(paper_distribution_u1(), 20, 10, seed=0)
+
+    @staticmethod
+    def _reference_search(game, max_iterations):
+        """``(profile, start_index, iterations, last_delta)`` of ``find_equilibrium``."""
+        for start, (strategy_x, strategy_y) in enumerate(game._default_starting_profiles()):
+            profile, iterations, last_delta = game._iterate_best_responses(
+                strategy_x, strategy_y, max_iterations=max_iterations, tolerance=1e-12
+            )
+            if profile is not None:
+                return profile, start, iterations, last_delta
+        return None, -1, iterations, last_delta
+
+    @pytest.mark.parametrize("max_iterations", [200, 32])
+    def test_every_trial_equals_the_reference(self, max_iterations):
+        distribution = paper_distribution_u1()
+        batch = GameBatch.from_choice_sets(distribution, self.PAIRS)
+        equilibria = NegotiationEngine().solve(batch, max_iterations=max_iterations)
+        games = [
+            BargainingGame(
+                distribution_x=distribution.marginal_x,
+                distribution_y=distribution.marginal_y,
+                choices_x=choices_x,
+                choices_y=choices_y,
+            )
+            for choices_x, choices_y in self.PAIRS
+        ]
+        searches = [self._reference_search(game, max_iterations) for game in games]
+        if max_iterations == 200:
+            truthful_x, truthful_y = games[6]._default_starting_profiles()[0]
+            capped = games[6]._iterate_best_responses(
+                truthful_x, truthful_y, max_iterations=200, tolerance=1e-12
+            )
+            assert capped[:2] == (None, 200)
+            assert [search[1] for search in searches] == [0] * 6 + [1] + [0] * 3
+            assert len({search[2] for search in searches}) >= 8
+        for index, (profile, start, iterations, last_delta) in enumerate(searches):
+            assert equilibria.converged[index] == (profile is not None)
+            assert equilibria.start_index[index] == start
+            assert equilibria.iterations[index] == iterations
+            assert equilibria.last_delta[index] == last_delta
+            if profile is not None:
+                assert equilibria.profile(batch, index) == profile
+
+
 class TestCycleDetection:
     """A start stops on an exact repeat of both parties' thresholds.
 
@@ -362,7 +430,7 @@ class TestCycleDetection:
             own = game.choices_x if party == "x" else game.choices_y
             return ThresholdStrategy(own, self._respond(opponent_strategy.thresholds))
 
-        def engine_response(cache, rows, opponent_thresholds):
+        def engine_response(engine, geometry, opponent_thresholds, opponent_kernel):
             return np.array([self._respond(tuple(row.tolist())) for row in opponent_thresholds])
 
         game = BargainingGame(
@@ -375,12 +443,50 @@ class TestCycleDetection:
             with pytest.raises(EquilibriumError) as raised:
                 game.find_equilibrium()
         batch = GameBatch.from_choice_sets(distribution, [(choices_x, choices_y)])
-        with mock.patch.object(engine_module._ResponseCache, "__call__", engine_response):
+        with mock.patch.object(NegotiationEngine, "_respond", engine_response):
             equilibria = NegotiationEngine().solve(batch)
         assert raised.value.iterations == 3
         assert not equilibria.converged[0]
         assert equilibria.iterations[0] == raised.value.iterations
         assert equilibria.last_delta[0] == raised.value.last_delta
+
+    def test_a_row_keeps_its_history_when_the_batch_compacts(self):
+        """Row 0 settles on ``(X, Y)`` in round 2 and leaves the batch.
+        Row 1 passes through ``(X, Y)`` in round 3 and settles there in
+        round 4; had it taken over row 0's history on compaction, it
+        would stop on a false cycle and move on to the next start.
+        """
+        distribution = paper_distribution_u1()
+        choices_x = ChoiceSet((-math.inf, 0.1, 0.2))
+        start_0 = (-math.inf, 0.4, 0.5, 0.6)
+        start_1 = (-math.inf, 0.7, 0.8, 0.9)
+        x, y = (-math.inf, 0.5, 1.0), (-math.inf, 0.25, 0.5, 2.0)
+        x1, y1 = (-math.inf, 0.3, 1.0), (-math.inf, 0.1, 0.5, 2.0)
+        x2, y2 = (-math.inf, 0.6, 1.0), (-math.inf, 0.2, 0.5, 2.0)
+        script = {start_0: x, x: y, y: x, start_1: x1, x1: y1, y1: x2, x2: y2, y2: x}
+
+        def reference_response(game, party, opponent_strategy):
+            own = game.choices_x if party == "x" else game.choices_y
+            return ThresholdStrategy(own, script[opponent_strategy.thresholds])
+
+        def engine_response(engine, geometry, opponent_thresholds, opponent_kernel):
+            return np.array([script[tuple(row.tolist())] for row in opponent_thresholds])
+
+        pairs = [(choices_x, ChoiceSet(start_0)), (choices_x, ChoiceSet(start_1))]
+        batch = GameBatch.from_choice_sets(distribution, pairs)
+        with mock.patch.object(NegotiationEngine, "_respond", engine_response):
+            equilibria = NegotiationEngine().solve(batch)
+        assert equilibria.start_index.tolist() == [0, 0]
+        assert equilibria.iterations.tolist() == [2, 4]
+        game = BargainingGame(
+            distribution_x=distribution.marginal_x,
+            distribution_y=distribution.marginal_y,
+            choices_x=pairs[1][0],
+            choices_y=pairs[1][1],
+        )
+        with mock.patch.object(BargainingGame, "best_response", reference_response):
+            expected = game.find_equilibrium()
+        assert equilibria.profile(batch, 1) == expected
 
 
 def _always_cancel(choices):
