@@ -16,7 +16,7 @@ def test_event_kernel_throughput(benchmark):
     num_events = 50_000
 
     def pump() -> int:
-        engine = SimulationEngine(seed=0)
+        engine = SimulationEngine()
         for index in range(num_events):
             engine.schedule_at(float(index % 97), lambda: None)
         engine.run(until=100.0)

@@ -41,7 +41,7 @@ def canned_scenarios() -> None:
 def custom_schedule() -> None:
     """A hand-built simulation: fail and restore one Fig. 1 link."""
     print("== custom run: the Fig. 1 D-E peering link flaps ==")
-    engine = SimulationEngine(seed=1)
+    engine = SimulationEngine()
     network = DynamicNetwork(figure1_topology())
     schedule = DeterministicFailureSchedule.of(
         (2.0, "down", AS_D, AS_E),

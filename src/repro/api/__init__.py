@@ -6,10 +6,11 @@ programmatically and with structure instead of strings:
 - :class:`Session` — the entry point.  A session owns the expensive
   shared state (generated/loaded topologies keyed by their parameters,
   compiled path engines, mutuality-agreement enumerations and path
-  indexes, the shared experiment context, the truthful Nash product of
-  each negotiation distribution) and reuses it
-  across calls, so repeated programmatic calls are much faster than
-  rebuilding per call (see ``benchmarks/bench_api_session.py``).
+  indexes, the shared experiment context) and reuses it across calls,
+  so repeated programmatic calls are much faster than rebuilding per
+  call (see ``benchmarks/bench_api_session.py``).  The truthful Nash
+  product of each negotiation distribution is a process-wide memo in
+  :mod:`repro.bargaining.efficiency`, not session state.
 - Typed request dataclasses (:mod:`repro.api.requests`) — construction
   *is* validation: a bad value raises
   :class:`~repro.errors.ValidationError` with the same message a CLI

@@ -19,8 +19,10 @@ reuses instead of rebuilding:
   across ``experiments()`` calls (sequential runs only: worker
   processes rebuild their own, exactly as ``repro experiments --jobs``
   always has).
-- **Truthful Nash products** — ``E[N | σ⊤]`` per named negotiation
-  distribution, computed once and handed to every cohort solve.
+
+The truthful baseline ``E[N | σ⊤]`` of every negotiation is not session
+state: :func:`~repro.bargaining.efficiency.expected_truthful_nash_product`
+memoizes it per distribution for the whole process.
 
 Sessions are serialized, not parallel: every workflow runs under one
 reentrant lock, so a session shared across threads (the ``repro
@@ -131,7 +133,6 @@ class Session:
         self._loaded: BoundedCache = BoundedCache(cache_limit)
         self._artifacts: BoundedCache = BoundedCache(cache_limit)
         self._contexts: BoundedCache = BoundedCache(cache_limit)
-        self._truthful: BoundedCache = BoundedCache(cache_limit)
         #: Serializes every workflow: concurrent callers queue here.
         self._lock = threading.RLock()
         self._closed = False
@@ -176,7 +177,6 @@ class Session:
             "loaded_topologies": self._loaded,
             "diversity_artifacts": self._artifacts,
             "experiment_contexts": self._contexts,
-            "truthful_nash_products": self._truthful,
         }
 
     def cache_stats(self) -> dict[str, dict[str, int | None]]:
@@ -238,14 +238,6 @@ class Session:
             )
             self._artifacts.put(cache_key, artifacts)
         return artifacts
-
-    def _truthful_value(self, distribution_name: str, distribution) -> float:
-        """The memoized truthful expected Nash product of a distribution."""
-        value = self._truthful.get(distribution_name)
-        if value is None:
-            value = expected_truthful_nash_product(distribution)
-            self._truthful.put(distribution_name, value)
-        return value
 
     def context_for(self, config) -> DiversityContext:
         """The session's shared experiment context for a diversity config.
@@ -519,7 +511,6 @@ class Session:
             )
         with self._entered():
             distribution = requests[0].joint_distribution()
-            truthful = self._truthful_value(requests[0].distribution, distribution)
             cohorts = [
                 draw_trial_pairs(
                     distribution,
@@ -529,7 +520,8 @@ class Session:
                 )
                 for request in requests
             ]
-            solved = solve_trial_cohorts(distribution, cohorts, truthful_value=truthful)
+            solved = solve_trial_cohorts(distribution, cohorts)
+        truthful = expected_truthful_nash_product(distribution)
         return [
             _negotiate_result(request, cohort, truthful)
             for request, cohort in zip(requests, solved)

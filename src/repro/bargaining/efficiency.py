@@ -11,16 +11,25 @@ is always in ``[0, 1]`` (Theorem 3) and quantifies the efficiency loss
 caused by strategic (non-truthful) claiming.  The batched
 :class:`~repro.bargaining.engine.NegotiationEngine` computes ``E[N | σ*]``
 and the PoD; this module holds the truthful baseline ``E[N | σ⊤]`` they
-are measured against.
+are measured against.  It is the one memo of that value: ``simulate``,
+``negotiate``, Fig. 2 and :mod:`repro.reference` all read the same cached
+float per distribution.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from repro.bargaining.distributions import JointUtilityDistribution
 
+#: Distinct ``(distribution, grid_size)`` keys the memo holds; the
+#: workflows use two named distributions.
+TRUTHFUL_MEMO_SIZE = 32
 
+
+@functools.lru_cache(maxsize=TRUTHFUL_MEMO_SIZE)
 def expected_truthful_nash_product(
     distribution: JointUtilityDistribution,
     *,
@@ -33,6 +42,10 @@ def expected_truthful_nash_product(
     by midpoint quadrature on a grid over the joint support, which is
     exact enough (relative error well below 1e-3 for the paper's uniform
     distributions) and distribution-agnostic.
+
+    The value is memoized per frozen distribution value, so a
+    distribution built afresh with the same marginals hits the memo;
+    ``__wrapped__`` is the uncached quadrature.
     """
     marginal_x = distribution.marginal_x
     marginal_y = distribution.marginal_y

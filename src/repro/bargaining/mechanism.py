@@ -166,8 +166,6 @@ def draw_trial_pairs(
 def solve_trial_cohorts(
     distribution: JointUtilityDistribution,
     cohorts: Sequence[Sequence[tuple[ChoiceSet, ChoiceSet]]],
-    *,
-    truthful_value: float | None = None,
 ) -> list[SolvedCohort]:
     """Solve several independently drawn trial cohorts in **one** batch.
 
@@ -195,9 +193,9 @@ def solve_trial_cohorts(
     packed = GameBatch.from_choice_sets(distribution, all_pairs)
     equilibria = _ENGINE.solve(packed)
     values = _ENGINE.expected_nash_products(packed, equilibria)
-    if truthful_value is None:
-        truthful_value = expected_truthful_nash_product(distribution)
-    pods = _ENGINE.prices_of_dishonesty(values, truthful_value)
+    pods = _ENGINE.prices_of_dishonesty(
+        values, expected_truthful_nash_product(distribution)
+    )
     solved = []
     start = 0
     for size in sizes:
@@ -279,12 +277,11 @@ class BoscoService:
         self.choice_construction = choice_construction
         self.skipped_trials = 0
         self._rng = np.random.default_rng(seed)
-        self._truthful_value = expected_truthful_nash_product(distribution)
 
     @property
     def truthful_expected_nash_product(self) -> float:
-        """``E[N | σ⊤]`` under the configured distribution."""
-        return self._truthful_value
+        """``E[N | σ⊤]`` under the configured distribution (memoized)."""
+        return expected_truthful_nash_product(self.distribution)
 
     # ------------------------------------------------------------------
     # Configuration
@@ -301,9 +298,7 @@ class BoscoService:
                 quantile_choice_set(self.distribution.marginal_y, num_choices),
             )
             pairs = [quantiles] * trials
-        (cohort,) = solve_trial_cohorts(
-            self.distribution, [pairs], truthful_value=self._truthful_value
-        )
+        (cohort,) = solve_trial_cohorts(self.distribution, [pairs])
         summary = summarize_cohort(cohort)
         self.skipped_trials += summary.skipped
         return cohort, summary

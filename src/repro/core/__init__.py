@@ -37,7 +37,6 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.core.arrays": (
-            "exclusive_suffix_minimum",
             "last_argmax",
             "running_maximum",
             "sequential_sum",
@@ -62,6 +61,5 @@ __all__ = [
     "compile_as_rel_file",
     "sequential_sum",
     "running_maximum",
-    "exclusive_suffix_minimum",
     "last_argmax",
 ]

@@ -17,8 +17,8 @@ vectorization possible:
   ``ufunc.reduce`` which is pairwise along the innermost axis);
 - :func:`ordered_fold` — the same fold over an axis that is not
   innermost, where ``ufunc.reduce`` adds whole slices in order;
-- :func:`running_maximum` / :func:`exclusive_suffix_minimum` — scans
-  built from comparisons only, which are always exact;
+- :func:`running_maximum` — a scan built from comparisons only, which
+  is always exact;
 - :func:`last_argmax` — tie-breaking toward the *last* maximal element,
   the vectorized form of "keep updating on ties" scan loops.
 
@@ -84,18 +84,6 @@ def running_maximum(values: np.ndarray, axis: int = -1) -> np.ndarray:
     rounding is involved.
     """
     return np.maximum.accumulate(values, axis=axis)
-
-
-def exclusive_suffix_minimum(values: np.ndarray, fill: float = np.inf) -> np.ndarray:
-    """Minimum over all *strictly later* positions along the last axis.
-
-    ``out[..., i] = min(values[..., i+1:])`` with ``fill`` for the last
-    position (whose suffix is empty).  Comparison-only, hence exact.
-    """
-    values = np.asarray(values)
-    inclusive = np.minimum.accumulate(values[..., ::-1], axis=-1)[..., ::-1]
-    filler = np.full(values.shape[:-1] + (1,), fill, dtype=values.dtype)
-    return np.concatenate([inclusive[..., 1:], filler], axis=-1)
 
 
 def last_argmax(flags: np.ndarray) -> np.ndarray:

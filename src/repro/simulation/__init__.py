@@ -1,8 +1,8 @@
 """Discrete-event simulation of dynamic networks and agreement lifecycles.
 
-The engine gives the library's one-shot layers a time axis: an event
-queue over a virtual clock (:mod:`~repro.simulation.events`,
-:mod:`~repro.simulation.engine`), a dynamic topology with failing and
+The engine gives the library's one-shot layers a time axis: one heap of
+``(time, priority, sequence, action)`` tuples over a virtual clock
+(:mod:`~repro.simulation.engine`), a dynamic topology with failing and
 recovering links (:mod:`~repro.simulation.network`,
 :mod:`~repro.simulation.failures`), periodic SCION-style beaconing and
 BGP reconvergence (:mod:`~repro.simulation.routing`), time-varying
@@ -18,13 +18,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.simulation.engine": ("Process", "SimulationEngine"),
-        "repro.simulation.events": (
-            "Event",
-            "EventQueue",
-            "SimulationClock",
-            "SimulationError",
-        ),
+        "repro.simulation.engine": ("Process", "SimulationEngine", "SimulationError"),
         "repro.simulation.failures": (
             "LINK_DOWN",
             "LINK_UP",
@@ -57,9 +51,6 @@ __getattr__, __dir__ = lazy_exports(
 
 __all__ = [
     "SimulationError",
-    "Event",
-    "EventQueue",
-    "SimulationClock",
     "Process",
     "SimulationEngine",
     "MetricsTrace",

@@ -1,9 +1,18 @@
 """The discrete-event simulation engine.
 
-The engine owns the event queue, the virtual clock, the metrics trace,
-and a single seeded random generator.  Processes (beaconing, failure
-injection, traffic, agreement lifecycles, …) register with the engine,
-schedule their events, and record observations into the shared trace.
+The engine owns the event queue, the virtual clock and the metrics
+trace.  Processes (beaconing, failure injection, traffic, agreement
+lifecycles, …) register with the engine, schedule their events, and
+record observations into the shared trace; each process seeds its own
+random generator.
+
+The queue is a binary heap of ``(time, priority, sequence, action)``
+tuples, so ordering compares in C.  Determinism is a hard requirement
+(two runs with the same seed must produce byte-identical metrics
+traces): events scheduled for the same instant fire in priority order
+(lower first), and within the same priority in scheduling (FIFO) order.
+The sequence number is unique, so the heap never compares two actions.
+No wall-clock time ever enters the simulation.
 
 Virtual time is unitless by convention; the canned scenarios interpret
 it as hours, which makes the diurnal traffic model line up naturally.
@@ -12,18 +21,19 @@ it as hours, which makes the diurnal traffic model line up naturally.
 from __future__ import annotations
 
 import abc
+import heapq
+import itertools
 from collections.abc import Callable
 
-import numpy as np
-
-from repro.simulation.events import Event, EventQueue, SimulationClock, SimulationError
 from repro.simulation.metrics import MetricsTrace
+
+
+class SimulationError(Exception):
+    """Raised for inconsistent simulation operations."""
 
 
 class Process(abc.ABC):
     """A simulation process: registers its events when the run starts."""
-
-    name: str = "process"
 
     @abc.abstractmethod
     def start(self, engine: "SimulationEngine") -> None:
@@ -33,52 +43,38 @@ class Process(abc.ABC):
 class SimulationEngine:
     """Event loop over a virtual clock with a shared metrics trace."""
 
-    def __init__(self, *, seed: int = 0) -> None:
-        self.clock = SimulationClock()
-        self.queue = EventQueue()
+    def __init__(self) -> None:
+        #: Current virtual time; only :meth:`run` advances it.
+        self.now = 0.0
         self.trace = MetricsTrace()
-        self.seed = seed
-        self.rng = np.random.default_rng(seed)
         self.events_processed = 0
+        self._heap: list[tuple[float, int, int, Callable[[], None]]] = []
+        self._sequence = itertools.count()
+        #: Processes registered but not yet started.
         self._processes: list[Process] = []
-        self._started = False
-        self._stopped = False
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self.clock.now
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(
-        self,
-        delay: float,
-        action: Callable[[], None],
-        *,
-        priority: int = 0,
-        name: str = "",
-    ) -> Event:
+        self, delay: float, action: Callable[[], None], *, priority: int = 0
+    ) -> None:
         """Schedule an event ``delay`` time units from now."""
         if delay < 0.0:
             raise SimulationError(f"cannot schedule into the past (delay {delay})")
-        return self.queue.push(self.now + delay, action, priority=priority, name=name)
+        heapq.heappush(
+            self._heap, (self.now + delay, priority, next(self._sequence), action)
+        )
 
     def schedule_at(
-        self,
-        time: float,
-        action: Callable[[], None],
-        *,
-        priority: int = 0,
-        name: str = "",
-    ) -> Event:
+        self, time: float, action: Callable[[], None], *, priority: int = 0
+    ) -> None:
         """Schedule an event at an absolute virtual time."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time}, the clock is already at {self.now}"
             )
-        return self.queue.push(time, action, priority=priority, name=name)
+        heapq.heappush(self._heap, (time, priority, next(self._sequence), action))
 
     def schedule_every(
         self,
@@ -87,7 +83,6 @@ class SimulationEngine:
         *,
         start: float | None = None,
         priority: int = 0,
-        name: str = "",
     ) -> None:
         """Schedule a periodic event; the first firing is at ``start``.
 
@@ -99,27 +94,16 @@ class SimulationEngine:
 
         def fire() -> None:
             action()
-            self.schedule(interval, fire, priority=priority, name=name)
+            self.schedule(interval, fire, priority=priority)
 
-        first = self.now if start is None else start
-        self.schedule_at(first, fire, priority=priority, name=name)
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event."""
-        self.queue.cancel(event)
+        self.schedule_at(self.now if start is None else start, fire, priority=priority)
 
     # ------------------------------------------------------------------
     # Processes and the run loop
     # ------------------------------------------------------------------
     def add_process(self, process: Process) -> None:
-        """Register a process; started processes schedule immediately."""
+        """Register a process; it starts when the next :meth:`run` begins."""
         self._processes.append(process)
-        if self._started:
-            process.start(self)
-
-    def stop(self) -> None:
-        """Stop the run after the current event."""
-        self._stopped = True
 
     def run(self, until: float) -> MetricsTrace:
         """Run events in order until the horizon; returns the trace.
@@ -129,20 +113,13 @@ class SimulationEngine:
         """
         if until < self.now:
             raise SimulationError(f"horizon {until} lies before current time {self.now}")
-        if not self._started:
-            self._started = True
-            for process in self._processes:
-                process.start(self)
-        self._stopped = False
-        while self.queue:
-            next_time = self.queue.peek_time()
-            if next_time is None or next_time > until:
-                break
-            event = self.queue.pop()
-            self.clock.advance_to(event.time)
-            event.action()
+        processes, self._processes = self._processes, []
+        for process in processes:
+            process.start(self)
+        heap = self._heap
+        while heap and heap[0][0] <= until:
+            self.now, _, _, action = heapq.heappop(heap)
+            action()
             self.events_processed += 1
-            if self._stopped:
-                break
-        self.clock.advance_to(until)
+        self.now = until
         return self.trace

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.simulation.engine import Process, SimulationEngine
-from repro.simulation.events import SimulationError
+from repro.simulation.engine import Process, SimulationEngine, SimulationError
 from repro.simulation.network import DynamicNetwork
 
 #: Event kinds understood by the injector.
@@ -121,7 +120,6 @@ class FailureInjector(Process):
     network: DynamicNetwork
     schedule: DeterministicFailureSchedule | StochasticFailureModel
     horizon: float
-    name: str = "failure-injector"
     applied_events: int = field(default=0, init=False)
 
     def start(self, engine: SimulationEngine) -> None:
@@ -133,7 +131,6 @@ class FailureInjector(Process):
                 event.time,
                 self._apply(engine, event),
                 priority=-10,
-                name=f"{self.name}:{event.kind}",
             )
 
     def _apply(self, engine: SimulationEngine, event: LinkEvent):

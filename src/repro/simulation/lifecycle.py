@@ -103,7 +103,6 @@ class AgreementLifecycleManager(Process):
     #: marketplace, byte-identical to the historical formulation).
     population: Population | None = None
     price_wars: tuple[PriceWar, ...] = ()
-    name: str = "agreement-lifecycle"
 
     _engine: SimulationEngine | None = field(default=None, init=False)
     _mechanism: MechanismInformation | None = field(default=None, init=False)
@@ -199,7 +198,7 @@ class AgreementLifecycleManager(Process):
         bucket = self._due.get(due)
         if bucket is None:
             self._due[due] = [pair]
-            engine.schedule(delay, self._negotiate_due(due), name=f"{self.name}:negotiate")
+            engine.schedule(delay, self._negotiate_due(due))
         else:
             bucket.append(pair)
 
@@ -376,18 +375,13 @@ class AgreementLifecycleManager(Process):
             segments=len(agreement.all_segments()),
         )
         if engine.now + self.metering_interval <= active.expires_at:
-            engine.schedule(
-                self.metering_interval,
-                self._meter(active),
-                name=f"{self.name}:meter",
-            )
+            engine.schedule(self.metering_interval, self._meter(active))
         # Priority 5: the final metering sample at the expiry instant is
         # taken before the term is billed.
         engine.schedule_at(
             active.expires_at,
             self._expire(pair, active),
             priority=5,
-            name=f"{self.name}:expire",
         )
 
     def _meter(self, active: ActiveAgreement):
@@ -408,9 +402,7 @@ class AgreementLifecycleManager(Process):
             # The chain reschedules itself only while the term lasts, so
             # expired agreements leave no periodic events behind.
             if engine.now + self.metering_interval <= active.expires_at:
-                engine.schedule(
-                    self.metering_interval, meter, name=f"{self.name}:meter"
-                )
+                engine.schedule(self.metering_interval, meter)
 
         return meter
 

@@ -52,7 +52,6 @@ class BGPRoutingService(RoutingService):
     reconvergence_delay: float = 0.25
     max_rounds: int = 200
     architecture: str = "BGP"
-    name: str = "bgp-routing"
     #: routes[destination][source] -> selected AS path or None
     _routes: dict[int, dict[int, tuple[int, ...] | None]] = field(
         default_factory=dict, init=False
@@ -86,7 +85,6 @@ class BGPRoutingService(RoutingService):
             self.reconvergence_delay,
             self._complete_reconvergence,
             priority=-5,
-            name=f"{self.name}:reconverge",
         )
 
     def _complete_reconvergence(self) -> None:
@@ -146,7 +144,6 @@ class PANRoutingService(RoutingService):
     max_paths: int = 8
     apply_grc_authorization: bool = True
     architecture: str = "PAN"
-    name: str = "pan-routing"
     _path_server: PathServer | None = field(default=None, init=False)
     _path_cache: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = field(
         default_factory=dict, init=False
@@ -160,7 +157,6 @@ class PANRoutingService(RoutingService):
             lambda: self._run_beaconing(engine),
             start=self.beacon_interval,
             priority=-4,
-            name=f"{self.name}:beacon",
         )
 
     def _run_beaconing(self, engine: SimulationEngine) -> None:
@@ -216,7 +212,6 @@ class AvailabilityMonitor(Process):
     services: tuple[RoutingService, ...]
     pairs: tuple[tuple[int, int], ...]
     sample_interval: float = 0.5
-    name: str = "availability-monitor"
     samples_taken: int = field(default=0, init=False)
 
     def start(self, engine: SimulationEngine) -> None:
@@ -226,7 +221,6 @@ class AvailabilityMonitor(Process):
             lambda: self._sample(engine),
             start=0.0,
             priority=10,  # after failures/reconvergence at the same instant
-            name=self.name,
         )
 
     def _sample(self, engine: SimulationEngine) -> None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar
 
@@ -82,9 +83,28 @@ class SimulationScenario(JsonCodec, abc.ABC):
 
     name: ClassVar[str] = "scenario"
     description: ClassVar[str] = ""
+    #: Intervals, terms and means: finite and > 0.  A zero interval or
+    #: term would reschedule its event chain at the same instant forever.
+    positive_knobs: ClassVar[tuple[str, ...]] = ()
+    #: Delays and the horizon: finite and >= 0.
+    non_negative_knobs: ClassVar[tuple[str, ...]] = ("duration",)
     decode_error = ValidationError
     seed: int
     duration: float
+
+    def __post_init__(self) -> None:
+        for knob in self.positive_knobs:
+            value = getattr(self, knob)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValidationError(
+                    f"{self.name}.{knob} must be a finite number > 0, got {value!r}"
+                )
+        for knob in self.non_negative_knobs:
+            value = getattr(self, knob)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError(
+                    f"{self.name}.{knob} must be a finite number >= 0, got {value!r}"
+                )
 
     @abc.abstractmethod
     def build(self, engine: SimulationEngine, network: DynamicNetwork) -> None:
@@ -103,7 +123,7 @@ class SimulationScenario(JsonCodec, abc.ABC):
         from repro.simulation.engine import SimulationEngine
         from repro.simulation.network import DynamicNetwork
 
-        engine = SimulationEngine(seed=self.seed)
+        engine = SimulationEngine()
         network = DynamicNetwork(self.topology())
         self.build(engine, network)
         trace = engine.run(until=self.duration)
@@ -149,6 +169,13 @@ class FailureChurnScenario(SimulationScenario):
 
     name: ClassVar[str] = "failure-churn"
     description: ClassVar[str] = "BGP vs. PAN path availability under link-failure churn"
+    positive_knobs: ClassVar[tuple[str, ...]] = (
+        "mean_time_to_failure",
+        "mean_time_to_repair",
+        "beacon_interval",
+        "sample_interval",
+    )
+    non_negative_knobs: ClassVar[tuple[str, ...]] = ("duration", "reconvergence_delay")
 
     seed: int = 2021
     duration: float = 72.0
@@ -245,6 +272,7 @@ class AgreementMarketplaceScenario(SimulationScenario):
     description: ClassVar[str] = (
         "agreement lifecycles (negotiate/meter/bill) over a billing horizon"
     )
+    positive_knobs: ClassVar[tuple[str, ...]] = ("term_duration", "metering_interval")
 
     seed: int = 2021
     duration: float = 24.0 * 30.0
@@ -294,6 +322,7 @@ class FlashCrowdScenario(SimulationScenario):
 
     name: ClassVar[str] = "flash-crowd"
     description: ClassVar[str] = "a traffic spike through the Fig. 1 D-E agreement and its p95 bill"
+    positive_knobs: ClassVar[tuple[str, ...]] = ("term_duration", "metering_interval")
 
     seed: int = 2021
     duration: float = 24.0 * 7.0 + 1.0
@@ -366,6 +395,7 @@ class HeterogeneousMarketplaceScenario(SimulationScenario):
 
     name: ClassVar[str] = "marketplace-heterogeneous"
     description: ClassVar[str] = "a mixed-profile agreement marketplace with regional shocks"
+    positive_knobs: ClassVar[tuple[str, ...]] = ("term_duration", "metering_interval")
 
     seed: int = 2021
     duration: float = 24.0 * 14.0
@@ -447,7 +477,6 @@ class HeterogeneousMarketplaceScenario(SimulationScenario):
             self.duration,
             lifecycle.record_population_metrics,
             priority=50,
-            name="profile-metrics",
         )
 
     def headline(self, trace: MetricsTrace) -> tuple[str, ...]:

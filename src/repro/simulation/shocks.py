@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.simulation.events import SimulationError
+from repro.simulation.engine import SimulationError
 from repro.simulation.failures import (
     LINK_DOWN,
     LINK_UP,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.simulation.events import SimulationError
+from repro.simulation.engine import SimulationError
 
 #: Hours per day / days per week, fixing the interpretation of virtual time.
 HOURS_PER_DAY = 24.0

@@ -251,14 +251,16 @@ class TestNegotiateWorkflow:
         assert result.min_pod <= result.mean_pod <= result.max_pod
         assert 0.0 < result.best_expected_nash_product <= result.truthful_nash_product
 
-    def test_truthful_value_is_memoized_per_distribution(self):
+    def test_truthful_value_is_one_memo_across_sessions(self):
         from repro.api import NegotiateRequest
+        from repro.bargaining.efficiency import expected_truthful_nash_product
 
-        session = Session()
-        session.negotiate(NegotiateRequest(num_choices=10, trials=3, seed=1))
-        session.negotiate(NegotiateRequest(num_choices=12, trials=3, seed=2))
-        stats = session.cache_stats()["truthful_nash_products"]
-        assert stats["size"] == 1 and stats["hits"] == 1
+        expected_truthful_nash_product.cache_clear()
+        first = Session().negotiate(NegotiateRequest(num_choices=10, trials=3, seed=1))
+        second = Session().negotiate(NegotiateRequest(num_choices=12, trials=3, seed=2))
+        info = expected_truthful_nash_product.cache_info()
+        assert info.currsize == 1 and info.misses == 1 and info.hits >= 1
+        assert first.truthful_nash_product == second.truthful_nash_product
 
     def test_negotiate_many_is_bit_identical_to_solo_calls(self):
         """The coalescing contract: batching must be invisible."""
@@ -321,7 +323,6 @@ class TestSessionLifecycle:
             "experiment_contexts",
             "generated_topologies",
             "loaded_topologies",
-            "truthful_nash_products",
         ]
         for counters in stats.values():
             assert counters == {

@@ -8,11 +8,15 @@ import pytest
 from repro.bargaining.choices import ChoiceSet, random_choice_set
 from repro.bargaining.distributions import (
     JointUtilityDistribution,
+    TruncatedNormalUtilityDistribution,
     UniformUtilityDistribution,
     paper_distribution_u1,
     paper_distribution_u2,
 )
-from repro.bargaining.efficiency import expected_truthful_nash_product
+from repro.bargaining.efficiency import (
+    TRUTHFUL_MEMO_SIZE,
+    expected_truthful_nash_product,
+)
 from repro.bargaining.strategy import StrategyProfile
 from repro.reference import (
     BargainingGame,
@@ -58,6 +62,38 @@ class TestExpectedTruthfulNashProduct:
             UniformUtilityDistribution(-2.0, -1.0), UniformUtilityDistribution(-2.0, -1.0)
         )
         assert expected_truthful_nash_product(joint) == pytest.approx(0.0)
+
+
+class TestTruthfulMemo:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            paper_distribution_u1,
+            paper_distribution_u2,
+            lambda: JointUtilityDistribution(
+                TruncatedNormalUtilityDistribution(0.1, 0.4, -1.0, 1.0),
+                TruncatedNormalUtilityDistribution(-0.2, 0.6, -0.5, 1.5),
+            ),
+        ],
+        ids=["u1", "u2", "truncated-normal"],
+    )
+    def test_memo_equals_the_uncached_quadrature(self, build):
+        expected_truthful_nash_product.cache_clear()
+        distribution = build()
+        uncached = expected_truthful_nash_product.__wrapped__(distribution)
+        assert expected_truthful_nash_product(distribution) == uncached
+        assert expected_truthful_nash_product(distribution) == uncached
+
+    def test_equal_distributions_built_separately_share_one_entry(self):
+        expected_truthful_nash_product.cache_clear()
+        first = paper_distribution_u1()
+        second = paper_distribution_u1()
+        assert first is not second
+        value = expected_truthful_nash_product(first)
+        assert expected_truthful_nash_product(second) == value
+        info = expected_truthful_nash_product.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        assert info.maxsize == TRUTHFUL_MEMO_SIZE
 
 
 class TestExpectedNashProduct:

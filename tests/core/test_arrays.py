@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.arrays import (
-    exclusive_suffix_minimum,
     last_argmax,
     ordered_fold,
     running_maximum,
@@ -158,25 +157,6 @@ class TestRunningMaximum:
         for index in range(1, values.shape[1]):
             expected[0, index] = max(expected[0, index], expected[0, index - 1])
         assert np.array_equal(running_maximum(values, axis=1), expected)
-
-
-class TestExclusiveSuffixMinimum:
-    def test_matches_python_reference(self):
-        values = np.array([[3.0, np.inf, -1.0, 2.0]])
-        expected = np.array(
-            [
-                [
-                    min(values[0, 1:]),
-                    min(values[0, 2:]),
-                    min(values[0, 3:]),
-                    np.inf,
-                ]
-            ]
-        )
-        assert np.array_equal(exclusive_suffix_minimum(values), expected)
-
-    def test_last_position_gets_the_fill(self):
-        assert exclusive_suffix_minimum(np.array([[1.0]]), fill=7.0)[0, 0] == 7.0
 
 
 class TestLastArgmax:

@@ -48,7 +48,13 @@ class TestIntrospectionRoutes:
         # The /stats request counts itself: negotiate + stats.
         assert document["requests_total"] == 2
         assert document["result_cache"]["misses"] == 1
-        assert "truthful_nash_products" in document["session"]
+        # E[N | σ⊤] is a process-wide memo, not a session cache.
+        assert sorted(document["session"]) == [
+            "diversity_artifacts",
+            "experiment_contexts",
+            "generated_topologies",
+            "loaded_topologies",
+        ]
         # The cross-worker fields of the merged view.
         assert document["worker_pid"] == service.board.pid
         assert str(service.board.pid) in document["workers"]

@@ -1,4 +1,4 @@
-"""Tests for the simulation engine's scheduling and run loop."""
+"""Tests for the simulation engine's scheduling, ordering and run loop."""
 
 import pytest
 
@@ -33,6 +33,15 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             engine.schedule(-0.5, lambda: None)
 
+    def test_negative_time_rejected_before_any_run(self):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError):
+            engine.schedule_at(-1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            engine.schedule(-1.0, lambda: None)
+        engine.run(until=1.0)
+        assert engine.events_processed == 0
+
     def test_periodic_events_repeat_until_horizon(self):
         engine = SimulationEngine()
         times = []
@@ -40,34 +49,67 @@ class TestScheduling:
         engine.run(until=3.5)
         assert times == [0.0, 1.0, 2.0, 3.0]
 
-    def test_periodic_interval_must_be_positive(self):
+    @pytest.mark.parametrize("interval", [0.0, -1.0])
+    def test_periodic_interval_must_be_positive(self, interval):
         engine = SimulationEngine()
         with pytest.raises(SimulationError):
-            engine.schedule_every(0.0, lambda: None)
+            engine.schedule_every(interval, lambda: None)
 
-    def test_cancel_scheduled_event(self):
+
+class TestOrdering:
+    def test_fires_in_time_order(self):
         engine = SimulationEngine()
         fired = []
-        event = engine.schedule(1.0, lambda: fired.append("cancelled"))
-        engine.schedule(2.0, lambda: fired.append("kept"))
-        engine.cancel(event)
+        engine.schedule_at(3.0, lambda: fired.append("c"))
+        engine.schedule_at(1.0, lambda: fired.append("a"))
+        engine.schedule(2.0, lambda: fired.append("b"))
         engine.run(until=5.0)
-        assert fired == ["kept"]
+        assert fired == ["a", "b", "c"]
 
-    def test_cancelling_a_fired_event_keeps_later_events(self):
-        # Cancelling an event that already fired (twice) must not hide
-        # an event scheduled afterwards from the run loop.
+    def test_same_time_ties_broken_by_priority_then_fifo(self):
         engine = SimulationEngine()
         fired = []
-        event = engine.schedule(1.0, lambda: fired.append("a"))
+        engine.schedule_at(1.0, lambda: fired.append("first"))
+        engine.schedule(1.0, lambda: fired.append("second"))
+        engine.schedule_at(1.0, lambda: fired.append("urgent"), priority=-1)
+        engine.schedule_at(1.0, lambda: fired.append("last"), priority=5)
+        engine.schedule_at(1.0, lambda: fired.append("third"))
+        engine.run(until=1.0)
+        assert fired == ["urgent", "first", "second", "third", "last"]
+
+    def test_events_scheduled_while_running_keep_the_order(self):
+        # An event scheduled for the current instant by a firing event
+        # runs after every same-instant event of equal priority already
+        # queued, and before those of a later priority.
+        engine = SimulationEngine()
+        fired = []
+
+        def spawn() -> None:
+            fired.append("spawn")
+            engine.schedule(0.0, lambda: fired.append("spawned"))
+
+        engine.schedule_at(1.0, spawn)
+        engine.schedule_at(1.0, lambda: fired.append("queued"))
+        engine.schedule_at(1.0, lambda: fired.append("late"), priority=1)
         engine.run(until=2.0)
-        engine.cancel(event)
-        engine.cancel(event)
-        engine.schedule(1.0, lambda: fired.append("b"))
-        assert len(engine.queue) == 1
-        engine.run(until=5.0)
-        assert fired == ["a", "b"]
-        assert len(engine.queue) == 0
+        assert fired == ["spawn", "queued", "spawned", "late"]
+
+    def test_order_is_deterministic_across_builds(self):
+        def build() -> list[int]:
+            engine = SimulationEngine()
+            fired: list[int] = []
+            for index in range(20):
+                engine.schedule_at(
+                    float(index % 3),
+                    lambda index=index: fired.append(index),
+                    priority=index % 2,
+                )
+            engine.run(until=3.0)
+            return fired
+
+        first = build()
+        assert first == build()
+        assert first == sorted(range(20), key=lambda i: (i % 3, i % 2, i))
 
 
 class TestRunLoop:
@@ -94,14 +136,6 @@ class TestRunLoop:
         with pytest.raises(SimulationError):
             engine.run(until=1.0)
 
-    def test_stop_halts_after_current_event(self):
-        engine = SimulationEngine()
-        fired = []
-        engine.schedule_at(1.0, lambda: (fired.append("a"), engine.stop()))
-        engine.schedule_at(2.0, lambda: fired.append("b"))
-        engine.run(until=10.0)
-        assert fired == ["a"]
-
     def test_events_processed_counter(self):
         engine = SimulationEngine()
         for index in range(5):
@@ -119,13 +153,21 @@ class TestProcesses:
         engine.run(until=5.0)
         assert log == [1.0, 2.0]
 
-    def test_late_added_process_starts_immediately(self):
+    def test_process_added_between_runs_starts_with_the_next_run(self):
         engine = SimulationEngine()
         log = []
         engine.run(until=1.0)
         engine.add_process(RecordingProcess(2.0, log))
         engine.run(until=5.0)
         assert log == [2.0]
+
+    def test_a_process_starts_once(self):
+        engine = SimulationEngine()
+        log = []
+        engine.add_process(RecordingProcess(1.0, log))
+        engine.run(until=2.0)
+        engine.run(until=5.0)
+        assert log == [1.0]
 
     def test_trace_is_shared_and_returned(self):
         engine = SimulationEngine()

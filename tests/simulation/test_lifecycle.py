@@ -12,7 +12,7 @@ from repro.topology.fixtures import AS_D, AS_E
 
 
 def run_manager(*, seed=0, until=30.0, term=12.0, fail_link=False, **overrides):
-    engine = SimulationEngine(seed=seed)
+    engine = SimulationEngine()
     network = DynamicNetwork(figure1_topology())
     if fail_link:
         network.fail_link(AS_D, AS_E)
@@ -101,7 +101,7 @@ class TestBatchedNegotiationEpochs:
     """Pairs due at the same virtual instant share one engine call."""
 
     def build_started_manager(self, pairs=((AS_D, AS_E),), until=0.0):
-        engine = SimulationEngine(seed=0)
+        engine = SimulationEngine()
         network = DynamicNetwork(figure1_topology())
         manager = AgreementLifecycleManager(
             network=network,
@@ -168,7 +168,7 @@ class TestBatchedNegotiationEpochs:
         """
         from repro.topology.fixtures import AS_C, AS_F
 
-        engine = SimulationEngine(seed=0)
+        engine = SimulationEngine()
         network = DynamicNetwork(figure1_topology())
         network.fail_link(AS_C, AS_D)
         manager = AgreementLifecycleManager(

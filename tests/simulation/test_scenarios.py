@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.simulation import (
     SCENARIOS,
     AgreementMarketplaceScenario,
@@ -101,3 +102,47 @@ class TestRegistry:
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
             run_scenario("does-not-exist")
+
+
+class TestTimeKnobValidation:
+    """Time knobs that would hang the event loop or crash it are bad input."""
+
+    @pytest.mark.parametrize(
+        ("scenario", "knob", "value"),
+        [
+            *(
+                (scenario, knob, 0.0)
+                for scenario in ("marketplace", "flash-crowd", "marketplace-heterogeneous")
+                for knob in ("metering_interval", "term_duration")
+            ),
+            ("marketplace", "term_duration", -24.0),
+            ("failure-churn", "beacon_interval", 0.0),
+            ("failure-churn", "sample_interval", 0.0),
+            ("failure-churn", "mean_time_to_failure", 0.0),
+            ("failure-churn", "mean_time_to_repair", 0.0),
+            ("failure-churn", "beacon_interval", float("inf")),
+            ("failure-churn", "reconvergence_delay", -1.0),
+            ("failure-churn", "reconvergence_delay", float("inf")),
+            *((scenario, "duration", -1.0) for scenario in sorted(SCENARIOS)),
+            ("marketplace", "duration", float("inf")),
+        ],
+    )
+    def test_rejected_naming_the_knob(self, scenario, knob, value):
+        with pytest.raises(ValidationError, match=rf"\.{knob} must be a finite number"):
+            run_scenario(scenario, **{knob: value})
+
+    def test_direct_construction_is_checked_too(self):
+        with pytest.raises(ValidationError, match=r"failure-churn\.beacon_interval"):
+            FailureChurnScenario(beacon_interval=float("inf"))
+
+    def test_zero_delay_and_horizon_are_allowed(self):
+        result = run_scenario(
+            "failure-churn",
+            duration=0.0,
+            reconvergence_delay=0.0,
+            num_tier2=4,
+            num_tier3=8,
+            num_stubs=14,
+            num_pairs=4,
+        )
+        assert result.duration == 0.0

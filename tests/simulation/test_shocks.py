@@ -3,7 +3,7 @@
 import pytest
 
 from repro.agents import assign_regions
-from repro.simulation.events import SimulationError
+from repro.simulation import SimulationError
 from repro.simulation.failures import LINK_DOWN, LINK_UP
 from repro.simulation.shocks import PriceWar, RegionalPartition
 from repro.topology.generator import generate_topology

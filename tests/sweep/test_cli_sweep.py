@@ -93,3 +93,20 @@ def test_sweep_rejects_unknown_sample_key(tmp_path, capsys):
 def test_sweep_rejects_bad_jobs(tmp_path, capsys):
     assert main(["sweep", "--smoke", "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_zero_metering_interval_before_any_shard(tmp_path, capsys):
+    # A zero interval would reschedule the meter chain at one instant
+    # forever; the spec is refused before a shard runs or is cached.
+    spec = tiny_spec_file(
+        tmp_path,
+        figures=[],
+        scenarios=[{"scenario": "marketplace", "metering_interval": 0.0}],
+    )
+    cache = tmp_path / "cache"
+    code = main(["sweep", "--spec", str(spec), "--cache-dir", str(cache)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "marketplace.metering_interval must be" in captured.err
+    assert "sweep: done" not in captured.err
+    assert not cache.exists()

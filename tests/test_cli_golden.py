@@ -9,7 +9,9 @@ a float formatted differently — fails loudly.
 
 The two diversity edge-case goldens (32-bit ASNs; no peering links, so
 no MAs) were captured before the MA path index became int columns, with
-their input topologies stored beside them.
+their input topologies stored beside them.  The plain ``marketplace``
+summary and trace were captured before the event kernel's ``Event``
+objects became heap tuples.
 
 The experiments goldens run the real harness at the default reduced
 scale (~40 s each); they are the contract that the structured-section
@@ -126,6 +128,28 @@ class TestFastGoldens:
     def test_simulate_failure_churn_is_byte_identical(self, capsys):
         out = run_cli(capsys, "simulate", "--duration", "6", "--seed", "1")
         assert out == golden("simulate_failure_churn_seed1.txt")
+
+    def test_simulate_marketplace_is_byte_identical(self, capsys):
+        out = run_cli(capsys, "simulate", "--scenario", "marketplace", "--seed", "3")
+        assert out == golden("simulate_marketplace_seed3.txt")
+
+    def test_simulate_marketplace_trace_is_byte_identical(self, tmp_path, capsys):
+        # The trace pins same-instant order: each term's last meter tick
+        # (priority 0) is sampled before its expiry (priority 5) bills it.
+        trace_path = tmp_path / "trace.jsonl"
+        run_cli(
+            capsys,
+            "simulate",
+            "--scenario",
+            "marketplace",
+            "--seed",
+            "3",
+            "--trace-out",
+            str(trace_path),
+        )
+        assert trace_path.read_bytes() == (
+            GOLDEN_DIR / "trace_marketplace_seed3.jsonl"
+        ).read_bytes()
 
     def test_simulate_heterogeneous_summary_is_byte_identical(self, capsys):
         out = run_cli(capsys, "simulate", "--scenario", "marketplace-heterogeneous")
